@@ -9,7 +9,8 @@
  * (the `*Scalar` variants call blas::scalar:: directly, which is the
  * seed implementation verbatim), so one run quantifies the SIMD
  * speedup per kernel. Results default to machine-readable JSON in
- * ./BENCH_kernels.json; pass --benchmark_out=... to override.
+ * ./BENCH_kernels.json; pass --benchmark_out=... to override. The
+ * record's context names the build type and the kernel backend.
  */
 
 #include <benchmark/benchmark.h>
@@ -69,26 +70,12 @@ BM_DotScalar(benchmark::State &state)
 BENCHMARK(BM_DotScalar)->Arg(48)->Arg(256)->Arg(1024)->Arg(4096);
 
 void
-BM_DotBatch(benchmark::State &state)
-{
-    const size_t rows = state.range(0), d = 1024;
-    const auto x = randomVec(d, 1);
-    const auto m = randomVec(rows * d, 2);
-    std::vector<float> out(rows);
-    for (auto _ : state) {
-        blas::dotBatch(x.data(), m.data(), rows, d, d, out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * rows * d);
-}
-BENCHMARK(BM_DotBatch)->Arg(64)->Arg(1000);
-
-void
 BM_DotBatchMulti(benchmark::State &state)
 {
     // Query-blocked inner products: rows x queries at d=256 (the
     // engine's hot shape). Items processed counts every (q, r) dot so
-    // throughput is directly comparable to BM_DotBatch per query.
+    // throughput is directly comparable across batch sizes; nq=1 is
+    // the single-query sweep.
     const size_t rows = state.range(0), nq = state.range(1), d = 256;
     const auto x = randomVec(nq * d, 1);
     const auto m = randomVec(rows * d, 2);
@@ -251,30 +238,6 @@ BENCHMARK(BM_WeightedSumSkipMultiI8)
     ->Args({512, 1, 0})
     ->Args({512, 16, 0})
     ->Args({512, 16, 1});
-
-void
-BM_WeightedSumSkip(benchmark::State &state)
-{
-    // threshold chosen against uniform exp values so roughly the
-    // paper's skip regime (most rows dropped) is exercised.
-    const size_t rows = state.range(0), d = 1024;
-    const float threshold = state.range(1) != 0 ? 0.1f : 0.f;
-    auto e = randomVec(rows, 3);
-    for (float &v : e)
-        v = v * 0.5f + 0.5f; // positive exp-like weights
-    const auto m = randomVec(rows * d, 4);
-    std::vector<float> acc(d, 0.f);
-    for (auto _ : state) {
-        double s = 0.0;
-        uint64_t kept = 0, skipped = 0;
-        blas::weightedSumSkip(e.data(), m.data(), rows, d, d, threshold,
-                              s, acc.data(), kept, skipped);
-        benchmark::DoNotOptimize(acc.data());
-        benchmark::DoNotOptimize(s);
-    }
-    state.SetItemsProcessed(state.iterations() * rows * d);
-}
-BENCHMARK(BM_WeightedSumSkip)->Args({1000, 0})->Args({1000, 1});
 
 void
 BM_ExpInplace(benchmark::State &state)
@@ -527,6 +490,11 @@ main(int argc, char **argv)
     }
     int n = static_cast<int>(args.size());
     benchmark::Initialize(&n, args.data());
+    // Provenance: kernel numbers count only from an optimized build
+    // with the SIMD backend active.
+    benchmark::AddCustomContext("mnnfast_build_type", MNNFAST_BUILD_TYPE);
+    benchmark::AddCustomContext("kernel_backend",
+                                blas::kernelBackendName());
     if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
     benchmark::RunSpecifiedBenchmarks();

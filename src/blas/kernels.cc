@@ -11,7 +11,6 @@
 
 #include "blas/kernels.hh"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -28,10 +27,9 @@ scalarTable()
     return {
         "scalar",        scalar::dot,          scalar::axpy,
         scalar::scal,    scalar::sum,          scalar::maxElement,
-        scalar::dotBatch, scalar::dotBatchMulti,
-        scalar::weightedSumSkip,               scalar::weightedSumSkipMulti,
-        scalar::dotBatchMultiBf16,             scalar::weightedSumSkipMultiBf16,
-        scalar::dotBatchMultiI8,               scalar::weightedSumSkipMultiI8,
+        scalar::dotBatchMulti,     scalar::weightedSumSkipMulti,
+        scalar::dotBatchMultiBf16, scalar::weightedSumSkipMultiBf16,
+        scalar::dotBatchMultiI8,   scalar::weightedSumSkipMultiI8,
         scalar::chunkBoundBatch,
         scalar::gemm,    scalar::expInplace,   scalar::expShiftInplace,
     };
@@ -117,14 +115,6 @@ maxElement(const float *x, size_t n)
 }
 
 void
-dotBatch(const float *x, const float *rows, size_t count, size_t n,
-         size_t stride, float *out)
-{
-    mnn_assert(stride >= n, "dotBatch stride shorter than row length");
-    active().dotBatch(x, rows, count, n, stride, out);
-}
-
-void
 dotBatchMulti(const float *x, size_t nx, size_t xstride,
               const float *rows, size_t count, size_t n, size_t stride,
               float *out, size_t ostride)
@@ -136,18 +126,6 @@ dotBatchMulti(const float *x, size_t nx, size_t xstride,
 }
 
 void
-weightedSumSkip(const float *e, const float *rows, size_t count,
-                size_t n, size_t stride, float threshold,
-                double &running_sum, float *acc, uint64_t &kept,
-                uint64_t &skipped)
-{
-    mnn_assert(stride >= n,
-               "weightedSumSkip stride shorter than row length");
-    active().weightedSumSkip(e, rows, count, n, stride, threshold,
-                             running_sum, acc, kept, skipped);
-}
-
-void
 weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                      const float *rows, size_t count, size_t n,
                      size_t stride, float threshold,
@@ -156,17 +134,9 @@ weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
 {
     mnn_assert(stride >= n && accstride >= n && estride >= count,
                "weightedSumSkipMulti stride shorter than row length");
-    // The backend's kept-set scatter list is a fixed stack array of
-    // kWsumQueryTile entries; split larger batches here so callers
-    // can pass any ne. Query tiles are independent, so tiling cannot
-    // change results.
-    for (size_t q0 = 0; q0 < ne; q0 += kWsumQueryTile) {
-        const size_t qb = std::min(kWsumQueryTile, ne - q0);
-        active().weightedSumSkipMulti(
-            e + q0 * estride, qb, estride, rows, count, n, stride,
-            threshold, running_sums + q0, acc + q0 * accstride,
-            accstride, kept, skipped);
-    }
+    active().weightedSumSkipMulti(e, ne, estride, rows, count, n, stride,
+                                  threshold, running_sums, acc,
+                                  accstride, kept, skipped);
 }
 
 void
@@ -190,15 +160,9 @@ weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
 {
     mnn_assert(stride >= n && accstride >= n && estride >= count,
                "weightedSumSkipMultiBf16 stride shorter than row length");
-    // Same kWsumQueryTile split as the fp32 variant: the backend's
-    // kept-set scatter list is a fixed stack array.
-    for (size_t q0 = 0; q0 < ne; q0 += kWsumQueryTile) {
-        const size_t qb = std::min(kWsumQueryTile, ne - q0);
-        active().weightedSumSkipMultiBf16(
-            e + q0 * estride, qb, estride, rows, count, n, stride,
-            threshold, running_sums + q0, acc + q0 * accstride,
-            accstride, kept, skipped);
-    }
+    active().weightedSumSkipMultiBf16(e, ne, estride, rows, count, n,
+                                      stride, threshold, running_sums,
+                                      acc, accstride, kept, skipped);
 }
 
 void
@@ -223,15 +187,10 @@ weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
 {
     mnn_assert(stride >= n && accstride >= n && estride >= count,
                "weightedSumSkipMultiI8 stride shorter than row length");
-    // Same kWsumQueryTile split as the f32/bf16 variants: the
-    // backend's kept-set scatter list is a fixed stack array.
-    for (size_t q0 = 0; q0 < ne; q0 += kWsumQueryTile) {
-        const size_t qb = std::min(kWsumQueryTile, ne - q0);
-        active().weightedSumSkipMultiI8(
-            e + q0 * estride, qb, estride, rows, count, n, stride,
-            scale, zero, threshold, running_sums + q0,
-            acc + q0 * accstride, accstride, kept, skipped);
-    }
+    active().weightedSumSkipMultiI8(e, ne, estride, rows, count, n,
+                                    stride, scale, zero, threshold,
+                                    running_sums, acc, accstride, kept,
+                                    skipped);
 }
 
 void
@@ -248,7 +207,7 @@ chunkBoundBatch(const float *x, size_t nx, size_t xstride,
 void
 gemv(const float *a, size_t rows, size_t cols, const float *x, float *y)
 {
-    active().dotBatch(x, a, rows, cols, cols, y);
+    active().dotBatchMulti(x, 1, cols, a, rows, cols, cols, y, rows);
 }
 
 void

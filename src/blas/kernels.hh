@@ -49,20 +49,45 @@ void copy(const float *src, float *dst, size_t n);
 /** Sum of a length-n vector's elements. */
 float sum(const float *x, size_t n);
 
-/** Largest element of a non-empty length-n vector. */
+/**
+ * Largest element of a non-empty length-n vector. A NaN anywhere
+ * gives a quiet NaN, on both backends.
+ */
 float maxElement(const float *x, size_t n);
 
-/**
- * Batched dot products of one vector against a strip of matrix rows:
- * out[r] = dot(x, rows + r * stride, n) for r in [0, count).
+/*
+ * The fused batched kernels: dotBatchMulti (phase 1) and
+ * weightedSumSkipMulti (phase 3), one pair per storage precision of
+ * the matrix rows — fp32, bf16 (uint16_t) and int8 under an affine
+ * code (scale, zero). Queries, e values and outputs are always fp32.
  *
- * This is the column engine's phase-1 kernel: the query vector x is
- * loaded once per register block and reused across four memory rows,
- * which roughly quarters the x-side load traffic compared with `count`
- * independent dot() calls. Requires stride >= n.
+ * Decode-policy contract. Each backend writes each kernel once, over
+ * a row-decode policy per precision that supplies:
+ *  - widen: a stored element to fp32, exactly (bf16: a 16-bit shift;
+ *    int8: sign-extend and convert; fp32: as-is);
+ *  - the epilogue: identity for fp32 and bf16. For int8 it is the
+ *    affine fold. A dot is out = fma(scale, rawdot, zero * qsum(x_q)),
+ *    with qsum the canonical order below with adds for fmas. A
+ *    weighted-sum element is dequantized as fma(scale, q, zero)
+ *    before it is accumulated.
+ *
+ * Canonical order. Each (query, row) dot is ONE chain of eight fp32
+ * fma lanes over the 8-aligned body (lane j holds the elements
+ * i % 8 == j), the fixed pairwise lane reduction
+ * ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), then an fma per tail
+ * element. Each kept weighted-sum row updates each accumulator
+ * element with one single-rounded fma. The skip test and running
+ * sums are per-(query, row) scalar double arithmetic on the e values
+ * — rows never enter it — so skip decisions are identical across
+ * precisions and backends.
+ *
+ * Both backends implement exactly these orders, so for every
+ * precision the scalar and AVX2 backends are bit-identical to each
+ * other (property-tested), and results never depend on how queries
+ * are tiled or how a row sweep is split into calls. Rows in different
+ * int8 quantization chunks need separate calls (the engines split at
+ * KnowledgeBase::i8GroupEnd; see DESIGN.md §10).
  */
-void dotBatch(const float *x, const float *rows, size_t count, size_t n,
-              size_t stride, float *out);
 
 /**
  * Query-blocked batched dot products: a tile of `nx` query rows
@@ -76,42 +101,16 @@ void dotBatch(const float *x, const float *rows, size_t count, size_t n,
  * tile and the per-query M_IN load traffic drops accordingly; the
  * engine-level strip blocking on top keeps a row strip cache-resident
  * across the whole batch, which is what amortizes the KB stream over
- * concurrent queries.
- *
- * Contract: per (q, r) pair the accumulation order is exactly that of
- * dotBatch, so the result is bit-identical to nx separate dotBatch
- * calls on the same backend (property-tested). Requires stride >= n
- * and xstride >= n; out rows must not alias the inputs.
+ * concurrent queries. Requires stride >= n and xstride >= n; out rows
+ * must not alias the inputs.
  */
 void dotBatchMulti(const float *x, size_t nx, size_t xstride,
                    const float *rows, size_t count, size_t n,
                    size_t stride, float *out, size_t ostride);
 
 /**
- * Fused zero-skip weighted sum over a strip of rows (the column
- * engine's phase-3 kernel):
- *
- *   for r in [0, count):
- *       running_sum += e[r]
- *       if threshold > 0 and e[r] < threshold * running_sum:
- *           ++skipped                      // row never touched
- *       else:
- *           ++kept; acc += e[r] * rows[r]  // vectorized axpy
- *
- * Fusing the conservative skip test with the accumulation means a
- * skipped row costs one compare — its M_OUT row is never read and acc
- * is never written — which is what makes zero-skipping profitable on
- * a bandwidth-bound machine. Requires stride >= n; acc has n elements.
- * A threshold of 0 keeps every row (plain weighted sum).
- */
-void weightedSumSkip(const float *e, const float *rows, size_t count,
-                     size_t n, size_t stride, float threshold,
-                     double &running_sum, float *acc, uint64_t &kept,
-                     uint64_t &skipped);
-
-/**
- * Query-blocked zero-skip weighted sum: one pass over a strip of rows
- * updating `ne` accumulators at once. For each row r (ascending) and
+ * Query-blocked fused zero-skip weighted sum over a strip of rows (the
+ * column engine's phase-3 kernel). For each row r (ascending) and
  * each query q (ascending), with e_qr = e[q * estride + r]:
  *
  *   running_sums[q] += e_qr
@@ -120,17 +119,15 @@ void weightedSumSkip(const float *e, const float *rows, size_t count,
  *   else:
  *       ++kept; acc[q * accstride] += e_qr * row   // vectorized
  *
- * A kept M_OUT row is loaded once and axpy'd into every keeping
+ * Fusing the conservative skip test with the accumulation means a
+ * skipped row costs one compare — its M_OUT row is never read — which
+ * is what makes zero-skipping profitable on a bandwidth-bound machine.
+ * A kept row is loaded once and accumulated into every keeping
  * query's accumulator while it is register/L1-hot, so per-query M_OUT
- * traffic shrinks by the batch size. The skip test and running sums
- * stay per-(query, row) scalar double arithmetic in both backends, so
- * skip decisions are bit-identical between SIMD and scalar paths, and
- * each query's accumulator is bit-identical to ne separate
- * weightedSumSkip calls on the same backend (property-tested).
- *
- * The backend processes queries in tiles of kWsumQueryTile; the
- * dispatch layer splits larger ne transparently. Requires stride >= n
- * and accstride >= n; e rows and acc rows must not alias.
+ * traffic shrinks by the batch size. A threshold of 0 keeps every
+ * row. Any ne is accepted (the AVX2 backend works in query tiles of
+ * kWsumQueryTile). Requires stride >= n and accstride >= n; e rows
+ * and acc rows must not alias.
  */
 void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                           const float *rows, size_t count, size_t n,
@@ -140,47 +137,18 @@ void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                           uint64_t &skipped);
 
 /**
- * Largest query-tile a single backend weightedSumSkipMulti call
- * handles (the kept-set scatter list is a fixed stack array). The
- * dispatch layer tiles larger batches; exposed so engines can align
- * their own blocking with the kernel's.
+ * Largest query tile one pass of the AVX2 weighted sum handles (its
+ * kept-set scatter list is a fixed stack array); exposed so engines
+ * can align their own blocking with the kernel's.
  */
 inline constexpr size_t kWsumQueryTile = 16;
 
-/**
- * Query-blocked batched dot products over *bfloat16* matrix rows:
- * identical shape contract to dotBatchMulti, but `rows` holds bf16
- * elements (uint16_t) that are widened to fp32 in registers via a
- * 16-bit shift; queries and outputs stay fp32. This is the fused
- * dequantizing phase-1 kernel for BF16 knowledge bases: the row
- * stream is half the bytes of the fp32 kernel at the same arithmetic.
- *
- * Accumulation contract (stricter than the fp32 kernels): each
- * (q, r) dot follows one canonical order — eight fp32 fma lanes over
- * the 8-aligned body, a fixed pairwise lane reduction, then an fma
- * tail — and both backends implement exactly that order, so the
- * scalar and AVX2 bf16 backends are **bit-identical to each other**
- * (property-tested), not merely close. Requires stride >= n and
- * xstride >= n; out rows must not alias the inputs.
- */
+/** dotBatchMulti over bf16 rows: half the fp32 row bytes. */
 void dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
                        const uint16_t *rows, size_t count, size_t n,
                        size_t stride, float *out, size_t ostride);
 
-/**
- * Query-blocked zero-skip weighted sum over *bfloat16* rows: identical
- * contract to weightedSumSkipMulti — per-(query, row) scalar double
- * skip tests, fp32 accumulators — but each kept row is widened from
- * bf16 in registers as it is accumulated. The e values (exp outputs)
- * remain fp32, so skip decisions are bit-identical to a run of
- * weightedSumSkipMulti over the widened rows. Every accumulator
- * update is a single-rounded fma per element in both backends, so the
- * scalar and AVX2 bf16 backends are bit-identical to each other.
- *
- * The dispatch layer tiles ne by kWsumQueryTile, like the fp32
- * kernel. Requires stride >= n and accstride >= n; e rows and acc
- * rows must not alias.
- */
+/** weightedSumSkipMulti over bf16 rows. */
 void weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
                               const uint16_t *rows, size_t count,
                               size_t n, size_t stride, float threshold,
@@ -189,45 +157,16 @@ void weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
                               uint64_t &skipped);
 
 /**
- * Query-blocked batched dot products over *int8* matrix rows sharing
- * one affine code (scale, zero): the stored row elements q dequantize
- * as scale*q + zero (see core::KnowledgeBase, DESIGN.md §10), and the
- * kernel computes out[q * ostride + r] = dot(x_q, scale*row_r + zero)
- * in the factored form
- *
- *   out[q][r] = fma(scale, rawdot(x_q, row_r), zero * qsum(x_q))
- *
- * where rawdot is the canonical bf16-style dot (eight fp32 fma lanes
- * over the 8-aligned body of the int8->fp32 widened row, the fixed
- * pairwise lane reduction, fma tail) and qsum is a canonical sum of
- * x_q (same lane walk with adds). The factoring keeps the inner loop
- * at one fma per element — the same arithmetic as the bf16 kernel on
- * a quarter of the f32 bytes — and both backends implement exactly
- * these orders, so scalar and AVX2 are **bit-identical** to each
- * other (property-tested), and results never depend on how a sweep is
- * split into calls. Rows in different quantization chunks need
- * separate calls (the engines split at KnowledgeBase::i8GroupEnd).
- * Requires stride >= n and xstride >= n; out must not alias inputs.
+ * dotBatchMulti over int8 rows that share one affine code: stored
+ * elements q dequantize as scale*q + zero (see core::KnowledgeBase),
+ * a quarter of the fp32 row bytes.
  */
 void dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
                      const int8_t *rows, size_t count, size_t n,
                      size_t stride, float scale, float zero, float *out,
                      size_t ostride);
 
-/**
- * Query-blocked zero-skip weighted sum over *int8* rows sharing one
- * affine code (scale, zero): identical contract to
- * weightedSumSkipMulti — per-(query, row) scalar double skip tests on
- * the fp32 e values, fp32 accumulators — but each kept row element is
- * dequantized in registers as fma(scale, float(q), zero) and
- * accumulated with a second single-rounded fma. Skip decisions are
- * bit-identical to the f32/bf16 kernels on the same e values, and the
- * scalar and AVX2 backends are bit-identical to each other.
- *
- * The dispatch layer tiles ne by kWsumQueryTile, like the other
- * variants. Requires stride >= n and accstride >= n; e rows and acc
- * rows must not alias.
- */
+/** weightedSumSkipMulti over int8 rows that share one affine code. */
 void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                             const int8_t *rows, size_t count, size_t n,
                             size_t stride, float scale, float zero,
@@ -248,15 +187,12 @@ void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
  * with every row the envelope covers — the max-inner-product bound
  * core::ChunkSummaryIndex builds chunk routing on.
  *
- * Accumulation contract (as the bf16/i8 kernels): each (q, c) bound
- * follows one canonical order — eight fp32 lanes over the 8-aligned
- * body, each lane accumulating (a > b) ? a : b of the two
- * single-rounded products, the fixed pairwise lane reduction, then a
- * scalar tail — and both backends implement exactly that order (the
- * scalar select replicates vmaxps operand semantics), so scalar and
- * AVX2 are **bit-identical** to each other and results never depend
- * on how a sweep is split into calls. Requires stride >= n and
- * xstride >= n; out must not alias the inputs.
+ * Accumulation contract: the canonical order above, each lane adding
+ * (a > b) ? a : b of the two single-rounded products instead of an
+ * fma, and a scalar tail. The scalar select replicates vmaxps operand
+ * semantics, so scalar and AVX2 are bit-identical to each other and
+ * results never depend on how a sweep is split into calls. Requires
+ * stride >= n and xstride >= n; out must not alias the inputs.
  */
 void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
                      const float *lo, const float *hi, size_t count,
@@ -266,7 +202,8 @@ void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
 /**
  * Matrix-vector product: y = A * x.
  * A is (rows x cols) row-major; x has cols elements; y has rows.
- * Dispatches to dotBatch, so the x vector is reused across rows.
+ * Dispatches to dotBatchMulti with one query, so the x vector is
+ * reused across rows.
  */
 void gemv(const float *a, size_t rows, size_t cols,
           const float *x, float *y);
@@ -290,7 +227,7 @@ void gemvT(const float *a, size_t rows, size_t cols,
 void gemm(const float *a, const float *b, float *c,
           size_t m, size_t k, size_t n, bool accumulate = false);
 
-/** Elementwise e^x over a length-n vector, in place. */
+/** Elementwise e^x over a length-n vector, in place; NaN stays NaN. */
 void expInplace(float *x, size_t n);
 
 /**
@@ -348,15 +285,9 @@ void axpy(float alpha, const float *x, float *y, size_t n);
 void scal(float alpha, float *x, size_t n);
 float sum(const float *x, size_t n);
 float maxElement(const float *x, size_t n);
-void dotBatch(const float *x, const float *rows, size_t count, size_t n,
-              size_t stride, float *out);
 void dotBatchMulti(const float *x, size_t nx, size_t xstride,
                    const float *rows, size_t count, size_t n,
                    size_t stride, float *out, size_t ostride);
-void weightedSumSkip(const float *e, const float *rows, size_t count,
-                     size_t n, size_t stride, float threshold,
-                     double &running_sum, float *acc, uint64_t &kept,
-                     uint64_t &skipped);
 void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                           const float *rows, size_t count, size_t n,
                           size_t stride, float threshold,

@@ -11,8 +11,10 @@
  * Kernel shapes (see DESIGN.md "Kernel architecture & dispatch"):
  *  - reductions (dot/sum/max): 4 x 8-lane accumulators, one horizontal
  *    reduce at the end;
- *  - dotBatch: 4 rows share each 8-lane load of x, quartering the
- *    query-side load traffic;
+ *  - dotBatchMulti / weightedSumSkipMulti: one template each over a
+ *    row-decode policy (F32Rows, Bf16Rows, I8Rows). Dots register-tile
+ *    2 queries x 4 rows so each widened row load feeds both queries;
+ *    the weighted sum loads each kept row once for every keeping query;
  *  - exp: Cephes-style polynomial (2^n * P(r) after range reduction),
  *    ~2 ulp, with explicit inf/0 resolution outside [-87.34, 88.38]
  *    so overflow behaves like std::exp;
@@ -124,6 +126,23 @@ scalAvx2(float alpha, float *x, size_t n)
         x[i] *= alpha;
 }
 
+/**
+ * Query sum of the factored i8 dot: the canonical order with adds for
+ * fmas (vertical 8-lane adds, hsum8, scalar tail).
+ */
+float
+querySum(const float *x, size_t n)
+{
+    __m256 acc = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        acc = _mm256_add_ps(acc, _mm256_loadu_ps(x + i));
+    float r = hsum8(acc);
+    for (; i < n; ++i)
+        r += x[i];
+    return r;
+}
+
 float
 sumAvx2(const float *x, size_t n)
 {
@@ -151,839 +170,396 @@ sumAvx2(const float *x, size_t n)
 float
 maxElementAvx2(const float *x, size_t n)
 {
-    if (n < 8) {
-        float m = x[0];
-        for (size_t i = 1; i < n; ++i)
-            m = std::max(m, x[i]);
-        return m;
+    // vmaxps returns its second operand when either is NaN, so a NaN
+    // can enter or leave the running max depending on where it sits;
+    // track NaN lanes separately to give the documented result.
+    __m256 acc = _mm256_set1_ps(x[0]);
+    __m256 nan = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v = _mm256_loadu_ps(x + i);
+        acc = _mm256_max_ps(acc, v);
+        nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
     }
-    __m256 acc = _mm256_loadu_ps(x);
-    size_t i = 8;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm256_max_ps(acc, _mm256_loadu_ps(x + i));
     float m = hmax8(acc);
-    for (; i < n; ++i)
+    bool any_nan = _mm256_movemask_ps(nan) != 0;
+    for (; i < n; ++i) {
         m = std::max(m, x[i]);
-    return m;
-}
-
-void
-dotBatchAvx2(const float *x, const float *rows, size_t count, size_t n,
-             size_t stride, float *out)
-{
-    size_t r = 0;
-    for (; r + 4 <= count; r += 4) {
-        const float *r0 = rows + (r + 0) * stride;
-        const float *r1 = rows + (r + 1) * stride;
-        const float *r2 = rows + (r + 2) * stride;
-        const float *r3 = rows + (r + 3) * stride;
-        __m256 a0 = _mm256_setzero_ps();
-        __m256 a1 = _mm256_setzero_ps();
-        __m256 a2 = _mm256_setzero_ps();
-        __m256 a3 = _mm256_setzero_ps();
-        size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            // One load of x feeds four row FMAs.
-            const __m256 xv = _mm256_loadu_ps(x + i);
-            a0 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(r0 + i), a0);
-            a1 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(r1 + i), a1);
-            a2 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(r2 + i), a2);
-            a3 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(r3 + i), a3);
-        }
-        float s0 = hsum8(a0), s1 = hsum8(a1);
-        float s2 = hsum8(a2), s3 = hsum8(a3);
-        for (; i < n; ++i) {
-            const float xi = x[i];
-            s0 += xi * r0[i];
-            s1 += xi * r1[i];
-            s2 += xi * r2[i];
-            s3 += xi * r3[i];
-        }
-        out[r + 0] = s0;
-        out[r + 1] = s1;
-        out[r + 2] = s2;
-        out[r + 3] = s3;
+        any_nan |= std::isnan(x[i]);
     }
-    for (; r < count; ++r)
-        out[r] = dotAvx2(x, rows + r * stride, n);
+    return any_nan ? std::numeric_limits<float>::quiet_NaN() : m;
 }
 
-/**
- * Query-blocked batched dots, register tile = 2 queries x 4 rows
- * (8 accumulators + 2 query + 1 row vector in flight). Each 8-wide
- * row load feeds both queries, so per-query row traffic halves and
- * the load/FMA ratio drops below the two-loads-per-cycle port limit
- * that bounds dotBatch. Every (q, r) pair keeps dotBatch's exact
- * accumulation order — one 8-lane chain, hsum, scalar tail — so the
- * output is bit-identical to per-query dotBatch calls.
- */
-void
-dotBatchMultiAvx2(const float *x, size_t nx, size_t xstride,
-                  const float *rows, size_t count, size_t n,
-                  size_t stride, float *out, size_t ostride)
+// --- Row-decode policies ----------------------------------------------
+//
+// dotBatchMulti and weightedSumSkipMulti are written once below, over
+// one policy per storage precision (contract in kernels.hh): widen8 /
+// widen1 turn stored elements into exact fp32, fold is the dot's
+// epilogue, and dequant8 / dequant1 map a widened weighted-sum element
+// through the precision's code. The traits switch on streaming aids
+// that only the int8 sweeps need; the raw-storage policies leave them
+// off, so their instantiations are plain tiled loops.
+
+/** Identity code, no streaming aids: shared by F32Rows and Bf16Rows. */
+struct RawCode
 {
-    size_t q = 0;
-    for (; q + 2 <= nx; q += 2) {
-        const float *x0 = x + q * xstride;
-        const float *x1 = x0 + xstride;
-        float *o0 = out + q * ostride;
-        float *o1 = o0 + ostride;
-        size_t r = 0;
-        for (; r + 4 <= count; r += 4) {
-            const float *r0 = rows + (r + 0) * stride;
-            const float *r1 = rows + (r + 1) * stride;
-            const float *r2 = rows + (r + 2) * stride;
-            const float *r3 = rows + (r + 3) * stride;
-            __m256 a00 = _mm256_setzero_ps();
-            __m256 a01 = _mm256_setzero_ps();
-            __m256 a02 = _mm256_setzero_ps();
-            __m256 a03 = _mm256_setzero_ps();
-            __m256 a10 = _mm256_setzero_ps();
-            __m256 a11 = _mm256_setzero_ps();
-            __m256 a12 = _mm256_setzero_ps();
-            __m256 a13 = _mm256_setzero_ps();
-            size_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                const __m256 xv0 = _mm256_loadu_ps(x0 + i);
-                const __m256 xv1 = _mm256_loadu_ps(x1 + i);
-                // One load per row feeds both query FMAs.
-                __m256 rv = _mm256_loadu_ps(r0 + i);
-                a00 = _mm256_fmadd_ps(xv0, rv, a00);
-                a10 = _mm256_fmadd_ps(xv1, rv, a10);
-                rv = _mm256_loadu_ps(r1 + i);
-                a01 = _mm256_fmadd_ps(xv0, rv, a01);
-                a11 = _mm256_fmadd_ps(xv1, rv, a11);
-                rv = _mm256_loadu_ps(r2 + i);
-                a02 = _mm256_fmadd_ps(xv0, rv, a02);
-                a12 = _mm256_fmadd_ps(xv1, rv, a12);
-                rv = _mm256_loadu_ps(r3 + i);
-                a03 = _mm256_fmadd_ps(xv0, rv, a03);
-                a13 = _mm256_fmadd_ps(xv1, rv, a13);
-            }
-            float s00 = hsum8(a00), s01 = hsum8(a01);
-            float s02 = hsum8(a02), s03 = hsum8(a03);
-            float s10 = hsum8(a10), s11 = hsum8(a11);
-            float s12 = hsum8(a12), s13 = hsum8(a13);
-            for (; i < n; ++i) {
-                const float xi0 = x0[i];
-                const float xi1 = x1[i];
-                s00 += xi0 * r0[i];
-                s01 += xi0 * r1[i];
-                s02 += xi0 * r2[i];
-                s03 += xi0 * r3[i];
-                s10 += xi1 * r0[i];
-                s11 += xi1 * r1[i];
-                s12 += xi1 * r2[i];
-                s13 += xi1 * r3[i];
-            }
-            o0[r + 0] = s00;
-            o0[r + 1] = s01;
-            o0[r + 2] = s02;
-            o0[r + 3] = s03;
-            o1[r + 0] = s10;
-            o1[r + 1] = s11;
-            o1[r + 2] = s12;
-            o1[r + 3] = s13;
-        }
-        // Row tail (< 4): the same single-row kernel dotBatch uses.
-        for (; r < count; ++r) {
-            o0[r] = dotAvx2(x0, rows + r * stride, n);
-            o1[r] = dotAvx2(x1, rows + r * stride, n);
-        }
+    /** Rows the sweeps prefetch ahead of the compute (0 = none). */
+    static constexpr size_t kPrefetchRows = 0;
+    /** Row-tile height for a lone (odd) query's dot sweep. */
+    static constexpr size_t kOddQueryRows = 4;
+    /** Single-query weighted sums scan skips first (see below). */
+    static constexpr bool kTwoPassSingleQuery = false;
+
+    float queryBias(const float *, size_t) const { return 0.f; }
+    // Identity, not fma(1, s, 0): that would turn -0 into +0.
+    float fold(float s, float) const { return s; }
+    __m256 dequant8(__m256 v) const { return v; }
+    float dequant1(float v) const { return v; }
+};
+
+struct F32Rows : RawCode
+{
+    using Elem = float;
+    static __m256 widen8(const float *p) { return _mm256_loadu_ps(p); }
+    static float widen1(float v) { return v; }
+};
+
+struct Bf16Rows : RawCode
+{
+    using Elem = uint16_t;
+
+    /** Zero-extend to 32 bits and shift into the high half: exact. */
+    static __m256
+    widen8(const uint16_t *p)
+    {
+        const __m128i h =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+        return _mm256_castsi256_ps(
+            _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
     }
-    if (q < nx)
-        dotBatchAvx2(x + q * xstride, rows, count, n, stride,
-                     out + q * ostride);
-}
+    static float widen1(uint16_t v) { return bf16ToFloat(v); }
+};
 
-void
-weightedSumSkipAvx2(const float *e, const float *rows, size_t count,
-                    size_t n, size_t stride, float threshold,
-                    double &running_sum, float *acc, uint64_t &kept,
-                    uint64_t &skipped)
+/**
+ * int8 rows under one affine code (value = scale * q + zero). The dot
+ * is factored as fma(scale, rawdot, zero * qsum(x)), and each weighted
+ * sum element is dequantized as fma(scale, q, zero).
+ *
+ * Streaming aids: a sweep retires 64 elements per cache line, so the
+ * out-of-order window alone holds too few line fills in flight to
+ * cover L3 latency (f32 turns lines over 4x faster). The sweeps
+ * therefore prefetch kPrefetchRows ahead, a lone query runs 8-row
+ * tiles (eight independent chains and eight line streams), and a
+ * single-query weighted sum, whose skip rate is high, resolves its
+ * skip decisions first and then streams only the kept rows.
+ */
+struct I8Rows
 {
-    double s = running_sum;
-    for (size_t r = 0; r < count; ++r) {
-        const float ev = e[r];
-        s += ev;
-        if (threshold > 0.f && double(ev) < double(threshold) * s) {
-            ++skipped;
-            continue;
-        }
-        ++kept;
-        axpyAvx2(ev, rows + r * stride, acc, n);
+    using Elem = int8_t;
+    static constexpr size_t kPrefetchRows = 8;
+    static constexpr size_t kOddQueryRows = 8;
+    static constexpr bool kTwoPassSingleQuery = true;
+
+    float scale, zero;
+
+    /** Sign-extend to 32 bits, then convert: exact for int8. */
+    static __m256
+    widen8(const int8_t *p)
+    {
+        const __m128i b =
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
+        return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
     }
-    running_sum = s;
-}
+    static float widen1(int8_t v) { return static_cast<float>(v); }
 
-/**
- * Query-blocked weighted sum: for every row, the skip test runs per
- * query in scalar double (identical to weightedSumSkip), the kept
- * queries are gathered into a scatter list, and then each 8-wide row
- * load is FMA'd into every kept accumulator while it sits in a
- * register. axpy is elementwise (no cross-element accumulation), so
- * the interleaving leaves each query's accumulator bit-identical to
- * a separate axpyAvx2 call.
- */
-void
-weightedSumSkipMultiAvx2(const float *e, size_t ne, size_t estride,
-                         const float *rows, size_t count, size_t n,
-                         size_t stride, float threshold,
-                         double *running_sums, float *acc,
-                         size_t accstride, uint64_t &kept,
-                         uint64_t &skipped)
-{
-    float alpha[blas::kWsumQueryTile];
-    float *dst[blas::kWsumQueryTile];
-    for (size_t r = 0; r < count; ++r) {
-        const float *row = rows + r * stride;
-        size_t nk = 0;
-        for (size_t q = 0; q < ne; ++q) {
-            const float ev = e[q * estride + r];
-            const double s = running_sums[q] + ev;
-            running_sums[q] = s;
-            if (threshold > 0.f && double(ev) < double(threshold) * s) {
-                ++skipped;
-                continue;
-            }
-            ++kept;
-            alpha[nk] = ev;
-            dst[nk] = acc + q * accstride;
-            ++nk;
-        }
-        if (nk == 0)
-            continue;
-        size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            const __m256 rv = _mm256_loadu_ps(row + i);
-            for (size_t j = 0; j < nk; ++j) {
-                _mm256_storeu_ps(
-                    dst[j] + i,
-                    _mm256_fmadd_ps(_mm256_set1_ps(alpha[j]), rv,
-                                    _mm256_loadu_ps(dst[j] + i)));
-            }
-        }
-        for (; i < n; ++i) {
-            for (size_t j = 0; j < nk; ++j)
-                dst[j][i] += alpha[j] * row[i];
-        }
+    float queryBias(const float *x, size_t n) const
+    {
+        return zero * querySum(x, n);
     }
-}
-
-// --- bf16 row kernels -----------------------------------------------
-
-/**
- * Widen 8 bf16 elements to fp32 lanes: zero-extend to 32 bits and
- * shift into the high half. Exact (no rounding), so the upconverted
- * lanes equal bf16ToFloat element-for-element.
- */
-inline __m256
-bf16Load8(const uint16_t *p)
-{
-    const __m128i h =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-    const __m256i w = _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16);
-    return _mm256_castsi256_ps(w);
-}
-
-/**
- * Canonical bf16 dot (see kernels.hh): ONE 8-lane fma chain over the
- * body, hsum8's pairwise reduction, std::fma tail. The scalar backend
- * replays exactly this order with scalar fmas, so the two backends
- * are bit-identical; the tiled kernels below keep one such chain per
- * (query, row) pair.
- */
-float
-dotBf16Avx2(const float *x, const uint16_t *row, size_t n)
-{
-    __m256 acc = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), bf16Load8(row + i),
-                              acc);
-    float r = hsum8(acc);
-    for (; i < n; ++i)
-        r = std::fma(x[i], bf16ToFloat(row[i]), r);
-    return r;
-}
-
-/**
- * Query-blocked bf16 batched dots: 2 queries x 4 rows in the main
- * tile (one bf16Load8 per row feeds both query fmas, halving the
- * widen work and the per-query row traffic), a 1 x 4 tile for the
- * odd query, and dotBf16Avx2 for row tails. Each pair's accumulator
- * is its own canonical chain, so the tiling never changes bits.
- */
-void
-dotBatchMultiBf16Avx2(const float *x, size_t nx, size_t xstride,
-                      const uint16_t *rows, size_t count, size_t n,
-                      size_t stride, float *out, size_t ostride)
-{
-    size_t q = 0;
-    for (; q + 2 <= nx; q += 2) {
-        const float *x0 = x + q * xstride;
-        const float *x1 = x0 + xstride;
-        float *o0 = out + q * ostride;
-        float *o1 = o0 + ostride;
-        size_t r = 0;
-        for (; r + 4 <= count; r += 4) {
-            const uint16_t *r0 = rows + (r + 0) * stride;
-            const uint16_t *r1 = rows + (r + 1) * stride;
-            const uint16_t *r2 = rows + (r + 2) * stride;
-            const uint16_t *r3 = rows + (r + 3) * stride;
-            __m256 a00 = _mm256_setzero_ps();
-            __m256 a01 = _mm256_setzero_ps();
-            __m256 a02 = _mm256_setzero_ps();
-            __m256 a03 = _mm256_setzero_ps();
-            __m256 a10 = _mm256_setzero_ps();
-            __m256 a11 = _mm256_setzero_ps();
-            __m256 a12 = _mm256_setzero_ps();
-            __m256 a13 = _mm256_setzero_ps();
-            size_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                const __m256 xv0 = _mm256_loadu_ps(x0 + i);
-                const __m256 xv1 = _mm256_loadu_ps(x1 + i);
-                // One widen per row feeds both query FMAs.
-                __m256 rv = bf16Load8(r0 + i);
-                a00 = _mm256_fmadd_ps(xv0, rv, a00);
-                a10 = _mm256_fmadd_ps(xv1, rv, a10);
-                rv = bf16Load8(r1 + i);
-                a01 = _mm256_fmadd_ps(xv0, rv, a01);
-                a11 = _mm256_fmadd_ps(xv1, rv, a11);
-                rv = bf16Load8(r2 + i);
-                a02 = _mm256_fmadd_ps(xv0, rv, a02);
-                a12 = _mm256_fmadd_ps(xv1, rv, a12);
-                rv = bf16Load8(r3 + i);
-                a03 = _mm256_fmadd_ps(xv0, rv, a03);
-                a13 = _mm256_fmadd_ps(xv1, rv, a13);
-            }
-            float s00 = hsum8(a00), s01 = hsum8(a01);
-            float s02 = hsum8(a02), s03 = hsum8(a03);
-            float s10 = hsum8(a10), s11 = hsum8(a11);
-            float s12 = hsum8(a12), s13 = hsum8(a13);
-            for (; i < n; ++i) {
-                const float xi0 = x0[i];
-                const float xi1 = x1[i];
-                const float e0 = bf16ToFloat(r0[i]);
-                const float e1 = bf16ToFloat(r1[i]);
-                const float e2 = bf16ToFloat(r2[i]);
-                const float e3 = bf16ToFloat(r3[i]);
-                s00 = std::fma(xi0, e0, s00);
-                s01 = std::fma(xi0, e1, s01);
-                s02 = std::fma(xi0, e2, s02);
-                s03 = std::fma(xi0, e3, s03);
-                s10 = std::fma(xi1, e0, s10);
-                s11 = std::fma(xi1, e1, s11);
-                s12 = std::fma(xi1, e2, s12);
-                s13 = std::fma(xi1, e3, s13);
-            }
-            o0[r + 0] = s00;
-            o0[r + 1] = s01;
-            o0[r + 2] = s02;
-            o0[r + 3] = s03;
-            o1[r + 0] = s10;
-            o1[r + 1] = s11;
-            o1[r + 2] = s12;
-            o1[r + 3] = s13;
-        }
-        for (; r < count; ++r) {
-            o0[r] = dotBf16Avx2(x0, rows + r * stride, n);
-            o1[r] = dotBf16Avx2(x1, rows + r * stride, n);
-        }
+    float fold(float s, float bias) const
+    {
+        return std::fma(scale, s, bias);
     }
-    if (q < nx) {
-        // Last odd query: 4-row groups so the x loads amortize and
-        // four independent chains cover the fma latency.
-        const float *x0 = x + q * xstride;
-        float *o0 = out + q * ostride;
-        size_t r = 0;
-        for (; r + 4 <= count; r += 4) {
-            const uint16_t *r0 = rows + (r + 0) * stride;
-            const uint16_t *r1 = rows + (r + 1) * stride;
-            const uint16_t *r2 = rows + (r + 2) * stride;
-            const uint16_t *r3 = rows + (r + 3) * stride;
-            __m256 a0 = _mm256_setzero_ps();
-            __m256 a1 = _mm256_setzero_ps();
-            __m256 a2 = _mm256_setzero_ps();
-            __m256 a3 = _mm256_setzero_ps();
-            size_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                const __m256 xv = _mm256_loadu_ps(x0 + i);
-                a0 = _mm256_fmadd_ps(xv, bf16Load8(r0 + i), a0);
-                a1 = _mm256_fmadd_ps(xv, bf16Load8(r1 + i), a1);
-                a2 = _mm256_fmadd_ps(xv, bf16Load8(r2 + i), a2);
-                a3 = _mm256_fmadd_ps(xv, bf16Load8(r3 + i), a3);
-            }
-            float s0 = hsum8(a0), s1 = hsum8(a1);
-            float s2 = hsum8(a2), s3 = hsum8(a3);
-            for (; i < n; ++i) {
-                const float xi = x0[i];
-                s0 = std::fma(xi, bf16ToFloat(r0[i]), s0);
-                s1 = std::fma(xi, bf16ToFloat(r1[i]), s1);
-                s2 = std::fma(xi, bf16ToFloat(r2[i]), s2);
-                s3 = std::fma(xi, bf16ToFloat(r3[i]), s3);
-            }
-            o0[r + 0] = s0;
-            o0[r + 1] = s1;
-            o0[r + 2] = s2;
-            o0[r + 3] = s3;
-        }
-        for (; r < count; ++r)
-            o0[r] = dotBf16Avx2(x0, rows + r * stride, n);
+    __m256 dequant8(__m256 v) const
+    {
+        return _mm256_fmadd_ps(_mm256_set1_ps(scale), v,
+                               _mm256_set1_ps(zero));
     }
-}
+    float dequant1(float v) const { return std::fma(scale, v, zero); }
+};
 
 /**
- * Query-blocked bf16 weighted sum: identical structure to the fp32
- * kernel — per-(query, row) scalar-double skip tests, kept-query
- * scatter list — with each kept row widened once per 8-lane block and
- * fma'd into every kept accumulator. Tail elements use std::fma so
- * the update rounding matches the scalar backend exactly.
- */
-void
-weightedSumSkipMultiBf16Avx2(const float *e, size_t ne, size_t estride,
-                             const uint16_t *rows, size_t count,
-                             size_t n, size_t stride, float threshold,
-                             double *running_sums, float *acc,
-                             size_t accstride, uint64_t &kept,
-                             uint64_t &skipped)
-{
-    float alpha[blas::kWsumQueryTile];
-    float *dst[blas::kWsumQueryTile];
-    for (size_t r = 0; r < count; ++r) {
-        const uint16_t *row = rows + r * stride;
-        size_t nk = 0;
-        for (size_t q = 0; q < ne; ++q) {
-            const float ev = e[q * estride + r];
-            const double s = running_sums[q] + ev;
-            running_sums[q] = s;
-            if (threshold > 0.f && double(ev) < double(threshold) * s) {
-                ++skipped;
-                continue;
-            }
-            ++kept;
-            alpha[nk] = ev;
-            dst[nk] = acc + q * accstride;
-            ++nk;
-        }
-        if (nk == 0)
-            continue;
-        size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            const __m256 rv = bf16Load8(row + i);
-            for (size_t j = 0; j < nk; ++j) {
-                _mm256_storeu_ps(
-                    dst[j] + i,
-                    _mm256_fmadd_ps(_mm256_set1_ps(alpha[j]), rv,
-                                    _mm256_loadu_ps(dst[j] + i)));
-            }
-        }
-        for (; i < n; ++i) {
-            const float ri = bf16ToFloat(row[i]);
-            for (size_t j = 0; j < nk; ++j)
-                dst[j][i] = std::fma(alpha[j], ri, dst[j][i]);
-        }
-    }
-}
-
-// --- int8 row kernels -----------------------------------------------
-
-/**
- * Widen 8 int8 elements to fp32 lanes: sign-extend to 32 bits, then
- * int->float convert. Exact for the int8 range (no rounding), so the
- * widened lanes equal static_cast<float>(row[i]) element-for-element.
- */
-inline __m256
-i8Load8(const int8_t *p)
-{
-    const __m128i b =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
-    return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
-}
-
-/**
- * Canonical raw i8 dot (see kernels.hh): ONE 8-lane fma chain over
- * the widened body, hsum8's pairwise reduction, std::fma tail —
- * exactly the scalar backend's lane walk. The affine (scale, zero)
- * code is applied by the caller in the factored form.
- */
-float
-dotI8RawAvx2(const float *x, const int8_t *row, size_t n)
-{
-    __m256 acc = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), i8Load8(row + i),
-                              acc);
-    float r = hsum8(acc);
-    for (; i < n; ++i)
-        r = std::fma(x[i], static_cast<float>(row[i]), r);
-    return r;
-}
-
-/**
- * Canonical query sum for the factored i8 dot: vertical 8-lane adds,
- * hsum8, scalar tail — the scalar backend replays this order exactly.
- */
-float
-querySumAvx2(const float *x, size_t n)
-{
-    __m256 acc = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm256_add_ps(acc, _mm256_loadu_ps(x + i));
-    float r = hsum8(acc);
-    for (; i < n; ++i)
-        r += x[i];
-    return r;
-}
-
-/**
- * Prefetch one int8 row (n payload bytes at `row`) into L1. The i8
- * sweeps retire 64 elements per cache line, so the out-of-order
- * window alone holds too few line fills in flight to cover the L3
- * latency (unlike f32, which turns over lines 4x faster); an explicit
- * prefetch a few rows ahead keeps the stream saturated. Hint-only:
- * never changes results.
+ * Prefetch one row (n elements) into L1. Hint-only: never changes
+ * results.
  *
  * Look-ahead indices are deliberately NOT clamped to the call's row
  * count: the engines sweep one contiguous matrix in strip-sized
  * calls, so rows past this call are almost always the next call's
  * rows, and clamping would stall the stream at every strip boundary.
  * At the true end of the matrix the prefetch reaches at most
- * kI8PrefetchRows rows past the allocation — prefetch instructions
+ * kPrefetchRows rows past the allocation — prefetch instructions
  * never fault, so this is harmless.
  */
+template <class P>
 inline void
-prefetchI8Row(const int8_t *row, size_t n)
+prefetchRow(const typename P::Elem *row, size_t n)
 {
-    for (size_t b = 0; b < n; b += 64)
-        _mm_prefetch(reinterpret_cast<const char *>(row) + b,
-                     _MM_HINT_T0);
+    const char *p = reinterpret_cast<const char *>(row);
+    for (size_t b = 0; b < n * sizeof(typename P::Elem); b += 64)
+        _mm_prefetch(p + b, _MM_HINT_T0);
 }
 
-/** Row distance the i8 sweeps prefetch ahead of the compute. */
-constexpr size_t kI8PrefetchRows = 8;
+// --- dotBatchMulti ------------------------------------------------------
 
 /**
- * Query-blocked i8 batched dots: 2 queries x 4 rows in the main tile
- * (one i8Load8 widen per row feeds both query fmas), a 1 x 8 then
- * 1 x 4 tile for the odd query, dotI8RawAvx2 for row tails. Each
- * (q, r) accumulator is its own canonical chain and the per-query
- * zero*qsum constant is folded in at store time, so tiling never
- * changes bits. All tiles prefetch kI8PrefetchRows ahead (see
- * prefetchI8Row).
+ * One NQ-query x NR-row register tile of the canonical dot: per pair
+ * ONE 8-lane fma chain over the body (each widened row load feeds
+ * every query of the tile), hsum8's pairwise reduction, an fma tail,
+ * then the policy's fold. Pairs never share a chain, so the tile
+ * shape never changes bits.
  */
-void
-dotBatchMultiI8Avx2(const float *x, size_t nx, size_t xstride,
-                    const int8_t *rows, size_t count, size_t n,
-                    size_t stride, float scale, float zero, float *out,
-                    size_t ostride)
+template <size_t NQ, size_t NR, class P>
+inline void
+dotTile(const P &p, const float *const *xq, const float *bias,
+        const typename P::Elem *rows, size_t stride, size_t n,
+        float *const *oq, size_t r)
 {
+    const typename P::Elem *row[NR];
+#pragma GCC unroll 8
+    for (size_t k = 0; k < NR; ++k) {
+        row[k] = rows + (r + k) * stride;
+        if constexpr (P::kPrefetchRows > 0)
+            prefetchRow<P>(row[k] + P::kPrefetchRows * stride, n);
+    }
+    __m256 acc[NQ][NR];
+#pragma GCC unroll 2
+    for (size_t q = 0; q < NQ; ++q)
+#pragma GCC unroll 8
+        for (size_t k = 0; k < NR; ++k)
+            acc[q][k] = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m256 xv[NQ];
+#pragma GCC unroll 2
+        for (size_t q = 0; q < NQ; ++q)
+            xv[q] = _mm256_loadu_ps(xq[q] + i);
+#pragma GCC unroll 8
+        for (size_t k = 0; k < NR; ++k) {
+            const __m256 rv = P::widen8(row[k] + i);
+#pragma GCC unroll 2
+            for (size_t q = 0; q < NQ; ++q)
+                acc[q][k] = _mm256_fmadd_ps(xv[q], rv, acc[q][k]);
+        }
+    }
+    float s[NQ][NR];
+#pragma GCC unroll 2
+    for (size_t q = 0; q < NQ; ++q)
+#pragma GCC unroll 8
+        for (size_t k = 0; k < NR; ++k)
+            s[q][k] = hsum8(acc[q][k]);
+    for (; i < n; ++i) {
+#pragma GCC unroll 8
+        for (size_t k = 0; k < NR; ++k) {
+            const float rv = P::widen1(row[k][i]);
+#pragma GCC unroll 2
+            for (size_t q = 0; q < NQ; ++q)
+                s[q][k] = std::fma(xq[q][i], rv, s[q][k]);
+        }
+    }
+#pragma GCC unroll 2
+    for (size_t q = 0; q < NQ; ++q)
+#pragma GCC unroll 8
+        for (size_t k = 0; k < NR; ++k)
+            oq[q][r + k] = p.fold(s[q][k], bias[q]);
+}
+
+/**
+ * NQ queries against every row: the widest row tile first, then 4-row
+ * groups, then single rows.
+ */
+template <size_t NQ, class P>
+void
+dotQueries(const P &p, const float *x, size_t xstride,
+           const typename P::Elem *rows, size_t count, size_t n,
+           size_t stride, float *out, size_t ostride)
+{
+    const float *xq[NQ];
+    float *oq[NQ];
+    float bias[NQ];
+    for (size_t q = 0; q < NQ; ++q) {
+        xq[q] = x + q * xstride;
+        oq[q] = out + q * ostride;
+        bias[q] = p.queryBias(xq[q], n);
+    }
+    constexpr size_t kRows = NQ == 1 ? P::kOddQueryRows : 4;
+    size_t r = 0;
+    for (; r + kRows <= count; r += kRows)
+        dotTile<NQ, kRows>(p, xq, bias, rows, stride, n, oq, r);
+    if constexpr (kRows > 4) {
+        for (; r + 4 <= count; r += 4)
+            dotTile<NQ, 4>(p, xq, bias, rows, stride, n, oq, r);
+    }
+    for (; r < count; ++r)
+        dotTile<NQ, 1>(p, xq, bias, rows, stride, n, oq, r);
+}
+
+/**
+ * The batched dot for every precision. `code` is the policy's
+ * constructor arguments (i8: scale, zero; none for f32/bf16), placed
+ * where the public signature has them.
+ */
+template <class P, class... Code>
+void
+dotBatchMultiAvx2(const float *x, size_t nx, size_t xstride,
+                  const typename P::Elem *rows, size_t count, size_t n,
+                  size_t stride, Code... code, float *out,
+                  size_t ostride)
+{
+    const P p{code...};
     size_t q = 0;
-    for (; q + 2 <= nx; q += 2) {
-        const float *x0 = x + q * xstride;
-        const float *x1 = x0 + xstride;
-        float *o0 = out + q * ostride;
-        float *o1 = o0 + ostride;
-        const float qs0 = zero * querySumAvx2(x0, n);
-        const float qs1 = zero * querySumAvx2(x1, n);
-        size_t r = 0;
-        for (; r + 4 <= count; r += 4) {
-            for (size_t k = 0; k < 4; ++k)
-                prefetchI8Row(
-                    rows + (r + kI8PrefetchRows + k) * stride, n);
-            const int8_t *r0 = rows + (r + 0) * stride;
-            const int8_t *r1 = rows + (r + 1) * stride;
-            const int8_t *r2 = rows + (r + 2) * stride;
-            const int8_t *r3 = rows + (r + 3) * stride;
-            __m256 a00 = _mm256_setzero_ps();
-            __m256 a01 = _mm256_setzero_ps();
-            __m256 a02 = _mm256_setzero_ps();
-            __m256 a03 = _mm256_setzero_ps();
-            __m256 a10 = _mm256_setzero_ps();
-            __m256 a11 = _mm256_setzero_ps();
-            __m256 a12 = _mm256_setzero_ps();
-            __m256 a13 = _mm256_setzero_ps();
-            size_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                const __m256 xv0 = _mm256_loadu_ps(x0 + i);
-                const __m256 xv1 = _mm256_loadu_ps(x1 + i);
-                // One widen per row feeds both query FMAs.
-                __m256 rv = i8Load8(r0 + i);
-                a00 = _mm256_fmadd_ps(xv0, rv, a00);
-                a10 = _mm256_fmadd_ps(xv1, rv, a10);
-                rv = i8Load8(r1 + i);
-                a01 = _mm256_fmadd_ps(xv0, rv, a01);
-                a11 = _mm256_fmadd_ps(xv1, rv, a11);
-                rv = i8Load8(r2 + i);
-                a02 = _mm256_fmadd_ps(xv0, rv, a02);
-                a12 = _mm256_fmadd_ps(xv1, rv, a12);
-                rv = i8Load8(r3 + i);
-                a03 = _mm256_fmadd_ps(xv0, rv, a03);
-                a13 = _mm256_fmadd_ps(xv1, rv, a13);
-            }
-            float s00 = hsum8(a00), s01 = hsum8(a01);
-            float s02 = hsum8(a02), s03 = hsum8(a03);
-            float s10 = hsum8(a10), s11 = hsum8(a11);
-            float s12 = hsum8(a12), s13 = hsum8(a13);
-            for (; i < n; ++i) {
-                const float xi0 = x0[i];
-                const float xi1 = x1[i];
-                const float e0 = static_cast<float>(r0[i]);
-                const float e1 = static_cast<float>(r1[i]);
-                const float e2 = static_cast<float>(r2[i]);
-                const float e3 = static_cast<float>(r3[i]);
-                s00 = std::fma(xi0, e0, s00);
-                s01 = std::fma(xi0, e1, s01);
-                s02 = std::fma(xi0, e2, s02);
-                s03 = std::fma(xi0, e3, s03);
-                s10 = std::fma(xi1, e0, s10);
-                s11 = std::fma(xi1, e1, s11);
-                s12 = std::fma(xi1, e2, s12);
-                s13 = std::fma(xi1, e3, s13);
-            }
-            o0[r + 0] = std::fma(scale, s00, qs0);
-            o0[r + 1] = std::fma(scale, s01, qs0);
-            o0[r + 2] = std::fma(scale, s02, qs0);
-            o0[r + 3] = std::fma(scale, s03, qs0);
-            o1[r + 0] = std::fma(scale, s10, qs1);
-            o1[r + 1] = std::fma(scale, s11, qs1);
-            o1[r + 2] = std::fma(scale, s12, qs1);
-            o1[r + 3] = std::fma(scale, s13, qs1);
-        }
-        for (; r < count; ++r) {
-            o0[r] = std::fma(scale,
-                             dotI8RawAvx2(x0, rows + r * stride, n),
-                             qs0);
-            o1[r] = std::fma(scale,
-                             dotI8RawAvx2(x1, rows + r * stride, n),
-                             qs1);
+    for (; q + 2 <= nx; q += 2)
+        dotQueries<2>(p, x + q * xstride, xstride, rows, count, n, stride,
+                      out + q * ostride, ostride);
+    if (q < nx)
+        dotQueries<1>(p, x + q * xstride, xstride, rows, count, n, stride,
+                      out + q * ostride, ostride);
+}
+
+// --- weightedSumSkipMulti -----------------------------------------------
+
+/**
+ * Accumulate one kept row into nk <= NK accumulators: each 8-lane
+ * block is widened and dequantized once, then fma'd into every dst[j]
+ * while it sits in a register; tail elements take the same
+ * single-rounded fma. The update is elementwise, so interleaving
+ * queries never changes bits. (The arrays are taken by reference so
+ * the compiler sees the NK bound and keeps the weights in registers.)
+ */
+template <size_t NK, class P>
+inline void
+accumulateRow(const P &p, const typename P::Elem *row, size_t n,
+              const float (&alpha)[NK], float *const (&dst)[NK],
+              size_t nk)
+{
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 rv = p.dequant8(P::widen8(row + i));
+        for (size_t j = 0; j < nk; ++j) {
+            _mm256_storeu_ps(
+                dst[j] + i,
+                _mm256_fmadd_ps(_mm256_set1_ps(alpha[j]), rv,
+                                _mm256_loadu_ps(dst[j] + i)));
         }
     }
-    if (q < nx) {
-        // Last odd query: 8-row groups first — eight independent
-        // chains cover the fma latency AND keep enough line fills in
-        // flight that the single-query sweep streams from L3 at the
-        // convert-limited rate — then a 4-row group, then row tails.
-        const float *x0 = x + q * xstride;
-        float *o0 = out + q * ostride;
-        const float qs0 = zero * querySumAvx2(x0, n);
-        size_t r = 0;
-        for (; r + 8 <= count; r += 8) {
-            for (size_t k = 0; k < 8; ++k)
-                prefetchI8Row(
-                    rows + (r + kI8PrefetchRows + k) * stride, n);
-            const int8_t *rb = rows + r * stride;
-            __m256 a0 = _mm256_setzero_ps();
-            __m256 a1 = _mm256_setzero_ps();
-            __m256 a2 = _mm256_setzero_ps();
-            __m256 a3 = _mm256_setzero_ps();
-            __m256 a4 = _mm256_setzero_ps();
-            __m256 a5 = _mm256_setzero_ps();
-            __m256 a6 = _mm256_setzero_ps();
-            __m256 a7 = _mm256_setzero_ps();
-            size_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                const __m256 xv = _mm256_loadu_ps(x0 + i);
-                a0 = _mm256_fmadd_ps(xv, i8Load8(rb + 0 * stride + i),
-                                     a0);
-                a1 = _mm256_fmadd_ps(xv, i8Load8(rb + 1 * stride + i),
-                                     a1);
-                a2 = _mm256_fmadd_ps(xv, i8Load8(rb + 2 * stride + i),
-                                     a2);
-                a3 = _mm256_fmadd_ps(xv, i8Load8(rb + 3 * stride + i),
-                                     a3);
-                a4 = _mm256_fmadd_ps(xv, i8Load8(rb + 4 * stride + i),
-                                     a4);
-                a5 = _mm256_fmadd_ps(xv, i8Load8(rb + 5 * stride + i),
-                                     a5);
-                a6 = _mm256_fmadd_ps(xv, i8Load8(rb + 6 * stride + i),
-                                     a6);
-                a7 = _mm256_fmadd_ps(xv, i8Load8(rb + 7 * stride + i),
-                                     a7);
-            }
-            float s0 = hsum8(a0), s1 = hsum8(a1);
-            float s2 = hsum8(a2), s3 = hsum8(a3);
-            float s4 = hsum8(a4), s5 = hsum8(a5);
-            float s6 = hsum8(a6), s7 = hsum8(a7);
-            for (; i < n; ++i) {
-                const float xi = x0[i];
-                s0 = std::fma(xi, float(rb[0 * stride + i]), s0);
-                s1 = std::fma(xi, float(rb[1 * stride + i]), s1);
-                s2 = std::fma(xi, float(rb[2 * stride + i]), s2);
-                s3 = std::fma(xi, float(rb[3 * stride + i]), s3);
-                s4 = std::fma(xi, float(rb[4 * stride + i]), s4);
-                s5 = std::fma(xi, float(rb[5 * stride + i]), s5);
-                s6 = std::fma(xi, float(rb[6 * stride + i]), s6);
-                s7 = std::fma(xi, float(rb[7 * stride + i]), s7);
-            }
-            o0[r + 0] = std::fma(scale, s0, qs0);
-            o0[r + 1] = std::fma(scale, s1, qs0);
-            o0[r + 2] = std::fma(scale, s2, qs0);
-            o0[r + 3] = std::fma(scale, s3, qs0);
-            o0[r + 4] = std::fma(scale, s4, qs0);
-            o0[r + 5] = std::fma(scale, s5, qs0);
-            o0[r + 6] = std::fma(scale, s6, qs0);
-            o0[r + 7] = std::fma(scale, s7, qs0);
-        }
-        for (; r + 4 <= count; r += 4) {
-            const int8_t *r0 = rows + (r + 0) * stride;
-            const int8_t *r1 = rows + (r + 1) * stride;
-            const int8_t *r2 = rows + (r + 2) * stride;
-            const int8_t *r3 = rows + (r + 3) * stride;
-            __m256 a0 = _mm256_setzero_ps();
-            __m256 a1 = _mm256_setzero_ps();
-            __m256 a2 = _mm256_setzero_ps();
-            __m256 a3 = _mm256_setzero_ps();
-            size_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                const __m256 xv = _mm256_loadu_ps(x0 + i);
-                a0 = _mm256_fmadd_ps(xv, i8Load8(r0 + i), a0);
-                a1 = _mm256_fmadd_ps(xv, i8Load8(r1 + i), a1);
-                a2 = _mm256_fmadd_ps(xv, i8Load8(r2 + i), a2);
-                a3 = _mm256_fmadd_ps(xv, i8Load8(r3 + i), a3);
-            }
-            float s0 = hsum8(a0), s1 = hsum8(a1);
-            float s2 = hsum8(a2), s3 = hsum8(a3);
-            for (; i < n; ++i) {
-                const float xi = x0[i];
-                s0 = std::fma(xi, static_cast<float>(r0[i]), s0);
-                s1 = std::fma(xi, static_cast<float>(r1[i]), s1);
-                s2 = std::fma(xi, static_cast<float>(r2[i]), s2);
-                s3 = std::fma(xi, static_cast<float>(r3[i]), s3);
-            }
-            o0[r + 0] = std::fma(scale, s0, qs0);
-            o0[r + 1] = std::fma(scale, s1, qs0);
-            o0[r + 2] = std::fma(scale, s2, qs0);
-            o0[r + 3] = std::fma(scale, s3, qs0);
-        }
-        for (; r < count; ++r)
-            o0[r] = std::fma(scale,
-                             dotI8RawAvx2(x0, rows + r * stride, n),
-                             qs0);
+    for (; i < n; ++i) {
+        const float ri = p.dequant1(P::widen1(row[i]));
+        for (size_t j = 0; j < nk; ++j)
+            dst[j][i] = std::fma(alpha[j], ri, dst[j][i]);
     }
 }
 
 /**
- * Query-blocked i8 weighted sum: identical structure to the f32/bf16
- * kernels — per-(query, row) scalar-double skip tests, kept-query
- * scatter list — with each kept row widened and dequantized once per
- * 8-lane block (fmadd(scale, q, zero)) and fma'd into every kept
- * accumulator. Tail elements use the same two std::fma steps as the
- * scalar backend, so the update rounding matches exactly.
+ * Single-query two-pass sweep (P::kTwoPassSingleQuery): pass A is a
+ * branchless scan that advances the running sum with exactly the
+ * serial double adds and skip predicate of the generic loop,
+ * compacting the kept rows' indices and weights; pass B streams ONLY
+ * the kept rows, prefetching ahead through the index list. The
+ * generic loop must prefetch every row (the decision isn't known yet
+ * there), which at a 15% keep rate wastes ~6x the M_OUT bandwidth.
+ * Kept rows are accumulated in the same ascending order with the same
+ * arithmetic, so outputs are bit-identical to the generic loop.
  */
+template <class P>
 void
-weightedSumSkipMultiI8Avx2(const float *e, size_t ne, size_t estride,
-                           const int8_t *rows, size_t count, size_t n,
-                           size_t stride, float scale, float zero,
-                           float threshold, double *running_sums,
-                           float *acc, size_t accstride, uint64_t &kept,
-                           uint64_t &skipped)
+weightedSumTwoPass(const P &p, const float *e,
+                   const typename P::Elem *rows, size_t count, size_t n,
+                   size_t stride, float threshold, double &running_sum,
+                   float *acc, uint64_t &kept, uint64_t &skipped)
 {
-    float alpha[blas::kWsumQueryTile];
-    float *dst[blas::kWsumQueryTile];
-    const __m256 sv = _mm256_set1_ps(scale);
-    const __m256 zv = _mm256_set1_ps(zero);
-    if (ne == 1) {
-        // Two-pass fast path for the single-query sweep, where the
-        // skip rate is high (the threshold prunes most rows once the
-        // running sum has grown): pass A is a branchless scalar scan
-        // that advances the running-sum chain with exactly the same
-        // serial double adds and skip predicate as the generic loop,
-        // compacting the kept rows' indices and weights; pass B then
-        // streams ONLY the kept rows, prefetching ahead through the
-        // index list. The generic loop instead prefetches every row
-        // unconditionally (the decision isn't known yet there), which
-        // at a 15% keep rate wastes ~6x the M_OUT bandwidth. Per kept
-        // row the arithmetic is the nk==1 case of the generic loop,
-        // in the same ascending row order, so outputs are
-        // bit-identical to it and to the scalar backend.
-        constexpr size_t kBlock = 512;
-        constexpr size_t kLookAhead = 8;
-        uint32_t idx[kBlock];
-        float evk[kBlock];
-        for (size_t b0 = 0; b0 < count; b0 += kBlock) {
-            const size_t b1 = std::min(b0 + kBlock, count);
-            double s = running_sums[0];
-            size_t nkept = 0;
-            for (size_t r = b0; r < b1; ++r) {
-                const float ev = e[r];
-                s += ev;
-                const bool skip = threshold > 0.f &&
-                                  double(ev) < double(threshold) * s;
-                idx[nkept] = static_cast<uint32_t>(r);
-                evk[nkept] = ev;
-                nkept += !skip;
-            }
-            running_sums[0] = s;
-            kept += nkept;
-            skipped += (b1 - b0) - nkept;
-            for (size_t j = 0; j < std::min(kLookAhead, nkept); ++j)
-                prefetchI8Row(rows + idx[j] * stride, n);
-            for (size_t j = 0; j < nkept; ++j) {
-                if (j + kLookAhead < nkept)
-                    prefetchI8Row(rows + idx[j + kLookAhead] * stride,
-                                  n);
-                const int8_t *row = rows + idx[j] * stride;
-                const float ev = evk[j];
-                const __m256 av = _mm256_set1_ps(ev);
-                size_t i = 0;
-                for (; i + 8 <= n; i += 8) {
-                    const __m256 rv =
-                        _mm256_fmadd_ps(sv, i8Load8(row + i), zv);
-                    _mm256_storeu_ps(
-                        acc + i,
-                        _mm256_fmadd_ps(av, rv,
-                                        _mm256_loadu_ps(acc + i)));
-                }
-                for (; i < n; ++i) {
-                    const float ri = std::fma(
-                        scale, static_cast<float>(row[i]), zero);
-                    acc[i] = std::fma(ev, ri, acc[i]);
-                }
-            }
+    constexpr size_t kBlock = 512;
+    uint32_t idx[kBlock];
+    float evk[kBlock];
+    for (size_t b0 = 0; b0 < count; b0 += kBlock) {
+        const size_t b1 = std::min(b0 + kBlock, count);
+        double s = running_sum;
+        size_t nkept = 0;
+        for (size_t r = b0; r < b1; ++r) {
+            const float ev = e[r];
+            s += ev;
+            const bool skip =
+                threshold > 0.f && double(ev) < double(threshold) * s;
+            idx[nkept] = static_cast<uint32_t>(r);
+            evk[nkept] = ev;
+            nkept += !skip;
         }
-        return;
+        running_sum = s;
+        kept += nkept;
+        skipped += (b1 - b0) - nkept;
+        for (size_t j = 0; j < std::min(P::kPrefetchRows, nkept); ++j)
+            prefetchRow<P>(rows + idx[j] * stride, n);
+        for (size_t j = 0; j < nkept; ++j) {
+            if (j + P::kPrefetchRows < nkept)
+                prefetchRow<P>(rows + idx[j + P::kPrefetchRows] * stride,
+                               n);
+            const float alpha[1] = {evk[j]};
+            float *const dst[1] = {acc};
+            accumulateRow(p, rows + idx[j] * stride, n, alpha, dst, 1);
+        }
     }
-    for (size_t r = 0; r < count; ++r) {
-        // Unconditional look-ahead prefetch: rows are visited in
-        // order even when most are skipped, and the skip decision for
-        // row r+k isn't known yet, so this trades a few spurious line
-        // fills for never stalling on a kept row's first touch.
-        prefetchI8Row(rows + (r + kI8PrefetchRows) * stride, n);
-        const int8_t *row = rows + r * stride;
-        size_t nk = 0;
-        for (size_t q = 0; q < ne; ++q) {
-            const float ev = e[q * estride + r];
-            const double s = running_sums[q] + ev;
-            running_sums[q] = s;
-            if (threshold > 0.f && double(ev) < double(threshold) * s) {
-                ++skipped;
-                continue;
-            }
-            ++kept;
-            alpha[nk] = ev;
-            dst[nk] = acc + q * accstride;
-            ++nk;
+}
+
+/**
+ * The zero-skip weighted sum for every precision (`code` as in
+ * dotBatchMultiAvx2): per row, the skip test runs per query in scalar
+ * double, the kept queries are gathered into a scatter list, and the
+ * row is accumulated into all of them at once. The scatter list is a
+ * fixed stack array, so queries run in tiles of kWsumQueryTile; tiles
+ * are independent, so tiling cannot change results.
+ */
+template <class P, class... Code>
+void
+weightedSumSkipMultiAvx2(const float *e, size_t ne, size_t estride,
+                         const typename P::Elem *rows, size_t count,
+                         size_t n, size_t stride, Code... code,
+                         float threshold, double *running_sums,
+                         float *acc, size_t accstride, uint64_t &kept,
+                         uint64_t &skipped)
+{
+    const P p{code...};
+    if constexpr (P::kTwoPassSingleQuery) {
+        if (ne == 1) {
+            weightedSumTwoPass(p, e, rows, count, n, stride, threshold,
+                               running_sums[0], acc, kept, skipped);
+            return;
         }
-        if (nk == 0)
-            continue;
-        size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            const __m256 rv = _mm256_fmadd_ps(sv, i8Load8(row + i), zv);
-            for (size_t j = 0; j < nk; ++j) {
-                _mm256_storeu_ps(
-                    dst[j] + i,
-                    _mm256_fmadd_ps(_mm256_set1_ps(alpha[j]), rv,
-                                    _mm256_loadu_ps(dst[j] + i)));
+    }
+    float alpha[kWsumQueryTile];
+    float *dst[kWsumQueryTile];
+    for (size_t q0 = 0; q0 < ne; q0 += kWsumQueryTile) {
+        const size_t q1 = std::min(q0 + kWsumQueryTile, ne);
+        for (size_t r = 0; r < count; ++r) {
+            // Unconditional look-ahead: the skip decision for row r+k
+            // isn't known yet, so this trades a few spurious line
+            // fills for never stalling on a kept row's first touch.
+            if constexpr (P::kPrefetchRows > 0)
+                prefetchRow<P>(rows + (r + P::kPrefetchRows) * stride, n);
+            size_t nk = 0;
+            for (size_t q = q0; q < q1; ++q) {
+                const float ev = e[q * estride + r];
+                const double s = running_sums[q] + ev;
+                running_sums[q] = s;
+                if (threshold > 0.f &&
+                    double(ev) < double(threshold) * s) {
+                    ++skipped;
+                    continue;
+                }
+                ++kept;
+                alpha[nk] = ev;
+                dst[nk] = acc + q * accstride;
+                ++nk;
             }
-        }
-        for (; i < n; ++i) {
-            const float ri =
-                std::fma(scale, static_cast<float>(row[i]), zero);
-            for (size_t j = 0; j < nk; ++j)
-                dst[j][i] = std::fma(alpha[j], ri, dst[j][i]);
+            if (nk > 0)
+                accumulateRow(p, rows + r * stride, n, alpha, dst, nk);
         }
     }
 }
@@ -1034,7 +610,9 @@ exp8(__m256 x)
     y = _mm256_blendv_ps(
         y, _mm256_set1_ps(std::numeric_limits<float>::infinity()), over);
     y = _mm256_blendv_ps(y, _mm256_setzero_ps(), under);
-    return y;
+    // The clamp above maps NaN to `lo` (vmaxps returns its second
+    // operand on NaN); blend NaN lanes back from the input, as std::exp.
+    return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
 }
 
 void
@@ -1248,10 +826,12 @@ chunkBoundBatchAvx2(const float *x, size_t nx, size_t xstride,
 const KernelTable kAvx2Table = {
     "avx2",         dotAvx2,          axpyAvx2,
     scalAvx2,       sumAvx2,          maxElementAvx2,
-    dotBatchAvx2,   dotBatchMultiAvx2,
-    weightedSumSkipAvx2,              weightedSumSkipMultiAvx2,
-    dotBatchMultiBf16Avx2,            weightedSumSkipMultiBf16Avx2,
-    dotBatchMultiI8Avx2,              weightedSumSkipMultiI8Avx2,
+    dotBatchMultiAvx2<F32Rows>,
+    weightedSumSkipMultiAvx2<F32Rows>,
+    dotBatchMultiAvx2<Bf16Rows>,
+    weightedSumSkipMultiAvx2<Bf16Rows>,
+    dotBatchMultiAvx2<I8Rows, float, float>,
+    weightedSumSkipMultiAvx2<I8Rows, float, float>,
     chunkBoundBatchAvx2,
     gemmAvx2,       expInplaceAvx2,   expShiftInplaceAvx2,
 };

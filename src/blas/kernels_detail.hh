@@ -22,14 +22,8 @@ struct KernelTable
     void (*scal)(float, float *, size_t);
     float (*sum)(const float *, size_t);
     float (*maxElement)(const float *, size_t);
-    void (*dotBatch)(const float *, const float *, size_t, size_t,
-                     size_t, float *);
     void (*dotBatchMulti)(const float *, size_t, size_t, const float *,
                           size_t, size_t, size_t, float *, size_t);
-    void (*weightedSumSkip)(const float *, const float *, size_t, size_t,
-                            size_t, float, double &, float *, uint64_t &,
-                            uint64_t &);
-    /** Query tile bounded by blas::kWsumQueryTile (dispatch splits). */
     void (*weightedSumSkipMulti)(const float *, size_t, size_t,
                                  const float *, size_t, size_t, size_t,
                                  float, double *, float *, size_t,
@@ -37,7 +31,6 @@ struct KernelTable
     void (*dotBatchMultiBf16)(const float *, size_t, size_t,
                               const uint16_t *, size_t, size_t, size_t,
                               float *, size_t);
-    /** Query tile bounded by blas::kWsumQueryTile (dispatch splits). */
     void (*weightedSumSkipMultiBf16)(const float *, size_t, size_t,
                                      const uint16_t *, size_t, size_t,
                                      size_t, float, double *, float *,
@@ -45,7 +38,6 @@ struct KernelTable
     void (*dotBatchMultiI8)(const float *, size_t, size_t,
                             const int8_t *, size_t, size_t, size_t,
                             float, float, float *, size_t);
-    /** Query tile bounded by blas::kWsumQueryTile (dispatch splits). */
     void (*weightedSumSkipMultiI8)(const float *, size_t, size_t,
                                    const int8_t *, size_t, size_t,
                                    size_t, float, float, float,

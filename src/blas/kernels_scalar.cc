@@ -2,15 +2,19 @@
  * @file
  * Portable scalar reference kernels (namespace blas::scalar).
  *
- * These are the seed implementations, kept verbatim as the dispatch
- * fallback and as the ground truth the SIMD backend is property-tested
- * against. Hand-unrolled four-wide so the compiler can keep multiple
- * dependency chains in flight even without explicit vector code.
+ * The dispatch fallback and the ground truth the SIMD backend is
+ * property-tested against. The elementwise and reduction primitives
+ * are hand-unrolled four-wide so the compiler can keep multiple
+ * dependency chains in flight even without explicit vector code; the
+ * batched kernels, chunkBoundBatch included, replay the canonical
+ * 8-lane order of kernels.hh so they match the AVX2 backend bit for
+ * bit.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "blas/kernels.hh"
 #include "util/bf16.hh"
@@ -69,122 +73,145 @@ sum(const float *x, size_t n)
 float
 maxElement(const float *x, size_t n)
 {
+    // std::max alone keeps a leading NaN but drops a later one; the
+    // contract is that a NaN anywhere gives NaN.
     float m = x[0];
-    for (size_t i = 1; i < n; ++i)
+    for (size_t i = 0; i < n; ++i) {
+        if (std::isnan(x[i]))
+            return std::numeric_limits<float>::quiet_NaN();
         m = std::max(m, x[i]);
-    return m;
-}
-
-void
-dotBatch(const float *x, const float *rows, size_t count, size_t n,
-         size_t stride, float *out)
-{
-    for (size_t r = 0; r < count; ++r)
-        out[r] = dot(x, rows + r * stride, n);
-}
-
-void
-dotBatchMulti(const float *x, size_t nx, size_t xstride,
-              const float *rows, size_t count, size_t n, size_t stride,
-              float *out, size_t ostride)
-{
-    // The reference path is the per-query loop the query-blocked
-    // backends must match bit-for-bit.
-    for (size_t q = 0; q < nx; ++q)
-        dotBatch(x + q * xstride, rows, count, n, stride,
-                 out + q * ostride);
-}
-
-void
-weightedSumSkip(const float *e, const float *rows, size_t count,
-                size_t n, size_t stride, float threshold,
-                double &running_sum, float *acc, uint64_t &kept,
-                uint64_t &skipped)
-{
-    double s = running_sum;
-    for (size_t r = 0; r < count; ++r) {
-        const float ev = e[r];
-        s += ev;
-        if (threshold > 0.f && double(ev) < double(threshold) * s) {
-            ++skipped;
-            continue;
-        }
-        ++kept;
-        axpy(ev, rows + r * stride, acc, n);
     }
-    running_sum = s;
-}
-
-void
-weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
-                     const float *rows, size_t count, size_t n,
-                     size_t stride, float threshold,
-                     double *running_sums, float *acc, size_t accstride,
-                     uint64_t &kept, uint64_t &skipped)
-{
-    // Queries are independent (separate running sums and
-    // accumulators), so the per-query reference loop is the
-    // definition the query-blocked backend must reproduce exactly.
-    for (size_t q = 0; q < ne; ++q)
-        weightedSumSkip(e + q * estride, rows, count, n, stride,
-                        threshold, running_sums[q], acc + q * accstride,
-                        kept, skipped);
+    return m;
 }
 
 namespace {
 
+/** The AVX2 hsum8's pairwise association over eight lanes. */
+float
+reduceLanes(const float (&lane)[8])
+{
+    return ((lane[0] + lane[4]) + (lane[2] + lane[6]))
+         + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
 /**
- * Canonical bf16 dot product (see kernels.hh): eight fp32 fma lanes
- * over the 8-aligned body (lane j holds elements i with i % 8 == j),
- * the fixed pairwise lane reduction of the AVX2 hsum, then an fma
- * tail. std::fma single-rounds exactly like the vector fmadd, so this
- * scalar walk is bit-identical to the AVX2 backend's 8-lane chain.
+ * Canonical query sum for the factored i8 dot: the lane walk with
+ * adds for fmas (the AVX2 vertical add + hsum8 is exactly this).
  */
 float
-dotBf16One(const float *x, const uint16_t *row, size_t n)
+querySum(const float *x, size_t n)
 {
     float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         for (size_t j = 0; j < 8; ++j)
-            lane[j] = std::fma(x[i + j], bf16ToFloat(row[i + j]),
-                               lane[j]);
+            lane[j] += x[i + j];
     }
-    // The AVX2 horizontal sum's exact association.
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+    float r = reduceLanes(lane);
     for (; i < n; ++i)
-        r = std::fma(x[i], bf16ToFloat(row[i]), r);
+        r += x[i];
     return r;
 }
 
-} // namespace
+// Row-decode policies: the scalar halves of the AVX2 backend's
+// (kernels_avx2.cc), with the same widen / fold / dequant contract
+// (kernels.hh). std::fma single-rounds exactly like the vector fmadd.
 
-void
-dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
-                  const uint16_t *rows, size_t count, size_t n,
-                  size_t stride, float *out, size_t ostride)
+/** Identity code: shared by F32Rows and Bf16Rows. */
+struct RawCode
 {
+    float queryBias(const float *, size_t) const { return 0.f; }
+    // Identity, not fma(1, s, 0): that would turn -0 into +0.
+    float fold(float s, float) const { return s; }
+    float dequant(float v) const { return v; }
+};
+
+struct F32Rows : RawCode
+{
+    using Elem = float;
+    static float widen(float v) { return v; }
+};
+
+struct Bf16Rows : RawCode
+{
+    using Elem = uint16_t;
+    static float widen(uint16_t v) { return bf16ToFloat(v); }
+};
+
+struct I8Rows
+{
+    using Elem = int8_t;
+    float scale, zero;
+
+    static float widen(int8_t v) { return static_cast<float>(v); }
+    float queryBias(const float *x, size_t n) const
+    {
+        return zero * querySum(x, n);
+    }
+    float fold(float s, float bias) const
+    {
+        return std::fma(scale, s, bias);
+    }
+    float dequant(float v) const { return std::fma(scale, v, zero); }
+};
+
+/**
+ * Canonical raw dot (see kernels.hh): eight fp32 fma lanes over the
+ * 8-aligned body (lane j holds elements i with i % 8 == j), the fixed
+ * pairwise lane reduction, then an fma tail.
+ */
+template <class P>
+float
+rawDot(const float *x, const typename P::Elem *row, size_t n)
+{
+    float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        for (size_t j = 0; j < 8; ++j)
+            lane[j] = std::fma(x[i + j], P::widen(row[i + j]), lane[j]);
+    }
+    float r = reduceLanes(lane);
+    for (; i < n; ++i)
+        r = std::fma(x[i], P::widen(row[i]), r);
+    return r;
+}
+
+/** The batched dot for every precision (`code` as in the AVX2 one). */
+template <class P, class... Code>
+void
+dotRows(const float *x, size_t nx, size_t xstride,
+        const typename P::Elem *rows, size_t count, size_t n,
+        size_t stride, Code... code, float *out, size_t ostride)
+{
+    const P p{code...};
     for (size_t q = 0; q < nx; ++q) {
+        const float *xq = x + q * xstride;
+        // A per-query constant, so results depend only on (x_q, row,
+        // code): sweep splits and tile shapes can never change bits.
+        const float bias = p.queryBias(xq, n);
         for (size_t r = 0; r < count; ++r)
             out[q * ostride + r] =
-                dotBf16One(x + q * xstride, rows + r * stride, n);
+                p.fold(rawDot<P>(xq, rows + r * stride, n), bias);
     }
 }
 
+/**
+ * The zero-skip weighted sum for every precision: per-(query, row)
+ * scalar double skip tests, then one single-rounded fma per
+ * accumulator element, so the update is bit-identical to the AVX2
+ * backend's fmadd. Takes any ne.
+ */
+template <class P, class... Code>
 void
-weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
-                         const uint16_t *rows, size_t count, size_t n,
-                         size_t stride, float threshold,
-                         double *running_sums, float *acc,
-                         size_t accstride, uint64_t &kept,
-                         uint64_t &skipped)
+weightedSumRows(const float *e, size_t ne, size_t estride,
+                const typename P::Elem *rows, size_t count, size_t n,
+                size_t stride, Code... code, float threshold,
+                double *running_sums, float *acc, size_t accstride,
+                uint64_t &kept, uint64_t &skipped)
 {
-    // Same per-(query, row) scalar-double skip arithmetic as the fp32
-    // kernel; each accumulator element takes one single-rounded fma,
-    // so the update is bit-identical to the AVX2 backend's fmadd.
+    const P p{code...};
     for (size_t r = 0; r < count; ++r) {
-        const uint16_t *row = rows + r * stride;
+        const typename P::Elem *row = rows + r * stride;
         for (size_t q = 0; q < ne; ++q) {
             const float ev = e[q * estride + r];
             const double s = running_sums[q] + ev;
@@ -196,58 +223,55 @@ weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
             ++kept;
             float *dst = acc + q * accstride;
             for (size_t i = 0; i < n; ++i)
-                dst[i] = std::fma(ev, bf16ToFloat(row[i]), dst[i]);
+                dst[i] = std::fma(ev, p.dequant(P::widen(row[i])), dst[i]);
         }
     }
 }
 
-namespace {
-
-/**
- * Canonical raw int8 dot: the bf16 lane walk over the exactly-widened
- * int8 elements (int8 -> fp32 is lossless, matching the AVX2 cvt
- * pair), so lane j holds fma chains of x[i]*float(row[i]). The affine
- * code is applied by the caller in the factored form of kernels.hh.
- */
-float
-dotI8RawOne(const float *x, const int8_t *row, size_t n)
-{
-    float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        for (size_t j = 0; j < 8; ++j)
-            lane[j] = std::fma(x[i + j],
-                               static_cast<float>(row[i + j]), lane[j]);
-    }
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
-    for (; i < n; ++i)
-        r = std::fma(x[i], static_cast<float>(row[i]), r);
-    return r;
-}
-
-/**
- * Canonical query sum for the i8 factored dot: the same 8-lane walk
- * and pairwise reduction as the dot chains, with plain adds (the AVX2
- * backend's vertical add + hsum8 is exactly this).
- */
-float
-querySumOne(const float *x, size_t n)
-{
-    float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        for (size_t j = 0; j < 8; ++j)
-            lane[j] += x[i + j];
-    }
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
-    for (; i < n; ++i)
-        r += x[i];
-    return r;
-}
-
 } // namespace
+
+void
+dotBatchMulti(const float *x, size_t nx, size_t xstride,
+              const float *rows, size_t count, size_t n, size_t stride,
+              float *out, size_t ostride)
+{
+    dotRows<F32Rows>(x, nx, xstride, rows, count, n, stride, out,
+                     ostride);
+}
+
+void
+weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
+                     const float *rows, size_t count, size_t n,
+                     size_t stride, float threshold,
+                     double *running_sums, float *acc, size_t accstride,
+                     uint64_t &kept, uint64_t &skipped)
+{
+    weightedSumRows<F32Rows>(e, ne, estride, rows, count, n, stride,
+                             threshold, running_sums, acc, accstride,
+                             kept, skipped);
+}
+
+void
+dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
+                  const uint16_t *rows, size_t count, size_t n,
+                  size_t stride, float *out, size_t ostride)
+{
+    dotRows<Bf16Rows>(x, nx, xstride, rows, count, n, stride, out,
+                      ostride);
+}
+
+void
+weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
+                         const uint16_t *rows, size_t count, size_t n,
+                         size_t stride, float threshold,
+                         double *running_sums, float *acc,
+                         size_t accstride, uint64_t &kept,
+                         uint64_t &skipped)
+{
+    weightedSumRows<Bf16Rows>(e, ne, estride, rows, count, n, stride,
+                              threshold, running_sums, acc, accstride,
+                              kept, skipped);
+}
 
 void
 dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
@@ -255,17 +279,8 @@ dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
                 size_t stride, float scale, float zero, float *out,
                 size_t ostride)
 {
-    for (size_t q = 0; q < nx; ++q) {
-        const float *xq = x + q * xstride;
-        // zero * qsum(x_q) is a per-query constant, so the combine
-        // below depends only on (x_q, row, scale, zero) — sweep
-        // splits and tile shapes can never change bits.
-        const float qs = zero * querySumOne(xq, n);
-        for (size_t r = 0; r < count; ++r)
-            out[q * ostride + r] =
-                std::fma(scale, dotI8RawOne(xq, rows + r * stride, n),
-                         qs);
-    }
+    dotRows<I8Rows, float, float>(x, nx, xstride, rows, count, n, stride,
+                                  scale, zero, out, ostride);
 }
 
 void
@@ -276,28 +291,9 @@ weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                        size_t accstride, uint64_t &kept,
                        uint64_t &skipped)
 {
-    // Same per-(query, row) scalar-double skip arithmetic as the
-    // f32/bf16 kernels; each element takes one dequant fma plus one
-    // accumulate fma, both single-rounded like the AVX2 fmadds.
-    for (size_t r = 0; r < count; ++r) {
-        const int8_t *row = rows + r * stride;
-        for (size_t q = 0; q < ne; ++q) {
-            const float ev = e[q * estride + r];
-            const double s = running_sums[q] + ev;
-            running_sums[q] = s;
-            if (threshold > 0.f && double(ev) < double(threshold) * s) {
-                ++skipped;
-                continue;
-            }
-            ++kept;
-            float *dst = acc + q * accstride;
-            for (size_t i = 0; i < n; ++i) {
-                const float ri =
-                    std::fma(scale, static_cast<float>(row[i]), zero);
-                dst[i] = std::fma(ev, ri, dst[i]);
-            }
-        }
-    }
+    weightedSumRows<I8Rows, float, float>(
+        e, ne, estride, rows, count, n, stride, scale, zero, threshold,
+        running_sums, acc, accstride, kept, skipped);
 }
 
 namespace {
@@ -322,8 +318,7 @@ chunkBoundOne(const float *x, const float *lo, const float *hi, size_t n)
             lane[j] += (a > b) ? a : b;
         }
     }
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+    float r = reduceLanes(lane);
     for (; i < n; ++i) {
         const float a = x[i] * hi[i];
         const float b = x[i] * lo[i];

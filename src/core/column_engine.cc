@@ -38,8 +38,9 @@ prefetchBytes(const void *ptr, size_t bytes, size_t stride)
  * batch. The strip row count is tuned (runtime::KernelPlan; default
  * 16 rows — 1 KiB rows at ed=256 fit comfortably in L1 next to the
  * question tile) and always a multiple of the kernels' 4-row register
- * group, so strip boundaries never change the accumulation grouping
- * relative to one whole-chunk kernel call (bit-identity). Prefetch of
+ * group, so no strip ends in a row tail. Strip boundaries never change
+ * results: the kernels fix each (query, row) pair's accumulation order
+ * however a sweep is split (bit-identity). Prefetch of
  * the next chunk is paced across these strips, as in the paper's data
  * streaming.
  */

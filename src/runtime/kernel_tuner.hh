@@ -17,10 +17,10 @@
  *
  * Correctness is independent of the tuner: every candidate plan
  * yields bit-identical engine output, because a plan only changes how
- * a row sweep is split into kernel calls (at multiples of the
- * kernels' 4-row register group) and how far apart prefetch
- * instructions land — never the per-(query, row) accumulation order
- * the kernels pin down. MNNFAST_NO_TUNER=1 skips measurement and
+ * a row sweep is split into kernel calls and how far apart prefetch
+ * instructions land. The kernels fix each (query, row) pair's
+ * accumulation order independently of how a sweep is split, for
+ * every precision (blas/kernels.hh). MNNFAST_NO_TUNER=1 skips measurement and
  * returns the default plan everywhere (the pre-tuner behaviour).
  */
 
@@ -35,10 +35,10 @@ namespace mnnfast::runtime {
 
 /**
  * One tuned pick for the fused KB sweeps. stripRows is the number of
- * rows per kernel call in the phase-1/phase-3 strip loops (always a
- * multiple of 4, the kernels' register-group width, so strip
- * boundaries never change accumulation grouping); prefetchStride is
- * the pacing of software prefetch in cache lines (a prefetch
+ * rows per kernel call in the phase-1/phase-3 strip loops (any split
+ * gives the same bits; the candidates are multiples of the kernels'
+ * 4-row register tile so no call ends in a row tail); prefetchStride
+ * is the pacing of software prefetch in cache lines (a prefetch
  * instruction every `prefetchStride` lines, 0 = no prefetch). The
  * defaults reproduce the pre-tuner engine constants.
  */

@@ -415,6 +415,20 @@ TEST_P(SimdVsScalar, Sum)
     }
 }
 
+/**
+ * Span positions that put a NaN first, in the 8-lane body and last (in
+ * the tail whenever n is not a multiple of 8), deduplicated.
+ */
+std::vector<size_t>
+nanPositions(size_t n)
+{
+    std::vector<size_t> pos;
+    for (size_t p : {size_t(0), n / 2, n - 1})
+        if (n > 0 && (pos.empty() || pos.back() != p))
+            pos.push_back(p);
+    return pos;
+}
+
 TEST_P(SimdVsScalar, MaxElement)
 {
     const size_t n = GetParam();
@@ -425,6 +439,15 @@ TEST_P(SimdVsScalar, MaxElement)
         ASSERT_EQ(maxElement(x.data() + off, n),
                   scalar::maxElement(x.data() + off, n))
             << "n=" << n << " off=" << off;
+        // A NaN anywhere gives NaN, on both backends.
+        for (size_t p : nanPositions(n)) {
+            auto y = x;
+            y[off + p] = std::numeric_limits<float>::quiet_NaN();
+            ASSERT_TRUE(std::isnan(maxElement(y.data() + off, n)))
+                << "n=" << n << " off=" << off << " nan at " << p;
+            ASSERT_TRUE(std::isnan(scalar::maxElement(y.data() + off, n)))
+                << "n=" << n << " off=" << off << " nan at " << p;
+        }
     }
 }
 
@@ -436,12 +459,19 @@ TEST_P(SimdVsScalar, ExpInplace)
         // widen the argument range to hit under/overflow handling
         for (size_t i = 0; i < x1.size(); ++i)
             x1[i] *= (i % 3 == 0) ? 95.f : 10.f;
+        for (size_t p : nanPositions(n))
+            x1[off + p] = std::numeric_limits<float>::quiet_NaN();
         auto x2 = x1;
         expInplace(x1.data() + off, n);
         scalar::expInplace(x2.data() + off, n);
         for (size_t i = 0; i < n + kMaxOffset; ++i) {
             if (i < off || i >= off + n) {
                 ASSERT_EQ(x1[i], x2[i]) // outside the span: untouched
+                    << "n=" << n << " off=" << off << " i=" << i;
+                continue;
+            }
+            if (std::isnan(x2[i])) { // NaN in, NaN out
+                ASSERT_TRUE(std::isnan(x1[i]))
                     << "n=" << n << " off=" << off << " i=" << i;
                 continue;
             }
@@ -466,12 +496,19 @@ TEST_P(SimdVsScalar, ExpShiftInplace)
         auto x1 = nastyVec(n, 109);
         for (float &v : x1)
             v = v * 50.f + 60.f; // logits in [10, 110]
+        for (size_t p : nanPositions(n))
+            x1[off + p] = std::numeric_limits<float>::quiet_NaN();
         auto x2 = x1;
         expShiftInplace(x1.data() + off, n, 110.f);
         scalar::expShiftInplace(x2.data() + off, n, 110.f);
         for (size_t i = 0; i < n + kMaxOffset; ++i) {
             if (i < off || i >= off + n) {
                 ASSERT_EQ(x1[i], x2[i]) // outside the span: untouched
+                    << "n=" << n << " off=" << off << " i=" << i;
+                continue;
+            }
+            if (std::isnan(x2[i])) { // NaN in, NaN out
+                ASSERT_TRUE(std::isnan(x1[i]))
                     << "n=" << n << " off=" << off << " i=" << i;
                 continue;
             }
@@ -484,59 +521,6 @@ TEST_P(SimdVsScalar, ExpShiftInplace)
 INSTANTIATE_TEST_SUITE_P(Sweep, SimdVsScalar,
                          ::testing::ValuesIn(kSweepSizes));
 
-TEST(DotBatch, MatchesPerRowDot)
-{
-    const size_t d = 129, stride = 133; // padded rows: stride > n
-    for (size_t count : {size_t(0), size_t(1), size_t(3), size_t(4),
-                         size_t(5), size_t(17), size_t(64)}) {
-        const auto x = nastyVec(d, 201);
-        const auto rows = nastyVec(count * stride, 202);
-        std::vector<float> got(count + 1, -9.f), ref(count + 1, -9.f);
-        dotBatch(x.data(), rows.data(), count, d, stride, got.data());
-        scalar::dotBatch(x.data(), rows.data(), count, d, stride,
-                         ref.data());
-        for (size_t r = 0; r < count; ++r) {
-            ASSERT_NEAR(got[r], ref[r], 1e-5f * d)
-                << "count=" << count << " row=" << r;
-        }
-        ASSERT_EQ(got[count], -9.f); // no overwrite past the batch
-    }
-}
-
-TEST(WeightedSumSkip, MatchesScalarIncludingSkipDecisions)
-{
-    const size_t d = 65, stride = 65;
-    for (float threshold : {0.0f, 0.05f, 0.5f}) {
-        for (size_t count : {size_t(0), size_t(1), size_t(7),
-                             size_t(100)}) {
-            auto e = nastyVec(count, 301);
-            for (float &v : e)
-                v = std::abs(v) + 1e-3f; // exp outputs are positive
-            const auto rows = nastyVec(count * stride, 302);
-            std::vector<float> acc1(d, 0.f), acc2(d, 0.f);
-            double s1 = 0.0, s2 = 0.0;
-            uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
-            weightedSumSkip(e.data(), rows.data(), count, d, stride,
-                            threshold, s1, acc1.data(), kept1, skip1);
-            scalar::weightedSumSkip(e.data(), rows.data(), count, d,
-                                    stride, threshold, s2, acc2.data(),
-                                    kept2, skip2);
-            // The running sum and the skip test are scalar double
-            // arithmetic in both paths, so decisions are identical.
-            ASSERT_EQ(kept1, kept2)
-                << "th=" << threshold << " count=" << count;
-            ASSERT_EQ(skip1, skip2);
-            ASSERT_EQ(kept1 + skip1, count);
-            ASSERT_DOUBLE_EQ(s1, s2);
-            for (size_t i = 0; i < d; ++i) {
-                ASSERT_NEAR(acc1[i], acc2[i], 1e-5f + 1e-5f * count)
-                    << "th=" << threshold << " count=" << count
-                    << " i=" << i;
-            }
-        }
-    }
-}
-
 TEST(WeightedSumSkip, ZeroThresholdKeepsEverything)
 {
     const size_t d = 16, count = 50;
@@ -547,8 +531,8 @@ TEST(WeightedSumSkip, ZeroThresholdKeepsEverything)
     std::vector<float> acc(d, 0.f);
     double s = 0.0;
     uint64_t kept = 0, skipped = 0;
-    weightedSumSkip(e.data(), rows.data(), count, d, d, 0.f, s,
-                    acc.data(), kept, skipped);
+    weightedSumSkipMulti(e.data(), 1, count, rows.data(), count, d, d,
+                         0.f, &s, acc.data(), d, kept, skipped);
     EXPECT_EQ(kept, count);
     EXPECT_EQ(skipped, 0u);
     double eref = 0.0;
@@ -560,9 +544,9 @@ TEST(WeightedSumSkip, ZeroThresholdKeepsEverything)
 TEST(DotBatchMulti, BitIdenticalToPerQueryDotBatch)
 {
     // The query-blocked kernel's contract is exact: every (query, row)
-    // dot must carry out the same accumulation order as the per-query
-    // dotBatch sweep, so the outputs are bit-identical — whichever
-    // backend dispatch resolved to.
+    // dot must carry out the same accumulation order as a one-query
+    // sweep, so the outputs are bit-identical — whichever backend
+    // dispatch resolved to.
     const size_t d = 129, stride = 133, xstride = 131;
     for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
                       size_t(8), size_t(9)}) {
@@ -577,8 +561,9 @@ TEST(DotBatchMulti, BitIdenticalToPerQueryDotBatch)
             dotBatchMulti(x.data(), nq, xstride, rows.data(), count, d,
                           stride, got.data(), ostride);
             for (size_t q = 0; q < nq; ++q)
-                dotBatch(x.data() + q * xstride, rows.data(), count, d,
-                         stride, ref.data() + q * ostride);
+                dotBatchMulti(x.data() + q * xstride, 1, xstride,
+                              rows.data(), count, d, stride,
+                              ref.data() + q * ostride, ostride);
 
             for (size_t i = 0; i < got.size(); ++i)
                 ASSERT_EQ(got[i], ref[i])
@@ -591,8 +576,8 @@ TEST(WeightedSumSkipMulti, BitIdenticalToPerQuerySweep)
 {
     // Same exactness contract for the query-blocked weighted sum:
     // per-(query,row) skip decisions, running sums, and accumulator
-    // bits must match the per-query weightedSumSkip sweep. Batch
-    // sizes cross the kWsumQueryTile dispatch split.
+    // bits must match one-query sweeps. Batch sizes cross the
+    // kWsumQueryTile split.
     const size_t d = 65, stride = 67;
     for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
                       kWsumQueryTile, kWsumQueryTile + 1,
@@ -619,10 +604,11 @@ TEST(WeightedSumSkipMulti, BitIdenticalToPerQuerySweep)
                                      s1.data(), acc1.data(), accstride,
                                      kept1, skip1);
                 for (size_t q = 0; q < nq; ++q)
-                    weightedSumSkip(e.data() + q * estride, rows.data(),
-                                    count, d, stride, threshold, s2[q],
-                                    acc2.data() + q * accstride, kept2,
-                                    skip2);
+                    weightedSumSkipMulti(e.data() + q * estride, 1,
+                                         estride, rows.data(), count, d,
+                                         stride, threshold, &s2[q],
+                                         acc2.data() + q * accstride,
+                                         accstride, kept2, skip2);
 
                 ASSERT_EQ(kept1, kept2)
                     << "nq=" << nq << " th=" << threshold
@@ -641,11 +627,94 @@ TEST(WeightedSumSkipMulti, BitIdenticalToPerQuerySweep)
 }
 
 // ---------------------------------------------------------------------
-// bf16 storage kernels. These carry a stronger contract than the fp32
-// kernels: the scalar and AVX2 backends implement the same canonical
-// accumulation order, so the dispatched kernel must match the scalar
-// reference BIT-FOR-BIT (not just within tolerance), on any host.
+// The batched kernels' cross-backend contract: for every storage
+// precision the scalar and AVX2 backends implement the same canonical
+// accumulation order (kernels.hh), so the dispatched kernel must match
+// the scalar reference BIT-FOR-BIT (not just within tolerance), on any
+// host. The fp32 cases come first; bf16 and int8 follow with the same
+// sizes, strides and batch shapes.
 // ---------------------------------------------------------------------
+
+TEST(DotBatchMulti, BitIdenticalToScalarReference)
+{
+    const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 129, 256};
+    for (size_t d : d_cases) {
+        const size_t stride = d + 3, xstride = d + 1;
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
+                          size_t(8), size_t(9)}) {
+            for (size_t count : {size_t(0), size_t(1), size_t(3),
+                                 size_t(4), size_t(5), size_t(17),
+                                 size_t(64)}) {
+                const size_t ostride = count + 2; // padded: catch strays
+                const auto x = nastyVec(nq * xstride, 681, 0);
+                const auto rows = nastyVec(count * stride, 682, 0);
+                std::vector<float> got(nq * ostride, -9.f);
+                std::vector<float> ref(nq * ostride, -9.f);
+
+                dotBatchMulti(x.data(), nq, xstride, rows.data(), count,
+                              d, stride, got.data(), ostride);
+                scalar::dotBatchMulti(x.data(), nq, xstride, rows.data(),
+                                      count, d, stride, ref.data(),
+                                      ostride);
+
+                for (size_t i = 0; i < got.size(); ++i)
+                    ASSERT_EQ(got[i], ref[i])
+                        << "d=" << d << " nq=" << nq
+                        << " count=" << count << " i=" << i;
+            }
+        }
+    }
+}
+
+TEST(WeightedSumSkipMulti, BitIdenticalToScalarReference)
+{
+    const size_t d = 65, stride = 67;
+    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
+                      kWsumQueryTile, kWsumQueryTile + 1,
+                      2 * kWsumQueryTile + 1}) {
+        for (float threshold : {0.0f, 0.05f, 0.5f}) {
+            for (size_t count : {size_t(0), size_t(1), size_t(7),
+                                 size_t(100)}) {
+                const size_t estride = count + 3;
+                const size_t accstride = d + 5;
+                auto e = nastyVec(nq * estride, 691, 0);
+                for (float &v : e)
+                    v = std::abs(v) + 1e-3f; // exp outputs are positive
+                const auto rows = nastyVec(count * stride, 692, 0);
+
+                auto acc1 = nastyVec(nq * accstride, 693, 0);
+                auto acc2 = acc1;
+                std::vector<double> s1(nq), s2(nq);
+                for (size_t q = 0; q < nq; ++q)
+                    s1[q] = s2[q] = 0.25 * double(q);
+                uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
+
+                weightedSumSkipMulti(e.data(), nq, estride, rows.data(),
+                                     count, d, stride, threshold,
+                                     s1.data(), acc1.data(), accstride,
+                                     kept1, skip1);
+                scalar::weightedSumSkipMulti(
+                    e.data(), nq, estride, rows.data(), count, d, stride,
+                    threshold, s2.data(), acc2.data(), accstride, kept2,
+                    skip2);
+
+                ASSERT_EQ(kept1, kept2)
+                    << "nq=" << nq << " th=" << threshold
+                    << " count=" << count;
+                ASSERT_EQ(skip1, skip2);
+                ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
+                for (size_t q = 0; q < nq; ++q)
+                    ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
+                for (size_t i = 0; i < acc1.size(); ++i)
+                    ASSERT_EQ(acc1[i], acc2[i])
+                        << "nq=" << nq << " th=" << threshold
+                        << " count=" << count << " i=" << i;
+            }
+        }
+    }
+}
+
+// bf16 storage kernels.
 
 /** nastyVec rounded to bf16 storage. */
 std::vector<uint16_t>

@@ -39,12 +39,23 @@ for preset in "${presets[@]}"; do
     # above only exercises the vector backend, so this pins the scalar
     # reference kernels (and the scalar/AVX2 bit-identity contracts
     # are still checked above, where both backends are reachable).
-    # This also covers the int8 kernels: the dispatched run and this
-    # scalar run both execute the *I8* suites, whose fixtures assert
-    # the two backends agree bit for bit.
+    # This covers the fused kernels of every precision: the dispatched
+    # run and this scalar run both execute the fp32, bf16 and int8
+    # BitIdenticalToScalarReference suites, which assert the two
+    # backends agree bit for bit.
     echo "==> preset: ${preset} (MNNFAST_NO_SIMD=1)"
     MNNFAST_NO_SIMD=1 ctest --preset "${preset}" -j "${jobs}"
     bindir="$(bindir_for "${preset}")"
+    # Kernel micro-bench smoke (optimized build only): a short run of
+    # the fused-kernel benches, whose single-query cases are the Multi
+    # kernels at nq=1, must complete for every precision.
+    if [ "${preset}" = "release" ] &&
+       [ -x "${bindir}/bench/micro_kernels" ]; then
+        echo "==> preset: ${preset} (kernel micro-bench smoke)"
+        "${bindir}/bench/micro_kernels" --benchmark_filter=Multi \
+            --benchmark_min_time=0.01 \
+            --benchmark_out="${bindir}/BENCH_kernels_smoke.json"
+    fi
     # Autotuner smoke: the same deterministic inference must produce
     # bit-identical output whether kernel plans are measured by the
     # tuner, disabled (MNNFAST_NO_TUNER=1, default plans), or imported
