@@ -227,6 +227,14 @@ class JsonWriter
         pendingKey = false;
     }
 
+    /** Already-serialized JSON value under key `k`. */
+    void raw(const char *k, const std::string &json)
+    {
+        key(k);
+        std::fprintf(f, "%s", json.c_str());
+        pendingKey = false;
+    }
+
     /** Bare array element. */
     void value(double v)
     {

@@ -16,7 +16,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -424,25 +423,13 @@ BENCHMARK(BM_MnnFastEngine);
 namespace {
 
 /**
- * Splice the process-wide kernel-tuner table into the benchmark JSON
- * artifact as a top-level "kernel_tuner" key, keeping the file valid
- * JSON. First measures plans for the engine-relevant buckets (every
- * precision at the ed/nq points the serving engines warm) so the
- * exported table is populated even though the micro loops above call
- * the kernels directly. No-op under MNNFAST_NO_TUNER=1.
+ * Splice the constant kernel plan table (runtime::kPlanTable) into the
+ * benchmark JSON artifact as a top-level "kernel_tuner" key, keeping
+ * the file valid JSON.
  */
 void
-appendTunerTable(const std::string &path)
+appendPlanTable(const std::string &path)
 {
-    if (const char *env = std::getenv("MNNFAST_NO_TUNER"))
-        if (env[0] && env[0] != '0')
-            return;
-    auto &tuner = runtime::KernelTuner::instance();
-    for (const char *prec : {"f32", "bf16", "i8"})
-        for (size_t ed : {size_t{64}, size_t{128}, size_t{256}})
-            for (size_t nq : {size_t{1}, size_t{4}, size_t{16}})
-                tuner.plan(prec, ed, nq);
-
     std::ifstream in(path);
     if (!in)
         return;
@@ -460,7 +447,7 @@ appendTunerTable(const std::string &path)
             spliced.back() == '\t' || spliced.back() == '\r'))
         spliced.pop_back();
     spliced += ",\n  \"kernel_tuner\": ";
-    spliced += tuner.exportJson();
+    spliced += runtime::KernelTuner::instance().exportJson();
     spliced += "\n}\n";
     std::ofstream out(path, std::ios::trunc);
     out << spliced;
@@ -471,7 +458,7 @@ appendTunerTable(const std::string &path)
 /**
  * Like BENCHMARK_MAIN(), but defaults --benchmark_out to
  * ./BENCH_kernels.json (JSON format) so every run leaves a
- * machine-readable record (with the kernel-tuner table spliced in);
+ * machine-readable record (with the kernel plan table spliced in);
  * explicit --benchmark_out wins and is left untouched.
  */
 int
@@ -500,6 +487,6 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     if (!has_out)
-        appendTunerTable("BENCH_kernels.json");
+        appendPlanTable("BENCH_kernels.json");
     return 0;
 }

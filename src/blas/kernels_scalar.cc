@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 
+#include "blas/exact_fma.hh"
 #include "blas/kernels.hh"
 #include "util/bf16.hh"
 #include "util/logging.hh"
@@ -115,7 +116,7 @@ querySum(const float *x, size_t n)
 
 // Row-decode policies: the scalar halves of the AVX2 backend's
 // (kernels_avx2.cc), with the same widen / fold / dequant contract
-// (kernels.hh). std::fma single-rounds exactly like the vector fmadd.
+// (kernels.hh). exactFma single-rounds exactly like the vector fmadd.
 
 /** Identity code: shared by F32Rows and Bf16Rows. */
 struct RawCode
@@ -150,9 +151,9 @@ struct I8Rows
     }
     float fold(float s, float bias) const
     {
-        return std::fma(scale, s, bias);
+        return exactFma(scale, s, bias);
     }
-    float dequant(float v) const { return std::fma(scale, v, zero); }
+    float dequant(float v) const { return exactFma(scale, v, zero); }
 };
 
 /**
@@ -168,11 +169,11 @@ rawDot(const float *x, const typename P::Elem *row, size_t n)
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         for (size_t j = 0; j < 8; ++j)
-            lane[j] = std::fma(x[i + j], P::widen(row[i + j]), lane[j]);
+            lane[j] = exactFma(x[i + j], P::widen(row[i + j]), lane[j]);
     }
     float r = reduceLanes(lane);
     for (; i < n; ++i)
-        r = std::fma(x[i], P::widen(row[i]), r);
+        r = exactFma(x[i], P::widen(row[i]), r);
     return r;
 }
 
@@ -223,7 +224,7 @@ weightedSumRows(const float *e, size_t ne, size_t estride,
             ++kept;
             float *dst = acc + q * accstride;
             for (size_t i = 0; i < n; ++i)
-                dst[i] = std::fma(ev, p.dequant(P::widen(row[i])), dst[i]);
+                dst[i] = exactFma(ev, p.dequant(P::widen(row[i])), dst[i]);
         }
     }
 }

@@ -24,18 +24,7 @@ constexpr size_t kStep1Grain = 64;
 BaselineEngine::BaselineEngine(const KnowledgeBase &kb,
                                const EngineConfig &cfg)
     : kb(kb), cfg(cfg), pool(cfg.threads)
-{
-    // Warm the process-wide tuning table like the column engine does:
-    // the baseline consumes only the strip-rows pick (as its step-1
-    // claim grain), but warming here keeps "construct any engine →
-    // table is populated" uniform for serving workers and tests.
-    if (kb.size() > 0 && this->cfg.stripRows == 0) {
-        auto &tuner = runtime::KernelTuner::instance();
-        const char *prec = precisionName(kb.precision());
-        for (size_t nq : {size_t{1}, size_t{4}, size_t{16}})
-            tuner.plan(prec, kb.dim(), nq);
-    }
-}
+{}
 
 void
 BaselineEngine::inferBatch(const float *u, size_t nq, float *o)
@@ -58,17 +47,16 @@ BaselineEngine::inferBatch(const float *u, size_t nq, float *o)
     // block's T_IN column strip for all questions at once. Rows are
     // claimed dynamically: every element is computed independently,
     // so scheduling cannot change the result.
-    // The tuned strip pick doubles as the dynamic claim grain when it
-    // is larger than the fixed default (row blocks are independent,
-    // so the grain never affects results). Config overrides win.
-    const runtime::KernelPlan plan =
+    // The plan's strip doubles as the dynamic claim grain when it is
+    // larger than the fixed default (row blocks are independent, so
+    // the grain never affects results; a whole-chunk strip, 0, leaves
+    // the default). A configured stripRows wins.
+    const size_t strip =
         cfg.stripRows > 0
-            ? runtime::KernelPlan{std::max<size_t>(4,
-                                                   cfg.stripRows / 4 * 4),
-                                  0}
-            : runtime::KernelTuner::instance().plan(
-                  precisionName(kb.precision()), ed, nq);
-    const size_t grain = std::max(kStep1Grain, plan.stripRows);
+            ? cfg.stripRows
+            : runtime::kernelPlan(precisionName(kb.precision()), nq)
+                  .stripRows;
+    const size_t grain = std::max(kStep1Grain, strip);
 
     timer.start();
     switch (kb.precision()) {

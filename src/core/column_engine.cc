@@ -19,7 +19,7 @@ namespace {
  * hardware prefetcher follows the sequential stream once started, and
  * thinning the instruction count keeps the overhead negligible on
  * memory systems where the data is already close. The stride comes
- * from the engine's resolved runtime::KernelPlan.
+ * from the engine's runtime::KernelPlan.
  */
 inline void
 prefetchBytes(const void *ptr, size_t bytes, size_t stride)
@@ -35,14 +35,14 @@ prefetchBytes(const void *ptr, size_t bytes, size_t stride)
  * The strip is the reuse unit of the query-blocked sweep: its
  * M_IN/M_OUT rows stay cache-resident while every question in the
  * batch consumes them, so DRAM traffic per chunk is paid once per
- * batch. The strip row count is tuned (runtime::KernelPlan; default
- * 16 rows — 1 KiB rows at ed=256 fit comfortably in L1 next to the
- * question tile) and always a multiple of the kernels' 4-row register
- * group, so no strip ends in a row tail. Strip boundaries never change
- * results: the kernels fix each (query, row) pair's accumulation order
- * however a sweep is split (bit-identity). Prefetch of
- * the next chunk is paced across these strips, as in the paper's data
- * streaming.
+ * batch. The strip row count comes from the constant plan table
+ * (runtime::kPlanTable, per precision and single/multi-question
+ * batch): the whole chunk, or a multiple of the kernels' 4-row
+ * register group, so no strip ends in a row tail. Strip boundaries
+ * never change results: the kernels fix each (query, row) pair's
+ * accumulation order however a sweep is split (bit-identity).
+ * Prefetch of the next chunk is paced across these strips, as in the
+ * paper's data streaming.
  */
 
 /** Oversubscription factor for the automatic group count. */
@@ -55,24 +55,12 @@ ColumnEngine::ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg)
 {
     if (this->cfg.chunkSize == 0)
         fatal("column engine chunk size must be nonzero");
-    // Fail fast on pins the sweep could not honor: a stripRows not on
-    // the kernels' 4-row register grid would otherwise be silently
-    // rounded (the caller benchmarks one strip size and runs another),
-    // and a prefetchStride outside the tuner's candidate set makes
-    // pinned and tuned configurations incomparable.
-    if (this->cfg.stripRows > 0 && this->cfg.stripRows % 4 != 0)
+    // A strip off the kernels' 4-row register grid would otherwise be
+    // silently rounded: the caller would ask for one split and run
+    // another.
+    if (this->cfg.stripRows % 4 != 0)
         fatal("EngineConfig::stripRows = %zu is not a multiple of 4",
               this->cfg.stripRows);
-    if (this->cfg.prefetchStride > 0) {
-        bool in_grid = false;
-        for (size_t c : runtime::kPrefetchStrideCandidates)
-            in_grid = in_grid
-                   || static_cast<size_t>(this->cfg.prefetchStride) == c;
-        if (!in_grid)
-            fatal("EngineConfig::prefetchStride = %d is outside the "
-                  "tuner candidate set",
-                  this->cfg.prefetchStride);
-    }
     switch (this->cfg.routePolicy) {
       case RoutePolicy::None:
         break;
@@ -95,39 +83,15 @@ ColumnEngine::ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg)
     if (kb.size() > 0)
         this->cfg.chunkSize = std::min(this->cfg.chunkSize, kb.size());
     workerArenas.resize(std::max<size_t>(1, pool.threadCount()));
-
-    // Warm the process-wide tuning table for this KB's precision and
-    // dimension now, so the first inference call (and every sibling
-    // engine over the same geometry — e.g. one per serving worker)
-    // finds a measured plan with a plain lookup. Skipped when the
-    // config pins both knobs; a no-op under MNNFAST_NO_TUNER.
-    if (kb.size() > 0
-        && (this->cfg.stripRows == 0 || this->cfg.prefetchStride < 0)) {
-        auto &tuner = runtime::KernelTuner::instance();
-        const char *prec = precisionName(kb.precision());
-        for (size_t nq : {size_t{1}, size_t{4}, size_t{16}})
-            tuner.plan(prec, kb.dim(), nq);
-    }
-    // The coarse bound sweep has its own tuned shape ("bound": lo+hi
-    // fp32 row pairs); warm it too when routing is configured.
-    if (kb.size() > 0 && routingActive()) {
-        auto &tuner = runtime::KernelTuner::instance();
-        for (size_t nq : {size_t{1}, size_t{4}, size_t{16}})
-            tuner.plan("bound", kb.dim(), nq);
-    }
 }
 
 runtime::KernelPlan
 ColumnEngine::resolvePlan(size_t nq) const
 {
-    runtime::KernelPlan plan;
-    if (cfg.stripRows == 0 || cfg.prefetchStride < 0)
-        plan = runtime::KernelTuner::instance().plan(
-            precisionName(kb.precision()), kb.dim(), nq);
+    runtime::KernelPlan plan =
+        runtime::kernelPlan(precisionName(kb.precision()), nq);
     if (cfg.stripRows > 0)
         plan.stripRows = cfg.stripRows; // validated at construction
-    if (cfg.prefetchStride >= 0)
-        plan.prefetchStride = static_cast<size_t>(cfg.prefetchStride);
     return plan;
 }
 
@@ -215,16 +179,10 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                       : static_cast<const void *>(mout8));
     const size_t row_bytes = ed * kb.elemBytes();
     const size_t pf = plan.prefetchStride;
-    // The strip has two jobs: pacing the next-chunk prefetch (pf > 0)
-    // and keeping a row block L1-resident while it is reused across
-    // the question batch (nq > 1). With one question and prefetch
-    // disabled — e.g. the tuned int8 single-query plan, whose kernel
-    // prefetches internally — neither applies, so collapse the strip
-    // to the chunk and amortize per-call setup (dispatch, query sums)
-    // over 8x more rows. Call granularity never changes results: the
-    // per-(question, row) accumulation order is call-split invariant.
+    // Call granularity never changes results: the per-(question, row)
+    // accumulation order is call-split invariant.
     const size_t strip =
-        (nq == 1 && pf == 0) ? chunk : plan.stripRows;
+        plan.stripRows == runtime::kWholeChunk ? chunk : plan.stripRows;
     const bool online = cfg.onlineNormalize;
     const float th = cfg.skipThreshold;
 
@@ -384,11 +342,15 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         // question's running sum before testing e < th * S_running, so
         // the test is conservative (see header) and decisions are
         // identical to the per-question sweep; skipped rows never
-        // touch M_OUT or the accumulator for that question.
+        // touch M_OUT or the accumulator for that question. Under
+        // zero-skip most of the next chunk's M_OUT is never read, and
+        // which rows will be is unknown until its phase 2, so only a
+        // dense sweep prefetches M_OUT.
         phase_timer.reset();
+        const size_t next_out_len = th > 0.f ? 0 : next_len;
         for (size_t s0 = 0; s0 < len; s0 += strip) {
             const size_t s1 = std::min(s0 + strip, len);
-            for (size_t i = s0; i < std::min(s1, next_len); ++i)
+            for (size_t i = s0; i < std::min(s1, next_out_len); ++i)
                 prefetchBytes(mout_bytes + (c1 + i) * row_bytes,
                               row_bytes, pf);
             switch (prec) {
@@ -445,13 +407,15 @@ ColumnEngine::selectGroup(const float *u, size_t nq,
     uint8_t *sel = scratch.bytes(nq * n_g);
 
     // Coarse scoring: the fused bound kernel over this group's chunk
-    // summaries, strip-swept with the tuned "bound" plan. Strip
-    // boundaries cannot change scores (per-(question, chunk) pairs
-    // are independent).
+    // summaries, strip-swept with the "bound" plan. Strip boundaries
+    // cannot change scores (per-(question, chunk) pairs are
+    // independent).
     const float *lo = routeIndex->loData() + chunks.begin * ed;
     const float *hi = routeIndex->hiData() + chunks.begin * ed;
-    for (size_t s0 = 0; s0 < n_g; s0 += plan.stripRows) {
-        const size_t s1 = std::min(s0 + plan.stripRows, n_g);
+    const size_t strip =
+        plan.stripRows == runtime::kWholeChunk ? n_g : plan.stripRows;
+    for (size_t s0 = 0; s0 < n_g; s0 += strip) {
+        const size_t s1 = std::min(s0 + strip, n_g);
         blas::chunkBoundBatch(u, nq, ed, lo + s0 * ed, hi + s0 * ed,
                               s1 - s0, ed, ed, scores + s0, n_g);
     }
@@ -511,23 +475,21 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     const size_t workers = std::max<size_t>(1, pool.threadCount());
     const size_t n_chunks = (ns + cfg.chunkSize - 1) / cfg.chunkSize;
     const auto &groups = chunkGroups(n_chunks);
-    // One tuner lookup per pass, outside the worker loops (the table
-    // was warmed at construction, so this is a locked map hit).
+    // One plan lookup per pass, outside the worker loops.
     const runtime::KernelPlan plan = resolvePlan(nq);
 
     // Routing: make sure the chunk-summary index snapshot covers the
     // current KB (lazy build; rebuilt only when the KB grew). Resolved
     // on the caller thread, before workers start.
     const bool routed = routingActive();
-    runtime::KernelPlan bound_plan;
+    runtime::KernelPlan bound_plan{};
     if (routed) {
         if (!routeIndex || routeIndexRows != ns) {
             routeIndex =
                 std::make_unique<ChunkSummaryIndex>(kb, cfg.chunkSize);
             routeIndexRows = ns;
         }
-        bound_plan = runtime::KernelTuner::instance().plan(
-            "bound", kb.dim(), nq);
+        bound_plan = runtime::kernelPlan("bound", nq);
     }
 
     // Group partials live in the persistent arena: the previous

@@ -207,9 +207,8 @@ class ColumnEngine : public InferenceEngine
 
     /**
      * The (strip rows, prefetch stride) plan for a batch of nq
-     * questions: config overrides where set, the process-wide tuned
-     * plan otherwise. Resolved once per runGroups call, outside the
-     * worker loops, so the tuner lock is never taken on the hot path.
+     * questions: the plan table's entry for the KB precision, with
+     * EngineConfig::stripRows replacing its strip when set.
      */
     runtime::KernelPlan resolvePlan(size_t nq) const;
 

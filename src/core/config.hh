@@ -93,7 +93,13 @@ struct EngineConfig
      * disables skipping. Paper: 0.1.
      */
     float skipThreshold = 0.0f;
-    /** Enable software prefetch of the next chunk (streaming). */
+    /**
+     * The paper's data streaming: software-prefetch the next chunk
+     * while the current one computes. M_IN is always prefetched; M_OUT
+     * only when skipThreshold is 0, since under zero-skip most of it
+     * is never read. The pacing is the plan table's prefetch stride
+     * (runtime::kPlanTable).
+     */
     bool streaming = false;
     /**
      * Number of worker threads (0 = run inline on the caller).
@@ -114,27 +120,15 @@ struct EngineConfig
     /** Chunk-group scheduling policy (column engine). */
     Schedule schedule = Schedule::Dynamic;
     /**
-     * Rows per kernel call in the column engine's strip sweeps. 0
-     * (the default) defers to the autotuned plan from
-     * runtime::KernelTuner. A nonzero override must be a positive
-     * multiple of 4 — the kernels' register-group width — and is
-     * validated at engine construction (fatal otherwise): a silently
-     * rounded pin would run a different strip size than the caller
-     * benchmarked. Any valid override yields output bit-identical to
-     * every other strip choice.
+     * Rows per kernel call in the engines' strip sweeps, replacing the
+     * plan table's strip (runtime::kPlanTable); 0, the default, keeps
+     * the table's. Exists to show that the split cannot change
+     * results: any positive multiple of 4 — the kernels' register-group
+     * width — gives output bit-identical to every other. Other values
+     * are fatal at ColumnEngine construction, so a caller never runs a
+     * different split than it asked for.
      */
     size_t stripRows = 0;
-    /**
-     * Streaming-prefetch pacing: one prefetch instruction every this
-     * many cache lines of the next chunk's rows. -1 (the default)
-     * defers to the autotuned plan; 0 issues no prefetches. Positive
-     * pins must come from the tuner's candidate set
-     * (runtime::kPrefetchStrideCandidates), validated at engine
-     * construction (fatal otherwise) so pinned configurations stay
-     * comparable with tuned ones. Pacing never affects results, only
-     * wall-clock.
-     */
-    int prefetchStride = -1;
     /**
      * Number of chunk groups the column engine decomposes the KB into
      * (clamped to the chunk count). 0 = auto: 4x the worker count, so

@@ -25,12 +25,12 @@
  * partial, so the gather-side merge reproduces the in-process
  * ShardedEngine result bit for bit (see cluster_frontend.hh).
  *
- * Decoding is defensive, mirroring the kernel tuner's cache-import
- * hardening: bad magic, unknown version, unknown type, a length that
- * disagrees with the buffer, truncation anywhere, or a CRC mismatch
- * all produce a typed WireStatus (never a crash, never a partially
- * applied message), and message decoders re-validate their interior
- * counts against the payload size before touching any array.
+ * Decoding is defensive: bad magic, unknown version, unknown type,
+ * a length that disagrees with the buffer, truncation anywhere, or a
+ * CRC mismatch all produce a typed WireStatus (never a crash, never
+ * a partially applied message), and message decoders re-validate
+ * their interior counts against the payload size before touching any
+ * array.
  */
 
 #ifndef MNNFAST_NET_WIRE_HH

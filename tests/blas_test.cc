@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "blas/exact_fma.hh"
 #include "blas/kernels.hh"
 #include "util/bf16.hh"
 #include "util/rng.hh"
@@ -304,6 +305,88 @@ TEST(Dispatch, BackendNameMatchesSimdFlag)
         EXPECT_EQ(name, "avx2");
     else
         EXPECT_EQ(name, "scalar");
+}
+
+// ---------------------------------------------------------------------
+// exactFma: the scalar backend's inline fma must give std::fma's bits.
+// ---------------------------------------------------------------------
+
+float
+bitsToFloat(uint32_t b)
+{
+    float f;
+    std::memcpy(&f, &b, sizeof f);
+    return f;
+}
+
+/** Same bits, or both NaN (NaN payloads are not part of the contract). */
+::testing::AssertionResult
+sameFloat(float got, float want)
+{
+    uint32_t g, w;
+    std::memcpy(&g, &got, sizeof g);
+    std::memcpy(&w, &want, sizeof w);
+    if (g == w || (std::isnan(got) && std::isnan(want)))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+        << std::hexfloat << got << " != " << want;
+}
+
+TEST(ExactFma, MatchesStdFmaOnRandomInputs)
+{
+    XorShiftRng rng(2024);
+    for (int i = 0; i < 400000; ++i) {
+        // Random bit patterns reach every exponent, subnormals, inf
+        // and NaN; the second triple cancels a*b against c, where a
+        // double-rounded sum would go wrong.
+        const float a = bitsToFloat(static_cast<uint32_t>(rng.next()));
+        const float b = bitsToFloat(static_cast<uint32_t>(rng.next()));
+        const float c = bitsToFloat(static_cast<uint32_t>(rng.next()));
+        ASSERT_TRUE(sameFloat(exactFma(a, b, c), std::fma(a, b, c)))
+            << std::hexfloat << a << " " << b << " " << c;
+        const float x = rng.uniformRange(-4.f, 4.f);
+        const float y = rng.uniformRange(-4.f, 4.f);
+        const float z = -(x * y) * (1.f + rng.uniformRange(-1e-6f, 1e-6f));
+        ASSERT_TRUE(sameFloat(exactFma(x, y, z), std::fma(x, y, z)))
+            << std::hexfloat << x << " " << y << " " << z;
+    }
+}
+
+TEST(ExactFma, MatchesStdFmaOnEdgeCases)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float big = std::numeric_limits<float>::max();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const float one12 = 1.f + 0x1p-12f; // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24
+    const float cases[][3] = {
+        // Signed zeros.
+        {0.f, 0.f, -0.f}, {-0.f, 0.f, -0.f}, {-1.f, 0.f, 0.f},
+        {-1.f, 0.f, -0.f}, {3.f, 2.f, -6.f}, {-3.f, 2.f, 6.f},
+        // Halfway ties, exact and broken by a far-away c (the case a
+        // plain double sum rounds twice and gets wrong).
+        {one12, one12, 0.f}, {one12, one12, 0x1p-60f},
+        {one12, one12, -0x1p-60f}, {-one12, one12, 0x1p-60f},
+        {1.f + 0x1p-23f, 1.f + 0x1p-23f, 0x1p-70f},
+        // Subnormal results: a tie at half the smallest subnormal,
+        // and rounding up to it.
+        {0x1p-75f, 0x1p-75f, 0.f}, {0x1p-75f, 0x1.8p-75f, 0.f},
+        {tiny, 0.5f, 0.f}, {tiny, 1.5f, tiny}, {tiny, -1.f, tiny},
+        {0x1p-70f, 0x1p-70f, -tiny},
+        // Overflow: a tie at FLT_MAX + half an ulp goes to infinity,
+        // just below it stays finite.
+        {big, 1.f, big}, {big, 2.f, -big}, {big, 1.f, 0x1p103f},
+        {big, 1.f, 0x1.fffffep102f}, {-big, 1.f, -0x1p103f},
+        {big, big, -inf},
+        // Infinities and NaNs in every position.
+        {inf, 0.f, 1.f}, {inf, 1.f, -inf}, {inf, 2.f, 1.f},
+        {1.f, 1.f, inf}, {-inf, -inf, 1.f}, {nan, 1.f, 1.f},
+        {1.f, nan, 1.f}, {1.f, 1.f, nan}, {0.f, inf, nan},
+    };
+    for (const auto &t : cases)
+        EXPECT_TRUE(
+            sameFloat(exactFma(t[0], t[1], t[2]), std::fma(t[0], t[1], t[2])))
+            << std::hexfloat << t[0] << " " << t[1] << " " << t[2];
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -23,6 +24,7 @@
 #include "core/knowledge_base.hh"
 #include "util/bf16.hh"
 #include "util/rng.hh"
+#include "util/timer.hh"
 
 namespace mnnfast::core {
 namespace {
@@ -1038,24 +1040,26 @@ TEST(I8Engines, ChunkSizeCrossingQuantGroupsIsBitInvariant)
 }
 
 // ---------------------------------------------------------------------
-// Kernel-plan (autotuner) invariance: every (stripRows, prefetchStride)
-// candidate the tuner can pick must yield bit-identical engine output.
+// Kernel-plan invariance: every strip in the plan table, and the
+// extremes (4 rows, 8 rows, the whole chunk), yield bit-identical
+// engine output — with and without the streaming prefetch.
 // ---------------------------------------------------------------------
 
 TEST(TunedPlans, EngineOutputBitIdenticalAcrossPlanVariants)
 {
     // Sweep nq across register-tile and dispatch-split boundaries
-    // (1..17), both schedules, and zero-skipping, comparing every
-    // plan variant against the tuned default — per storage precision.
-    const size_t ns = 600, ed = 32, max_nq = 17;
+    // (1..17), both schedules, zero-skipping and streaming, comparing
+    // every strip against the table's plan — per storage precision.
+    const size_t ns = 600, ed = 32, max_nq = 17, chunk = 64;
     const auto u = randomBatch(max_nq, ed, 61);
 
-    struct Variant
-    {
-        size_t strip;
-        int prefetch;
-    };
-    const Variant variants[] = {{4, 0}, {8, 4}, {32, 0}, {64, 2}};
+    std::vector<size_t> strips = {4, 8, chunk};
+    for (const runtime::PlanEntry &e : runtime::kPlanTable)
+        for (const runtime::KernelPlan &p : {e.single, e.multi})
+            if (p.stripRows != runtime::kWholeChunk
+                && std::find(strips.begin(), strips.end(), p.stripRows)
+                       == strips.end())
+                strips.push_back(p.stripRows);
 
     for (Precision prec :
          {Precision::F32, Precision::BF16, Precision::I8}) {
@@ -1065,33 +1069,60 @@ TEST(TunedPlans, EngineOutputBitIdenticalAcrossPlanVariants)
                           size_t(17)}) {
             for (Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
                 for (bool zskip : {false, true}) {
-                    EngineConfig cfg;
-                    cfg.chunkSize = 64;
-                    cfg.threads = 2;
-                    cfg.schedule = sched;
-                    cfg.skipThreshold = zskip ? 1e-4f : 0.f;
-                    std::vector<float> ref(nq * ed);
-                    ColumnEngine(kb, cfg).inferBatch(u.data(), nq,
-                                                     ref.data());
-                    for (const Variant &v : variants) {
-                        EngineConfig vcfg = cfg;
-                        vcfg.stripRows = v.strip;
-                        vcfg.prefetchStride = v.prefetch;
-                        std::vector<float> o(nq * ed);
-                        ColumnEngine(kb, vcfg).inferBatch(u.data(), nq,
-                                                          o.data());
-                        for (size_t i = 0; i < o.size(); ++i)
-                            ASSERT_EQ(o[i], ref[i])
-                                << precisionName(prec) << " nq=" << nq
-                                << " sched=" << int(sched)
-                                << " zskip=" << zskip
-                                << " strip=" << v.strip
-                                << " pf=" << v.prefetch << " i=" << i;
+                    for (bool streaming : {false, true}) {
+                        EngineConfig cfg;
+                        cfg.chunkSize = chunk;
+                        cfg.threads = 2;
+                        cfg.schedule = sched;
+                        cfg.skipThreshold = zskip ? 1e-4f : 0.f;
+                        cfg.streaming = streaming;
+                        std::vector<float> ref(nq * ed);
+                        ColumnEngine(kb, cfg).inferBatch(u.data(), nq,
+                                                         ref.data());
+                        for (size_t strip : strips) {
+                            EngineConfig vcfg = cfg;
+                            vcfg.stripRows = strip;
+                            std::vector<float> o(nq * ed);
+                            ColumnEngine(kb, vcfg).inferBatch(
+                                u.data(), nq, o.data());
+                            for (size_t i = 0; i < o.size(); ++i)
+                                ASSERT_EQ(o[i], ref[i])
+                                    << precisionName(prec)
+                                    << " nq=" << nq
+                                    << " sched=" << int(sched)
+                                    << " zskip=" << zskip
+                                    << " streaming=" << streaming
+                                    << " strip=" << strip << " i=" << i;
+                        }
                     }
                 }
             }
         }
     }
+}
+
+TEST(PlanTable, BuildingEnginesMeasuresNothing)
+{
+    // Plans are constants: constructing engines of every precision
+    // times no candidate plan, leaves the exported table as it was,
+    // and takes far less than the 0.25 s or more a startup sweep
+    // of even one precision used to.
+    const std::string before =
+        runtime::KernelTuner::instance().exportJson();
+    std::vector<KnowledgeBase> kbs;
+    for (Precision prec :
+         {Precision::F32, Precision::BF16, Precision::I8})
+        kbs.push_back(randomKb(256, 64, 63, 0.5f, prec));
+    EngineConfig cfg;
+    cfg.threads = 2;
+    cfg.streaming = true;
+    Timer timer;
+    for (const KnowledgeBase &kb : kbs) {
+        ColumnEngine column(kb, cfg);
+        BaselineEngine baseline(kb, cfg);
+    }
+    EXPECT_LT(timer.seconds(), 0.5);
+    EXPECT_EQ(runtime::KernelTuner::instance().exportJson(), before);
 }
 
 } // namespace

@@ -677,27 +677,6 @@ TEST(EngineConfigValidation, RejectsMisalignedStripRowsPin)
                 "stripRows");
 }
 
-TEST(EngineConfigValidation, RejectsOffGridPrefetchStridePin)
-{
-    const KnowledgeBase kb = randomKb(64, 8, 82);
-    EngineConfig cfg;
-    cfg.prefetchStride = 3; // not in kPrefetchStrideCandidates
-    EXPECT_EXIT(ColumnEngine(kb, cfg), ::testing::ExitedWithCode(1),
-                "prefetchStride");
-}
-
-TEST(EngineConfigValidation, AcceptsTunerGridPins)
-{
-    const KnowledgeBase kb = randomKb(64, 8, 83);
-    EngineConfig cfg;
-    cfg.stripRows = 8;
-    cfg.prefetchStride = 4;
-    cfg.streaming = true;
-    ColumnEngine engine(kb, cfg);
-    std::vector<float> u(8, 0.1f), o(8);
-    engine.inferBatch(u.data(), 1, o.data());
-}
-
 TEST(EngineConfigValidation, RejectsInvalidRoutingKnobs)
 {
     const KnowledgeBase kb = randomKb(64, 8, 84);

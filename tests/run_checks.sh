@@ -56,25 +56,19 @@ for preset in "${presets[@]}"; do
             --benchmark_min_time=0.01 \
             --benchmark_out="${bindir}/BENCH_kernels_smoke.json"
     fi
-    # Autotuner smoke: the same deterministic inference must produce
-    # bit-identical output whether kernel plans are measured by the
-    # tuner, disabled (MNNFAST_NO_TUNER=1, default plans), or imported
-    # from an exported table — and an imported table must satisfy
-    # every plan lookup without re-measuring (tuner_measured 0).
-    if [ -x "${bindir}/bench/tuner_smoke" ]; then
-        echo "==> preset: ${preset} (autotuner smoke)"
+    # Backend smoke: the fused kernels of every precision, run in two
+    # processes — default dispatch and MNNFAST_NO_SIMD=1 — must print
+    # the same bits.
+    if [ -x "${bindir}/bench/backend_smoke" ]; then
+        echo "==> preset: ${preset} (backend smoke)"
         tdir=$(mktemp -d)
-        "${bindir}/bench/tuner_smoke" --export "${tdir}/table.json" \
-            > "${tdir}/tuned.txt"
-        MNNFAST_NO_TUNER=1 "${bindir}/bench/tuner_smoke" \
-            > "${tdir}/untuned.txt"
-        MNNFAST_TUNER_CACHE="${tdir}/table.json" \
-            "${bindir}/bench/tuner_smoke" > "${tdir}/imported.txt"
-        diff <(grep '^score' "${tdir}/tuned.txt") \
-             <(grep '^score' "${tdir}/untuned.txt")
-        diff <(grep '^score' "${tdir}/tuned.txt") \
-             <(grep '^score' "${tdir}/imported.txt")
-        grep -q '^tuner_measured 0$' "${tdir}/imported.txt"
+        "${bindir}/bench/backend_smoke" > "${tdir}/default.txt"
+        MNNFAST_NO_SIMD=1 "${bindir}/bench/backend_smoke" \
+            > "${tdir}/scalar.txt"
+        head -n1 "${tdir}/default.txt"
+        grep -q '^backend scalar$' "${tdir}/scalar.txt"
+        diff <(grep '^score' "${tdir}/default.txt") \
+             <(grep '^score' "${tdir}/scalar.txt")
         rm -rf "${tdir}"
     fi
     # Routed-attention smoke: the top-k ablation's k=all leg asserts

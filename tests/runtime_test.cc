@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the thread pool and parallel-for runtime, including the
- * inline (0-thread) mode used by single-thread benchmarks.
+ * inline (0-thread) mode used by single-thread benchmarks, the scratch
+ * arena and the kernel plan table.
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -425,186 +424,91 @@ TEST(ScratchArena, MoveTransfersOwnership)
 }
 
 // ---------------------------------------------------------------------
-// Kernel autotuner. The table is process-wide, so these tests clear it
-// up front; later engine constructions simply re-measure their buckets.
+// Kernel plan table: constant entries, nothing measured.
 // ---------------------------------------------------------------------
 
-TEST(KernelTuner, PlanIsMeasuredOncePerBucketAndCached)
+TEST(PlanTable, EveryStripIsAMultipleOfFourOrTheWholeChunk)
 {
-    KernelTuner &tuner = KernelTuner::instance();
-    tuner.clear();
-    const size_t c0 = tuner.measuredCount();
-
-    const KernelPlan p1 = tuner.plan("i8", 128, 4);
-    EXPECT_EQ(tuner.measuredCount(), c0 + 1);
-    // Every candidate strip is a multiple of the kernels' 4-row
-    // register group — the bit-identity precondition.
-    EXPECT_GT(p1.stripRows, 0u);
-    EXPECT_EQ(p1.stripRows % 4, 0u);
-
-    // Same bucket (ed <= 128 -> 128, nq in 2..8 -> 4): cache hit, no
-    // re-measurement, identical pick.
-    const KernelPlan p2 = tuner.plan("i8", 100, 3);
-    EXPECT_EQ(tuner.measuredCount(), c0 + 1);
-    EXPECT_EQ(p2.stripRows, p1.stripRows);
-    EXPECT_EQ(p2.prefetchStride, p1.prefetchStride);
-
-    // Different bucket: measured separately.
-    tuner.plan("i8", 128, 1);
-    EXPECT_EQ(tuner.measuredCount(), c0 + 2);
+    for (const PlanEntry &e : kPlanTable) {
+        for (const KernelPlan &p : {e.single, e.multi}) {
+            // No strip may end in a row tail of the 4-row register
+            // group; kWholeChunk (0) is one call per chunk.
+            EXPECT_EQ(p.stripRows % 4, 0u) << e.sweep;
+            EXPECT_LE(p.prefetchStride, 4u) << e.sweep;
+        }
+    }
+    // int8's kernels prefetch internally and amortize the query sums
+    // over a call: its single-question sweep is the whole chunk with
+    // no engine prefetch.
+    const KernelPlan i8 = kernelPlan("i8", 1);
+    EXPECT_EQ(i8.stripRows, kWholeChunk);
+    EXPECT_EQ(i8.prefetchStride, 0u);
 }
 
-TEST(KernelTuner, ExportImportRoundTripSkipsMeasurement)
+TEST(PlanTable, LookupPicksTheSingleOrMultiQuestionEntry)
+{
+    for (const PlanEntry &e : kPlanTable) {
+        for (size_t nq : {size_t{0}, size_t{1}}) {
+            const KernelPlan p = kernelPlan(e.sweep, nq);
+            EXPECT_EQ(p.stripRows, e.single.stripRows) << e.sweep;
+            EXPECT_EQ(p.prefetchStride, e.single.prefetchStride);
+        }
+        for (size_t nq : {size_t{2}, size_t{16}, size_t{1000}}) {
+            const KernelPlan p = kernelPlan(e.sweep, nq);
+            EXPECT_EQ(p.stripRows, e.multi.stripRows) << e.sweep;
+            EXPECT_EQ(p.prefetchStride, e.multi.prefetchStride);
+        }
+    }
+    for (const char *sweep : {"f32", "bf16", "i8", "bound"})
+        kernelPlan(sweep, 1); // every sweep the engines name exists
+    EXPECT_DEATH(kernelPlan("f64", 1), "no kernel plan");
+}
+
+TEST(PlanTable, OverrideAppliesWhileAliveAndNests)
+{
+    const KernelPlan table = kernelPlan("f32", 4);
+    {
+        PlanOverride outer({32, 4});
+        EXPECT_EQ(kernelPlan("bf16", 1).stripRows, 32u);
+        {
+            PlanOverride inner({kWholeChunk, 0});
+            EXPECT_EQ(kernelPlan("f32", 4).stripRows, kWholeChunk);
+            EXPECT_EQ(kernelPlan("f32", 4).prefetchStride, 0u);
+        }
+        EXPECT_EQ(kernelPlan("i8", 16).prefetchStride, 4u);
+    }
+    EXPECT_EQ(kernelPlan("f32", 4).stripRows, table.stripRows);
+    EXPECT_EQ(kernelPlan("f32", 4).prefetchStride, table.prefetchStride);
+}
+
+TEST(PlanTable, ExportJsonListsEveryEntry)
 {
     KernelTuner &tuner = KernelTuner::instance();
-    tuner.clear();
-    tuner.plan("bf16", 64, 1);
-    tuner.plan("f32", 256, 16);
-    const auto before = tuner.entries();
-    ASSERT_EQ(before.size(), 2u);
     const std::string json = tuner.exportJson();
-    // Schema fields documented in DESIGN.md §10.
     for (const char *field :
          {"\"backend\"", "\"entries\"", "\"precision\"", "\"ed\"",
           "\"nq\"", "\"strip_rows\"", "\"prefetch_stride\"",
-          "\"seconds\"", "\"origin\"", "\"measured\""})
+          "\"origin\""})
         EXPECT_NE(json.find(field), std::string::npos) << field;
-
+    EXPECT_EQ(json.find("\"measured\""), std::string::npos);
+    // One object per (sweep, single/multi) entry, all "default".
+    size_t objects = 0, defaults = 0;
+    for (size_t at = json.find("{\"precision\""); at != std::string::npos;
+         at = json.find("{\"precision\"", at + 1))
+        ++objects;
+    for (size_t at = json.find("\"default\""); at != std::string::npos;
+         at = json.find("\"default\"", at + 1))
+        ++defaults;
+    EXPECT_EQ(objects, 2 * std::size(kPlanTable));
+    EXPECT_EQ(defaults, objects);
+    for (const PlanEntry &e : kPlanTable)
+        EXPECT_NE(json.find(std::string("\"precision\": \"") + e.sweep
+                            + "\""),
+                  std::string::npos)
+            << e.sweep;
+    // clear() keeps its old signature and has nothing to drop.
     tuner.clear();
-    ASSERT_EQ(tuner.importJson(json), 2);
-    const size_t measured = tuner.measuredCount();
-    for (const auto &e : before) {
-        // Imported entries satisfy plan() without re-measuring and
-        // reproduce the exported picks exactly.
-        const KernelPlan p = tuner.plan(e.precision.c_str(), e.ed, e.nq);
-        EXPECT_EQ(p.stripRows, e.plan.stripRows) << e.precision;
-        EXPECT_EQ(p.prefetchStride, e.plan.prefetchStride)
-            << e.precision;
-    }
-    EXPECT_EQ(tuner.measuredCount(), measured);
-    for (const auto &e : tuner.entries())
-        EXPECT_EQ(e.origin, PlanOrigin::Imported)
-            << e.precision << "/" << e.ed << "/" << e.nq;
-}
-
-TEST(KernelTuner, ImportNeverOverridesLocalMeasurements)
-{
-    KernelTuner &tuner = KernelTuner::instance();
-    tuner.clear();
-    const KernelPlan local = tuner.plan("f32", 64, 4);
-    // An import claiming a different pick for the same bucket (and a
-    // new bucket) merges only the new one.
-    const std::string json =
-        "{\"backend\": \"test\", \"entries\": ["
-        "{\"precision\": \"f32\", \"ed\": 64, \"nq\": 4, "
-        "\"strip_rows\": 60, \"prefetch_stride\": 9, "
-        "\"seconds\": 1.0, \"origin\": \"measured\"},"
-        "{\"precision\": \"f32\", \"ed\": 512, \"nq\": 16, "
-        "\"strip_rows\": 8, \"prefetch_stride\": 0, "
-        "\"seconds\": 2.0, \"origin\": \"measured\"}]}";
-    EXPECT_EQ(tuner.importJson(json), 1);
-    const KernelPlan after = tuner.plan("f32", 64, 4);
-    EXPECT_EQ(after.stripRows, local.stripRows);
-    EXPECT_EQ(after.prefetchStride, local.prefetchStride);
-    const KernelPlan imported = tuner.plan("f32", 512, 16);
-    EXPECT_EQ(imported.stripRows, 8u);
-    EXPECT_EQ(imported.prefetchStride, 0u);
-    EXPECT_EQ(tuner.importJson("not json at all"), -1);
-}
-
-TEST(KernelTuner, ImportRejectsPlansOutsideTheCandidateGrids)
-{
-    KernelTuner &tuner = KernelTuner::instance();
-    tuner.clear();
-    // Three corrupt entries: strip_rows 0 (would wedge the engines'
-    // `s0 += strip` sweep loops), an off-grid strip, and an off-grid
-    // prefetch stride. None may be imported — a tuned plan's whole
-    // contract is membership in the measured candidate grids.
-    const std::string json =
-        "{\"backend\": \"test\", \"entries\": ["
-        "{\"precision\": \"f32\", \"ed\": 64, \"nq\": 4, "
-        "\"strip_rows\": 0, \"prefetch_stride\": 0, "
-        "\"seconds\": 1.0, \"origin\": \"measured\"},"
-        "{\"precision\": \"f32\", \"ed\": 128, \"nq\": 4, "
-        "\"strip_rows\": 60, \"prefetch_stride\": 0, "
-        "\"seconds\": 1.0, \"origin\": \"measured\"},"
-        "{\"precision\": \"f32\", \"ed\": 256, \"nq\": 4, "
-        "\"strip_rows\": 8, \"prefetch_stride\": 9, "
-        "\"seconds\": 1.0, \"origin\": \"measured\"}]}";
-    EXPECT_EQ(tuner.importJson(json), 0);
-    EXPECT_TRUE(tuner.entries().empty());
-
-    // The bucket a corrupt entry claimed simply measures and lands on
-    // an in-grid plan.
-    const size_t c0 = tuner.measuredCount();
-    const KernelPlan p = tuner.plan("f32", 64, 4);
-    EXPECT_EQ(tuner.measuredCount(), c0 + 1);
-    bool strip_in_grid = false;
-    for (size_t s : kStripRowsCandidates)
-        strip_in_grid |= p.stripRows == s;
-    EXPECT_TRUE(strip_in_grid);
-    bool pf_in_grid = false;
-    for (size_t s : kPrefetchStrideCandidates)
-        pf_in_grid |= p.prefetchStride == s;
-    EXPECT_TRUE(pf_in_grid);
-}
-
-TEST(KernelTuner, CorruptedEnvCacheFallsBackToMeasuring)
-{
-    KernelTuner &tuner = KernelTuner::instance();
-    const char *path = "tuner_cache_corrupt_test.json";
-
-    auto planWithCache = [&](const std::string &content) {
-        {
-            std::ofstream out(path);
-            out << content;
-        }
-        ::setenv("MNNFAST_TUNER_CACHE", path, 1);
-        tuner.clear(); // re-arms the one-shot env seeding
-        const size_t c0 = tuner.measuredCount();
-        const KernelPlan p = tuner.plan("bf16", 64, 4);
-        ::unsetenv("MNNFAST_TUNER_CACHE");
-        // Whatever the file held, the plan was measured locally (the
-        // seeding imported nothing) and is in-grid.
-        EXPECT_EQ(tuner.measuredCount(), c0 + 1) << content;
-        bool in_grid = false;
-        for (size_t s : kStripRowsCandidates)
-            in_grid |= p.stripRows == s;
-        EXPECT_TRUE(in_grid) << content;
-        for (const auto &e : tuner.entries())
-            EXPECT_EQ(e.origin, PlanOrigin::Measured) << content;
-    };
-
-    // Not JSON at all.
-    planWithCache("complete garbage %%%");
-    // Truncated mid-entry (no closing brace: the scanner must stop).
-    planWithCache("{\"backend\": \"x\", \"entries\": ["
-                  "{\"precision\": \"bf16\", \"ed\": 64, \"nq\": 4, "
-                  "\"strip_rows\": 8,");
-    // Well-formed JSON whose plan is poison (strip_rows 0).
-    planWithCache("{\"backend\": \"x\", \"entries\": ["
-                  "{\"precision\": \"bf16\", \"ed\": 64, \"nq\": 4, "
-                  "\"strip_rows\": 0, \"prefetch_stride\": 0, "
-                  "\"seconds\": 1.0, \"origin\": \"measured\"}]}");
-    // Entry missing required fields.
-    planWithCache("{\"backend\": \"x\", \"entries\": ["
-                  "{\"precision\": \"bf16\", \"ed\": 64}]}");
-
-    std::remove(path);
-    tuner.clear();
-}
-
-TEST(KernelTuner, NoTunerEnvReturnsDefaultsWithoutCaching)
-{
-    KernelTuner &tuner = KernelTuner::instance();
-    tuner.clear();
-    ::setenv("MNNFAST_NO_TUNER", "1", 1);
-    const KernelPlan p = tuner.plan("i8", 128, 16);
-    ::unsetenv("MNNFAST_NO_TUNER");
-    EXPECT_EQ(p.stripRows, KernelPlan{}.stripRows);
-    EXPECT_EQ(p.prefetchStride, KernelPlan{}.prefetchStride);
-    EXPECT_EQ(tuner.measuredCount(), 0u);
-    EXPECT_TRUE(tuner.entries().empty());
+    EXPECT_EQ(tuner.exportJson(), json);
 }
 
 } // namespace
