@@ -116,7 +116,12 @@ main()
     const Block b = makeBlock();
     XorShiftRng rng(12);
 
-    for (size_t nq : {size_t{1}, size_t{3}, size_t{16}}) {
+    // Every dot tile path (lone query, pairs, triples) and every
+    // weighted-sum path (the skip scan's full and partial 4-query
+    // groups, int8's two-pass single query, the all-kept loop) runs at
+    // least once.
+    for (size_t nq : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                      size_t{8}, size_t{16}}) {
         std::vector<float> x(nq * kDim);
         for (float &v : x)
             v = rng.uniformRange(-1.f, 1.f);

@@ -149,6 +149,48 @@ minSeconds(size_t reps, Fn &&fn, size_t warmups = 2)
     return best;
 }
 
+/** Output of a shell command, trailing newline trimmed. */
+inline std::string
+shell(const char *cmd)
+{
+    std::string out;
+    if (FILE *p = popen(cmd, "r")) {
+        char buf[256];
+        while (std::fgets(buf, sizeof buf, p))
+            out += buf;
+        pclose(p);
+    }
+    while (!out.empty() && out.back() == '\n')
+        out.pop_back();
+    return out;
+}
+
+/**
+ * Provenance of a bench record: the checked-out commit, and a digest
+ * of the sources the binary was built from — sha256 over the
+ * working-tree contents of the tracked files under src/ and bench/,
+ * first 16 hex digits — so a record taken before its change was
+ * committed can still be matched to the commit that holds it:
+ *
+ *   git ls-files -z -- src bench | xargs -0 sha256sum | sha256sum
+ *
+ * from the repository root reproduces it. Both are empty outside a
+ * git checkout.
+ */
+inline std::string
+gitRevision()
+{
+    return shell("git rev-parse HEAD 2>/dev/null");
+}
+
+inline std::string
+sourceDigest()
+{
+    return shell("cd \"$(git rev-parse --show-toplevel 2>/dev/null)\" "
+                 "2>/dev/null && git ls-files -z -- src bench 2>/dev/null "
+                 "| xargs -0 sha256sum | sha256sum | cut -c1-16");
+}
+
 /** The harness's JSON output path: MNNFAST_BENCH_JSON or `def`. */
 inline const char *
 benchJsonPath(const char *def)

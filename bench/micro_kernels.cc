@@ -10,7 +10,8 @@
  * seed implementation verbatim), so one run quantifies the SIMD
  * speedup per kernel. Results default to machine-readable JSON in
  * ./BENCH_kernels.json; pass --benchmark_out=... to override. The
- * record's context names the build type and the kernel backend.
+ * record's context names the build type, the kernel backend, the git
+ * revision and the source digest (bench_common.hh).
  */
 
 #include <benchmark/benchmark.h>
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "blas/kernels.hh"
 #include "core/baseline_engine.hh"
 #include "core/column_engine.hh"
@@ -89,6 +91,7 @@ BM_DotBatchMulti(benchmark::State &state)
 BENCHMARK(BM_DotBatchMulti)
     ->Args({512, 1})
     ->Args({512, 4})
+    ->Args({512, 8})
     ->Args({512, 16});
 
 void
@@ -149,6 +152,7 @@ BM_DotBatchMultiBf16(benchmark::State &state)
 BENCHMARK(BM_DotBatchMultiBf16)
     ->Args({512, 1})
     ->Args({512, 4})
+    ->Args({512, 8})
     ->Args({512, 16});
 
 void
@@ -208,6 +212,7 @@ BM_DotBatchMultiI8(benchmark::State &state)
 BENCHMARK(BM_DotBatchMultiI8)
     ->Args({512, 1})
     ->Args({512, 4})
+    ->Args({512, 8})
     ->Args({512, 16});
 
 void
@@ -482,6 +487,8 @@ main(int argc, char **argv)
     benchmark::AddCustomContext("mnnfast_build_type", MNNFAST_BUILD_TYPE);
     benchmark::AddCustomContext("kernel_backend",
                                 blas::kernelBackendName());
+    benchmark::AddCustomContext("git_revision", bench::gitRevision());
+    benchmark::AddCustomContext("source_digest", bench::sourceDigest());
     if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
     benchmark::RunSpecifiedBenchmarks();

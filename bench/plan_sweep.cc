@@ -62,22 +62,6 @@ const size_t kNq[] = {1, 2, 4, 8, 16};
 const size_t kStrips[] = {16, 32, 64, runtime::kWholeChunk};
 const size_t kPrefetch[] = {0, 2, 4};
 
-/** Output of a shell command, trailing newline trimmed. */
-std::string
-shell(const char *cmd)
-{
-    std::string out;
-    if (FILE *p = popen(cmd, "r")) {
-        char buf[256];
-        while (std::fgets(buf, sizeof buf, p))
-            out += buf;
-        pclose(p);
-    }
-    while (!out.empty() && out.back() == '\n')
-        out.pop_back();
-    return out;
-}
-
 /** Seeded topical rows: each run of 2 chunks shares a topic centroid. */
 struct Topics
 {
@@ -391,12 +375,12 @@ main(int argc, char **argv)
     js.field("build_type", MNNFAST_BUILD_TYPE);
     js.field("backend", blas::kernelBackendName());
     js.field("nproc", size_t{std::thread::hardware_concurrency()});
-    js.field("git_revision",
-             shell("git rev-parse HEAD 2>/dev/null").c_str());
+    js.field("git_revision", bench::gitRevision().c_str());
     js.field("worktree_dirty",
-             !shell("git status --porcelain --untracked-files=no -- src "
-                    "bench 2>/dev/null")
+             !bench::shell("git status --porcelain --untracked-files=no "
+                           "-- src bench 2>/dev/null")
                   .empty());
+    js.field("source_digest", bench::sourceDigest().c_str());
     js.endObject();
     js.key("config");
     js.beginObject();

@@ -96,13 +96,14 @@ float maxElement(const float *x, size_t n);
  *   out[q * ostride + r] = dot(x + q * xstride, rows + r * stride, n)
  *
  * for q in [0, nx), r in [0, count) — a small packed GEMM shaped for
- * the column engine's phase 1. The AVX2 backend register-tiles 2
- * queries x 4 rows, so each 8-wide row load feeds every query in the
- * tile and the per-query M_IN load traffic drops accordingly; the
- * engine-level strip blocking on top keeps a row strip cache-resident
- * across the whole batch, which is what amortizes the KB stream over
- * concurrent queries. Requires stride >= n and xstride >= n; out rows
- * must not alias the inputs.
+ * the column engine's phase 1. The AVX2 backend register-tiles 3
+ * queries x 4 rows (triples, then pairs; a lone query only when
+ * nx == 1), so each 8-wide row load feeds every query in the tile and
+ * the per-query M_IN load traffic drops accordingly; the engine-level
+ * strip blocking on top keeps a row strip cache-resident across the
+ * whole batch, which is what amortizes the KB stream over concurrent
+ * queries. Requires stride >= n and xstride >= n; out rows must not
+ * alias the inputs.
  */
 void dotBatchMulti(const float *x, size_t nx, size_t xstride,
                    const float *rows, size_t count, size_t n,
@@ -126,8 +127,10 @@ void dotBatchMulti(const float *x, size_t nx, size_t xstride,
  * query's accumulator while it is register/L1-hot, so per-query M_OUT
  * traffic shrinks by the batch size. A threshold of 0 keeps every
  * row. Any ne is accepted (the AVX2 backend works in query tiles of
- * kWsumQueryTile). Requires stride >= n and accstride >= n; e rows
- * and acc rows must not alias.
+ * kWsumQueryTile, and with threshold > 0 runs the skip tests of four
+ * queries per vector, each lane replaying the scalar double steps
+ * above). Requires stride >= n and accstride >= n; e rows and acc
+ * rows must not alias.
  */
 void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                           const float *rows, size_t count, size_t n,

@@ -24,10 +24,12 @@
  * phase-1 sweep — exactly once per chunk, independent of the batch
  * size.
  *
- * Skip decisions in phase 3 remain per-(question, row) scalar double
- * arithmetic inside the kernels, so the SIMD and scalar backends make
- * identical decisions and the query-blocked sweep is bit-identical to
- * the per-question path (see kernels.hh).
+ * Skip decisions in phase 3 are per-(question, row) serial double
+ * arithmetic inside the kernels. The AVX2 backend runs four questions'
+ * tests side by side in vector lanes, each lane doing its question's
+ * scalar steps, so the SIMD and scalar backends make identical
+ * decisions and the query-blocked sweep is bit-identical to the
+ * per-question path (see kernels.hh).
  *
  * All engine scratch lives in persistent runtime::ScratchArena
  * instances — one per worker slot for the chunk-local e-value tiles,

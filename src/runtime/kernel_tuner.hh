@@ -55,7 +55,7 @@ struct PlanEntry
  * internally and amortize per-call query sums over the chunk.
  */
 inline constexpr PlanEntry kPlanTable[] = {
-    {"f32", {kWholeChunk, 4}, {32, 2}},
+    {"f32", {kWholeChunk, 4}, {64, 2}},
     {"bf16", {kWholeChunk, 2}, {kWholeChunk, 0}},
     {"i8", {kWholeChunk, 0}, {kWholeChunk, 2}},
     {"bound", {kWholeChunk, 0}, {16, 0}},

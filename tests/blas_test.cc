@@ -631,8 +631,9 @@ TEST(DotBatchMulti, BitIdenticalToPerQueryDotBatch)
     // sweep, so the outputs are bit-identical — whichever backend
     // dispatch resolved to.
     const size_t d = 129, stride = 133, xstride = 131;
-    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
-                      size_t(8), size_t(9)}) {
+    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
+                      size_t(5), size_t(6), size_t(7), size_t(8),
+                      size_t(9), size_t(16)}) {
         for (size_t count : {size_t(0), size_t(1), size_t(3), size_t(4),
                              size_t(5), size_t(17), size_t(64)}) {
             const size_t ostride = count + 2; // padded: catch strays
@@ -723,8 +724,9 @@ TEST(DotBatchMulti, BitIdenticalToScalarReference)
     const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 129, 256};
     for (size_t d : d_cases) {
         const size_t stride = d + 3, xstride = d + 1;
-        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
-                          size_t(8), size_t(9)}) {
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
+                          size_t(5), size_t(6), size_t(7), size_t(8),
+                          size_t(9), size_t(16)}) {
             for (size_t count : {size_t(0), size_t(1), size_t(3),
                                  size_t(4), size_t(5), size_t(17),
                                  size_t(64)}) {
@@ -845,8 +847,9 @@ TEST(DotBatchMultiBf16, BitIdenticalToScalarReference)
     const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 129, 256};
     for (size_t d : d_cases) {
         const size_t stride = d + 3, xstride = d + 1;
-        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
-                          size_t(8), size_t(9)}) {
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
+                          size_t(5), size_t(6), size_t(7), size_t(8),
+                          size_t(9), size_t(16)}) {
             for (size_t count : {size_t(0), size_t(1), size_t(3),
                                  size_t(4), size_t(5), size_t(17),
                                  size_t(64)}) {
@@ -999,8 +1002,9 @@ TEST(DotBatchMultiI8, BitIdenticalToScalarReference)
     const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 129, 256};
     for (size_t d : d_cases) {
         const size_t stride = d + 3, xstride = d + 1;
-        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
-                          size_t(8), size_t(9)}) {
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
+                          size_t(5), size_t(6), size_t(7), size_t(8),
+                          size_t(9), size_t(16)}) {
             for (size_t count : {size_t(0), size_t(1), size_t(3),
                                  size_t(4), size_t(5), size_t(17),
                                  size_t(64)}) {
@@ -1193,6 +1197,99 @@ TEST(WeightedSumSkipMultiI8, RowSweepSplitInvariant)
             ASSERT_EQ(s2[q], s1[q]) << "c=" << c << " q=" << q;
         for (size_t i = 0; i < a1.size(); ++i)
             ASSERT_EQ(a2[i], a1[i]) << "c=" << c << " i=" << i;
+    }
+}
+
+TEST(WeightedSumSkipMulti, NonFiniteEValuesMatchScalarReference)
+{
+    // Hostile e values (inf, -inf, NaN, 1e38) push running sums to inf
+    // or NaN mid-sweep. The skip decisions, counters, running sums and
+    // accumulators must still match the scalar loop exactly, for every
+    // precision. Batch sizes cover a lone query and full and partial
+    // 4-query groups; row counts are not multiples of 4, so the row
+    // tail runs too. NaN never equals itself, so NaN matches NaN and
+    // everything else must match bit for bit.
+    const auto same = [](auto a, auto b) {
+        if (std::isnan(a) || std::isnan(b))
+            return std::isnan(a) && std::isnan(b);
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {inf, std::numeric_limits<float>::quiet_NaN(),
+                              1e38f, -inf};
+    const size_t d = 21, stride = 23, accstride = d + 3;
+    const float scale = 0.0123f, zero = -0.456f;
+    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4), size_t(5),
+                      size_t(8)}) {
+        for (size_t count : {size_t(6), size_t(37), size_t(101)}) {
+            const size_t estride = count + 1;
+            auto e = nastyVec(nq * estride, 701, 0);
+            for (float &v : e)
+                v = std::abs(v) + 1e-3f;
+            // Every fourth query stays finite; the others meet one
+            // special early and one in the last three rows.
+            for (size_t q = 0; q < nq; ++q) {
+                if (q % 4 == 3)
+                    continue;
+                e[q * estride + (3 * q + 1) % count] = specials[q % 4];
+                e[q * estride + count - 1 - q % 3] = specials[(q + 1) % 4];
+            }
+            const auto r32 = nastyVec(count * stride, 702, 0);
+            const auto r16 = nastyVecBf16(count * stride, 703);
+            const auto r8 = nastyVecI8(count * stride, 704);
+            for (float threshold : {0.05f, 0.5f}) {
+                for (const char *prec : {"f32", "bf16", "i8"}) {
+                    auto acc1 = nastyVec(nq * accstride, 705, 0);
+                    auto acc2 = acc1;
+                    std::vector<double> s1(nq, 0.0), s2(nq, 0.0);
+                    uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
+                    if (std::strcmp(prec, "f32") == 0) {
+                        weightedSumSkipMulti(
+                            e.data(), nq, estride, r32.data(), count, d,
+                            stride, threshold, s1.data(), acc1.data(),
+                            accstride, kept1, skip1);
+                        scalar::weightedSumSkipMulti(
+                            e.data(), nq, estride, r32.data(), count, d,
+                            stride, threshold, s2.data(), acc2.data(),
+                            accstride, kept2, skip2);
+                    } else if (std::strcmp(prec, "bf16") == 0) {
+                        weightedSumSkipMultiBf16(
+                            e.data(), nq, estride, r16.data(), count, d,
+                            stride, threshold, s1.data(), acc1.data(),
+                            accstride, kept1, skip1);
+                        scalar::weightedSumSkipMultiBf16(
+                            e.data(), nq, estride, r16.data(), count, d,
+                            stride, threshold, s2.data(), acc2.data(),
+                            accstride, kept2, skip2);
+                    } else {
+                        weightedSumSkipMultiI8(
+                            e.data(), nq, estride, r8.data(), count, d,
+                            stride, scale, zero, threshold, s1.data(),
+                            acc1.data(), accstride, kept1, skip1);
+                        scalar::weightedSumSkipMultiI8(
+                            e.data(), nq, estride, r8.data(), count, d,
+                            stride, scale, zero, threshold, s2.data(),
+                            acc2.data(), accstride, kept2, skip2);
+                    }
+                    const std::string where =
+                        std::string(prec) + " nq=" + std::to_string(nq) +
+                        " count=" + std::to_string(count) +
+                        " th=" + std::to_string(threshold);
+                    ASSERT_EQ(kept1, kept2) << where;
+                    ASSERT_EQ(skip1, skip2) << where;
+                    ASSERT_GT(kept1, 0u) << where;
+                    ASSERT_GT(skip1, 0u) << where;
+                    for (size_t q = 0; q < nq; ++q)
+                        ASSERT_TRUE(same(s1[q], s2[q]))
+                            << where << " q=" << q << ": " << s1[q]
+                            << " vs " << s2[q];
+                    for (size_t i = 0; i < acc1.size(); ++i)
+                        ASSERT_TRUE(same(acc1[i], acc2[i]))
+                            << where << " i=" << i << ": " << acc1[i]
+                            << " vs " << acc2[i];
+                }
+            }
+        }
     }
 }
 

@@ -58,7 +58,8 @@ for preset in "${presets[@]}"; do
     fi
     # Backend smoke: the fused kernels of every precision, run in two
     # processes — default dispatch and MNNFAST_NO_SIMD=1 — must print
-    # the same bits.
+    # the same bits. Its batch sizes (nq 1, 2, 3, 4, 8, 16) reach every
+    # AVX2 dot tile and zero-skip scan path.
     if [ -x "${bindir}/bench/backend_smoke" ]; then
         echo "==> preset: ${preset} (backend smoke)"
         tdir=$(mktemp -d)
