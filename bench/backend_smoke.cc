@@ -1,12 +1,12 @@
 /**
  * @file
- * Cross-process kernel-backend smoke: runs the fused knowledge-base
+ * Cross-process kernel-tier smoke: runs the fused knowledge-base
  * kernels of every storage precision — the phase-1 batched dot, the
  * phase-3 zero-skip weighted sum and the routing bound sweep — on
- * fixed inputs and prints every output's bits in hex. Run it once
- * under the default dispatch and once with MNNFAST_NO_SIMD=1 and diff
- * the "score" lines: the scalar and AVX2 backends must agree bit for
- * bit (blas/kernels.hh, canonical accumulation order).
+ * fixed inputs and prints every output's bits in hex. Run it once per
+ * tier cap (MNNFAST_KERNELS=scalar, avx2, avx512) and diff the "score"
+ * lines: every tier must agree bit for bit (blas/kernels.hh, canonical
+ * accumulation order). tests/backend_smoke.sh does exactly that.
  *
  * Usage: backend_smoke
  * Output: "backend <name>", then one
@@ -116,12 +116,15 @@ main()
     const Block b = makeBlock();
     XorShiftRng rng(12);
 
-    // Every dot tile path (lone query, pairs, triples) and every
-    // weighted-sum path (the skip scan's full and partial 4-query
-    // groups, int8's two-pass single query, the all-kept loop) runs at
-    // least once.
+    // Every dot tile path of every tier (the lone query; AVX2's pairs
+    // and triples; AVX-512's one to four pairs, an odd last question
+    // padded) with every row-tile remainder (kRows = 37), and every
+    // weighted-sum path (the skip scan's full and partial 4- and
+    // 8-query groups, int8's two-pass single query, the all-kept loop)
+    // runs at least once.
     for (size_t nq : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
-                      size_t{8}, size_t{16}}) {
+                      size_t{5}, size_t{7}, size_t{8}, size_t{9},
+                      size_t{15}, size_t{16}}) {
         std::vector<float> x(nq * kDim);
         for (float &v : x)
             v = rng.uniformRange(-1.f, 1.f);

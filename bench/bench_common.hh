@@ -7,6 +7,8 @@
  * smoke flags and JSON layout stay uniform across benches.
  *
  * Conventions baked in:
+ *  - Records carry their CPU steal time (StealClock); a run above
+ *    kMaxStealFrac is flagged non-comparable.
  *  - Options are `--name value` or `--name=value`; bare `--name` is a
  *    flag. Unrecognized arguments are fatal at Args::finish(), so a
  *    typo'd sweep never silently measures the defaults.
@@ -190,6 +192,61 @@ sourceDigest()
                  "2>/dev/null && git ls-files -z -- src bench 2>/dev/null "
                  "| xargs -0 sha256sum | sha256sum | cut -c1-16");
 }
+
+/**
+ * CPU steal: the share of CPU time the hypervisor gave other guests
+ * while this VM wanted to run, from the aggregate "cpu" line of
+ * /proc/stat (jiffies; the 8th field is steal, and the guest fields
+ * after it are already inside user and nice). Take a StealClock at the
+ * start of a run and read frac() at the end. Timings taken under heavy
+ * steal measure co-tenants rather than code, so a record whose steal
+ * exceeds kMaxStealFrac is flagged non-comparable. Both stay zero
+ * where /proc/stat is unavailable.
+ */
+class StealClock
+{
+  public:
+    StealClock() : start(now()) {}
+
+    /** Steal share of all CPU time since construction, in [0, 1]. */
+    double frac() const
+    {
+        const Times end = now();
+        const unsigned long long total = end.total - start.total;
+        return total > 0 ? double(end.steal - start.steal) / double(total)
+                         : 0.0;
+    }
+
+  private:
+    struct Times
+    {
+        unsigned long long steal = 0, total = 0;
+    };
+
+    static Times now()
+    {
+        Times t;
+        FILE *f = std::fopen("/proc/stat", "r");
+        if (!f)
+            return t;
+        unsigned long long v[8] = {};
+        const int got = std::fscanf(
+            f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &v[0], &v[1],
+            &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]);
+        std::fclose(f);
+        if (got == 8) {
+            for (unsigned long long x : v)
+                t.total += x;
+            t.steal = v[7];
+        }
+        return t;
+    }
+
+    Times start;
+};
+
+/** Above this steal share a bench record is marked non-comparable. */
+inline constexpr double kMaxStealFrac = 0.05;
 
 /** The harness's JSON output path: MNNFAST_BENCH_JSON or `def`. */
 inline const char *

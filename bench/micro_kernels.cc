@@ -429,11 +429,13 @@ namespace {
 
 /**
  * Splice the constant kernel plan table (runtime::kPlanTable) into the
- * benchmark JSON artifact as a top-level "kernel_tuner" key, keeping
- * the file valid JSON.
+ * benchmark JSON artifact as a top-level "kernel_tuner" key, and the
+ * run's CPU steal share with its comparability verdict
+ * (bench_common.hh) as "cpu_steal_frac" and "comparable", keeping the
+ * file valid JSON.
  */
 void
-appendPlanTable(const std::string &path)
+appendPlanTable(const std::string &path, double steal_frac)
 {
     std::ifstream in(path);
     if (!in)
@@ -453,6 +455,10 @@ appendPlanTable(const std::string &path)
         spliced.pop_back();
     spliced += ",\n  \"kernel_tuner\": ";
     spliced += runtime::KernelTuner::instance().exportJson();
+    spliced += ",\n  \"cpu_steal_frac\": ";
+    spliced += std::to_string(steal_frac);
+    spliced += ",\n  \"comparable\": ";
+    spliced += steal_frac <= bench::kMaxStealFrac ? "true" : "false";
     spliced += "\n}\n";
     std::ofstream out(path, std::ios::trunc);
     out << spliced;
@@ -463,7 +469,8 @@ appendPlanTable(const std::string &path)
 /**
  * Like BENCHMARK_MAIN(), but defaults --benchmark_out to
  * ./BENCH_kernels.json (JSON format) so every run leaves a
- * machine-readable record (with the kernel plan table spliced in);
+ * machine-readable record (with the kernel plan table and CPU steal
+ * spliced in);
  * explicit --benchmark_out wins and is left untouched.
  */
 int
@@ -491,9 +498,10 @@ main(int argc, char **argv)
     benchmark::AddCustomContext("source_digest", bench::sourceDigest());
     if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
+    const bench::StealClock steal;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     if (!has_out)
-        appendPlanTable("BENCH_kernels.json");
+        appendPlanTable("BENCH_kernels.json", steal.frac());
     return 0;
 }

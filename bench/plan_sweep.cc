@@ -365,6 +365,7 @@ main(int argc, char **argv)
                                      core::Precision::BF16,
                                      core::Precision::I8};
 
+    const bench::StealClock steal;
     const Topics topics(3);
     const std::vector<float> u = topics.questions();
     bench::JsonWriter js(bench::benchJsonPath("BENCH_plans.json"));
@@ -436,7 +437,14 @@ main(int argc, char **argv)
 
     js.raw("kernel_tuner", runtime::KernelTuner::instance().exportJson());
     js.field("table_within_noise", within);
+    const double steal_frac = steal.frac();
+    const bool comparable = steal_frac <= bench::kMaxStealFrac;
+    js.field("cpu_steal_frac", steal_frac);
+    js.field("comparable", comparable);
     js.endObject();
+    std::printf("cpu steal %.1f%% of the run: %s\n", 100 * steal_frac,
+                comparable ? "comparable"
+                           : "NON-COMPARABLE (above the steal bound)");
     std::printf("table within noise of the best candidate (f32, bf16): "
                 "%s\nwrote %s\n",
                 within ? "yes" : "NO", js.path().c_str());

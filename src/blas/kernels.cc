@@ -1,12 +1,12 @@
 /**
  * @file
- * Kernel dispatch layer: binds the public blas:: entry points to the
- * scalar reference (kernels_scalar.cc) or the AVX2+FMA backend
- * (kernels_avx2.cc). The backend is chosen exactly once, at first use,
- * from the host CPU features and the MNNFAST_NO_SIMD environment
- * variable; composite kernels (gemv, softmax, ...) are built here on
- * top of the dispatched primitives so both backends share one
- * definition of the algorithm.
+ * Kernel dispatch layer: binds the public blas:: entry points to one
+ * kernel tier — the scalar reference (kernels_scalar.cc), AVX2+FMA
+ * (kernels_avx2.cc) or AVX-512 (kernels_avx512.cc). The tier is chosen
+ * exactly once, at first use: the widest the host CPU supports, capped
+ * by the MNNFAST_KERNELS environment variable. Composite kernels (gemv,
+ * softmax, ...) are built here on top of the dispatched primitives so
+ * every tier shares one definition of the algorithm.
  */
 
 #include "blas/kernels.hh"
@@ -35,19 +35,40 @@ scalarTable()
     };
 }
 
+/** Kernel tiers, narrowest first (the names MNNFAST_KERNELS takes). */
+enum Tier { kScalar, kAvx2, kAvx512 };
+constexpr const char *kTierNames[] = {"scalar", "avx2", "avx512"};
+
 /**
- * The active backend, resolved once (thread-safe static init).
- * MNNFAST_NO_SIMD set to anything but "0" or "" pins the scalar path.
+ * The widest tier MNNFAST_KERNELS allows; unset or empty allows every
+ * tier. The cap can only lower the CPUID choice. Any other value is
+ * fatal: a mistyped cap must not silently run a different tier than
+ * the one asked for.
  */
+Tier
+tierCap()
+{
+    const char *env = std::getenv("MNNFAST_KERNELS");
+    if (!env || env[0] == '\0')
+        return kAvx512;
+    for (Tier t : {kScalar, kAvx2, kAvx512})
+        if (std::strcmp(env, kTierNames[t]) == 0)
+            return t;
+    fatal("MNNFAST_KERNELS='%s': expected scalar, avx2 or avx512", env);
+}
+
+/** The active tier, resolved once (thread-safe static init). */
 const detail::KernelTable &
 active()
 {
     static const detail::KernelTable table = [] {
-        if (const char *env = std::getenv("MNNFAST_NO_SIMD");
-            env && env[0] != '\0' && std::strcmp(env, "0") != 0)
-            return scalarTable();
-        if (const detail::KernelTable *avx2 = detail::avx2Kernels())
-            return *avx2;
+        const Tier cap = tierCap();
+        if (cap >= kAvx512)
+            if (const detail::KernelTable *t = detail::avx512Kernels())
+                return *t;
+        if (cap >= kAvx2)
+            if (const detail::KernelTable *t = detail::avx2Kernels())
+                return *t;
         return scalarTable();
     }();
     return table;

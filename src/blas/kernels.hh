@@ -8,19 +8,22 @@
  * column chunks) run on the *same* kernels — the measured differences
  * then come from dataflow, not from kernel quality differences.
  *
- * Every primitive has two implementations: a portable scalar reference
- * (namespace blas::scalar, always compiled) and an AVX2+FMA backend
- * selected once at startup by runtime CPU-feature dispatch. Setting
- * the environment variable MNNFAST_NO_SIMD=1 forces the scalar path,
- * which makes debugging runs reproducible across hosts. See DESIGN.md
- * ("Kernel architecture & dispatch") for the dispatch policy and the
- * micro-kernel shapes.
+ * Every primitive has a portable scalar reference (namespace
+ * blas::scalar, always compiled) and SIMD tiers — AVX2+FMA and AVX-512,
+ * whose fused kernels share one body over a vector-width trait — and
+ * the widest tier the host CPU supports is selected once at startup.
+ * The environment variable MNNFAST_KERNELS=scalar|avx2|avx512 caps the
+ * tier (it never raises it; any other value is fatal), which pins
+ * debugging runs across hosts and lets one host check every tier
+ * against the others. See DESIGN.md ("Kernel architecture & dispatch")
+ * for the dispatch policy and the micro-kernel shapes.
  *
  * Conventions: all matrices are row-major, dimensions are given as
  * (rows, cols), and vectors are contiguous float arrays. Kernels never
- * allocate, with one exception: gemm keeps a thread-local packing
- * buffer for B panels (grows to kc x n floats and is reused across
- * calls).
+ * allocate, with two exceptions, both thread-local buffers that grow
+ * and are reused across calls: gemm packs B panels (kc x n floats),
+ * and the AVX-512 dotBatchMulti packs its queries (about nx x n
+ * floats).
  */
 
 #ifndef MNNFAST_BLAS_KERNELS_HH
@@ -51,7 +54,7 @@ float sum(const float *x, size_t n);
 
 /**
  * Largest element of a non-empty length-n vector. A NaN anywhere
- * gives a quiet NaN, on both backends.
+ * gives a quiet NaN, on every tier.
  */
 float maxElement(const float *x, size_t n);
 
@@ -61,7 +64,8 @@ float maxElement(const float *x, size_t n);
  * the matrix rows — fp32, bf16 (uint16_t) and int8 under an affine
  * code (scale, zero). Queries, e values and outputs are always fp32.
  *
- * Decode-policy contract. Each backend writes each kernel once, over
+ * Decode-policy contract. Each implementation (the scalar reference,
+ * the SIMD tiers' shared body) writes each kernel once, over
  * a row-decode policy per precision that supplies:
  *  - widen: a stored element to fp32, exactly (bf16: a 16-bit shift;
  *    int8: sign-extend and convert; fp32: as-is);
@@ -79,12 +83,12 @@ float maxElement(const float *x, size_t n);
  * element with one single-rounded fma. The skip test and running
  * sums are per-(query, row) scalar double arithmetic on the e values
  * — rows never enter it — so skip decisions are identical across
- * precisions and backends.
+ * precisions and tiers.
  *
- * Both backends implement exactly these orders, so for every
- * precision the scalar and AVX2 backends are bit-identical to each
- * other (property-tested), and results never depend on how queries
- * are tiled or how a row sweep is split into calls. Rows in different
+ * Every tier implements exactly these orders, so for every precision
+ * the scalar, AVX2 and AVX-512 tiers are bit-identical to each other
+ * (property-tested), and results never depend on how queries are
+ * tiled or how a row sweep is split into calls. Rows in different
  * int8 quantization chunks need separate calls (the engines split at
  * KnowledgeBase::i8GroupEnd; see DESIGN.md §10).
  */
@@ -96,10 +100,13 @@ float maxElement(const float *x, size_t n);
  *   out[q * ostride + r] = dot(x + q * xstride, rows + r * stride, n)
  *
  * for q in [0, nx), r in [0, count) — a small packed GEMM shaped for
- * the column engine's phase 1. The AVX2 backend register-tiles 3
+ * the column engine's phase 1. The AVX2 tier register-tiles 3
  * queries x 4 rows (triples, then pairs; a lone query only when
- * nx == 1), so each 8-wide row load feeds every query in the tile and
- * the per-query M_IN load traffic drops accordingly; the engine-level
+ * nx == 1); the AVX-512 tier holds two queries' chains per zmm and
+ * tiles 4 such pairs x 8 rows. Each 8-wide row load feeds every query
+ * in the tile, so the per-query M_IN load traffic drops accordingly.
+ * The AVX-512 tier interleaves the queries into a thread-local packed
+ * buffer (grown, never shrunk) once per call. The engine-level
  * strip blocking on top keeps a row strip cache-resident across the
  * whole batch, which is what amortizes the KB stream over concurrent
  * queries. Requires stride >= n and xstride >= n; out rows must not
@@ -126,11 +133,11 @@ void dotBatchMulti(const float *x, size_t nx, size_t xstride,
  * A kept row is loaded once and accumulated into every keeping
  * query's accumulator while it is register/L1-hot, so per-query M_OUT
  * traffic shrinks by the batch size. A threshold of 0 keeps every
- * row. Any ne is accepted (the AVX2 backend works in query tiles of
- * kWsumQueryTile, and with threshold > 0 runs the skip tests of four
- * queries per vector, each lane replaying the scalar double steps
- * above). Requires stride >= n and accstride >= n; e rows and acc
- * rows must not alias.
+ * row. Any ne is accepted (the SIMD tiers work in query tiles of
+ * kWsumQueryTile, and with threshold > 0 run the skip tests of four
+ * queries per vector, or eight on AVX-512 for tiles of more than four,
+ * each lane replaying the scalar double steps above). Requires stride >= n and
+ * accstride >= n; e rows and acc rows must not alias.
  */
 void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                           const float *rows, size_t count, size_t n,
@@ -140,7 +147,7 @@ void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                           uint64_t &skipped);
 
 /**
- * Largest query tile one pass of the AVX2 weighted sum handles (its
+ * Largest query tile one pass of the SIMD weighted sum handles (its
  * kept-set scatter list is a fixed stack array); exposed so engines
  * can align their own blocking with the kernel's.
  */
@@ -264,17 +271,17 @@ void softmax(float *x, size_t n);
 void softmaxRaw(float *x, size_t n);
 
 /**
- * True when the runtime-dispatched SIMD backend is active (the CPU
- * supports AVX2+FMA and MNNFAST_NO_SIMD is not set).
+ * True when a SIMD tier is active (the CPU supports AVX2+FMA and
+ * MNNFAST_KERNELS does not cap the tier at scalar).
  */
 bool simdActive();
 
-/** Name of the active kernel backend: "avx2" or "scalar". */
+/** Name of the active kernel tier: "avx512", "avx2" or "scalar". */
 const char *kernelBackendName();
 
 /**
  * Portable reference implementations. Always compiled; the public
- * kernels above dispatch to either these or the SIMD backend. Exposed
+ * kernels above dispatch to either these or a SIMD tier. Exposed
  * so property tests can compare the two paths directly and so callers
  * can pin the reference path independently of the dispatch decision.
  * zero/copy/gemv/gemvT/softmax have no SIMD-specific variant (they are

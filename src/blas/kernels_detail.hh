@@ -53,12 +53,19 @@ struct KernelTable
 };
 
 /**
- * The AVX2+FMA backend, or nullptr when the translation unit was built
+ * The AVX2+FMA tier, or nullptr when the translation unit was built
  * without AVX2 support or the host CPU lacks the features. Defined in
  * kernels_avx2.cc (which is compiled with -mavx2 -mfma on x86-64 and
  * degrades to a nullptr stub elsewhere).
  */
 const KernelTable *avx2Kernels();
+
+/**
+ * The AVX-512 tier (F/VL/BW/DQ), or nullptr likewise: the AVX2 table
+ * with its fused kernels replaced by 512-bit instantiations. Defined
+ * in kernels_avx512.cc.
+ */
+const KernelTable *avx512Kernels();
 
 } // namespace mnnfast::blas::detail
 

@@ -52,10 +52,12 @@ struct PlanEntry
 /**
  * The table (BENCH_plans.json). int8's single-question plan is the
  * whole chunk without engine prefetch: its kernels prefetch ahead
- * internally and amortize per-call query sums over the chunk.
+ * internally and amortize per-call query sums over the chunk. The
+ * table has no kernel-tier key: the sweeps on both SIMD tiers put the
+ * same entries within noise of the best (DESIGN.md §10).
  */
 inline constexpr PlanEntry kPlanTable[] = {
-    {"f32", {kWholeChunk, 4}, {64, 2}},
+    {"f32", {kWholeChunk, 4}, {kWholeChunk, 2}},
     {"bf16", {kWholeChunk, 2}, {kWholeChunk, 0}},
     {"i8", {kWholeChunk, 0}, {kWholeChunk, 2}},
     {"bound", {kWholeChunk, 0}, {16, 0}},

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -300,11 +301,25 @@ TEST(Softmax, RawSurvivesOverflowingLogits)
 
 TEST(Dispatch, BackendNameMatchesSimdFlag)
 {
-    const std::string name = kernelBackendName();
-    if (simdActive())
-        EXPECT_EQ(name, "avx2");
-    else
-        EXPECT_EQ(name, "scalar");
+    // The exact tier CPUID allows, lowered (never raised) by the
+    // MNNFAST_KERNELS cap.
+    const char *cap = std::getenv("MNNFAST_KERNELS");
+    const std::string c = cap ? cap : "";
+    std::string want = "scalar";
+#if defined(__x86_64__)
+    const bool avx2 =
+        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    const bool avx512 = avx2 && __builtin_cpu_supports("avx512f") &&
+                        __builtin_cpu_supports("avx512vl") &&
+                        __builtin_cpu_supports("avx512bw") &&
+                        __builtin_cpu_supports("avx512dq");
+    if (avx512 && (c.empty() || c == "avx512"))
+        want = "avx512";
+    else if (avx2 && c != "scalar")
+        want = "avx2";
+#endif
+    EXPECT_EQ(kernelBackendName(), want) << "MNNFAST_KERNELS=" << c;
+    EXPECT_EQ(simdActive(), want != "scalar");
 }
 
 // ---------------------------------------------------------------------
@@ -630,28 +645,32 @@ TEST(DotBatchMulti, BitIdenticalToPerQueryDotBatch)
     // dot must carry out the same accumulation order as a one-query
     // sweep, so the outputs are bit-identical — whichever backend
     // dispatch resolved to.
-    const size_t d = 129, stride = 133, xstride = 131;
-    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
-                      size_t(5), size_t(6), size_t(7), size_t(8),
-                      size_t(9), size_t(16)}) {
-        for (size_t count : {size_t(0), size_t(1), size_t(3), size_t(4),
-                             size_t(5), size_t(17), size_t(64)}) {
-            const size_t ostride = count + 2; // padded: catch strays
-            const auto x = nastyVec(nq * xstride, 501);
-            const auto rows = nastyVec(count * stride, 502);
-            std::vector<float> got(nq * ostride, -9.f);
-            std::vector<float> ref(nq * ostride, -9.f);
+    for (size_t d : {size_t(100), size_t(129)}) {
+        const size_t stride = d + 4, xstride = d + 2;
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
+                          size_t(5), size_t(6), size_t(7), size_t(8),
+                          size_t(9), size_t(15), size_t(16)}) {
+            for (size_t count : {size_t(0), size_t(1), size_t(3), size_t(4),
+                                 size_t(5), size_t(17), size_t(37),
+                                 size_t(64), size_t(101)}) {
+                const size_t ostride = count + 2; // padded: catch strays
+                const auto x = nastyVec(nq * xstride, 501);
+                const auto rows = nastyVec(count * stride, 502);
+                std::vector<float> got(nq * ostride, -9.f);
+                std::vector<float> ref(nq * ostride, -9.f);
 
-            dotBatchMulti(x.data(), nq, xstride, rows.data(), count, d,
-                          stride, got.data(), ostride);
-            for (size_t q = 0; q < nq; ++q)
-                dotBatchMulti(x.data() + q * xstride, 1, xstride,
-                              rows.data(), count, d, stride,
-                              ref.data() + q * ostride, ostride);
+                dotBatchMulti(x.data(), nq, xstride, rows.data(), count, d,
+                              stride, got.data(), ostride);
+                for (size_t q = 0; q < nq; ++q)
+                    dotBatchMulti(x.data() + q * xstride, 1, xstride,
+                                  rows.data(), count, d, stride,
+                                  ref.data() + q * ostride, ostride);
 
-            for (size_t i = 0; i < got.size(); ++i)
-                ASSERT_EQ(got[i], ref[i])
-                    << "nq=" << nq << " count=" << count << " i=" << i;
+                for (size_t i = 0; i < got.size(); ++i)
+                    ASSERT_EQ(got[i], ref[i]) << "d=" << d << " nq=" << nq
+                                              << " count=" << count
+                                              << " i=" << i;
+            }
         }
     }
 }
@@ -721,15 +740,15 @@ TEST(WeightedSumSkipMulti, BitIdenticalToPerQuerySweep)
 
 TEST(DotBatchMulti, BitIdenticalToScalarReference)
 {
-    const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 129, 256};
+    const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 100, 129, 256};
     for (size_t d : d_cases) {
         const size_t stride = d + 3, xstride = d + 1;
         for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
                           size_t(5), size_t(6), size_t(7), size_t(8),
-                          size_t(9), size_t(16)}) {
+                          size_t(9), size_t(15), size_t(16)}) {
             for (size_t count : {size_t(0), size_t(1), size_t(3),
                                  size_t(4), size_t(5), size_t(17),
-                                 size_t(64)}) {
+                                 size_t(37), size_t(64), size_t(101)}) {
                 const size_t ostride = count + 2; // padded: catch strays
                 const auto x = nastyVec(nq * xstride, 681, 0);
                 const auto rows = nastyVec(count * stride, 682, 0);
@@ -753,47 +772,50 @@ TEST(DotBatchMulti, BitIdenticalToScalarReference)
 
 TEST(WeightedSumSkipMulti, BitIdenticalToScalarReference)
 {
-    const size_t d = 65, stride = 67;
-    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
-                      kWsumQueryTile, kWsumQueryTile + 1,
-                      2 * kWsumQueryTile + 1}) {
-        for (float threshold : {0.0f, 0.05f, 0.5f}) {
-            for (size_t count : {size_t(0), size_t(1), size_t(7),
-                                 size_t(100)}) {
-                const size_t estride = count + 3;
-                const size_t accstride = d + 5;
-                auto e = nastyVec(nq * estride, 691, 0);
-                for (float &v : e)
-                    v = std::abs(v) + 1e-3f; // exp outputs are positive
-                const auto rows = nastyVec(count * stride, 692, 0);
+    for (size_t d : {size_t(65), size_t(100)}) {
+        const size_t stride = d + 2;
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
+                          size_t(9), size_t(15), kWsumQueryTile,
+                          kWsumQueryTile + 1, 2 * kWsumQueryTile + 1}) {
+            for (float threshold : {0.0f, 0.05f, 0.5f}) {
+                for (size_t count : {size_t(0), size_t(1), size_t(7),
+                                     size_t(37), size_t(100),
+                                     size_t(101)}) {
+                    const size_t estride = count + 3;
+                    const size_t accstride = d + 5;
+                    auto e = nastyVec(nq * estride, 691, 0);
+                    for (float &v : e)
+                        v = std::abs(v) + 1e-3f; // exp outputs are positive
+                    const auto rows = nastyVec(count * stride, 692, 0);
 
-                auto acc1 = nastyVec(nq * accstride, 693, 0);
-                auto acc2 = acc1;
-                std::vector<double> s1(nq), s2(nq);
-                for (size_t q = 0; q < nq; ++q)
-                    s1[q] = s2[q] = 0.25 * double(q);
-                uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
+                    auto acc1 = nastyVec(nq * accstride, 693, 0);
+                    auto acc2 = acc1;
+                    std::vector<double> s1(nq), s2(nq);
+                    for (size_t q = 0; q < nq; ++q)
+                        s1[q] = s2[q] = 0.25 * double(q);
+                    uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
 
-                weightedSumSkipMulti(e.data(), nq, estride, rows.data(),
-                                     count, d, stride, threshold,
-                                     s1.data(), acc1.data(), accstride,
-                                     kept1, skip1);
-                scalar::weightedSumSkipMulti(
-                    e.data(), nq, estride, rows.data(), count, d, stride,
-                    threshold, s2.data(), acc2.data(), accstride, kept2,
-                    skip2);
+                    weightedSumSkipMulti(e.data(), nq, estride, rows.data(),
+                                         count, d, stride, threshold,
+                                         s1.data(), acc1.data(), accstride,
+                                         kept1, skip1);
+                    scalar::weightedSumSkipMulti(
+                        e.data(), nq, estride, rows.data(), count, d, stride,
+                        threshold, s2.data(), acc2.data(), accstride, kept2,
+                        skip2);
 
-                ASSERT_EQ(kept1, kept2)
-                    << "nq=" << nq << " th=" << threshold
-                    << " count=" << count;
-                ASSERT_EQ(skip1, skip2);
-                ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
-                for (size_t q = 0; q < nq; ++q)
-                    ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
-                for (size_t i = 0; i < acc1.size(); ++i)
-                    ASSERT_EQ(acc1[i], acc2[i])
+                    ASSERT_EQ(kept1, kept2)
                         << "nq=" << nq << " th=" << threshold
-                        << " count=" << count << " i=" << i;
+                        << " count=" << count;
+                    ASSERT_EQ(skip1, skip2);
+                    ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
+                    for (size_t q = 0; q < nq; ++q)
+                        ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
+                    for (size_t i = 0; i < acc1.size(); ++i)
+                        ASSERT_EQ(acc1[i], acc2[i])
+                            << "nq=" << nq << " th=" << threshold
+                            << " count=" << count << " i=" << i;
+                }
             }
         }
     }
@@ -844,15 +866,15 @@ TEST(Bf16Convert, SpecialsPropagate)
 
 TEST(DotBatchMultiBf16, BitIdenticalToScalarReference)
 {
-    const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 129, 256};
+    const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 100, 129, 256};
     for (size_t d : d_cases) {
         const size_t stride = d + 3, xstride = d + 1;
         for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
                           size_t(5), size_t(6), size_t(7), size_t(8),
-                          size_t(9), size_t(16)}) {
+                          size_t(9), size_t(15), size_t(16)}) {
             for (size_t count : {size_t(0), size_t(1), size_t(3),
                                  size_t(4), size_t(5), size_t(17),
-                                 size_t(64)}) {
+                                 size_t(37), size_t(64), size_t(101)}) {
                 const size_t ostride = count + 2;
                 const auto x = nastyVec(nq * xstride, 611, 0);
                 const auto rows = nastyVecBf16(count * stride, 612);
@@ -899,48 +921,51 @@ TEST(DotBatchMultiBf16, MatchesWideningDoubleReference)
 
 TEST(WeightedSumSkipMultiBf16, BitIdenticalToScalarReference)
 {
-    const size_t d = 65, stride = 67;
-    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
-                      kWsumQueryTile, kWsumQueryTile + 1,
-                      2 * kWsumQueryTile + 1}) {
-        for (float threshold : {0.0f, 0.05f, 0.5f}) {
-            for (size_t count : {size_t(0), size_t(1), size_t(7),
-                                 size_t(100)}) {
-                const size_t estride = count + 3;
-                const size_t accstride = d + 5;
-                auto e = nastyVec(nq * estride, 621, 0);
-                for (float &v : e)
-                    v = std::abs(v) + 1e-3f; // exp outputs are positive
-                const auto rows = nastyVecBf16(count * stride, 622);
+    for (size_t d : {size_t(65), size_t(100)}) {
+        const size_t stride = d + 2;
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
+                          size_t(9), size_t(15), kWsumQueryTile,
+                          kWsumQueryTile + 1, 2 * kWsumQueryTile + 1}) {
+            for (float threshold : {0.0f, 0.05f, 0.5f}) {
+                for (size_t count : {size_t(0), size_t(1), size_t(7),
+                                     size_t(37), size_t(100),
+                                     size_t(101)}) {
+                    const size_t estride = count + 3;
+                    const size_t accstride = d + 5;
+                    auto e = nastyVec(nq * estride, 621, 0);
+                    for (float &v : e)
+                        v = std::abs(v) + 1e-3f; // exp outputs are positive
+                    const auto rows = nastyVecBf16(count * stride, 622);
 
-                auto acc1 = nastyVec(nq * accstride, 623, 0);
-                auto acc2 = acc1;
-                std::vector<double> s1(nq), s2(nq);
-                for (size_t q = 0; q < nq; ++q)
-                    s1[q] = s2[q] = 0.25 * double(q);
-                uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
+                    auto acc1 = nastyVec(nq * accstride, 623, 0);
+                    auto acc2 = acc1;
+                    std::vector<double> s1(nq), s2(nq);
+                    for (size_t q = 0; q < nq; ++q)
+                        s1[q] = s2[q] = 0.25 * double(q);
+                    uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
 
-                weightedSumSkipMultiBf16(
-                    e.data(), nq, estride, rows.data(), count, d,
-                    stride, threshold, s1.data(), acc1.data(),
-                    accstride, kept1, skip1);
-                // The scalar reference takes any ne; no tiling needed.
-                scalar::weightedSumSkipMultiBf16(
-                    e.data(), nq, estride, rows.data(), count, d,
-                    stride, threshold, s2.data(), acc2.data(),
-                    accstride, kept2, skip2);
+                    weightedSumSkipMultiBf16(
+                        e.data(), nq, estride, rows.data(), count, d,
+                        stride, threshold, s1.data(), acc1.data(),
+                        accstride, kept1, skip1);
+                    // The scalar reference takes any ne; no tiling needed.
+                    scalar::weightedSumSkipMultiBf16(
+                        e.data(), nq, estride, rows.data(), count, d,
+                        stride, threshold, s2.data(), acc2.data(),
+                        accstride, kept2, skip2);
 
-                ASSERT_EQ(kept1, kept2)
-                    << "nq=" << nq << " th=" << threshold
-                    << " count=" << count;
-                ASSERT_EQ(skip1, skip2);
-                ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
-                for (size_t q = 0; q < nq; ++q)
-                    ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
-                for (size_t i = 0; i < acc1.size(); ++i)
-                    ASSERT_EQ(acc1[i], acc2[i])
+                    ASSERT_EQ(kept1, kept2)
                         << "nq=" << nq << " th=" << threshold
-                        << " count=" << count << " i=" << i;
+                        << " count=" << count;
+                    ASSERT_EQ(skip1, skip2);
+                    ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
+                    for (size_t q = 0; q < nq; ++q)
+                        ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
+                    for (size_t i = 0; i < acc1.size(); ++i)
+                        ASSERT_EQ(acc1[i], acc2[i])
+                            << "nq=" << nq << " th=" << threshold
+                            << " count=" << count << " i=" << i;
+                }
             }
         }
     }
@@ -999,15 +1024,15 @@ nastyVecI8(size_t n, uint64_t seed)
 TEST(DotBatchMultiI8, BitIdenticalToScalarReference)
 {
     const float scale = 0.0123f, zero = -0.456f;
-    const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 129, 256};
+    const size_t d_cases[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 100, 129, 256};
     for (size_t d : d_cases) {
         const size_t stride = d + 3, xstride = d + 1;
         for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4),
                           size_t(5), size_t(6), size_t(7), size_t(8),
-                          size_t(9), size_t(16)}) {
+                          size_t(9), size_t(15), size_t(16)}) {
             for (size_t count : {size_t(0), size_t(1), size_t(3),
                                  size_t(4), size_t(5), size_t(17),
-                                 size_t(64)}) {
+                                 size_t(37), size_t(64), size_t(101)}) {
                 const size_t ostride = count + 2;
                 const auto x = nastyVec(nq * xstride, 641, 0);
                 const auto rows = nastyVecI8(count * stride, 642);
@@ -1083,49 +1108,52 @@ TEST(DotBatchMultiI8, RowSweepSplitInvariant)
 
 TEST(WeightedSumSkipMultiI8, BitIdenticalToScalarReference)
 {
-    const size_t d = 65, stride = 67;
-    const float scale = 0.0123f, zero = -0.456f;
-    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
-                      kWsumQueryTile, kWsumQueryTile + 1,
-                      2 * kWsumQueryTile + 1}) {
-        for (float threshold : {0.0f, 0.05f, 0.5f}) {
-            for (size_t count : {size_t(0), size_t(1), size_t(7),
-                                 size_t(100)}) {
-                const size_t estride = count + 3;
-                const size_t accstride = d + 5;
-                auto e = nastyVec(nq * estride, 651, 0);
-                for (float &v : e)
-                    v = std::abs(v) + 1e-3f; // exp outputs are positive
-                const auto rows = nastyVecI8(count * stride, 652);
+    for (size_t d : {size_t(65), size_t(100)}) {
+        const size_t stride = d + 2;
+        const float scale = 0.0123f, zero = -0.456f;
+        for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5),
+                          size_t(9), size_t(15), kWsumQueryTile,
+                          kWsumQueryTile + 1, 2 * kWsumQueryTile + 1}) {
+            for (float threshold : {0.0f, 0.05f, 0.5f}) {
+                for (size_t count : {size_t(0), size_t(1), size_t(7),
+                                     size_t(37), size_t(100),
+                                     size_t(101)}) {
+                    const size_t estride = count + 3;
+                    const size_t accstride = d + 5;
+                    auto e = nastyVec(nq * estride, 651, 0);
+                    for (float &v : e)
+                        v = std::abs(v) + 1e-3f; // exp outputs are positive
+                    const auto rows = nastyVecI8(count * stride, 652);
 
-                auto acc1 = nastyVec(nq * accstride, 653, 0);
-                auto acc2 = acc1;
-                std::vector<double> s1(nq), s2(nq);
-                for (size_t q = 0; q < nq; ++q)
-                    s1[q] = s2[q] = 0.25 * double(q);
-                uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
+                    auto acc1 = nastyVec(nq * accstride, 653, 0);
+                    auto acc2 = acc1;
+                    std::vector<double> s1(nq), s2(nq);
+                    for (size_t q = 0; q < nq; ++q)
+                        s1[q] = s2[q] = 0.25 * double(q);
+                    uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
 
-                weightedSumSkipMultiI8(
-                    e.data(), nq, estride, rows.data(), count, d,
-                    stride, scale, zero, threshold, s1.data(),
-                    acc1.data(), accstride, kept1, skip1);
-                // The scalar reference takes any ne; no tiling needed.
-                scalar::weightedSumSkipMultiI8(
-                    e.data(), nq, estride, rows.data(), count, d,
-                    stride, scale, zero, threshold, s2.data(),
-                    acc2.data(), accstride, kept2, skip2);
+                    weightedSumSkipMultiI8(
+                        e.data(), nq, estride, rows.data(), count, d,
+                        stride, scale, zero, threshold, s1.data(),
+                        acc1.data(), accstride, kept1, skip1);
+                    // The scalar reference takes any ne; no tiling needed.
+                    scalar::weightedSumSkipMultiI8(
+                        e.data(), nq, estride, rows.data(), count, d,
+                        stride, scale, zero, threshold, s2.data(),
+                        acc2.data(), accstride, kept2, skip2);
 
-                ASSERT_EQ(kept1, kept2)
-                    << "nq=" << nq << " th=" << threshold
-                    << " count=" << count;
-                ASSERT_EQ(skip1, skip2);
-                ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
-                for (size_t q = 0; q < nq; ++q)
-                    ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
-                for (size_t i = 0; i < acc1.size(); ++i)
-                    ASSERT_EQ(acc1[i], acc2[i])
+                    ASSERT_EQ(kept1, kept2)
                         << "nq=" << nq << " th=" << threshold
-                        << " count=" << count << " i=" << i;
+                        << " count=" << count;
+                    ASSERT_EQ(skip1, skip2);
+                    ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
+                    for (size_t q = 0; q < nq; ++q)
+                        ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
+                    for (size_t i = 0; i < acc1.size(); ++i)
+                        ASSERT_EQ(acc1[i], acc2[i])
+                            << "nq=" << nq << " th=" << threshold
+                            << " count=" << count << " i=" << i;
+                }
             }
         }
     }

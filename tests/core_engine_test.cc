@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -559,44 +560,53 @@ TEST(ColumnEngine, ObserverSeesEveryChunkOnce)
 
 TEST(ColumnEngine, DynamicSchedulingBalancesStalledWorkers)
 {
-    // Engine-level load-balance check under zero-skipping. The
-    // observer sleeps per chunk, making chunk cost blocking-bound:
-    // that is what lets a single-core host rotate workers (a
-    // compute-bound body would let one worker drain the cursor within
-    // its scheduler quantum, saying nothing about the scheduler).
-    constexpr size_t kWorkers = 4;
+    // Engine-level load-balance check under zero-skipping. The first
+    // worker to finish a chunk stalls on a latch until the other
+    // workers have drained the chunk cursor, so dynamic scheduling must
+    // hand every other chunk to them: the stalled worker takes exactly
+    // its one chunk (a static split would leave it a quarter). Nothing
+    // is timed, so CPU contention cannot flip the outcome.
+    constexpr size_t kWorkers = 4, kChunks = 64;
     const size_t ns = 6400, ed = 8, nq = 1; // 64 chunks of 100
     const KnowledgeBase kb = randomKb(ns, ed, 67);
     const auto u = randomBatch(nq, ed, 68);
     std::vector<float> o(nq * ed);
 
-    for (int attempt = 0; attempt < 4; ++attempt) {
-        EngineConfig cfg;
-        cfg.chunkSize = 100;
-        cfg.threads = kWorkers;
-        cfg.scheduleGroups = 64; // one chunk per group: max slack
-        cfg.skipThreshold = 0.1f;
-        cfg.schedule = Schedule::Dynamic;
-        std::vector<std::atomic<size_t>> per_worker(kWorkers);
-        for (auto &c : per_worker)
-            c.store(0);
-        cfg.chunkObserver = [&](size_t worker, size_t) {
-            per_worker[worker].fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        };
-        ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o.data());
-
-        size_t min_c = ns, max_c = 0, total = 0;
-        for (const auto &c : per_worker) {
-            min_c = std::min(min_c, c.load());
-            max_c = std::max(max_c, c.load());
-            total += c.load();
+    EngineConfig cfg;
+    cfg.chunkSize = 100;
+    cfg.threads = kWorkers;
+    cfg.scheduleGroups = kChunks; // one chunk per group: max slack
+    cfg.skipThreshold = 0.1f;
+    cfg.schedule = Schedule::Dynamic;
+    std::mutex mu;
+    std::condition_variable drained;
+    std::vector<size_t> per_worker(kWorkers, 0);
+    size_t stalled = kWorkers; // none yet
+    size_t others = 0;         // chunks the other workers finished
+    bool released = true;
+    cfg.chunkObserver = [&](size_t worker, size_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        ++per_worker[worker];
+        if (stalled == kWorkers) {
+            stalled = worker;
+            // A generous bound, not a timing assumption: it only turns
+            // a scheduler that never drains into a failure, not a hang.
+            released = drained.wait_for(lock, std::chrono::seconds(60),
+                                        [&] { return others == kChunks - 1; });
+        } else if (++others == kChunks - 1) {
+            drained.notify_all();
         }
-        ASSERT_EQ(total, 64u);
-        if (min_c > 0 && max_c <= min_c + (min_c + 3) / 4)
-            return; // max within 25% of min: balanced
-    }
-    FAIL() << "dynamic chunk scheduling never balanced the workers";
+    };
+    ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o.data());
+
+    ASSERT_TRUE(released) << "the other workers never drained the cursor";
+    ASSERT_LT(stalled, kWorkers);
+    size_t total = 0;
+    for (size_t c : per_worker)
+        total += c;
+    EXPECT_EQ(total, kChunks);
+    EXPECT_EQ(per_worker[stalled], 1u)
+        << "the stalled worker took chunks the others could have run";
 }
 
 TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)

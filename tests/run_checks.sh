@@ -35,16 +35,15 @@ for preset in "${presets[@]}"; do
     cmake --preset "${preset}"
     cmake --build --preset "${preset}" -j "${jobs}"
     ctest --preset "${preset}" -j "${jobs}"
-    # Second pass with SIMD dispatch disabled: on AVX2 hosts the run
-    # above only exercises the vector backend, so this pins the scalar
-    # reference kernels (and the scalar/AVX2 bit-identity contracts
-    # are still checked above, where both backends are reachable).
-    # This covers the fused kernels of every precision: the dispatched
-    # run and this scalar run both execute the fp32, bf16 and int8
-    # BitIdenticalToScalarReference suites, which assert the two
-    # backends agree bit for bit.
-    echo "==> preset: ${preset} (MNNFAST_NO_SIMD=1)"
-    MNNFAST_NO_SIMD=1 ctest --preset "${preset}" -j "${jobs}"
+    # Second pass with the kernel tier capped at scalar: on SIMD hosts
+    # the run above exercises the widest vector tier (plus the AVX2
+    # tier, through ctest's KernelTiers.Avx2CapBitIdentity leg), so
+    # this pins the scalar reference kernels. The dispatched run and
+    # this scalar run both execute the fp32, bf16 and int8
+    # BitIdenticalToScalarReference suites, which assert the tiers
+    # agree bit for bit.
+    echo "==> preset: ${preset} (MNNFAST_KERNELS=scalar)"
+    MNNFAST_KERNELS=scalar ctest --preset "${preset}" -j "${jobs}"
     bindir="$(bindir_for "${preset}")"
     # Kernel micro-bench smoke (optimized build only): a short run of
     # the fused-kernel benches, whose single-query cases are the Multi
@@ -56,21 +55,14 @@ for preset in "${presets[@]}"; do
             --benchmark_min_time=0.01 \
             --benchmark_out="${bindir}/BENCH_kernels_smoke.json"
     fi
-    # Backend smoke: the fused kernels of every precision, run in two
-    # processes — default dispatch and MNNFAST_NO_SIMD=1 — must print
-    # the same bits. Its batch sizes (nq 1, 2, 3, 4, 8, 16) reach every
-    # AVX2 dot tile and zero-skip scan path.
+    # Backend smoke: the fused kernels of every precision, run in three
+    # processes — MNNFAST_KERNELS=scalar, avx2 and avx512 — must print
+    # the same bits. Its batch sizes (nq 1, 2, 3, 4, 5, 7, 8, 9, 15, 16)
+    # reach every dot tile, padded odd pair and zero-skip scan path of
+    # both SIMD tiers; a tier the host lacks prints a "skipped" line.
     if [ -x "${bindir}/bench/backend_smoke" ]; then
         echo "==> preset: ${preset} (backend smoke)"
-        tdir=$(mktemp -d)
-        "${bindir}/bench/backend_smoke" > "${tdir}/default.txt"
-        MNNFAST_NO_SIMD=1 "${bindir}/bench/backend_smoke" \
-            > "${tdir}/scalar.txt"
-        head -n1 "${tdir}/default.txt"
-        grep -q '^backend scalar$' "${tdir}/scalar.txt"
-        diff <(grep '^score' "${tdir}/default.txt") \
-             <(grep '^score' "${tdir}/scalar.txt")
-        rm -rf "${tdir}"
+        tests/backend_smoke.sh "${bindir}"
     fi
     # Routed-attention smoke: the top-k ablation's k=all leg asserts
     # bit-identity with the unrouted engine across every storage
@@ -121,4 +113,4 @@ for preset in "${presets[@]}"; do
     fi
 done
 
-echo "all checks passed: ${presets[*]} (simd + scalar dispatch)"
+echo "all checks passed: ${presets[*]} (simd + scalar kernel tiers)"
