@@ -245,6 +245,48 @@ class StealClock
     Times start;
 };
 
+/**
+ * Bytes of the host's last-level cache as sysfs reports it: the
+ * highest-level data or unified cache of cpu0 (a VM reports what its
+ * hypervisor exposes). 0 where sysfs has no cache entries.
+ */
+inline size_t
+llcBytes()
+{
+    int best_level = 0;
+    size_t bytes = 0;
+    for (int i = 0;; ++i) {
+        const std::string dir =
+            "/sys/devices/system/cpu/cpu0/cache/index" + std::to_string(i);
+        int level = 0;
+        char type[32] = {}, unit = 0;
+        unsigned long size = 0;
+        FILE *f = std::fopen((dir + "/level").c_str(), "r");
+        if (!f)
+            break;
+        const bool ok = std::fscanf(f, "%d", &level) == 1;
+        std::fclose(f);
+        if (!ok)
+            continue;
+        if ((f = std::fopen((dir + "/type").c_str(), "r"))) {
+            if (std::fscanf(f, "%31s", type) != 1)
+                type[0] = '\0';
+            std::fclose(f);
+        }
+        if ((f = std::fopen((dir + "/size").c_str(), "r"))) {
+            if (std::fscanf(f, "%lu%c", &size, &unit) < 1)
+                size = 0;
+            std::fclose(f);
+        }
+        if (std::string(type) == "Instruction" || level < best_level)
+            continue;
+        best_level = level;
+        const size_t scale = unit == 'K' ? 1024 : unit == 'M' ? 1 << 20 : 1;
+        bytes = size_t(size) * scale;
+    }
+    return bytes;
+}
+
 /** Above this steal share a bench record is marked non-comparable. */
 inline constexpr double kMaxStealFrac = 0.05;
 

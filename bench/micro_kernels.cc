@@ -8,10 +8,22 @@
  * Each dispatched kernel is benchmarked next to its scalar reference
  * (the `*Scalar` variants call blas::scalar:: directly, which is the
  * seed implementation verbatim), so one run quantifies the SIMD
- * speedup per kernel. Results default to machine-readable JSON in
+ * speedup per kernel. Kernel buffers are 64-byte aligned, as the
+ * engines' are, so no vector load splits a cache line it would not
+ * split in an engine. Results default to machine-readable JSON in
  * ./BENCH_kernels.json; pass --benchmark_out=... to override. The
  * record's context names the build type, the kernel backend, the git
- * revision and the source digest (bench_common.hh).
+ * revision, the source digest and the host's last-level cache
+ * (bench_common.hh).
+ *
+ * The BM_Phase1* cases are the phase-1 streaming diagnostic: one
+ * thread sweeps an f32 ed=128 matrix of at least twice the LLC in the
+ * engine's 1024-row chunk calls — a read-only sweep (the same loads,
+ * no fmas), the dot over one cache-resident chunk, and the streamed
+ * dot with the row look-ahead off and at the plan table's distance —
+ * at nq 1, 8 and 16. If streamed ~ read-only + cached, the stream and
+ * the arithmetic do not overlap. Their names avoid "Multi", so a
+ * --benchmark_filter=Multi smoke skips their large matrix.
  */
 
 #include <benchmark/benchmark.h>
@@ -29,6 +41,7 @@
 #include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
 #include "runtime/kernel_tuner.hh"
+#include "util/aligned_buffer.hh"
 #include "util/bf16.hh"
 #include "util/rng.hh"
 
@@ -36,11 +49,15 @@ using namespace mnnfast;
 
 namespace {
 
-std::vector<float>
+/** Kernel operand buffers: 64-byte aligned, zero-initialized. */
+template <class T>
+using Buf = AlignedBuffer<T>;
+
+Buf<float>
 randomVec(size_t n, uint64_t seed)
 {
     XorShiftRng rng(seed);
-    std::vector<float> v(n);
+    Buf<float> v(n);
     for (float &x : v)
         x = rng.uniformRange(-1.f, 1.f);
     return v;
@@ -80,7 +97,7 @@ BM_DotBatchMulti(benchmark::State &state)
     const size_t rows = state.range(0), nq = state.range(1), d = 256;
     const auto x = randomVec(nq * d, 1);
     const auto m = randomVec(rows * d, 2);
-    std::vector<float> out(nq * rows);
+    Buf<float> out(nq * rows);
     for (auto _ : state) {
         blas::dotBatchMulti(x.data(), nq, d, m.data(), rows, d, d,
                             out.data(), rows);
@@ -105,7 +122,7 @@ BM_WeightedSumSkipMulti(benchmark::State &state)
     for (float &v : e)
         v = v * 0.5f + 0.5f; // positive exp-like weights
     const auto m = randomVec(rows * d, 4);
-    std::vector<float> acc(nq * d, 0.f);
+    Buf<float> acc(nq * d);
     std::vector<double> s(nq);
     for (auto _ : state) {
         std::fill(s.begin(), s.end(), 0.0);
@@ -123,11 +140,11 @@ BENCHMARK(BM_WeightedSumSkipMulti)
     ->Args({512, 16, 0})
     ->Args({512, 16, 1});
 
-std::vector<uint16_t>
+Buf<uint16_t>
 randomVecBf16(size_t n, uint64_t seed)
 {
     const auto f = randomVec(n, seed);
-    std::vector<uint16_t> v(n);
+    Buf<uint16_t> v(n);
     for (size_t i = 0; i < n; ++i)
         v[i] = bf16FromFloat(f[i]);
     return v;
@@ -141,7 +158,7 @@ BM_DotBatchMultiBf16(benchmark::State &state)
     const size_t rows = state.range(0), nq = state.range(1), d = 256;
     const auto x = randomVec(nq * d, 1);
     const auto m = randomVecBf16(rows * d, 2);
-    std::vector<float> out(nq * rows);
+    Buf<float> out(nq * rows);
     for (auto _ : state) {
         blas::dotBatchMultiBf16(x.data(), nq, d, m.data(), rows, d, d,
                                 out.data(), rows);
@@ -164,7 +181,7 @@ BM_WeightedSumSkipMultiBf16(benchmark::State &state)
     for (float &v : e)
         v = v * 0.5f + 0.5f; // positive exp-like weights
     const auto m = randomVecBf16(rows * d, 4);
-    std::vector<float> acc(nq * d, 0.f);
+    Buf<float> acc(nq * d);
     std::vector<double> s(nq);
     for (auto _ : state) {
         std::fill(s.begin(), s.end(), 0.0);
@@ -182,11 +199,11 @@ BENCHMARK(BM_WeightedSumSkipMultiBf16)
     ->Args({512, 16, 0})
     ->Args({512, 16, 1});
 
-std::vector<int8_t>
+Buf<int8_t>
 randomVecI8(size_t n, uint64_t seed)
 {
     XorShiftRng rng(seed);
-    std::vector<int8_t> v(n);
+    Buf<int8_t> v(n);
     for (int8_t &x : v)
         x = static_cast<int8_t>(static_cast<int>(rng.below(256)) - 128);
     return v;
@@ -201,7 +218,7 @@ BM_DotBatchMultiI8(benchmark::State &state)
     const size_t rows = state.range(0), nq = state.range(1), d = 256;
     const auto x = randomVec(nq * d, 1);
     const auto m = randomVecI8(rows * d, 2);
-    std::vector<float> out(nq * rows);
+    Buf<float> out(nq * rows);
     for (auto _ : state) {
         blas::dotBatchMultiI8(x.data(), nq, d, m.data(), rows, d, d,
                               0.0123f, -0.456f, out.data(), rows);
@@ -224,7 +241,7 @@ BM_WeightedSumSkipMultiI8(benchmark::State &state)
     for (float &v : e)
         v = v * 0.5f + 0.5f; // positive exp-like weights
     const auto m = randomVecI8(rows * d, 4);
-    std::vector<float> acc(nq * d, 0.f);
+    Buf<float> acc(nq * d);
     std::vector<double> s(nq);
     for (auto _ : state) {
         std::fill(s.begin(), s.end(), 0.0);
@@ -243,12 +260,115 @@ BENCHMARK(BM_WeightedSumSkipMultiI8)
     ->Args({512, 16, 0})
     ->Args({512, 16, 1});
 
+// --- Phase-1 streaming diagnostic (see the file header) ---------------
+
+constexpr size_t kDiagDim = 128, kDiagChunk = 1024;
+
+/**
+ * The diagnostic's f32 M_IN, built once: whole 1024-row chunks
+ * covering at least twice the LLC sysfs reports (256 MiB if it
+ * reports none).
+ */
+const Buf<float> &
+diagMatrix()
+{
+    static const Buf<float> m = [] {
+        const size_t bytes =
+            std::max<size_t>(2 * bench::llcBytes(), size_t{256} << 20);
+        const size_t chunk_bytes = kDiagChunk * kDiagDim * sizeof(float);
+        const size_t chunks = (bytes + chunk_bytes - 1) / chunk_bytes;
+        return randomVec(chunks * kDiagChunk * kDiagDim, 21);
+    }();
+    return m;
+}
+
+size_t
+diagChunks()
+{
+    return diagMatrix().size() / (kDiagChunk * kDiagDim);
+}
+
+void
+BM_Phase1ReadSweep(benchmark::State &state)
+{
+    // The streamed dot's loads without its fmas: an 8-lane sum per
+    // chunk call.
+    const Buf<float> &m = diagMatrix();
+    const size_t chunk = kDiagChunk * kDiagDim;
+    for (auto _ : state) {
+        float s = 0.f;
+        for (size_t off = 0; off < m.size(); off += chunk)
+            s += blas::sum(m.data() + off, chunk);
+        benchmark::DoNotOptimize(s);
+    }
+    state.SetBytesProcessed(state.iterations() * m.size() * sizeof(float));
+}
+BENCHMARK(BM_Phase1ReadSweep)->Unit(benchmark::kMillisecond);
+
+void
+BM_Phase1CachedDot(benchmark::State &state)
+{
+    // The arithmetic alone: one cache-resident chunk, swept as many
+    // times as the streamed dot makes chunk calls.
+    const size_t nq = state.range(0);
+    const Buf<float> &m = diagMatrix();
+    const auto x = randomVec(nq * kDiagDim, 22);
+    Buf<float> out(nq * kDiagChunk);
+    for (auto _ : state) {
+        for (size_t c = 0; c < diagChunks(); ++c)
+            blas::dotBatchMulti(x.data(), nq, kDiagDim, m.data(),
+                                kDiagChunk, kDiagDim, kDiagDim, out.data(),
+                                kDiagChunk);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetBytesProcessed(state.iterations() * m.size() * sizeof(float));
+}
+BENCHMARK(BM_Phase1CachedDot)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_Phase1StreamedDot(benchmark::State &state)
+{
+    // The engine's phase-1 sweep on one thread: whole-chunk calls over
+    // the DRAM-resident matrix, the row look-ahead off (second arg 0)
+    // or at the f32 plan's distance, reaching into the next chunk.
+    const size_t nq = state.range(0);
+    const size_t ahead =
+        state.range(1) != 0 ? runtime::kernelPlan("f32", nq).lookaheadRows
+                            : 0;
+    const Buf<float> &m = diagMatrix();
+    const size_t chunks = diagChunks();
+    const auto x = randomVec(nq * kDiagDim, 22);
+    Buf<float> out(nq * kDiagChunk);
+    for (auto _ : state) {
+        for (size_t c = 0; c < chunks; ++c)
+            blas::dotBatchMulti(
+                x.data(), nq, kDiagDim, m.data() + c * kDiagChunk * kDiagDim,
+                kDiagChunk, kDiagDim, kDiagDim, out.data(), kDiagChunk,
+                {ahead, c + 1 < chunks ? kDiagChunk : 0});
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetBytesProcessed(state.iterations() * m.size() * sizeof(float));
+    state.SetLabel("lookahead_rows=" + std::to_string(ahead));
+}
+BENCHMARK(BM_Phase1StreamedDot)
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Unit(benchmark::kMillisecond);
+
 void
 BM_ExpInplace(benchmark::State &state)
 {
     const size_t n = state.range(0);
     const auto x = randomVec(n, 5);
-    std::vector<float> work(n);
+    Buf<float> work(n);
     for (auto _ : state) {
         blas::copy(x.data(), work.data(), n);
         blas::expInplace(work.data(), n);
@@ -278,7 +398,7 @@ BM_Gemv(benchmark::State &state)
     const size_t rows = state.range(0), cols = 48;
     const auto a = randomVec(rows * cols, 5);
     const auto x = randomVec(cols, 6);
-    std::vector<float> y(rows);
+    Buf<float> y(rows);
     for (auto _ : state) {
         blas::gemv(a.data(), rows, cols, x.data(), y.data());
         benchmark::DoNotOptimize(y.data());
@@ -293,7 +413,7 @@ BM_Gemm(benchmark::State &state)
     const size_t m = state.range(0), k = 48, n = 48;
     const auto a = randomVec(m * k, 7);
     const auto b = randomVec(k * n, 8);
-    std::vector<float> c(m * n);
+    Buf<float> c(m * n);
     for (auto _ : state) {
         blas::gemm(a.data(), b.data(), c.data(), m, k, n);
         benchmark::DoNotOptimize(c.data());
@@ -310,7 +430,7 @@ BM_Gemm1024(benchmark::State &state)
     const size_t m = 64, k = 1024, n = 64;
     const auto a = randomVec(m * k, 7);
     const auto b = randomVec(k * n, 8);
-    std::vector<float> c(m * n);
+    Buf<float> c(m * n);
     for (auto _ : state) {
         blas::gemm(a.data(), b.data(), c.data(), m, k, n);
         benchmark::DoNotOptimize(c.data());
@@ -325,7 +445,7 @@ BM_Gemm1024Scalar(benchmark::State &state)
     const size_t m = 64, k = 1024, n = 64;
     const auto a = randomVec(m * k, 7);
     const auto b = randomVec(k * n, 8);
-    std::vector<float> c(m * n);
+    Buf<float> c(m * n);
     for (auto _ : state) {
         blas::scalar::gemm(a.data(), b.data(), c.data(), m, k, n,
                            false);
@@ -340,7 +460,7 @@ BM_Softmax(benchmark::State &state)
 {
     const size_t n = state.range(0);
     const auto x = randomVec(n, 9);
-    std::vector<float> work(n);
+    Buf<float> work(n);
     for (auto _ : state) {
         blas::copy(x.data(), work.data(), n);
         blas::softmax(work.data(), n);
@@ -496,6 +616,8 @@ main(int argc, char **argv)
                                 blas::kernelBackendName());
     benchmark::AddCustomContext("git_revision", bench::gitRevision());
     benchmark::AddCustomContext("source_digest", bench::sourceDigest());
+    benchmark::AddCustomContext("llc_bytes",
+                                std::to_string(bench::llcBytes()));
     if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
     const bench::StealClock steal;

@@ -1,22 +1,24 @@
 /**
  * @file
  * The sweep behind the kernel plan table (runtime::kPlanTable,
- * DESIGN.md §10): times every candidate (strip rows, prefetch stride)
- * plan through a real ShardedEngine at DRAM-resident KB sizes and
- * reports, per storage precision and batch size, the best candidate,
- * the table's entry and whether the entry is within noise of the best.
+ * DESIGN.md §10): times every candidate (strip rows, look-ahead rows)
+ * plan through a real ShardedEngine at KB sizes past the last-level
+ * cache and reports, per storage precision and batch size, the best
+ * candidate, the table's entry and whether the entry is within noise
+ * of the best.
  *
  * Workload (the serving benchmark's shapes): ed=128, 1024-row chunks,
  * 2 shards on 2 threads, streaming on, zero-skip 0.1; a topical KB
  * (runs of rows around a shared centroid) so attention is peaked and
- * zero-skip keeps few rows, as with a trained model. f32 at 512 MiB
- * and bf16/i8 at 128 MiB by default — far beyond any LLC, so every
- * candidate streams from DRAM. Candidates: strip {16, 32, 64, whole
- * chunk} x prefetch {0, 2, 4}, at nq {1, 2, 4, 8, 16}; each sample is
- * one batch, samples of all candidates are interleaved round-robin so
- * host drift hits them alike, and each cell reports the median and
- * quartiles of its samples. The routing bound sweep (no prefetch) is
- * timed directly on one shard's chunk summaries.
+ * zero-skip keeps few rows, as with a trained model. Every precision's
+ * KB (M_IN + M_OUT) defaults to twice the LLC that sysfs reports, and
+ * at least 512 MiB, so every candidate streams from DRAM; the record
+ * states the LLC. Candidates: strip {16, 32, 64, whole chunk} x
+ * look-ahead {0, 4, 8, 16, 32} rows, at nq {1, 2, 4, 8, 16}; each
+ * sample is one batch, samples of all candidates are interleaved
+ * round-robin so host drift hits them alike, and each cell reports the
+ * median and quartiles of its samples. The routing bound sweep (no
+ * look-ahead) is timed directly on one shard's chunk summaries.
  *
  * The picks: the single-question entry is the best median at nq=1;
  * the multi-question entry minimizes the worst ratio to the best
@@ -25,7 +27,7 @@
  * two candidates' interquartile ranges.
  *
  * Usage: plan_sweep [--reps N] [--f32-mib M] [--bf16-mib M]
- *                   [--i8-mib M]
+ *                   [--i8-mib M]   (KB MiB per precision)
  * Writes BENCH_plans.json (MNNFAST_BENCH_JSON overrides). Run from the
  * repository root of a Release build: the record names the build
  * type, kernel backend, core count and git revision.
@@ -60,7 +62,7 @@ constexpr size_t kTopics = 64;
 constexpr size_t kBatches = 8; ///< distinct question batches cycled
 const size_t kNq[] = {1, 2, 4, 8, 16};
 const size_t kStrips[] = {16, 32, 64, runtime::kWholeChunk};
-const size_t kPrefetch[] = {0, 2, 4};
+const size_t kLookahead[] = {0, 4, 8, 16, 32};
 
 /** Seeded topical rows: each run of 2 chunks shares a topic centroid. */
 struct Topics
@@ -141,24 +143,24 @@ writePlan(bench::JsonWriter &js, const runtime::KernelPlan &p)
         js.field("strip", "chunk");
     else
         js.field("strip", p.stripRows);
-    js.field("prefetch", p.prefetchStride);
+    js.field("lookahead", p.lookaheadRows);
 }
 
-/** "16/pf2", "chunk/pf0": a plan for the console summary. */
+/** "16/la8", "chunk/la0": a plan for the console summary. */
 std::string
 planName(const runtime::KernelPlan &p)
 {
     return (p.stripRows == runtime::kWholeChunk
                 ? std::string("chunk")
                 : std::to_string(p.stripRows))
-         + "/pf" + std::to_string(p.prefetchStride);
+         + "/la" + std::to_string(p.lookaheadRows);
 }
 
 bool
 samePlan(const runtime::KernelPlan &a, const runtime::KernelPlan &b)
 {
     return a.stripRows == b.stripRows
-        && a.prefetchStride == b.prefetchStride;
+        && a.lookaheadRows == b.lookaheadRows;
 }
 
 /**
@@ -279,8 +281,8 @@ sweepEngine(const core::KnowledgeBase &kb, const std::vector<float> &u,
 
     std::vector<Cell> cells;
     for (size_t s : kStrips)
-        for (size_t pf : kPrefetch)
-            cells.push_back({{s, pf}, {}});
+        for (size_t la : kLookahead)
+            cells.push_back({{s, la}, {}});
     std::vector<float> o(16 * kDim);
     Timer timer;
     for (size_t nq : kNq) {
@@ -357,9 +359,12 @@ main(int argc, char **argv)
 {
     bench::Args args(argc, argv);
     const size_t reps = args.sizeOpt("reps", 21);
-    const size_t mib[] = {args.sizeOpt("f32-mib", 512),
-                          args.sizeOpt("bf16-mib", 128),
-                          args.sizeOpt("i8-mib", 128)};
+    const size_t llc = bench::llcBytes();
+    const size_t def_mib =
+        std::max<size_t>(512, (2 * llc + (1 << 20) - 1) >> 20);
+    const size_t mib[] = {args.sizeOpt("f32-mib", def_mib),
+                          args.sizeOpt("bf16-mib", def_mib),
+                          args.sizeOpt("i8-mib", def_mib)};
     args.finish();
     const core::Precision precs[] = {core::Precision::F32,
                                      core::Precision::BF16,
@@ -382,6 +387,7 @@ main(int argc, char **argv)
                            "-- src bench 2>/dev/null")
                   .empty());
     js.field("source_digest", bench::sourceDigest().c_str());
+    js.field("llc_bytes", llc);
     js.endObject();
     js.key("config");
     js.beginObject();
@@ -395,7 +401,8 @@ main(int argc, char **argv)
     js.endObject();
 
     bool within = true;
-    std::unique_ptr<core::KnowledgeBase> bound_kb;
+    std::vector<Cell> bound;
+    size_t bound_chunks = 0;
     js.key("sweeps");
     js.beginArray();
     for (size_t p = 0; p < 3; ++p) {
@@ -404,33 +411,33 @@ main(int argc, char **argv)
             (mib[p] << 20) / (2 * kDim * elem) / (kShards * kChunk)
             * (kShards * kChunk);
         const char *name = core::precisionName(precs[p]);
-        std::printf("%s: %zu MiB, %zu rows\n", name, mib[p], rows);
+        std::printf("%s: %zu MiB (%.2f x LLC), %zu rows\n", name, mib[p],
+                    llc ? double(mib[p] << 20) / double(llc) : 0.0, rows);
         auto kb = topics.kb(precs[p], rows);
         double kept_frac = 0;
         const std::vector<Cell> cells = sweepEngine(*kb, u, reps, kept_frac);
         js.beginObject();
         js.field("precision", name);
         js.field("kb_mib", mib[p]);
+        js.field("kb_over_llc",
+                 llc ? double(mib[p] << 20) / double(llc) : 0.0);
         js.field("rows", rows);
         js.field("rows_kept_frac", kept_frac);
-        // int8's single-question entry is fixed by its kernels (see
-        // kPlanTable), so only f32 and bf16 verdicts gate the table.
-        const bool ok = report(js, name, cells, std::size(kNq));
-        if (precs[p] != core::Precision::I8)
-            within &= ok;
+        within &= report(js, name, cells, std::size(kNq));
         writeCells(js, cells, std::size(kNq));
         js.endObject();
-        if (precs[p] == core::Precision::F32)
-            bound_kb = std::move(kb);
+        if (precs[p] == core::Precision::F32) {
+            bound_chunks = kb->size() / kChunk / kShards;
+            std::printf("bound: %zu chunk summaries per shard\n",
+                        bound_chunks);
+            bound = sweepBound(*kb, u, reps);
+        }
     }
     js.endArray();
 
-    std::printf("bound: %zu chunk summaries per shard\n",
-                bound_kb->size() / kChunk / kShards);
-    const std::vector<Cell> bound = sweepBound(*bound_kb, u, reps);
     js.key("bound");
     js.beginObject();
-    js.field("chunks_per_shard", bound_kb->size() / kChunk / kShards);
+    js.field("chunks_per_shard", bound_chunks);
     report(js, "bound", bound, std::size(kNq));
     writeCells(js, bound, std::size(kNq));
     js.endObject();
@@ -445,7 +452,7 @@ main(int argc, char **argv)
     std::printf("cpu steal %.1f%% of the run: %s\n", 100 * steal_frac,
                 comparable ? "comparable"
                            : "NON-COMPARABLE (above the steal bound)");
-    std::printf("table within noise of the best candidate (f32, bf16): "
+    std::printf("table within noise of the best candidate (f32, bf16, i8): "
                 "%s\nwrote %s\n",
                 within ? "yes" : "NO", js.path().c_str());
     return 0;

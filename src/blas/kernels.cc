@@ -21,15 +21,29 @@ namespace mnnfast::blas {
 
 namespace {
 
+/** A scalar reference kernel in a fused-kernel slot: the look-ahead,
+ *  a hint, is dropped. */
+template <auto F>
+struct NoLookahead;
+
+template <class... A, void (*F)(A...)>
+struct NoLookahead<F>
+{
+    static void run(A... a, RowLookahead) { F(a...); }
+};
+
 detail::KernelTable
 scalarTable()
 {
     return {
         "scalar",        scalar::dot,          scalar::axpy,
         scalar::scal,    scalar::sum,          scalar::maxElement,
-        scalar::dotBatchMulti,     scalar::weightedSumSkipMulti,
-        scalar::dotBatchMultiBf16, scalar::weightedSumSkipMultiBf16,
-        scalar::dotBatchMultiI8,   scalar::weightedSumSkipMultiI8,
+        NoLookahead<scalar::dotBatchMulti>::run,
+        NoLookahead<scalar::weightedSumSkipMulti>::run,
+        NoLookahead<scalar::dotBatchMultiBf16>::run,
+        NoLookahead<scalar::weightedSumSkipMultiBf16>::run,
+        NoLookahead<scalar::dotBatchMultiI8>::run,
+        NoLookahead<scalar::weightedSumSkipMultiI8>::run,
         scalar::chunkBoundBatch,
         scalar::gemm,    scalar::expInplace,   scalar::expShiftInplace,
     };
@@ -138,12 +152,12 @@ maxElement(const float *x, size_t n)
 void
 dotBatchMulti(const float *x, size_t nx, size_t xstride,
               const float *rows, size_t count, size_t n, size_t stride,
-              float *out, size_t ostride)
+              float *out, size_t ostride, RowLookahead ahead)
 {
     mnn_assert(stride >= n && xstride >= n && ostride >= count,
                "dotBatchMulti stride shorter than row length");
     active().dotBatchMulti(x, nx, xstride, rows, count, n, stride, out,
-                           ostride);
+                           ostride, ahead);
 }
 
 void
@@ -151,24 +165,25 @@ weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                      const float *rows, size_t count, size_t n,
                      size_t stride, float threshold,
                      double *running_sums, float *acc, size_t accstride,
-                     uint64_t &kept, uint64_t &skipped)
+                     uint64_t &kept, uint64_t &skipped, RowLookahead ahead)
 {
     mnn_assert(stride >= n && accstride >= n && estride >= count,
                "weightedSumSkipMulti stride shorter than row length");
     active().weightedSumSkipMulti(e, ne, estride, rows, count, n, stride,
                                   threshold, running_sums, acc,
-                                  accstride, kept, skipped);
+                                  accstride, kept, skipped, ahead);
 }
 
 void
 dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
                   const uint16_t *rows, size_t count, size_t n,
-                  size_t stride, float *out, size_t ostride)
+                  size_t stride, float *out, size_t ostride,
+                  RowLookahead ahead)
 {
     mnn_assert(stride >= n && xstride >= n && ostride >= count,
                "dotBatchMultiBf16 stride shorter than row length");
     active().dotBatchMultiBf16(x, nx, xstride, rows, count, n, stride,
-                               out, ostride);
+                               out, ostride, ahead);
 }
 
 void
@@ -177,25 +192,26 @@ weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
                          size_t stride, float threshold,
                          double *running_sums, float *acc,
                          size_t accstride, uint64_t &kept,
-                         uint64_t &skipped)
+                         uint64_t &skipped, RowLookahead ahead)
 {
     mnn_assert(stride >= n && accstride >= n && estride >= count,
                "weightedSumSkipMultiBf16 stride shorter than row length");
     active().weightedSumSkipMultiBf16(e, ne, estride, rows, count, n,
                                       stride, threshold, running_sums,
-                                      acc, accstride, kept, skipped);
+                                      acc, accstride, kept, skipped,
+                                      ahead);
 }
 
 void
 dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
                 const int8_t *rows, size_t count, size_t n,
                 size_t stride, float scale, float zero, float *out,
-                size_t ostride)
+                size_t ostride, RowLookahead ahead)
 {
     mnn_assert(stride >= n && xstride >= n && ostride >= count,
                "dotBatchMultiI8 stride shorter than row length");
     active().dotBatchMultiI8(x, nx, xstride, rows, count, n, stride,
-                             scale, zero, out, ostride);
+                             scale, zero, out, ostride, ahead);
 }
 
 void
@@ -204,14 +220,14 @@ weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                        size_t stride, float scale, float zero,
                        float threshold, double *running_sums, float *acc,
                        size_t accstride, uint64_t &kept,
-                       uint64_t &skipped)
+                       uint64_t &skipped, RowLookahead ahead)
 {
     mnn_assert(stride >= n && accstride >= n && estride >= count,
                "weightedSumSkipMultiI8 stride shorter than row length");
     active().weightedSumSkipMultiI8(e, ne, estride, rows, count, n,
                                     stride, scale, zero, threshold,
                                     running_sums, acc, accstride, kept,
-                                    skipped);
+                                    skipped, ahead);
 }
 
 void
@@ -228,7 +244,7 @@ chunkBoundBatch(const float *x, size_t nx, size_t xstride,
 void
 gemv(const float *a, size_t rows, size_t cols, const float *x, float *y)
 {
-    active().dotBatchMulti(x, 1, cols, a, rows, cols, cols, y, rows);
+    active().dotBatchMulti(x, 1, cols, a, rows, cols, cols, y, rows, {});
 }
 
 void

@@ -88,10 +88,40 @@ float maxElement(const float *x, size_t n);
  * Every tier implements exactly these orders, so for every precision
  * the scalar, AVX2 and AVX-512 tiers are bit-identical to each other
  * (property-tested), and results never depend on how queries are
- * tiled or how a row sweep is split into calls. Rows in different
+ * tiled, how a row sweep is split into calls or how far its row
+ * look-ahead (RowLookahead) reaches. Rows in different
  * int8 quantization chunks need separate calls (the engines split at
  * KnowledgeBase::i8GroupEnd; see DESIGN.md §10).
  */
+
+/**
+ * Software row look-ahead of a fused row sweep: a hint that never
+ * changes results. Each row tile of the sweep prefetches into L1 the
+ * rows `rows` ahead of its own, so the stream's line fills are spread
+ * among the tile's fmas instead of issued in one burst; a batch of
+ * several query tiles issues it from the first only (the rows are
+ * cache-resident for the others). It never touches a row at or past
+ * count + `beyond`: `beyond` is how many rows past the call's last
+ * row the caller owns and will sweep next — an engine's rest of the
+ * chunk plus the next chunk it streams — and 0 confines the look-ahead
+ * to the call. rows == 0 turns it off. A weighted sum with a positive
+ * threshold decides each row before its first touch, so it looks ahead
+ * only in int8's single-question sweep, `rows` kept rows ahead within
+ * the call (a skipped row is never read).
+ */
+struct RowLookahead
+{
+    size_t rows = 0;
+    size_t beyond = 0;
+};
+
+/**
+ * The look-ahead of an int8 kernel call that names none: a sweep
+ * retires 64 elements per cache line, so the out-of-order window alone
+ * holds too few line fills to cover the memory latency (fp32 turns
+ * lines over 4x faster, and its calls default to none).
+ */
+inline constexpr RowLookahead kI8CallLookahead{8, 0};
 
 /**
  * Query-blocked batched dot products: a tile of `nx` query rows
@@ -114,7 +144,8 @@ float maxElement(const float *x, size_t n);
  */
 void dotBatchMulti(const float *x, size_t nx, size_t xstride,
                    const float *rows, size_t count, size_t n,
-                   size_t stride, float *out, size_t ostride);
+                   size_t stride, float *out, size_t ostride,
+                   RowLookahead ahead = {});
 
 /**
  * Query-blocked fused zero-skip weighted sum over a strip of rows (the
@@ -144,7 +175,7 @@ void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
                           size_t stride, float threshold,
                           double *running_sums, float *acc,
                           size_t accstride, uint64_t &kept,
-                          uint64_t &skipped);
+                          uint64_t &skipped, RowLookahead ahead = {});
 
 /**
  * Largest query tile one pass of the SIMD weighted sum handles (its
@@ -156,7 +187,8 @@ inline constexpr size_t kWsumQueryTile = 16;
 /** dotBatchMulti over bf16 rows: half the fp32 row bytes. */
 void dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
                        const uint16_t *rows, size_t count, size_t n,
-                       size_t stride, float *out, size_t ostride);
+                       size_t stride, float *out, size_t ostride,
+                       RowLookahead ahead = {});
 
 /** weightedSumSkipMulti over bf16 rows. */
 void weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
@@ -164,7 +196,7 @@ void weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
                               size_t n, size_t stride, float threshold,
                               double *running_sums, float *acc,
                               size_t accstride, uint64_t &kept,
-                              uint64_t &skipped);
+                              uint64_t &skipped, RowLookahead ahead = {});
 
 /**
  * dotBatchMulti over int8 rows that share one affine code: stored
@@ -174,7 +206,7 @@ void weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
 void dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
                      const int8_t *rows, size_t count, size_t n,
                      size_t stride, float scale, float zero, float *out,
-                     size_t ostride);
+                     size_t ostride, RowLookahead ahead = kI8CallLookahead);
 
 /** weightedSumSkipMulti over int8 rows that share one affine code. */
 void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
@@ -182,7 +214,8 @@ void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                             size_t stride, float scale, float zero,
                             float threshold, double *running_sums,
                             float *acc, size_t accstride,
-                            uint64_t &kept, uint64_t &skipped);
+                            uint64_t &kept, uint64_t &skipped,
+                            RowLookahead ahead = kI8CallLookahead);
 
 /**
  * Fused max-inner-product bound over chunk-summary envelopes (the

@@ -39,7 +39,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <vector>
 
 #include "blas/kernels_simd.hh"
 
@@ -343,27 +342,28 @@ gemmAvx2(const float *a, const float *b, float *c,
     }
 
     const size_t nf = n / kNr * kNr;
-    // Reused packing scratch; the only allocation in the BLAS layer
-    // (documented in kernels.hh). thread_local keeps gemm reentrant
-    // across pool workers.
-    thread_local std::vector<float> packbuf;
+    // Reused packing scratch (kernels.hh). thread_local keeps gemm
+    // reentrant across pool workers; AlignedScratch has internal
+    // linkage, so no weak symbol built with AVX2 flags leaves this
+    // object (tests/tier_symbols.sh).
+    thread_local AlignedScratch packscratch;
 
     for (size_t p0 = 0; p0 < k; p0 += kKc) {
         const size_t kc = std::min(kKc, k - p0);
         if (nf > 0) {
-            packbuf.resize(kc * nf);
-            packB(b + p0 * n, n, kc, nf, packbuf.data());
+            float *packbuf = packscratch.get(kc * nf);
+            packB(b + p0 * n, n, kc, nf, packbuf);
             size_t r = 0;
             for (; r + 4 <= m; r += 4) {
                 for (size_t t = 0; t < nf / kNr; ++t)
                     micro4x16(a + r * k + p0, k,
-                              packbuf.data() + t * kc * kNr, kc,
+                              packbuf + t * kc * kNr, kc,
                               c + r * n + t * kNr, n);
             }
             for (; r < m; ++r) {
                 for (size_t t = 0; t < nf / kNr; ++t)
                     micro1x16(a + r * k + p0,
-                              packbuf.data() + t * kc * kNr, kc,
+                              packbuf + t * kc * kNr, kc,
                               c + r * n + t * kNr);
             }
         }

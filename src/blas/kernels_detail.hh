@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "blas/kernels.hh" // RowLookahead
+
 namespace mnnfast::blas::detail {
 
 /** One full set of kernel entry points (see kernels.hh for contracts). */
@@ -23,26 +25,28 @@ struct KernelTable
     float (*sum)(const float *, size_t);
     float (*maxElement)(const float *, size_t);
     void (*dotBatchMulti)(const float *, size_t, size_t, const float *,
-                          size_t, size_t, size_t, float *, size_t);
+                          size_t, size_t, size_t, float *, size_t,
+                          RowLookahead);
     void (*weightedSumSkipMulti)(const float *, size_t, size_t,
                                  const float *, size_t, size_t, size_t,
                                  float, double *, float *, size_t,
-                                 uint64_t &, uint64_t &);
+                                 uint64_t &, uint64_t &, RowLookahead);
     void (*dotBatchMultiBf16)(const float *, size_t, size_t,
                               const uint16_t *, size_t, size_t, size_t,
-                              float *, size_t);
+                              float *, size_t, RowLookahead);
     void (*weightedSumSkipMultiBf16)(const float *, size_t, size_t,
                                      const uint16_t *, size_t, size_t,
                                      size_t, float, double *, float *,
-                                     size_t, uint64_t &, uint64_t &);
+                                     size_t, uint64_t &, uint64_t &,
+                                     RowLookahead);
     void (*dotBatchMultiI8)(const float *, size_t, size_t,
                             const int8_t *, size_t, size_t, size_t,
-                            float, float, float *, size_t);
+                            float, float, float *, size_t, RowLookahead);
     void (*weightedSumSkipMultiI8)(const float *, size_t, size_t,
                                    const int8_t *, size_t, size_t,
                                    size_t, float, float, float,
                                    double *, float *, size_t,
-                                   uint64_t &, uint64_t &);
+                                   uint64_t &, uint64_t &, RowLookahead);
     void (*chunkBoundBatch)(const float *, size_t, size_t,
                             const float *, const float *, size_t,
                             size_t, size_t, float *, size_t);

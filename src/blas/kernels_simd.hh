@@ -31,7 +31,8 @@
  *    widenE, set1D, addD, mulD, lessMask, loadSums and storeSums.
  *
  * Every body keeps the canonical order of kernels.hh, so the tiers are
- * bit-identical to each other and to the scalar reference.
+ * bit-identical to each other and to the scalar reference. The row
+ * look-ahead (RowLookahead) only adds prefetch hints to the row tiles.
  */
 
 #ifndef MNNFAST_BLAS_KERNELS_SIMD_HH
@@ -133,15 +134,13 @@ querySum(const float *x, size_t n)
 // and widenAcc widen whole blocks), fold / fold4 are the dot's
 // epilogue for one or four sums, and dequant / dequant1 map a widened
 // weighted-sum element through the precision's code. The traits switch
-// on streaming aids that only the int8 sweeps need; the raw-storage
-// policies leave them off, so their instantiations are plain tiled
-// loops.
+// on tile shapes that only the int8 sweeps need; the raw-storage
+// policies leave them off. The row look-ahead is not a trait: every
+// precision takes its distance from the caller (RowLookahead).
 
-/** Identity code, no streaming aids: shared by F32Rows and Bf16Rows. */
+/** Identity code, no int8 tile shapes: shared by F32Rows and Bf16Rows. */
 struct RawCode
 {
-    /** Rows the sweeps prefetch ahead of the compute (0 = none). */
-    static constexpr size_t kPrefetchRows = 0;
     /** Row-tile height for a lone query's (nx == 1) AVX2 dot sweep. */
     static constexpr size_t kLoneQueryRows = 4;
     /** Single-query weighted sums scan skips first (see below). */
@@ -184,18 +183,17 @@ struct Bf16Rows : RawCode
  * is factored as fma(scale, rawdot, zero * qsum(x)), and each weighted
  * sum element is dequantized as fma(scale, q, zero).
  *
- * Streaming aids: a sweep retires 64 elements per cache line, so the
+ * Tile shapes: a sweep retires 64 elements per cache line, so the
  * out-of-order window alone holds too few line fills in flight to
- * cover L3 latency (f32 turns lines over 4x faster). The sweeps
- * therefore prefetch kPrefetchRows ahead, a lone AVX2 query (nx == 1)
- * runs 8-row tiles (eight independent chains and eight line streams),
- * and a single-query weighted sum, whose skip rate is high, resolves
- * its skip decisions first and then streams only the kept rows.
+ * cover L3 latency (f32 turns lines over 4x faster). A lone AVX2 query
+ * (nx == 1) therefore runs 8-row tiles (eight independent chains and
+ * eight line streams), and a single-query weighted sum, whose skip
+ * rate is high, resolves its skip decisions first and then streams
+ * only the kept rows, looking ahead through their index list.
  */
 struct I8Rows
 {
     using Elem = int8_t;
-    static constexpr size_t kPrefetchRows = 8;
     static constexpr size_t kLoneQueryRows = 8;
     static constexpr bool kTwoPassSingleQuery = true;
 
@@ -225,15 +223,9 @@ struct I8Rows
 
 /**
  * Prefetch one row (n elements) into L1. Hint-only: never changes
- * results.
- *
- * Look-ahead indices are deliberately NOT clamped to the call's row
- * count: the engines sweep one contiguous matrix in strip-sized
- * calls, so rows past this call are almost always the next call's
- * rows, and clamping would stall the stream at every strip boundary.
- * At the true end of the matrix the prefetch reaches at most
- * kPrefetchRows rows past the allocation — prefetch instructions
- * never fault, so this is harmless.
+ * results. Callers pass only rows the sweep's caller owns: a row index
+ * below the call's count plus RowLookahead::beyond (see
+ * lookaheadLimit).
  */
 template <class P>
 inline void
@@ -242,6 +234,17 @@ prefetchRow(const typename P::Elem *row, size_t n)
     const char *p = reinterpret_cast<const char *>(row);
     for (size_t b = 0; b < n * sizeof(typename P::Elem); b += 64)
         _mm_prefetch(p + b, _MM_HINT_T0);
+}
+
+/**
+ * The first row index a sweep's look-ahead may not touch: count plus
+ * the rows the caller owns past the call, or 0 when the look-ahead is
+ * off, so one `r + distance < limit` test per row covers both.
+ */
+inline size_t
+lookaheadLimit(RowLookahead ahead, size_t count)
+{
+    return ahead.rows == 0 ? 0 : count + ahead.beyond;
 }
 
 // --- The 256-bit width trait ----------------------------------------------
@@ -371,12 +374,17 @@ struct Ymm
  * half-batch of registers is padded by repeating its neighbour. Other
  * tiles reduce each chain with hsum8: a half-empty tree made the lone
  * AVX2 f32 query's sweep slower.
+ *
+ * Row look-ahead: before its fmas, for each of its rows r + k the tile
+ * prefetches row r + k + ahead if that lies below `limit`
+ * (lookaheadLimit), so a sweep keeps about `ahead` rows of line fills
+ * in flight, issued one tile's rows at a time among the fmas.
  */
 template <class V, size_t NG, size_t NR, class P>
 inline void
 dotTile(const P &p, const float *const *xg, const float *const *xq,
         const float *bias, const typename P::Elem *rows, size_t stride,
-        size_t n, float *const *oq, size_t r)
+        size_t n, float *const *oq, size_t r, size_t ahead, size_t limit)
 {
     using Vec = typename V::Vec;
     constexpr size_t kQ = V::kQ, NQ = NG * kQ;
@@ -384,8 +392,8 @@ dotTile(const P &p, const float *const *xg, const float *const *xq,
 #pragma GCC unroll 8
     for (size_t k = 0; k < NR; ++k) {
         row[k] = rows + (r + k) * stride;
-        if constexpr (P::kPrefetchRows > 0)
-            prefetchRow<P>(row[k] + P::kPrefetchRows * stride, n);
+        if (r + k + ahead < limit)
+            prefetchRow<P>(row[k] + ahead * stride, n);
     }
     Vec acc[NG][NR];
 #pragma GCC unroll 4
@@ -476,14 +484,15 @@ dotTile(const P &p, const float *const *xg, const float *const *xq,
  * The NG query groups starting at group g0 against every row: the
  * widest row tile first, then 4-row tiles, then single rows. A lone
  * question (nx == 1 with one question per register) takes the
- * policy's kLoneQueryRows.
+ * policy's kLoneQueryRows. Every tile looks `ahead` rows ahead, below
+ * `limit`.
  */
 template <class V, size_t NG, class P>
 void
 dotQueries(const P &p, const float *xpack, size_t g0, const float *x,
            size_t nx, size_t xstride, const typename P::Elem *rows,
            size_t count, size_t n, size_t stride, float *out,
-           size_t ostride)
+           size_t ostride, size_t ahead, size_t limit)
 {
     constexpr size_t kQ = V::kQ, NQ = NG * kQ;
     const size_t n8 = n / 8 * 8;
@@ -504,38 +513,55 @@ dotQueries(const P &p, const float *xpack, size_t g0, const float *x,
     constexpr size_t kRows = NQ == 1 ? P::kLoneQueryRows : V::kTileRows;
     size_t r = 0;
     for (; r + kRows <= count; r += kRows)
-        dotTile<V, NG, kRows>(p, xg, xq, bias, rows, stride, n, oq, r);
+        dotTile<V, NG, kRows>(p, xg, xq, bias, rows, stride, n, oq, r,
+                              ahead, limit);
     if constexpr (kRows > 4) {
         for (; r + 4 <= count; r += 4)
-            dotTile<V, NG, 4>(p, xg, xq, bias, rows, stride, n, oq, r);
+            dotTile<V, NG, 4>(p, xg, xq, bias, rows, stride, n, oq, r,
+                              ahead, limit);
     }
     for (; r < count; ++r)
-        dotTile<V, NG, 1>(p, xg, xq, bias, rows, stride, n, oq, r);
+        dotTile<V, NG, 1>(p, xg, xq, bias, rows, stride, n, oq, r, ahead,
+                          limit);
 }
 
 /**
- * Thread-local, 64-byte aligned scratch for the packed questions; grows
- * and never shrinks (the batched dot's one allocation, kernels.hh).
+ * 64-byte aligned float scratch that grows and never shrinks, for a
+ * thread_local instance: the kernels' two allocations (kernels.hh).
+ * Internal linkage with no std::vector, so a tier object defines no
+ * weak symbol built with its ISA flags.
  */
+struct AlignedScratch
+{
+    float *p = nullptr;
+    size_t cap = 0;
+
+    AlignedScratch() = default;
+    AlignedScratch(const AlignedScratch &) = delete;
+    AlignedScratch &operator=(const AlignedScratch &) = delete;
+    ~AlignedScratch() { std::free(p); }
+
+    float *
+    get(size_t floats)
+    {
+        if (cap < floats) {
+            std::free(p);
+            const size_t bytes = (floats * sizeof(float) + 63) / 64 * 64;
+            p = static_cast<float *>(std::aligned_alloc(64, bytes));
+            if (!p)
+                panic("kernel scratch: cannot allocate %zu bytes", bytes);
+            cap = bytes / sizeof(float);
+        }
+        return p;
+    }
+};
+
+/** The batched dot's packed-question scratch, one per thread. */
 inline float *
 packBuffer(size_t floats)
 {
-    struct Buffer
-    {
-        float *p = nullptr;
-        size_t cap = 0;
-        ~Buffer() { std::free(p); }
-    };
-    thread_local Buffer buf;
-    if (buf.cap < floats) {
-        std::free(buf.p);
-        const size_t bytes = (floats * sizeof(float) + 63) / 64 * 64;
-        buf.p = static_cast<float *>(std::aligned_alloc(64, bytes));
-        if (!buf.p)
-            panic("dotBatchMulti: cannot allocate %zu bytes", bytes);
-        buf.cap = bytes / sizeof(float);
-    }
-    return buf.p;
+    thread_local AlignedScratch buf;
+    return buf.get(floats);
 }
 
 /**
@@ -569,14 +595,17 @@ packQueries(const float *x, size_t nx, size_t xstride, size_t n)
  * questions run as 3+3+3+3+2+2, and a lone question only when nx == 1.
  * With several questions per register a lone question would waste all
  * but one chain of each, and bf16 and int8 rows would widen a whole
- * register for one chain, so nx == 1 runs on Ymm instead.
+ * register for one chain, so nx == 1 runs on Ymm instead. Only the
+ * first query tile looks ahead: the rows it streams in are still
+ * cache-resident for the others, and re-issuing the hints from the
+ * second tile made cache-resident 16-question batches ~10 % slower.
  */
 template <class V, class P, class... Code>
 void
 dotBatchMultiSimd(const float *x, size_t nx, size_t xstride,
                   const typename P::Elem *rows, size_t count, size_t n,
                   size_t stride, Code... code, float *out,
-                  size_t ostride)
+                  size_t ostride, RowLookahead ahead)
 {
     if (nx == 0)
         return;
@@ -587,7 +616,7 @@ dotBatchMultiSimd(const float *x, size_t nx, size_t xstride,
         if (nx == 1) {
             dotBatchMultiSimd<Ymm, P, Code...>(x, nx, xstride, rows, count,
                                                n, stride, code..., out,
-                                               ostride);
+                                               ostride, ahead);
             return;
         }
         xpack = packQueries<kQ>(x, nx, xstride, n);
@@ -598,10 +627,11 @@ dotBatchMultiSimd(const float *x, size_t nx, size_t xstride,
     size_t g0 = 0;
     for (size_t t = 0; t < tiles; ++t) {
         const size_t ng = groups / tiles + (t < groups % tiles);
+        const size_t limit = t == 0 ? lookaheadLimit(ahead, count) : 0;
         const auto run = [&](auto tag) {
             dotQueries<V, decltype(tag)::value>(p, xpack, g0, x, nx, xstride,
                                                 rows, count, n, stride, out,
-                                                ostride);
+                                                ostride, ahead.rows, limit);
         };
         switch (ng) {
         case 1:
@@ -661,18 +691,20 @@ accumulateRow(const P &p, const typename P::Elem *row, size_t n,
  * branchless scan that advances the running sum with exactly the
  * serial double adds and skip predicate of the scalar loop,
  * compacting the kept rows' indices and weights; pass B streams ONLY
- * the kept rows, prefetching ahead through the index list. A blind
- * look-ahead would prefetch every row (the decision isn't known yet),
- * which at a 15% keep rate wastes ~6x the M_OUT bandwidth. Kept rows
- * are accumulated in the same ascending order with the same
- * arithmetic, so outputs are bit-identical to the scalar loop.
+ * the kept rows, prefetching `ahead` kept rows ahead through the index
+ * list. A blind look-ahead would prefetch every row (the decision
+ * isn't known yet), which at a 15% keep rate wastes ~6x the M_OUT
+ * bandwidth. Kept rows are accumulated in the same ascending order
+ * with the same arithmetic, so outputs are bit-identical to the scalar
+ * loop.
  */
 template <class V, class P>
 void
 weightedSumTwoPass(const P &p, const float *e,
                    const typename P::Elem *rows, size_t count, size_t n,
                    size_t stride, float threshold, double &running_sum,
-                   float *acc, uint64_t &kept, uint64_t &skipped)
+                   float *acc, uint64_t &kept, uint64_t &skipped,
+                   size_t ahead)
 {
     constexpr size_t kBlock = 512;
     uint32_t idx[kBlock];
@@ -693,12 +725,13 @@ weightedSumTwoPass(const P &p, const float *e,
         running_sum = s;
         kept += nkept;
         skipped += (b1 - b0) - nkept;
-        for (size_t j = 0; j < minSize(P::kPrefetchRows, nkept); ++j)
+        // The look-ahead's first `ahead` kept rows, then one per row.
+        const size_t limit = ahead == 0 ? 0 : nkept;
+        for (size_t j = 0; j < minSize(ahead, limit); ++j)
             prefetchRow<P>(rows + idx[j] * stride, n);
         for (size_t j = 0; j < nkept; ++j) {
-            if (j + P::kPrefetchRows < nkept)
-                prefetchRow<P>(rows + idx[j + P::kPrefetchRows] * stride,
-                               n);
+            if (j + ahead < limit)
+                prefetchRow<P>(rows + idx[j + ahead] * stride, n);
             const float alpha[1] = {evk[j]};
             float *const dst[1] = {acc};
             accumulateRow<V>(p, rows + idx[j] * stride, n, alpha, dst, 1);
@@ -845,7 +878,9 @@ weightedSumScan(const P &p, const float *e, size_t nt, size_t estride,
  * weightedSumScan runs each tile's skip tests across queries in
  * vector lanes, four per register for tiles of up to four queries and
  * V::kScanLanes otherwise. Without one every row is kept, so each row
- * is accumulated into all of the tile's queries at once.
+ * is accumulated into all of the tile's queries at once, and the first
+ * query tile looks `ahead.rows` rows ahead (RowLookahead; the scan
+ * does not, since its decision precedes the first touch).
  */
 template <class V, class P, class... Code>
 void
@@ -854,13 +889,14 @@ weightedSumSkipMultiSimd(const float *e, size_t ne, size_t estride,
                          size_t n, size_t stride, Code... code,
                          float threshold, double *running_sums,
                          float *acc, size_t accstride, uint64_t &kept,
-                         uint64_t &skipped)
+                         uint64_t &skipped, RowLookahead ahead)
 {
     const P p{code...};
     if constexpr (P::kTwoPassSingleQuery) {
         if (ne == 1) {
             weightedSumTwoPass<V>(p, e, rows, count, n, stride, threshold,
-                                  running_sums[0], acc, kept, skipped);
+                                  running_sums[0], acc, kept, skipped,
+                                  ahead.rows);
             return;
         }
     }
@@ -887,10 +923,11 @@ weightedSumSkipMultiSimd(const float *e, size_t ne, size_t estride,
         }
         for (size_t q = q0; q < q1; ++q)
             dst[q - q0] = acc + q * accstride;
+        // Every row is kept, so the look-ahead is never wasted.
+        const size_t limit = q0 == 0 ? lookaheadLimit(ahead, count) : 0;
         for (size_t r = 0; r < count; ++r) {
-            // Every row is kept, so the look-ahead is never wasted.
-            if constexpr (P::kPrefetchRows > 0)
-                prefetchRow<P>(rows + (r + P::kPrefetchRows) * stride, n);
+            if (r + ahead.rows < limit)
+                prefetchRow<P>(rows + (r + ahead.rows) * stride, n);
             for (size_t q = q0; q < q1; ++q) {
                 const float ev = e[q * estride + r];
                 running_sums[q] += ev;

@@ -14,24 +14,6 @@ namespace mnnfast::core {
 namespace {
 
 /**
- * Issue software prefetches covering [ptr, ptr + bytes), one every
- * `stride` cache lines (0 = none). Sparse pacing is enough: the
- * hardware prefetcher follows the sequential stream once started, and
- * thinning the instruction count keeps the overhead negligible on
- * memory systems where the data is already close. The stride comes
- * from the engine's runtime::KernelPlan.
- */
-inline void
-prefetchBytes(const void *ptr, size_t bytes, size_t stride)
-{
-    if (stride == 0)
-        return;
-    const char *p = reinterpret_cast<const char *>(ptr);
-    for (size_t off = 0; off < bytes; off += stride * kCacheLineBytes)
-        __builtin_prefetch(p + off, 0 /* read */, 3 /* high locality */);
-}
-
-/**
  * The strip is the reuse unit of the query-blocked sweep: its
  * M_IN/M_OUT rows stay cache-resident while every question in the
  * batch consumes them, so DRAM traffic per chunk is paid once per
@@ -41,8 +23,10 @@ prefetchBytes(const void *ptr, size_t bytes, size_t stride)
  * register group, so no strip ends in a row tail. Strip boundaries
  * never change results: the kernels fix each (query, row) pair's
  * accumulation order however a sweep is split (bit-identity).
- * Prefetch of the next chunk is paced across these strips, as in the
- * paper's data streaming.
+ * Streaming is the kernels' row look-ahead (blas::RowLookahead), at
+ * the plan's distance: each row tile prefetches the rows that far
+ * ahead of itself, across strip and chunk boundaries, so the stream's
+ * line fills overlap the arithmetic instead of preceding it in a burst.
  */
 
 /** Oversubscription factor for the automatic group count. */
@@ -143,13 +127,11 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
     const size_t ed = kb.dim();
     const size_t chunk = cfg.chunkSize;
     // Storage precision decides which fused kernels sweep the chunk;
-    // everything else (strips, prefetch pacing, scratch, merge) is
-    // precision-agnostic. Row prefetch distance shrinks with the
-    // element size, so bf16 halves and i8 quarters both the streamed
-    // and the prefetched bytes per row. The i8 sweeps additionally
-    // split kernel calls at quantization-group boundaries
-    // (kb.i8GroupEnd) so each call carries one (scale, zero) pair;
-    // the split points cannot change results (see kernels.hh).
+    // everything else (strips, look-ahead reach, scratch, merge) is
+    // precision-agnostic. The i8 sweeps additionally split kernel
+    // calls at quantization-group boundaries (kb.i8GroupEnd) so each
+    // call carries one (scale, zero) pair; the split points cannot
+    // change results (see kernels.hh).
     const Precision prec = kb.precision();
     const float *min = nullptr, *mout = nullptr;
     const uint16_t *min16 = nullptr, *mout16 = nullptr;
@@ -168,17 +150,7 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         mout8 = kb.moutData8();
         break;
     }
-    // Prefetch addressing is precision-agnostic given the byte view.
-    const char *min_bytes = reinterpret_cast<const char *>(
-        min ? static_cast<const void *>(min)
-            : min16 ? static_cast<const void *>(min16)
-                    : static_cast<const void *>(min8));
-    const char *mout_bytes = reinterpret_cast<const char *>(
-        mout ? static_cast<const void *>(mout)
-             : mout16 ? static_cast<const void *>(mout16)
-                      : static_cast<const void *>(mout8));
-    const size_t row_bytes = ed * kb.elemBytes();
-    const size_t pf = plan.prefetchStride;
+    const size_t ahead_rows = cfg.streaming ? plan.lookaheadRows : 0;
     // Call granularity never changes results: the per-(question, row)
     // accumulation order is call-split invariant.
     const size_t strip =
@@ -231,18 +203,14 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
             routed_rows += len * nb;
         }
 
-        // Streaming: the next chunk's rows are prefetched strip-by-
-        // strip while this chunk computes, so the prefetch latency
-        // hides under the arithmetic instead of serializing in a
-        // burst. Issued once per chunk regardless of the batch size —
-        // the strip sweep below already covers every question. Under
-        // routing, a next chunk no question selected is not prefetched
-        // (its bytes will never be read).
-        // next_len <= len always (a shorter chunk is the last).
+        // Streaming: the kernels' row look-ahead may run past a call
+        // into the rest of this chunk and on into the next one, which
+        // this group streams next. Under routing, a next chunk no
+        // question selected is out of its reach (its bytes will never
+        // be read).
         size_t next_len =
-            cfg.streaming && c1 < row_end
-                ? std::min(chunk, row_end - c1)
-                : 0;
+            ahead_rows > 0 && c1 < row_end ? std::min(chunk, row_end - c1)
+                                           : 0;
         if (sel && next_len > 0) {
             const size_t nci = c1 / chunk - first_chunk;
             bool any = false;
@@ -251,6 +219,10 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
             if (!any)
                 next_len = 0;
         }
+        // The look-ahead of a call that ends at chunk row `end`.
+        const auto ahead = [&](size_t end) {
+            return blas::RowLookahead{ahead_rows, len - end + next_len};
+        };
 
         // Partial selection runs the identical three phases over a
         // compacted question sub-batch: gather the selected questions'
@@ -285,18 +257,17 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         phase_timer.reset();
         for (size_t s0 = 0; s0 < len; s0 += strip) {
             const size_t s1 = std::min(s0 + strip, len);
-            for (size_t i = s0; i < std::min(s1, next_len); ++i)
-                prefetchBytes(min_bytes + (c1 + i) * row_bytes,
-                              row_bytes, pf);
             switch (prec) {
               case Precision::F32:
                 blas::dotBatchMulti(uu, nb, ed, min + (c0 + s0) * ed,
-                                    s1 - s0, ed, ed, t + s0, chunk);
+                                    s1 - s0, ed, ed, t + s0, chunk,
+                                    ahead(s1));
                 break;
               case Precision::BF16:
                 blas::dotBatchMultiBf16(uu, nb, ed,
                                         min16 + (c0 + s0) * ed,
-                                        s1 - s0, ed, ed, t + s0, chunk);
+                                        s1 - s0, ed, ed, t + s0, chunk,
+                                        ahead(s1));
                 break;
               case Precision::I8:
                 for (size_t g0 = s0; g0 < s1;) {
@@ -305,7 +276,7 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                     blas::dotBatchMultiI8(
                         uu, nb, ed, min8 + (c0 + g0) * ed, g1 - g0, ed,
                         ed, kb.minScale(c0 + g0), kb.minZero(c0 + g0),
-                        t + g0, chunk);
+                        t + g0, chunk, ahead(g1));
                     g0 = g1;
                 }
                 break;
@@ -343,27 +314,24 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         // the test is conservative (see header) and decisions are
         // identical to the per-question sweep; skipped rows never
         // touch M_OUT or the accumulator for that question. Under
-        // zero-skip most of the next chunk's M_OUT is never read, and
-        // which rows will be is unknown until its phase 2, so only a
-        // dense sweep prefetches M_OUT.
+        // zero-skip most of M_OUT is never read, and which rows will
+        // be is unknown until the skip test, so only a dense sweep
+        // looks ahead across rows (kernels.hh, RowLookahead).
         phase_timer.reset();
-        const size_t next_out_len = th > 0.f ? 0 : next_len;
         for (size_t s0 = 0; s0 < len; s0 += strip) {
             const size_t s1 = std::min(s0 + strip, len);
-            for (size_t i = s0; i < std::min(s1, next_out_len); ++i)
-                prefetchBytes(mout_bytes + (c1 + i) * row_bytes,
-                              row_bytes, pf);
             switch (prec) {
               case Precision::F32:
                 blas::weightedSumSkipMulti(t + s0, nb, chunk,
                                            mout + (c0 + s0) * ed,
                                            s1 - s0, ed, ed, th, psum,
-                                           acc, ed, kept, skipped);
+                                           acc, ed, kept, skipped,
+                                           ahead(s1));
                 break;
               case Precision::BF16:
                 blas::weightedSumSkipMultiBf16(
                     t + s0, nb, chunk, mout16 + (c0 + s0) * ed, s1 - s0,
-                    ed, ed, th, psum, acc, ed, kept, skipped);
+                    ed, ed, th, psum, acc, ed, kept, skipped, ahead(s1));
                 break;
               case Precision::I8:
                 for (size_t g0 = s0; g0 < s1;) {
@@ -373,7 +341,7 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                         t + g0, nb, chunk, mout8 + (c0 + g0) * ed,
                         g1 - g0, ed, ed, kb.moutScale(c0 + g0),
                         kb.moutZero(c0 + g0), th, psum, acc, ed,
-                        kept, skipped);
+                        kept, skipped, ahead(g1));
                     g0 = g1;
                 }
                 break;

@@ -19,10 +19,13 @@
  * strip (a kept M_OUT row is loaded once and axpy'd into every
  * question's accumulator). A strip therefore streams from DRAM once
  * per *batch* rather than once per question, which is the serving
- * model's t(n) = base + n*per assumption made real. Streaming
- * prefetch of the next chunk is issued strip-by-strip during the
- * phase-1 sweep — exactly once per chunk, independent of the batch
- * size.
+ * model's t(n) = base + n*per assumption made real. Streaming is the
+ * kernels' row look-ahead (blas::RowLookahead): each row tile of a
+ * sweep prefetches the rows a plan-table distance ahead of itself,
+ * from the batch's first query tile only, so the stream's line fills
+ * overlap the tile's fmas — once per row, independent of the batch
+ * size — and reach across strip and chunk boundaries into the next
+ * chunk the group streams.
  *
  * Skip decisions in phase 3 are per-(question, row) serial double
  * arithmetic inside the kernels. The AVX2 backend runs four questions'
@@ -47,8 +50,9 @@
  * zero-skipping makes per-chunk cost data-dependent.
  *
  * Options on top of the plain column dataflow:
- *  - streaming:     software-prefetch the next chunk while computing
- *                   the current one (the paper's data streaming).
+ *  - streaming:     the paper's data streaming — the kernels' row
+ *                   look-ahead prefetches rows a fixed distance ahead
+ *                   of the compute; off, no row is prefetched.
  *  - skipThreshold: zero-skipping — drop weighted-sum rows whose
  *                   probability is provably below the threshold. The
  *                   single-pass test `e_i < th * S_running` is
@@ -68,7 +72,7 @@
  *                   bound-threshold, per group — see RoutePolicy)
  *                   picks the candidate set. Chunks no question
  *                   selected are bypassed entirely (no stream, no
- *                   prefetch, no observer); chunks a strict subset
+ *                   look-ahead, no observer); chunks a strict subset
  *                   selected run the same three phases over a
  *                   *compacted* question sub-batch (gather the
  *                   selected questions' state, run the kernels at the
@@ -208,7 +212,7 @@ class ColumnEngine : public InferenceEngine
                                runtime::ScratchArena &scratch) const;
 
     /**
-     * The (strip rows, prefetch stride) plan for a batch of nq
+     * The (strip rows, look-ahead rows) plan for a batch of nq
      * questions: the plan table's entry for the KB precision, with
      * EngineConfig::stripRows replacing its strip when set.
      */

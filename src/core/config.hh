@@ -94,11 +94,14 @@ struct EngineConfig
      */
     float skipThreshold = 0.0f;
     /**
-     * The paper's data streaming: software-prefetch the next chunk
-     * while the current one computes. M_IN is always prefetched; M_OUT
-     * only when skipThreshold is 0, since under zero-skip most of it
-     * is never read. The pacing is the plan table's prefetch stride
-     * (runtime::kPlanTable).
+     * The paper's data streaming: the fused kernels' row tiles
+     * prefetch the rows the plan table's look-ahead distance ahead of
+     * themselves (runtime::kPlanTable, blas::RowLookahead), across
+     * strips and into the next chunk. M_IN is always looked ahead;
+     * M_OUT row by row only when skipThreshold is 0, since under
+     * zero-skip most of it is never read (a single-question int8
+     * sweep looks ahead through its kept rows instead). Off, the
+     * column engine prefetches nothing.
      */
     bool streaming = false;
     /**

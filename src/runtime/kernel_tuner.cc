@@ -56,8 +56,8 @@ KernelTuner::exportJson() const
                 os << "\"chunk\"";
             else
                 os << p.stripRows;
-            os << ", \"prefetch_stride\": " << p.prefetchStride
-               << ", \"origin\": \"default\"}";
+            os << ", \"prefetch_stride\": 0, \"lookahead_rows\": "
+               << p.lookaheadRows << ", \"origin\": \"default\"}";
             sep = ",";
         }
     }

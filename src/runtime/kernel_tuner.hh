@@ -2,18 +2,19 @@
  * @file
  * The fused knowledge-base sweeps' kernel plans: one constant table.
  *
- * The column and baseline engines sweep M_IN/M_OUT in strips of rows,
- * pacing the next-chunk software prefetch (EngineConfig::streaming)
- * across the strip loop. A plan fixes the rows per kernel call and
- * the prefetch pacing. Each sweep — a storage precision, or the
- * routing "bound" sweep over chunk summaries — has one plan for
- * single-question batches and one for every larger batch. The
- * entries come from one sweep of the real ShardedEngine at
- * DRAM-resident KB sizes (bench/plan_sweep, BENCH_plans.json,
- * DESIGN.md §10); nothing is measured at run time.
+ * The column and baseline engines sweep M_IN/M_OUT in strips of rows.
+ * A plan fixes the rows per kernel call and, for the column engine's
+ * streaming (EngineConfig::streaming), how many rows ahead of itself
+ * each of the kernels' row tiles prefetches (blas::RowLookahead). Each
+ * sweep — a storage precision, or the routing "bound" sweep over
+ * chunk summaries — has one plan for single-question batches and one
+ * for every larger batch. The entries come from one sweep of the real
+ * ShardedEngine at KB sizes past the last-level cache
+ * (bench/plan_sweep, BENCH_plans.json, DESIGN.md §10); nothing is
+ * measured at run time.
  *
  * A plan never changes results: it only decides how a row sweep is
- * split into kernel calls and how far apart prefetches land, and the
+ * split into kernel calls and which rows are prefetched when, and the
  * kernels fix each (query, row) pair's accumulation order however a
  * sweep is split (blas/kernels.hh).
  */
@@ -30,15 +31,15 @@ namespace mnnfast::runtime {
 inline constexpr size_t kWholeChunk = 0;
 
 /**
- * How a fused sweep is split and paced. stripRows is a multiple of
+ * How a fused sweep is split and streamed. stripRows is a multiple of
  * the kernels' 4-row register group (so no strip ends in a row tail)
- * or kWholeChunk; prefetchStride issues one prefetch every that many
- * cache lines of the next chunk, 0 = none.
+ * or kWholeChunk; lookaheadRows is the kernels' row look-ahead
+ * distance under streaming, 0 = none (the bound sweep ignores it).
  */
 struct KernelPlan
 {
     size_t stripRows;
-    size_t prefetchStride;
+    size_t lookaheadRows;
 };
 
 /** One sweep's plans: for nq == 1 and for nq >= 2. */
@@ -50,16 +51,14 @@ struct PlanEntry
 };
 
 /**
- * The table (BENCH_plans.json). int8's single-question plan is the
- * whole chunk without engine prefetch: its kernels prefetch ahead
- * internally and amortize per-call query sums over the chunk. The
- * table has no kernel-tier key: the sweeps on both SIMD tiers put the
- * same entries within noise of the best (DESIGN.md §10).
+ * The table (BENCH_plans.json). Every precision sweeps whole chunks:
+ * one call per chunk amortizes the per-call query packing and int8
+ * query sums. The table has no kernel-tier key (DESIGN.md §10).
  */
 inline constexpr PlanEntry kPlanTable[] = {
-    {"f32", {kWholeChunk, 4}, {kWholeChunk, 2}},
-    {"bf16", {kWholeChunk, 2}, {kWholeChunk, 0}},
-    {"i8", {kWholeChunk, 0}, {kWholeChunk, 2}},
+    {"f32", {kWholeChunk, 8}, {kWholeChunk, 8}},
+    {"bf16", {kWholeChunk, 16}, {kWholeChunk, 16}},
+    {"i8", {kWholeChunk, 32}, {kWholeChunk, 32}},
     {"bound", {kWholeChunk, 0}, {16, 0}},
 };
 
@@ -99,10 +98,12 @@ class KernelTuner
     void clear() {}
     /**
      * kPlanTable as {"backend": ..., "entries": [{"precision": "f32",
-     * "ed": null, "nq": 1, "strip_rows": 16, "prefetch_stride": 2,
-     * "origin": "default"}, ...]}; "nq": 2 entries serve every
-     * nq >= 2, "ed": null every dimension, and "strip_rows": "chunk"
-     * is kWholeChunk.
+     * "ed": null, "nq": 1, "strip_rows": 16, "prefetch_stride": 0,
+     * "lookahead_rows": 16, "origin": "default"}, ...]}; "nq": 2
+     * entries serve every nq >= 2, "ed": null every dimension, and
+     * "strip_rows": "chunk" is kWholeChunk. "prefetch_stride" is
+     * always 0: the engines no longer prefetch the next chunk (the
+     * key stays for readers of older records).
      */
     std::string exportJson() const;
 };

@@ -736,7 +736,14 @@ TEST(WeightedSumSkipMulti, BitIdenticalToPerQuerySweep)
 // the scalar reference BIT-FOR-BIT (not just within tolerance), on any
 // host. The fp32 cases come first; bf16 and int8 follow with the same
 // sizes, strides and batch shapes.
+//
+// The dispatched kernels run once per row look-ahead (a prefetch hint,
+// so never a different bit): none, int8's call default and one past
+// every register tile. The rows buffers are exactly sized and beyond is
+// 0, so every sweep ends at its buffer's last row.
 // ---------------------------------------------------------------------
+
+const RowLookahead kAheads[] = {{0, 0}, kI8CallLookahead, {32, 0}};
 
 TEST(DotBatchMulti, BitIdenticalToScalarReference)
 {
@@ -752,19 +759,22 @@ TEST(DotBatchMulti, BitIdenticalToScalarReference)
                 const size_t ostride = count + 2; // padded: catch strays
                 const auto x = nastyVec(nq * xstride, 681, 0);
                 const auto rows = nastyVec(count * stride, 682, 0);
-                std::vector<float> got(nq * ostride, -9.f);
                 std::vector<float> ref(nq * ostride, -9.f);
-
-                dotBatchMulti(x.data(), nq, xstride, rows.data(), count,
-                              d, stride, got.data(), ostride);
                 scalar::dotBatchMulti(x.data(), nq, xstride, rows.data(),
                                       count, d, stride, ref.data(),
                                       ostride);
 
-                for (size_t i = 0; i < got.size(); ++i)
-                    ASSERT_EQ(got[i], ref[i])
-                        << "d=" << d << " nq=" << nq
-                        << " count=" << count << " i=" << i;
+                for (RowLookahead ahead : kAheads) {
+                    std::vector<float> got(nq * ostride, -9.f);
+                    dotBatchMulti(x.data(), nq, xstride, rows.data(),
+                                  count, d, stride, got.data(), ostride,
+                                  ahead);
+                    for (size_t i = 0; i < got.size(); ++i)
+                        ASSERT_EQ(got[i], ref[i])
+                            << "d=" << d << " nq=" << nq
+                            << " count=" << count << " ahead="
+                            << ahead.rows << " i=" << i;
+                }
             }
         }
     }
@@ -788,33 +798,40 @@ TEST(WeightedSumSkipMulti, BitIdenticalToScalarReference)
                         v = std::abs(v) + 1e-3f; // exp outputs are positive
                     const auto rows = nastyVec(count * stride, 692, 0);
 
-                    auto acc1 = nastyVec(nq * accstride, 693, 0);
-                    auto acc2 = acc1;
-                    std::vector<double> s1(nq), s2(nq);
+                    const auto acc0 = nastyVec(nq * accstride, 693, 0);
+                    auto acc2 = acc0;
+                    std::vector<double> s0(nq), s2(nq);
                     for (size_t q = 0; q < nq; ++q)
-                        s1[q] = s2[q] = 0.25 * double(q);
-                    uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
-
-                    weightedSumSkipMulti(e.data(), nq, estride, rows.data(),
-                                         count, d, stride, threshold,
-                                         s1.data(), acc1.data(), accstride,
-                                         kept1, skip1);
+                        s0[q] = s2[q] = 0.25 * double(q);
+                    uint64_t kept2 = 0, skip2 = 0;
                     scalar::weightedSumSkipMulti(
                         e.data(), nq, estride, rows.data(), count, d, stride,
                         threshold, s2.data(), acc2.data(), accstride, kept2,
                         skip2);
 
-                    ASSERT_EQ(kept1, kept2)
-                        << "nq=" << nq << " th=" << threshold
-                        << " count=" << count;
-                    ASSERT_EQ(skip1, skip2);
-                    ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
-                    for (size_t q = 0; q < nq; ++q)
-                        ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
-                    for (size_t i = 0; i < acc1.size(); ++i)
-                        ASSERT_EQ(acc1[i], acc2[i])
+                    for (RowLookahead ahead : kAheads) {
+                        auto acc1 = acc0;
+                        auto s1 = s0;
+                        uint64_t kept1 = 0, skip1 = 0;
+                        weightedSumSkipMulti(e.data(), nq, estride, rows.data(),
+                                             count, d, stride, threshold,
+                                             s1.data(), acc1.data(), accstride,
+                                             kept1, skip1, ahead);
+
+                        ASSERT_EQ(kept1, kept2)
                             << "nq=" << nq << " th=" << threshold
-                            << " count=" << count << " i=" << i;
+                            << " count=" << count << " ahead=" << ahead.rows;
+                        ASSERT_EQ(skip1, skip2);
+                        ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
+                        for (size_t q = 0; q < nq; ++q)
+                            ASSERT_EQ(s1[q], s2[q])
+                                << "nq=" << nq << " q=" << q;
+                        for (size_t i = 0; i < acc1.size(); ++i)
+                            ASSERT_EQ(acc1[i], acc2[i])
+                                << "nq=" << nq << " th=" << threshold
+                                << " count=" << count << " ahead="
+                                << ahead.rows << " i=" << i;
+                    }
                 }
             }
         }
@@ -878,19 +895,22 @@ TEST(DotBatchMultiBf16, BitIdenticalToScalarReference)
                 const size_t ostride = count + 2;
                 const auto x = nastyVec(nq * xstride, 611, 0);
                 const auto rows = nastyVecBf16(count * stride, 612);
-                std::vector<float> got(nq * ostride, -9.f);
                 std::vector<float> ref(nq * ostride, -9.f);
-
-                dotBatchMultiBf16(x.data(), nq, xstride, rows.data(),
-                                  count, d, stride, got.data(), ostride);
                 scalar::dotBatchMultiBf16(x.data(), nq, xstride,
                                           rows.data(), count, d, stride,
                                           ref.data(), ostride);
 
-                for (size_t i = 0; i < got.size(); ++i)
-                    ASSERT_EQ(got[i], ref[i])
-                        << "d=" << d << " nq=" << nq
-                        << " count=" << count << " i=" << i;
+                for (RowLookahead ahead : kAheads) {
+                    std::vector<float> got(nq * ostride, -9.f);
+                    dotBatchMultiBf16(x.data(), nq, xstride, rows.data(),
+                                      count, d, stride, got.data(),
+                                      ostride, ahead);
+                    for (size_t i = 0; i < got.size(); ++i)
+                        ASSERT_EQ(got[i], ref[i])
+                            << "d=" << d << " nq=" << nq
+                            << " count=" << count << " ahead="
+                            << ahead.rows << " i=" << i;
+                }
             }
         }
     }
@@ -937,34 +957,41 @@ TEST(WeightedSumSkipMultiBf16, BitIdenticalToScalarReference)
                         v = std::abs(v) + 1e-3f; // exp outputs are positive
                     const auto rows = nastyVecBf16(count * stride, 622);
 
-                    auto acc1 = nastyVec(nq * accstride, 623, 0);
-                    auto acc2 = acc1;
-                    std::vector<double> s1(nq), s2(nq);
+                    const auto acc0 = nastyVec(nq * accstride, 623, 0);
+                    auto acc2 = acc0;
+                    std::vector<double> s0(nq), s2(nq);
                     for (size_t q = 0; q < nq; ++q)
-                        s1[q] = s2[q] = 0.25 * double(q);
-                    uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
-
-                    weightedSumSkipMultiBf16(
-                        e.data(), nq, estride, rows.data(), count, d,
-                        stride, threshold, s1.data(), acc1.data(),
-                        accstride, kept1, skip1);
+                        s0[q] = s2[q] = 0.25 * double(q);
+                    uint64_t kept2 = 0, skip2 = 0;
                     // The scalar reference takes any ne; no tiling needed.
                     scalar::weightedSumSkipMultiBf16(
                         e.data(), nq, estride, rows.data(), count, d,
                         stride, threshold, s2.data(), acc2.data(),
                         accstride, kept2, skip2);
 
-                    ASSERT_EQ(kept1, kept2)
-                        << "nq=" << nq << " th=" << threshold
-                        << " count=" << count;
-                    ASSERT_EQ(skip1, skip2);
-                    ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
-                    for (size_t q = 0; q < nq; ++q)
-                        ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
-                    for (size_t i = 0; i < acc1.size(); ++i)
-                        ASSERT_EQ(acc1[i], acc2[i])
+                    for (RowLookahead ahead : kAheads) {
+                        auto acc1 = acc0;
+                        auto s1 = s0;
+                        uint64_t kept1 = 0, skip1 = 0;
+                        weightedSumSkipMultiBf16(
+                            e.data(), nq, estride, rows.data(), count, d,
+                            stride, threshold, s1.data(), acc1.data(),
+                            accstride, kept1, skip1, ahead);
+
+                        ASSERT_EQ(kept1, kept2)
                             << "nq=" << nq << " th=" << threshold
-                            << " count=" << count << " i=" << i;
+                            << " count=" << count << " ahead=" << ahead.rows;
+                        ASSERT_EQ(skip1, skip2);
+                        ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
+                        for (size_t q = 0; q < nq; ++q)
+                            ASSERT_EQ(s1[q], s2[q])
+                                << "nq=" << nq << " q=" << q;
+                        for (size_t i = 0; i < acc1.size(); ++i)
+                            ASSERT_EQ(acc1[i], acc2[i])
+                                << "nq=" << nq << " th=" << threshold
+                                << " count=" << count << " ahead="
+                                << ahead.rows << " i=" << i;
+                    }
                 }
             }
         }
@@ -1036,21 +1063,23 @@ TEST(DotBatchMultiI8, BitIdenticalToScalarReference)
                 const size_t ostride = count + 2;
                 const auto x = nastyVec(nq * xstride, 641, 0);
                 const auto rows = nastyVecI8(count * stride, 642);
-                std::vector<float> got(nq * ostride, -9.f);
                 std::vector<float> ref(nq * ostride, -9.f);
-
-                dotBatchMultiI8(x.data(), nq, xstride, rows.data(),
-                                count, d, stride, scale, zero,
-                                got.data(), ostride);
                 scalar::dotBatchMultiI8(x.data(), nq, xstride,
                                         rows.data(), count, d, stride,
                                         scale, zero, ref.data(),
                                         ostride);
 
-                for (size_t i = 0; i < got.size(); ++i)
-                    ASSERT_EQ(got[i], ref[i])
-                        << "d=" << d << " nq=" << nq
-                        << " count=" << count << " i=" << i;
+                for (RowLookahead ahead : kAheads) {
+                    std::vector<float> got(nq * ostride, -9.f);
+                    dotBatchMultiI8(x.data(), nq, xstride, rows.data(),
+                                    count, d, stride, scale, zero,
+                                    got.data(), ostride, ahead);
+                    for (size_t i = 0; i < got.size(); ++i)
+                        ASSERT_EQ(got[i], ref[i])
+                            << "d=" << d << " nq=" << nq
+                            << " count=" << count << " ahead="
+                            << ahead.rows << " i=" << i;
+                }
             }
         }
     }
@@ -1125,34 +1154,41 @@ TEST(WeightedSumSkipMultiI8, BitIdenticalToScalarReference)
                         v = std::abs(v) + 1e-3f; // exp outputs are positive
                     const auto rows = nastyVecI8(count * stride, 652);
 
-                    auto acc1 = nastyVec(nq * accstride, 653, 0);
-                    auto acc2 = acc1;
-                    std::vector<double> s1(nq), s2(nq);
+                    const auto acc0 = nastyVec(nq * accstride, 653, 0);
+                    auto acc2 = acc0;
+                    std::vector<double> s0(nq), s2(nq);
                     for (size_t q = 0; q < nq; ++q)
-                        s1[q] = s2[q] = 0.25 * double(q);
-                    uint64_t kept1 = 0, skip1 = 0, kept2 = 0, skip2 = 0;
-
-                    weightedSumSkipMultiI8(
-                        e.data(), nq, estride, rows.data(), count, d,
-                        stride, scale, zero, threshold, s1.data(),
-                        acc1.data(), accstride, kept1, skip1);
+                        s0[q] = s2[q] = 0.25 * double(q);
+                    uint64_t kept2 = 0, skip2 = 0;
                     // The scalar reference takes any ne; no tiling needed.
                     scalar::weightedSumSkipMultiI8(
                         e.data(), nq, estride, rows.data(), count, d,
                         stride, scale, zero, threshold, s2.data(),
                         acc2.data(), accstride, kept2, skip2);
 
-                    ASSERT_EQ(kept1, kept2)
-                        << "nq=" << nq << " th=" << threshold
-                        << " count=" << count;
-                    ASSERT_EQ(skip1, skip2);
-                    ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
-                    for (size_t q = 0; q < nq; ++q)
-                        ASSERT_EQ(s1[q], s2[q]) << "nq=" << nq << " q=" << q;
-                    for (size_t i = 0; i < acc1.size(); ++i)
-                        ASSERT_EQ(acc1[i], acc2[i])
+                    for (RowLookahead ahead : kAheads) {
+                        auto acc1 = acc0;
+                        auto s1 = s0;
+                        uint64_t kept1 = 0, skip1 = 0;
+                        weightedSumSkipMultiI8(
+                            e.data(), nq, estride, rows.data(), count, d,
+                            stride, scale, zero, threshold, s1.data(),
+                            acc1.data(), accstride, kept1, skip1, ahead);
+
+                        ASSERT_EQ(kept1, kept2)
                             << "nq=" << nq << " th=" << threshold
-                            << " count=" << count << " i=" << i;
+                            << " count=" << count << " ahead=" << ahead.rows;
+                        ASSERT_EQ(skip1, skip2);
+                        ASSERT_EQ(kept1 + skip1, uint64_t(nq) * count);
+                        for (size_t q = 0; q < nq; ++q)
+                            ASSERT_EQ(s1[q], s2[q])
+                                << "nq=" << nq << " q=" << q;
+                        for (size_t i = 0; i < acc1.size(); ++i)
+                            ASSERT_EQ(acc1[i], acc2[i])
+                                << "nq=" << nq << " th=" << threshold
+                                << " count=" << count << " ahead="
+                                << ahead.rows << " i=" << i;
+                    }
                 }
             }
         }
@@ -1225,6 +1261,144 @@ TEST(WeightedSumSkipMultiI8, RowSweepSplitInvariant)
             ASSERT_EQ(s2[q], s1[q]) << "c=" << c << " q=" << q;
         for (size_t i = 0; i < a1.size(); ++i)
             ASSERT_EQ(a2[i], a1[i]) << "c=" << c << " i=" << i;
+    }
+}
+
+// Row look-ahead reach: a call may prefetch only the rows it sweeps and
+// the `beyond` rows its caller owns past them.
+
+constexpr float kI8Scale = 0.0123f, kI8Zero = -0.456f;
+
+void
+dotRows(const float *x, size_t nq, const float *rows, size_t count,
+        size_t d, float *out, RowLookahead ahead)
+{
+    dotBatchMulti(x, nq, d, rows, count, d, d, out, count, ahead);
+}
+
+void
+dotRows(const float *x, size_t nq, const uint16_t *rows, size_t count,
+        size_t d, float *out, RowLookahead ahead)
+{
+    dotBatchMultiBf16(x, nq, d, rows, count, d, d, out, count, ahead);
+}
+
+void
+dotRows(const float *x, size_t nq, const int8_t *rows, size_t count,
+        size_t d, float *out, RowLookahead ahead)
+{
+    dotBatchMultiI8(x, nq, d, rows, count, d, d, kI8Scale, kI8Zero, out,
+                    count, ahead);
+}
+
+void
+wsumRows(const float *e, size_t nq, const float *rows, size_t count,
+         size_t d, float th, double *sums, float *acc, uint64_t &kept,
+         uint64_t &skipped, RowLookahead ahead)
+{
+    weightedSumSkipMulti(e, nq, count, rows, count, d, d, th, sums, acc, d,
+                         kept, skipped, ahead);
+}
+
+void
+wsumRows(const float *e, size_t nq, const uint16_t *rows, size_t count,
+         size_t d, float th, double *sums, float *acc, uint64_t &kept,
+         uint64_t &skipped, RowLookahead ahead)
+{
+    weightedSumSkipMultiBf16(e, nq, count, rows, count, d, d, th, sums,
+                             acc, d, kept, skipped, ahead);
+}
+
+void
+wsumRows(const float *e, size_t nq, const int8_t *rows, size_t count,
+         size_t d, float th, double *sums, float *acc, uint64_t &kept,
+         uint64_t &skipped, RowLookahead ahead)
+{
+    weightedSumSkipMultiI8(e, nq, count, rows, count, d, d, kI8Scale,
+                           kI8Zero, th, sums, acc, d, kept, skipped, ahead);
+}
+
+/** Both fused sweeps' outputs: dots, then accumulators; sums; counts. */
+struct SweepOut
+{
+    std::vector<float> out;
+    std::vector<double> sums;
+    uint64_t kept = 0, skipped = 0;
+};
+
+bool
+sameBits(const SweepOut &a, const SweepOut &b)
+{
+    return a.out.size() == b.out.size() && a.sums.size() == b.sums.size()
+        && std::memcmp(a.out.data(), b.out.data(),
+                       a.out.size() * sizeof(float)) == 0
+        && std::memcmp(a.sums.data(), b.sums.data(),
+                       a.sums.size() * sizeof(double)) == 0
+        && a.kept == b.kept && a.skipped == b.skipped;
+}
+
+/** Both fused sweeps over rows [first, first + count) of `buf`. */
+template <class E>
+SweepOut
+sweepRows(const std::vector<E> &buf, size_t first, size_t count,
+          size_t d, size_t nq, float th, RowLookahead ahead)
+{
+    const auto x = nastyVec(nq * d, 704, 0);
+    auto e = nastyVec(nq * count, 705, 0);
+    for (float &v : e)
+        v = std::abs(v) + 1e-3f; // exp outputs are positive
+    SweepOut s;
+    s.out.assign(nq * count + nq * d, 0.f);
+    s.sums.assign(nq, 0.0);
+    const E *rows = buf.data() + first * d;
+    dotRows(x.data(), nq, rows, count, d, s.out.data(), ahead);
+    wsumRows(e.data(), nq, rows, count, d, th, s.sums.data(),
+             s.out.data() + nq * count, s.kept, s.skipped, ahead);
+    return s;
+}
+
+/**
+ * `buf` holds exactly count + beyond rows. The head sweep covers the
+ * first count rows and owns the last beyond rows; the tail sweep ends
+ * at the buffer's final row and owns nothing past it. Both must answer
+ * bit for bit as without look-ahead (which the BitIdenticalToScalar-
+ * Reference suites tie to the scalar reference), at distances inside
+ * and past a tile; under ASan a load past the buffer aborts.
+ */
+template <class E>
+void
+expectReachWithinOwnedRows(const std::vector<E> &buf, size_t count,
+                           size_t beyond, size_t d)
+{
+    for (size_t nq : {size_t{1}, size_t{5}, size_t{16}})
+        for (float th : {0.f, 0.05f}) // dense rows, or a skip scan
+            for (size_t first : {size_t{0}, beyond}) {
+                const auto want = sweepRows(buf, first, count, d, nq, th, {});
+                for (size_t dist : {size_t{4}, size_t{32}}) {
+                    const RowLookahead ahead{dist, beyond - first};
+                    EXPECT_TRUE(sameBits(
+                        sweepRows(buf, first, count, d, nq, th, ahead),
+                        want))
+                        << sizeof(E) << "-byte rows, count " << count
+                        << " beyond " << beyond << " nq " << nq << " th "
+                        << th << " first " << first << " dist " << dist;
+                }
+            }
+}
+
+TEST(RowLookahead, ReachesOnlyTheRowsTheCallerOwns)
+{
+    const size_t d = 40;
+    for (size_t count : {size_t{37}, size_t{101}}) {
+        for (size_t beyond : {size_t{0}, size_t{7}, size_t{40}}) {
+            const size_t total = count + beyond;
+            expectReachWithinOwnedRows(nastyVec(total * d, 701, 0), count,
+                                       beyond, d);
+            expectReachWithinOwnedRows(nastyVecBf16(total * d, 702), count,
+                                       beyond, d);
+            expectReachWithinOwnedRows(nastyVecI8(total * d, 703), count,
+                                       beyond, d);
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 #include "core/column_engine.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
+#include "runtime/kernel_tuner.hh"
 #include "serve/live_server.hh"
 #include "sim/traffic.hh"
 #include "train/model.hh"
@@ -400,6 +401,77 @@ TEST(RoutedSharding, ShardedRoutedMatchesGroupedSingleEngineBitwise)
             sharded.inferBatch(u.data(), nq, out.data());
             EXPECT_TRUE(bitIdentical(ref, out))
                 << precisionName(prec) << " shards " << shards;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Streaming's row look-ahead (blas::RowLookahead) is a prefetch hint:
+// no distance, strip split or streaming setting may change an answer.
+// ---------------------------------------------------------------------
+
+TEST(RowLookahead, EngineOutputBitIdenticalAcrossDistances)
+{
+    // Distances 0, the plan table's and 32 (past an 8-row strip and a
+    // 28-row last chunk) in whole-chunk and 8-row strips, streaming on
+    // and off, for a column engine, a sharded engine and a routed
+    // top-1 engine that bypasses chunks; each must match its own
+    // engine without streaming bit for bit.
+    const size_t ns = 700, ed = 24, chunk = 32, max_nq = 16;
+    const std::vector<float> u = randomBatch(max_nq, ed, 71);
+    enum Kind { kColumn, kSharded, kRouted };
+
+    for (Precision prec :
+         {Precision::F32, Precision::BF16, Precision::I8}) {
+        const KnowledgeBase kb = randomKb(ns, ed, 72, 0.5f, prec);
+        const ShardedKnowledgeBase skb(kb, chunk, 2);
+        for (size_t nq : {size_t{1}, size_t{5}, size_t{16}}) {
+            const size_t table =
+                runtime::kernelPlan(precisionName(prec), nq).lookaheadRows;
+            for (float zskip : {0.f, 1e-3f}) {
+                for (Kind kind : {kColumn, kSharded, kRouted}) {
+                    EngineConfig cfg;
+                    cfg.chunkSize = chunk;
+                    cfg.threads = 2;
+                    cfg.skipThreshold = zskip;
+                    if (kind == kRouted) {
+                        cfg.scheduleGroups = 1;
+                        cfg.routePolicy = RoutePolicy::TopK;
+                        cfg.routeTopK = 1;
+                    }
+                    const auto run = [&](bool streaming) {
+                        EngineConfig c = cfg;
+                        c.streaming = streaming;
+                        std::vector<float> o(nq * ed);
+                        if (kind == kSharded) {
+                            ShardedEngine(skb, c).inferBatch(u.data(), nq,
+                                                             o.data());
+                        } else {
+                            ColumnEngine engine(kb, c);
+                            engine.inferBatch(u.data(), nq, o.data());
+                            if (kind == kRouted) {
+                                EXPECT_GT(engine.counters().value(
+                                              "chunks_bypassed"),
+                                          0u);
+                            }
+                        }
+                        return o;
+                    };
+                    const std::vector<float> ref = run(false);
+                    for (size_t strip : {runtime::kWholeChunk, size_t{8}})
+                        for (size_t ahead : {size_t{0}, table, size_t{32}})
+                            for (bool streaming : {false, true}) {
+                                const runtime::PlanOverride pin(
+                                    {strip, ahead});
+                                EXPECT_TRUE(bitIdentical(ref, run(streaming)))
+                                    << precisionName(prec) << " nq " << nq
+                                    << " zskip " << zskip << " kind "
+                                    << kind << " strip " << strip
+                                    << " ahead " << ahead << " streaming "
+                                    << streaming;
+                            }
+                }
+            }
         }
     }
 }

@@ -45,6 +45,17 @@ for preset in "${presets[@]}"; do
     echo "==> preset: ${preset} (MNNFAST_KERNELS=scalar)"
     MNNFAST_KERNELS=scalar ctest --preset "${preset}" -j "${jobs}"
     bindir="$(bindir_for "${preset}")"
+    # Tier symbol hygiene (optimized builds): neither SIMD tier object
+    # may define a weak symbol, which the linker could keep as the one
+    # copy every caller runs (tests/tier_symbols.sh). The sanitizer
+    # builds are not checked: their tier objects carry a weak
+    # DW.ref.__gxx_personality_v0 for their exception landing pads.
+    case "${preset}" in
+        release|relwithdebinfo)
+            echo "==> preset: ${preset} (kernel-tier symbol hygiene)"
+            tests/tier_symbols.sh "${bindir}"
+            ;;
+    esac
     # Kernel micro-bench smoke (optimized build only): a short run of
     # the fused-kernel benches, whose single-query cases are the Multi
     # kernels at nq=1, must complete for every precision.

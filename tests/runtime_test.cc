@@ -434,15 +434,18 @@ TEST(PlanTable, EveryStripIsAMultipleOfFourOrTheWholeChunk)
             // No strip may end in a row tail of the 4-row register
             // group; kWholeChunk (0) is one call per chunk.
             EXPECT_EQ(p.stripRows % 4, 0u) << e.sweep;
-            EXPECT_LE(p.prefetchStride, 4u) << e.sweep;
+            // A row look-ahead is a distance in rows, within the
+            // candidates bench/plan_sweep times.
+            EXPECT_LE(p.lookaheadRows, 32u) << e.sweep;
         }
     }
-    // int8's kernels prefetch internally and amortize the query sums
-    // over a call: its single-question sweep is the whole chunk with
-    // no engine prefetch.
+    // int8 amortizes its query sums over a call: its single-question
+    // sweep is the whole chunk.
     const KernelPlan i8 = kernelPlan("i8", 1);
     EXPECT_EQ(i8.stripRows, kWholeChunk);
-    EXPECT_EQ(i8.prefetchStride, 0u);
+    // The bound sweep's kernel has no look-ahead.
+    EXPECT_EQ(kernelPlan("bound", 1).lookaheadRows, 0u);
+    EXPECT_EQ(kernelPlan("bound", 2).lookaheadRows, 0u);
 }
 
 TEST(PlanTable, LookupPicksTheSingleOrMultiQuestionEntry)
@@ -451,12 +454,12 @@ TEST(PlanTable, LookupPicksTheSingleOrMultiQuestionEntry)
         for (size_t nq : {size_t{0}, size_t{1}}) {
             const KernelPlan p = kernelPlan(e.sweep, nq);
             EXPECT_EQ(p.stripRows, e.single.stripRows) << e.sweep;
-            EXPECT_EQ(p.prefetchStride, e.single.prefetchStride);
+            EXPECT_EQ(p.lookaheadRows, e.single.lookaheadRows);
         }
         for (size_t nq : {size_t{2}, size_t{16}, size_t{1000}}) {
             const KernelPlan p = kernelPlan(e.sweep, nq);
             EXPECT_EQ(p.stripRows, e.multi.stripRows) << e.sweep;
-            EXPECT_EQ(p.prefetchStride, e.multi.prefetchStride);
+            EXPECT_EQ(p.lookaheadRows, e.multi.lookaheadRows);
         }
     }
     for (const char *sweep : {"f32", "bf16", "i8", "bound"})
@@ -473,12 +476,12 @@ TEST(PlanTable, OverrideAppliesWhileAliveAndNests)
         {
             PlanOverride inner({kWholeChunk, 0});
             EXPECT_EQ(kernelPlan("f32", 4).stripRows, kWholeChunk);
-            EXPECT_EQ(kernelPlan("f32", 4).prefetchStride, 0u);
+            EXPECT_EQ(kernelPlan("f32", 4).lookaheadRows, 0u);
         }
-        EXPECT_EQ(kernelPlan("i8", 16).prefetchStride, 4u);
+        EXPECT_EQ(kernelPlan("i8", 16).lookaheadRows, 4u);
     }
     EXPECT_EQ(kernelPlan("f32", 4).stripRows, table.stripRows);
-    EXPECT_EQ(kernelPlan("f32", 4).prefetchStride, table.prefetchStride);
+    EXPECT_EQ(kernelPlan("f32", 4).lookaheadRows, table.lookaheadRows);
 }
 
 TEST(PlanTable, ExportJsonListsEveryEntry)
@@ -488,9 +491,21 @@ TEST(PlanTable, ExportJsonListsEveryEntry)
     for (const char *field :
          {"\"backend\"", "\"entries\"", "\"precision\"", "\"ed\"",
           "\"nq\"", "\"strip_rows\"", "\"prefetch_stride\"",
-          "\"origin\""})
+          "\"lookahead_rows\"", "\"origin\""})
         EXPECT_NE(json.find(field), std::string::npos) << field;
     EXPECT_EQ(json.find("\"measured\""), std::string::npos);
+    // Every entry in table order: "prefetch_stride", the key older
+    // records carry, reports 0 (the engines no longer prefetch the
+    // next chunk) and "lookahead_rows" the entry's distance.
+    size_t pos = 0;
+    for (const PlanEntry &e : kPlanTable)
+        for (const KernelPlan &p : {e.single, e.multi}) {
+            pos = json.find("\"prefetch_stride\": 0, \"lookahead_rows\": "
+                                + std::to_string(p.lookaheadRows) + ",",
+                            pos);
+            ASSERT_NE(pos, std::string::npos) << e.sweep;
+            ++pos;
+        }
     // One object per (sweep, single/multi) entry, all "default".
     size_t objects = 0, defaults = 0;
     for (size_t at = json.find("{\"precision\""); at != std::string::npos;
