@@ -28,8 +28,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "blas/kernels.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
 
@@ -424,6 +426,29 @@ class JsonWriter
     std::vector<bool> needComma;
     bool pendingKey = false;
 };
+
+/**
+ * Open the "provenance" object of a committed record and write what
+ * ties the record to a build and a commit: the build type, the kernel
+ * backend, the core count, the git revision, whether src/ or bench/
+ * differ from it, and the source digest. The caller may add fields,
+ * then closes it with endObject().
+ */
+inline void
+beginProvenance(JsonWriter &js, const char *build_type)
+{
+    js.key("provenance");
+    js.beginObject();
+    js.field("build_type", build_type);
+    js.field("backend", blas::kernelBackendName());
+    js.field("nproc", size_t{std::thread::hardware_concurrency()});
+    js.field("git_revision", gitRevision().c_str());
+    js.field("worktree_dirty",
+             !shell("git status --porcelain --untracked-files=no "
+                    "-- src bench 2>/dev/null")
+                  .empty());
+    js.field("source_digest", sourceDigest().c_str());
+}
 
 } // namespace mnnfast::bench
 

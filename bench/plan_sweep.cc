@@ -38,7 +38,6 @@
 #include <iterator>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -376,17 +375,7 @@ main(int argc, char **argv)
     bench::JsonWriter js(bench::benchJsonPath("BENCH_plans.json"));
     js.beginObject();
     js.field("bench", "plan_sweep");
-    js.key("provenance");
-    js.beginObject();
-    js.field("build_type", MNNFAST_BUILD_TYPE);
-    js.field("backend", blas::kernelBackendName());
-    js.field("nproc", size_t{std::thread::hardware_concurrency()});
-    js.field("git_revision", bench::gitRevision().c_str());
-    js.field("worktree_dirty",
-             !bench::shell("git status --porcelain --untracked-files=no "
-                           "-- src bench 2>/dev/null")
-                  .empty());
-    js.field("source_digest", bench::sourceDigest().c_str());
+    bench::beginProvenance(js, MNNFAST_BUILD_TYPE);
     js.field("llc_bytes", llc);
     js.endObject();
     js.key("config");

@@ -17,7 +17,8 @@
  *  4. report live and simulated throughput/latency side by side with
  *     the live/sim throughput ratio — the headline artifact.
  *
- * Emits BENCH_serving.json (path overridable via MNNFAST_BENCH_JSON).
+ * Emits BENCH_serving.json (path overridable via MNNFAST_BENCH_JSON),
+ * with the build, backend, revision and CPU steal it was taken under.
  *
  * Flags:
  *   --smoke        tiny KB, short window, 2 points (CI leak check)
@@ -173,6 +174,7 @@ main(int argc, char **argv)
     if (smoke)
         duration = std::min(duration, 0.25);
 
+    const bench::StealClock steal;
     const core::KnowledgeBase kb = buildKb(ns, ed);
 
     core::EngineConfig ecfg;
@@ -297,6 +299,9 @@ main(int argc, char **argv)
     bench::JsonWriter json(
         bench::benchJsonPath("BENCH_serving.json"));
     json.beginObject();
+    bench::beginProvenance(json, MNNFAST_BUILD_TYPE);
+    json.field("cpu_steal_frac", steal.frac());
+    json.endObject();
     json.key("kb");
     json.beginObject();
     json.field("ns", ns);

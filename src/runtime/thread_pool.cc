@@ -8,7 +8,7 @@ ThreadPool::ThreadPool(size_t threads)
 {
     workers.reserve(threads);
     for (size_t i = 0; i < threads; ++i)
-        workers.emplace_back([this] { workerLoop(); });
+        workers.emplace_back([this] { runTasks(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -57,7 +57,7 @@ ThreadPool::waitIdle()
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::runTasks()
 {
     for (;;) {
         std::function<void()> task;

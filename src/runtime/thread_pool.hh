@@ -52,7 +52,7 @@ class ThreadPool
     size_t threadCount() const { return workers.size(); }
 
   private:
-    void workerLoop();
+    void runTasks(); ///< a worker thread: pop and run until stopped
 
     std::vector<std::thread> workers;
     std::deque<std::function<void()>> queue;

@@ -1,25 +1,26 @@
 /**
  * @file
  * The serving-side contract for a pipelined batch execution backend —
- * the seam that lets serve::LiveServer dispatch through a remote
- * cluster front end without the serve library depending on net/.
+ * the seam serve::LiveServer runs every mode through, and that lets
+ * it dispatch through a remote cluster front end without the serve
+ * library depending on net/.
  *
  * A BatchBackend executes question batches asynchronously with a
- * bounded in-flight window:
+ * bounded in-flight window of pipelineDepth() batches:
  *
- *   submitBatch() hands over a batch and returns a ticket, blocking
- *   only while the backend's window is full — that block is the
- *   serving-side backpressure that keeps the bounded admission queue
- *   upstream absorbing (and eventually refusing) arrivals.
+ *   submitBatch() hands over a batch and returns a ticket. A caller
+ *   that keeps at most pipelineDepth() tickets outstanding never
+ *   blocks here; LiveServer's credit rule does (live_server.hh).
  *
  *   waitBatch() blocks until the ticket's batch has settled and
  *   reports what happened; tickets MUST be waited in submission
  *   order (the window is a FIFO: completion order is delivery order,
  *   whatever order the shards answered in).
  *
- * The canonical implementation is net::ClusterFrontEnd, whose
+ * Implementations: LiveServer's private in-process backend over
+ * ColumnEngines or one ShardedEngine, and net::ClusterFrontEnd, whose
  * lossless path is bit-identical to an in-process ShardedEngine over
- * the same partition; LiveServer's dispatch/retire loops are written
+ * the same partition. LiveServer's dispatch/retire loops are written
  * against this interface only.
  *
  * Threading contract: one thread submits, one thread waits — the two
@@ -58,8 +59,9 @@ class BatchBackend
     /**
      * Submit one batch: `u` (nq x ed questions, row-major) to be
      * answered into `o` (nq x ed). Both buffers must stay valid until
-     * the returned ticket is waited. Blocks while the in-flight
-     * window is full.
+     * the returned ticket is waited. The caller keeps at most
+     * pipelineDepth() tickets outstanding; a backend may block or
+     * fail beyond that.
      */
     virtual uint64_t submitBatch(const float *u, size_t nq, size_t ed,
                                  float *o) = 0;

@@ -1,8 +1,12 @@
 #include "serve/live_server.hh"
 
 #include <cstring>
+#include <future>
+#include <memory>
 #include <utility>
 
+#include "core/sharded_engine.hh"
+#include "core/sharded_knowledge_base.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::serve {
@@ -16,64 +20,119 @@ secondsBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
+/**
+ * The in-process backend: W engines, each run by one thread of a
+ * W-thread pool; ticket t runs on engine t % W. That engine is free:
+ * LiveServer's credit rule keeps at most W tickets outstanding, and
+ * they are waited in order, so ticket t - W was waited before t is
+ * submitted. submitBatch therefore never blocks.
+ *
+ * Replicated mode: W = cfg.workers ColumnEngines over the whole KB.
+ * Sharded mode: W = 1, a ShardedEngine over the partition this
+ * backend owns, scattering across its own cfg.workers-thread pool.
+ */
+class EngineBackend final : public BatchBackend
+{
+  public:
+    EngineBackend(const core::KnowledgeBase &kb,
+                  const LiveServerConfig &cfg)
+        : pool(cfg.shards >= 2 ? 1 : cfg.workers)
+    {
+        if (cfg.workers == 0)
+            fatal("live server needs a nonzero worker count");
+        if (kb.size() == 0)
+            fatal("live server needs a non-empty knowledge base");
+        size_t shards = 1;
+        if (cfg.shards >= 2) {
+            sharding = std::make_unique<core::ShardedKnowledgeBase>(
+                kb, cfg.engine.chunkSize, cfg.shards);
+            shards = sharding->shardCount();
+            if (shards > 32)
+                fatal("live server supports at most 32 shards (got %zu)",
+                      shards);
+            core::EngineConfig ecfg = cfg.engine;
+            ecfg.threads = cfg.workers;
+            engines.push_back(
+                std::make_unique<core::ShardedEngine>(*sharding, ecfg));
+        } else {
+            for (size_t i = 0; i < cfg.workers; ++i)
+                engines.push_back(
+                    std::make_unique<core::ColumnEngine>(kb, cfg.engine));
+        }
+        done.resize(engines.size());
+        result.complete = true;
+        result.shardsAnswered = static_cast<uint32_t>(shards);
+        result.shardMask =
+            static_cast<uint32_t>((uint64_t{1} << shards) - 1);
+    }
+
+    uint64_t
+    submitBatch(const float *u, size_t nq, size_t, float *o) override
+    {
+        const uint64_t t = next++;
+        const size_t e = t % engines.size();
+        auto task = std::make_shared<std::packaged_task<void()>>(
+            [this, e, u, nq, o] { engines[e]->inferBatch(u, nq, o); });
+        done[e] = task->get_future();
+        pool.submit([task] { (*task)(); });
+        return t;
+    }
+
+    BatchResult
+    waitBatch(uint64_t ticket) override
+    {
+        done[ticket % engines.size()].get();
+        return result;
+    }
+
+    size_t pipelineDepth() const override { return engines.size(); }
+
+    void countersInto(LatencyRecorder &) const override {}
+
+  private:
+    std::unique_ptr<core::ShardedKnowledgeBase> sharding;
+    std::vector<std::unique_ptr<core::InferenceEngine>> engines;
+    BatchResult result; ///< every batch: all shards answered
+    uint64_t next = 0;  ///< next ticket (submitting thread only)
+    std::vector<std::future<void>> done; ///< per engine: its batch
+    // Declared last: its threads touch every member above.
+    runtime::ThreadPool pool;
+};
+
 } // namespace
 
 LiveServer::LiveServer(const core::KnowledgeBase &kb,
                        const LiveServerConfig &cfg)
-    : kb(&kb), backend(nullptr), ed(kb.dim()), cfg(cfg),
-      timeoutNs(std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::duration<double>(cfg.batchTimeout))),
-      queue(cfg.queueCapacity),
-      pool(cfg.shards >= 2 ? 1 : cfg.workers)
-{
-    if (cfg.maxBatch == 0 || cfg.workers == 0)
-        fatal("live server needs a nonzero batch cap and worker count");
-    if (cfg.batchTimeout < 0.0)
-        fatal("batch timeout must be non-negative");
-    if (kb.size() == 0)
-        fatal("live server needs a non-empty knowledge base");
+    : LiveServer(std::make_unique<EngineBackend>(kb, cfg), nullptr,
+                 kb.dim(), cfg)
+{}
 
-    if (sharded()) {
-        // One dispatch loop scattering each batch across the worker
-        // pool, one shard per worker (see file header). The dispatch
-        // loop blocks inside the scatter, so the active thread count
-        // matches the replicated mode's.
-        sharding = std::make_unique<core::ShardedKnowledgeBase>(
-            kb, cfg.engine.chunkSize, cfg.shards);
-        core::EngineConfig ecfg = cfg.engine;
-        ecfg.threads = cfg.workers;
-        workerSlots.push_back(std::make_unique<Worker>(
-            std::make_unique<core::ShardedEngine>(*sharding, ecfg),
-            cfg));
-    } else {
-        workerSlots.reserve(cfg.workers);
-        for (size_t i = 0; i < cfg.workers; ++i)
-            workerSlots.push_back(std::make_unique<Worker>(
-                std::make_unique<core::ColumnEngine>(kb, cfg.engine),
-                cfg));
-    }
-    for (size_t i = 0; i < workerSlots.size(); ++i)
-        pool.submit([this, i] { workerLoop(i); });
-}
-
-LiveServer::LiveServer(BatchBackend &backend_, size_t embedding_dim,
+LiveServer::LiveServer(BatchBackend &backend, size_t embedding_dim,
                        const LiveServerConfig &cfg)
-    : kb(nullptr), backend(&backend_), ed(embedding_dim), cfg(cfg),
+    : LiveServer(nullptr, &backend, embedding_dim, cfg)
+{}
+
+LiveServer::LiveServer(std::unique_ptr<BatchBackend> owned,
+                       BatchBackend *external, size_t embedding_dim,
+                       const LiveServerConfig &cfg)
+    : ownedBackend(std::move(owned)),
+      backend(external ? *external : *ownedBackend), ed(embedding_dim),
+      cfg(cfg),
       timeoutNs(std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::duration<double>(cfg.batchTimeout))),
-      queue(cfg.queueCapacity),
-      pool(2) // dispatch + retire
+      queue(cfg.queueCapacity), window(backend.pipelineDepth()),
+      recorder(cfg.histogramMaxSeconds, cfg.histogramBins),
+      pool(2) // the dispatch and the retire loop
 {
     if (cfg.maxBatch == 0)
         fatal("live server needs a nonzero batch cap");
     if (cfg.batchTimeout < 0.0)
         fatal("batch timeout must be non-negative");
     if (ed == 0)
-        fatal("cluster live server needs a nonzero embedding dim");
+        fatal("live server needs a nonzero embedding dim");
+    if (window.empty())
+        fatal("live server backend has an empty window");
 
-    // One engine-less slot holds the retire loop's recorder so
-    // snapshot() composes identically across modes.
-    workerSlots.push_back(std::make_unique<Worker>(nullptr, cfg));
     pool.submit([this] { dispatchLoop(); });
     pool.submit([this] { retireLoop(); });
 }
@@ -86,10 +145,13 @@ LiveServer::~LiveServer()
 Ticket
 LiveServer::submit(const float *u)
 {
+    // The arrival is counted only once its outcome is: after the
+    // rejection is, or after the request is in the queue. A request
+    // refused mid-call then never shows as backlog (see snapshot()).
     Ticket ticket;
-    arrived.fetch_add(1, std::memory_order_relaxed);
     if (stopping.load(std::memory_order_acquire)) {
         rejectedShutdown.fetch_add(1, std::memory_order_relaxed);
+        arrived.fetch_add(1, std::memory_order_release);
         ticket.status = SubmitStatus::ShuttingDown;
         return ticket;
     }
@@ -109,168 +171,108 @@ LiveServer::submit(const float *u)
             rejectedFull.fetch_add(1, std::memory_order_relaxed);
             ticket.status = SubmitStatus::Rejected;
         }
+        arrived.fetch_add(1, std::memory_order_release);
         return ticket;
     }
+    arrived.fetch_add(1, std::memory_order_release);
     ticket.status = SubmitStatus::Accepted;
     ticket.answer = std::move(answer);
     return ticket;
 }
 
 void
-LiveServer::workerLoop(size_t slot)
-{
-    Worker &w = *workerSlots[slot];
-    core::InferenceEngine &engine = *w.engine;
-    std::vector<RequestQueue<Request>::Entry> batch;
-    std::vector<float> uflat;
-    std::vector<float> oflat;
-    std::vector<double> waits;
-
-    // The dispatch critical path — everything between popBatch and
-    // the last set_value — is kept lean: single-request batches (the
-    // serial policy, and any low-load partial dispatch) infer straight
-    // from the request's question buffer into the answer's, skipping
-    // the flatten/unflatten copies; queue waits are computed once into
-    // a reused buffer; and the recorder update runs only after every
-    // waiting client has been released, off the critical path.
-    while (queue.popBatch(cfg.maxBatch, timeoutNs, batch)) {
-        const auto dispatched = std::chrono::steady_clock::now();
-        const size_t n = batch.size();
-        waits.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            waits[i] = secondsBetween(batch[i].enqueued, dispatched);
-
-        double service;
-        if (n == 1) {
-            Answer a;
-            a.o.resize(ed);
-            engine.inferBatch(batch[0].item.u.data(), 1, a.o.data());
-            service = secondsBetween(dispatched,
-                                     std::chrono::steady_clock::now());
-            a.batchSize = 1;
-            a.queueWaitSeconds = waits[0];
-            a.serviceSeconds = service;
-            batch[0].item.promise.set_value(std::move(a));
-        } else {
-            uflat.resize(n * ed);
-            oflat.resize(n * ed);
-            for (size_t i = 0; i < n; ++i)
-                std::memcpy(uflat.data() + i * ed,
-                            batch[i].item.u.data(), ed * sizeof(float));
-            engine.inferBatch(uflat.data(), n, oflat.data());
-            service = secondsBetween(dispatched,
-                                     std::chrono::steady_clock::now());
-            for (size_t i = 0; i < n; ++i) {
-                Answer a;
-                a.o.assign(oflat.data() + i * ed,
-                           oflat.data() + (i + 1) * ed);
-                a.batchSize = n;
-                a.queueWaitSeconds = waits[i];
-                a.serviceSeconds = service;
-                batch[i].item.promise.set_value(std::move(a));
-            }
-        }
-
-        {
-            std::lock_guard<std::mutex> lock(w.recorderMutex);
-            w.recorder.recordBatch(n);
-            for (size_t i = 0; i < n; ++i)
-                w.recorder.recordRequest(waits[i], service,
-                                         waits[i] + service);
-        }
-    }
-}
-
-void
 LiveServer::dispatchLoop()
 {
-    std::vector<RequestQueue<Request>::Entry> batch;
-    while (queue.popBatch(cfg.maxBatch, timeoutNs, batch)) {
-        auto pb = std::make_unique<PendingBatch>();
-        pb->dispatched = std::chrono::steady_clock::now();
-        pb->entries = std::move(batch);
-        const size_t n = pb->entries.size();
-        pb->uflat.resize(n * ed);
-        pb->oflat.resize(n * ed);
-        for (size_t i = 0; i < n; ++i)
-            std::memcpy(pb->uflat.data() + i * ed,
-                        pb->entries[i].item.u.data(),
-                        ed * sizeof(float));
-        // Blocks while the backend's in-flight window is full — the
-        // backpressure that lets the bounded queue fill and refuse.
-        pb->ticket =
-            backend->submitBatch(pb->uflat.data(), n, ed,
-                                 pb->oflat.data());
+    const size_t depth = window.size();
+    for (uint64_t k = 0;; ++k) {
+        // Take batch k's credit before popping it: a batch forms only
+        // when the backend has room, and while the window is full
+        // arrivals wait in (and are refused by) the bounded queue.
         {
-            std::lock_guard<std::mutex> lock(retireMutex);
-            retireQueue.push_back(std::move(pb));
+            std::unique_lock<std::mutex> lock(windowMutex);
+            creditCv.wait(lock, [&] { return k - retired < depth; });
+        }
+        Slot &s = window[k % depth];
+        if (!queue.popBatch(cfg.maxBatch, timeoutNs, s.entries))
+            break;
+        s.dispatched = std::chrono::steady_clock::now();
+        const size_t n = s.entries.size();
+        s.uflat.resize(n * ed);
+        s.oflat.resize(n * ed);
+        for (size_t i = 0; i < n; ++i)
+            std::memcpy(s.uflat.data() + i * ed,
+                        s.entries[i].item.u.data(), ed * sizeof(float));
+        s.ticket =
+            backend.submitBatch(s.uflat.data(), n, ed, s.oflat.data());
+        {
+            std::lock_guard<std::mutex> lock(windowMutex);
+            submitted = k + 1;
         }
         retireCv.notify_one();
     }
     {
-        std::lock_guard<std::mutex> lock(retireMutex);
+        std::lock_guard<std::mutex> lock(windowMutex);
         dispatchDone = true;
     }
-    retireCv.notify_all();
+    retireCv.notify_one();
 }
 
 void
 LiveServer::retireLoop()
 {
-    Worker &w = *workerSlots[0];
     std::vector<double> waits;
-    for (;;) {
-        std::unique_ptr<PendingBatch> pb;
+    for (uint64_t k = 0;; ++k) {
         {
-            std::unique_lock<std::mutex> lock(retireMutex);
-            retireCv.wait(lock, [this] {
-                return dispatchDone || !retireQueue.empty();
-            });
-            if (retireQueue.empty())
-                break; // dispatchDone and nothing left to retire
-            pb = std::move(retireQueue.front());
-            retireQueue.pop_front();
+            std::unique_lock<std::mutex> lock(windowMutex);
+            retireCv.wait(lock,
+                          [&] { return dispatchDone || k < submitted; });
+            if (k == submitted)
+                break; // dispatch is done and nothing is left
         }
+        Slot &s = window[k % window.size()];
 
-        // Submission-order wait: the retire queue is FIFO over the
-        // dispatch loop's submit order, which is exactly the ticket
-        // order the backend requires.
-        const BatchResult r = backend->waitBatch(pb->ticket);
+        // Slots retire in k order, which is the submission order the
+        // backend requires of waitBatch.
+        const BatchResult r = backend.waitBatch(s.ticket);
         const double service =
-            secondsBetween(pb->dispatched,
-                           std::chrono::steady_clock::now());
-        const size_t n = pb->entries.size();
+            secondsBetween(s.dispatched, std::chrono::steady_clock::now());
+        const size_t n = s.entries.size();
         waits.resize(n);
         for (size_t i = 0; i < n; ++i)
-            waits[i] = secondsBetween(pb->entries[i].enqueued,
-                                      pb->dispatched);
+            waits[i] = secondsBetween(s.entries[i].enqueued, s.dispatched);
 
         const bool failed = r.shardsAnswered == 0;
         for (size_t i = 0; i < n; ++i) {
             Answer a;
             if (!failed)
-                a.o.assign(pb->oflat.data() + i * ed,
-                           pb->oflat.data() + (i + 1) * ed);
+                a.o.assign(s.oflat.data() + i * ed,
+                           s.oflat.data() + (i + 1) * ed);
             a.batchSize = n;
             a.queueWaitSeconds = waits[i];
             a.serviceSeconds = service;
             a.failed = failed;
             a.shardMask = r.shardMask;
-            pb->entries[i].item.promise.set_value(std::move(a));
+            s.entries[i].item.promise.set_value(std::move(a));
         }
 
         // Every fulfilled future is a completion — failed batches
         // included, so `completed + rejected == arrived` holds exactly
-        // after shutdown (the Answer::failed flag carries the quality
-        // signal; the backend's own recorder is where fail-closed
-        // timings stay out of the success histograms).
+        // after shutdown (Answer::failed carries the quality signal).
+        // The recorder is touched only after every client is released.
         {
-            std::lock_guard<std::mutex> lock(w.recorderMutex);
-            w.recorder.recordBatch(n);
+            std::lock_guard<std::mutex> lock(recorderMutex);
+            recorder.recordBatch(n);
             for (size_t i = 0; i < n; ++i)
-                w.recorder.recordRequest(waits[i], service,
-                                         waits[i] + service);
+                recorder.recordRequest(waits[i], service,
+                                       waits[i] + service);
         }
+
+        // Only now is the batch out of the backlog: return its credit.
+        {
+            std::lock_guard<std::mutex> lock(windowMutex);
+            retired = k + 1;
+        }
+        creditCv.notify_one();
     }
 }
 
@@ -278,11 +280,11 @@ void
 LiveServer::shutdown()
 {
     std::call_once(shutdownOnce, [this] {
-        // Order matters: refuse new admissions, then wake the workers
-        // so they drain the queue as immediate partial batches, then
-        // wait for the last batch to complete. popBatch returns false
-        // only once the queue is closed *and* empty, so no accepted
-        // request can be left behind.
+        // Order matters: refuse new admissions, then wake the dispatch
+        // loop so it drains the queue as immediate partial batches,
+        // then wait for the last batch to retire. popBatch returns
+        // false only once the queue is closed *and* empty, so no
+        // accepted request can be left behind.
         stopping.store(true, std::memory_order_release);
         queue.close();
         pool.waitIdle();
@@ -293,22 +295,22 @@ LatencySnapshot
 LiveServer::snapshot() const
 {
     // Latch the admission counters *before* merging the completion
-    // histograms — arrived first, then the rejection split (each
-    // rejection was preceded by its arrival increment, each completion
-    // by its admission). See the header for the backlog guarantee
+    // histograms — arrived first, then the rejection split. submit()
+    // counts an arrival only after its rejection or its admission, so
+    // every arrival latched here is already rejected or in the queue
+    // or a popped batch. See the header for the backlog guarantee
     // this ordering buys.
-    const uint64_t a = arrived.load(std::memory_order_relaxed);
+    const uint64_t a = arrived.load(std::memory_order_acquire);
     const uint64_t rf = rejectedFull.load(std::memory_order_relaxed);
     const uint64_t rs =
         rejectedShutdown.load(std::memory_order_relaxed);
 
     LatencyRecorder merged(cfg.histogramMaxSeconds, cfg.histogramBins);
-    for (const auto &w : workerSlots) {
-        std::lock_guard<std::mutex> lock(w->recorderMutex);
-        w->recorder.mergeInto(merged);
+    {
+        std::lock_guard<std::mutex> lock(recorderMutex);
+        recorder.mergeInto(merged);
     }
-    if (backend)
-        backend->countersInto(merged);
+    backend.countersInto(merged);
     LatencySnapshot s = merged.snapshot();
     s.arrived = a;
     s.rejectedFull = rf;

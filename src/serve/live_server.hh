@@ -3,10 +3,12 @@
  * The live QA serving runtime: a real, multi-threaded counterpart of
  * the discrete-event simulator in qa_server.hh.
  *
- *   clients --submit()--> RequestQueue --popBatch()--> engine workers
- *                         (bounded,      (size cap +    (replicated or
- *                          rejects        oldest-Q       sharded KB,
- *                          when full)     timeout)       see below)
+ *   clients --submit()--> RequestQueue --popBatch()--> dispatch loop
+ *                         (bounded,      (size cap +       |
+ *                          rejects        oldest-Q     submitBatch
+ *                          when full)     timeout)         v
+ *                                                     BatchBackend
+ *   futures <--set_value()-- retire loop <--waitBatch()----'
  *
  * Admission. submit() copies the question vector, stamps it, and
  * offers it to a bounded queue. A full (or closing) queue rejects the
@@ -14,70 +16,68 @@
  * the client — and the rejection is counted, split by cause
  * (queue-full vs. shutdown) so overload metrics are not polluted by
  * clean shutdowns. An accepted request returns a std::future<Answer>
- * that is guaranteed to become ready: shutdown drains the queue
- * before the workers exit, so every accepted request is answered
- * exactly once (tested).
+ * that is guaranteed to become ready.
  *
- * Batching. Workers pull batches with RequestQueue::popBatch, whose
- * dispatch rule — release at `maxBatch` pending or when the oldest
- * pending request has waited `batchTimeout` — is the same policy the
- * simulator implements in simulated time. This is deliberate: the
- * serving claim inherited from the paper is that a batch shares one
- * streaming pass over the knowledge base (t(n) = base + n * slope),
- * and keeping the policies identical lets bench/serving_live replay
- * one workload through both and compare the model against wall-clock
- * reality.
+ * Batching. The dispatch loop pulls batches with
+ * RequestQueue::popBatch, whose rule — release at `maxBatch` pending
+ * or when the oldest pending request has waited `batchTimeout` — is
+ * the same policy the simulator implements in simulated time. This
+ * is deliberate: the serving claim inherited from the paper is that a
+ * batch shares one streaming pass over the knowledge base
+ * (t(n) = base + n * slope), and keeping the policies identical lets
+ * bench/serving_live replay one workload through both and compare the
+ * model against wall-clock reality.
  *
- * Execution has three modes — two in-process (selected by
- * LiveServerConfig::shards) and one remote (selected by constructing
- * over a BatchBackend):
+ * One serving loop. Every mode runs the same two threads over a
+ * BatchBackend: a *dispatch* loop that pops a batch, flattens it and
+ * submits it, and a *retire* loop that waits tickets in submission
+ * order, fulfills the promises and records the completions. The mode
+ * only picks the backend:
  *
- *  - Replicated (shards <= 1): each of the `workers` dispatch loops
- *    owns a private ColumnEngine over the whole (read-only) KB, so
- *    concurrent batches proceed independently — but N workers stream
- *    the KB N times, paying redundant bandwidth (the paper's §6
- *    scalability critique).
- *  - Sharded (shards >= 2): the KB is partitioned once into
- *    chunk-aligned shards (core::ShardedKnowledgeBase) and a single
- *    dispatch loop scatters each batch across a core::ShardedEngine
- *    whose `workers`-thread pool streams one shard per worker; the
- *    dispatching loop gathers the online-softmax partials in
- *    canonical shard order. One batch at a time, every worker on the
- *    same batch, each KB byte streamed once per batch — and the
- *    answers are bit-identical to the replicated mode's (see
- *    sharded_engine.hh).
- *  - Cluster (the BatchBackend constructor): the same bounded queue
- *    and dynamic batcher feed a remote scatter/gather backend —
- *    canonically a net::ClusterFrontEnd over shard node processes —
- *    through two loops: a *dispatch* loop that pops batches,
- *    flattens them, and submits into the backend's in-flight window
- *    (blocking only when the window is full — that is the
- *    backpressure that keeps the bounded queue absorbing and
- *    eventually refusing arrivals), and a *retire* loop that waits
- *    tickets in submission order and fulfills the promises. With a
- *    window W >= 2, batch k+1 scatters while batch k gathers. The
- *    backend's lossless path is bit-identical to the in-process
- *    sharded mode over the same partition; a batch the backend fails
- *    closed still fulfills its futures — with Answer::failed set and
- *    an empty output — so accepted-request conservation holds under
- *    every fault. Per-shard RPC counters, partial-answer and
- *    failed-batch totals are threaded into snapshot() via
+ *  - Replicated (shards <= 1): an in-process backend over `workers`
+ *    ColumnEngines, each over the whole (read-only) KB; batch t runs
+ *    on engine t % workers, so up to `workers` batches proceed at
+ *    once — but W engines stream the KB W times, paying redundant
+ *    bandwidth (the paper's §6 scalability critique).
+ *  - Sharded (shards >= 2): an in-process backend over one
+ *    core::ShardedEngine that partitions the KB once into
+ *    chunk-aligned shards and scatters each batch across a
+ *    `workers`-thread pool, one shard per worker, gathering the
+ *    online-softmax partials in canonical shard order. One batch at a
+ *    time, each KB byte streamed once per batch, and answers
+ *    bit-identical to the replicated mode's (see sharded_engine.hh).
+ *  - Cluster (the BatchBackend constructor): a caller-owned backend,
+ *    canonically a net::ClusterFrontEnd over shard node processes.
+ *    With a window W >= 2, batch k+1 scatters while batch k gathers;
+ *    the lossless path is bit-identical to the sharded mode over the
+ *    same partition. Per-shard RPC counters, partial-answer and
+ *    failed-batch totals reach snapshot() via
  *    BatchBackend::countersInto.
  *
- * Engines hold scratch state and are not thread-safe, but the KB is
- * immutable while serving, so workers scale without locking. Worker
- * threads come from a runtime::ThreadPool; per-worker ScratchArenas
- * inside the engines reach steady state after the first batch, so the
- * serving loop is allocation-quiet.
+ * The credit rule. The window lives here, not in the backend: the
+ * dispatch loop takes one of pipelineDepth() credits *before* it
+ * pops a batch, and the retire loop returns it only after that
+ * batch's completions are recorded. So a batch forms only when the
+ * backend has room for it (the simulator's "a worker is free" rule),
+ * at most engineSlots() batches are popped but not yet recorded, and
+ * while the window is full arrivals wait in the bounded queue, which
+ * absorbs and eventually refuses them.
  *
- * Observability. Each dispatch loop updates a private LatencyRecorder
+ * Conservation. The retire loop fulfills every popped request exactly
+ * once, whatever the backend reports: a batch that failed closed
+ * still fulfills its futures, with Answer::failed set and an empty
+ * output, and counts as completed. shutdown() drains the queue before
+ * the loops exit, so after it returns
+ * arrived == rejected + completed exactly (tested in every mode).
+ *
+ * Observability. The retire loop updates one LatencyRecorder
  * (queue-wait / service / end-to-end histograms + batch counters)
- * under a per-slot mutex that snapshot() also takes, so a live
- * snapshot is always consistent; admission counters (arrived,
- * rejectedFull, rejectedShutdown) are atomics on the submit path.
- * snapshot() latches the admission counters *before* merging the
- * completion histograms — see LiveServer::snapshot for the ordering
- * guarantee that buys.
+ * under a mutex that snapshot() also takes, so a live snapshot is
+ * always consistent; admission counters (arrived, rejectedFull,
+ * rejectedShutdown) are atomics on the submit path. snapshot()
+ * latches the admission counters *before* merging the completion
+ * histograms — see LiveServer::snapshot for the ordering guarantee
+ * that buys.
  */
 
 #ifndef MNNFAST_SERVE_LIVE_SERVER_HH
@@ -91,12 +91,8 @@
 #include <mutex>
 #include <vector>
 
-#include <deque>
-
 #include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
-#include "core/sharded_engine.hh"
-#include "core/sharded_knowledge_base.hh"
 #include "runtime/thread_pool.hh"
 #include "serve/batch_backend.hh"
 #include "serve/latency_recorder.hh"
@@ -117,12 +113,14 @@ struct Answer
     std::vector<float> o;          ///< ed-dimensional response
     size_t batchSize = 0;          ///< size of the batch it rode in
     double queueWaitSeconds = 0.0; ///< enqueue -> batch dispatch
-    double serviceSeconds = 0.0;   ///< the engine call (batch-shared)
-    /** Cluster mode only: the batch failed closed (no shard subset
-     *  merged) and `o` is empty. In-process modes never fail. */
+    double serviceSeconds = 0.0;   ///< dispatch -> batch settled
+                                   ///< (batch-shared)
+    /** The batch failed closed (no shard answered) and `o` is empty.
+     *  Only a remote backend can fail; in-process batches never do. */
     bool failed = false;
-    /** Cluster mode only: bit s set = shard s contributed to `o`.
-     *  Zero for in-process modes and failed batches. */
+    /** Bit s set = shard s contributed to `o`; zero iff `failed`. The
+     *  replicated mode is one whole-KB shard (0b1), the sharded mode
+     *  sets all S bits, a cluster sets the shards that answered. */
     uint32_t shardMask = 0;
 };
 
@@ -143,14 +141,16 @@ struct LiveServerConfig
     /** Dispatch a partial batch once its oldest question waited this
      *  long (seconds). Zero means dispatch immediately when nonempty. */
     double batchTimeout = 2.0e-3;
-    /** Engine workers. Replicated mode: independent dispatch loops,
-     *  each owning a private full-KB ColumnEngine. Sharded mode: the
-     *  scatter width of the single ShardedEngine. */
+    /** Engine workers. Replicated mode: the number of full-KB
+     *  ColumnEngines, hence of batches in flight at once. Sharded
+     *  mode: the scatter width of the one ShardedEngine, which serves
+     *  one batch at a time. Ignored in cluster mode. */
     size_t workers = 1;
     /** Knowledge-base shards for scatter/gather dispatch. 0 or 1
      *  keeps the replicated mode; >= 2 partitions the KB (boundaries
      *  aligned to engine.chunkSize) and scatters every batch across
-     *  the worker pool, one shard per worker. See the file header. */
+     *  the worker pool, one shard per worker; at most 32 effective
+     *  shards (the Answer::shardMask width). See the file header. */
     size_t shards = 0;
     /** Bounded-queue capacity; submissions beyond it are rejected. */
     size_t queueCapacity = 1024;
@@ -159,7 +159,7 @@ struct LiveServerConfig
      *  sharded mode, from the scatter pool; nested pools would
      *  oversubscribe the cores). Coarse routing flows through here
      *  too: set engine.routePolicy / routeTopK / routeBoundThreshold
-     *  and every dispatch slot routes — replicated workers select
+     *  and every engine routes — replicated workers select
      *  globally, sharded scatter selects per shard, with bit-identical
      *  answers between the modes (see sharded_engine.hh). */
     core::EngineConfig engine;
@@ -178,8 +178,9 @@ class LiveServer
 {
   public:
     /**
-     * Start the workers. The knowledge base must be non-empty, must
-     * not be mutated while the server runs, and must outlive it.
+     * In-process mode (replicated or sharded, per cfg.shards): serve
+     * from engines over `kb`. The knowledge base must be non-empty,
+     * must not be mutated while the server runs, and must outlive it.
      */
     LiveServer(const core::KnowledgeBase &kb,
                const LiveServerConfig &cfg);
@@ -211,8 +212,8 @@ class LiveServer
 
     /**
      * Stop admissions, serve every already-accepted request, and join
-     * the workers. Idempotent; after it returns, every accepted
-     * future is ready and the counters are final.
+     * the loops. Idempotent; after it returns, every accepted future
+     * is ready and the counters are final.
      */
     void shutdown();
 
@@ -221,10 +222,13 @@ class LiveServer
      *
      * Ordering guarantee: the admission counters (arrived, then the
      * rejection split) are latched *before* the completion histograms
-     * are merged. Every admitted request lives in the bounded queue
-     * or a dispatched batch until its completion is recorded, so the
-     * apparent backlog `arrived - rejected - completed` never exceeds
-     * queueCapacity + engineSlots * maxBatch — a snapshot can show a
+     * are merged, and submit() counts an arrival only once it is
+     * rejected or queued. Every admitted request lives in the bounded
+     * queue or a popped batch until its completion is recorded, and
+     * the credit rule (file header) caps popped-but-unrecorded
+     * batches at engineSlots(), so the apparent backlog
+     * `arrived - rejected - completed` never exceeds
+     * queueCapacity + engineSlots() * maxBatch — a snapshot can show a
      * just-completed request as completed-but-not-yet-arrived
      * (transiently *under*-counting the backlog) but never reports
      * phantom in-flight requests (the artifact of the reverse order).
@@ -241,12 +245,12 @@ class LiveServer
     /** True when batches are scattered across a sharded KB. */
     bool sharded() const { return cfg.shards >= 2; }
 
-    /** True when batches dispatch through a remote BatchBackend. */
-    bool remote() const { return backend != nullptr; }
+    /** True when batches dispatch through a caller's BatchBackend. */
+    bool remote() const { return !ownedBackend; }
 
-    /** Dispatch loops: cfg.workers replicated slots, or 1 sharded /
-     *  cluster recording slot. */
-    size_t engineSlots() const { return workerSlots.size(); }
+    /** Batches in flight at most: the backend's pipelineDepth() —
+     *  cfg.workers replicated, 1 sharded, the cluster's window W. */
+    size_t engineSlots() const { return window.size(); }
 
     const LiveServerConfig &config() const { return cfg; }
 
@@ -257,24 +261,10 @@ class LiveServer
         std::promise<Answer> promise;
     };
 
-    /** One dispatch slot: engine + its privately-written recorder. */
-    struct Worker
-    {
-        Worker(std::unique_ptr<core::InferenceEngine> engine,
-               const LiveServerConfig &cfg)
-            : engine(std::move(engine)),
-              recorder(cfg.histogramMaxSeconds, cfg.histogramBins)
-        {}
-
-        std::unique_ptr<core::InferenceEngine> engine;
-        LatencyRecorder recorder;
-        std::mutex recorderMutex; ///< worker writes vs snapshot reads
-    };
-
-    /** One dispatched-but-unretired cluster batch: the flattened
-     *  question/answer buffers must stay stable from submitBatch to
-     *  waitBatch, so each batch owns heap storage. */
-    struct PendingBatch
+    /** One window slot: a batch from its pop until its completions are
+     *  recorded. The flattened buffers stay put from submitBatch to
+     *  waitBatch and are reused by the slot's next batch. */
+    struct Slot
     {
         std::vector<RequestQueue<Request>::Entry> entries;
         std::vector<float> uflat;
@@ -283,27 +273,36 @@ class LiveServer
         std::chrono::steady_clock::time_point dispatched;
     };
 
-    void workerLoop(size_t slot);
-    void dispatchLoop(); ///< cluster: queue -> backend window
-    void retireLoop();   ///< cluster: backend -> promises, in order
+    /** Both public constructors: serve through `external` if given,
+     *  else through `owned`, the in-process backend. */
+    LiveServer(std::unique_ptr<BatchBackend> owned,
+               BatchBackend *external, size_t embedding_dim,
+               const LiveServerConfig &cfg);
 
-    const core::KnowledgeBase *kb; ///< null in cluster mode
-    BatchBackend *backend;         ///< null in in-process modes
-    size_t ed;                     ///< question width
+    void dispatchLoop(); ///< queue -> backend, one credit per batch
+    void retireLoop();   ///< backend -> promises + recorder, in order
+
+    std::unique_ptr<BatchBackend> ownedBackend; ///< in-process modes
+    BatchBackend &backend;
+    size_t ed; ///< question width
     LiveServerConfig cfg;
     std::chrono::nanoseconds timeoutNs;
 
     RequestQueue<Request> queue;
-    /** The shard partition (sharded mode only; engines point at it). */
-    std::unique_ptr<core::ShardedKnowledgeBase> sharding;
-    std::vector<std::unique_ptr<Worker>> workerSlots;
 
-    /** Cluster mode: submitted batches awaiting retirement, oldest
-     *  first — the dispatch loop pushes, the retire loop pops. */
-    std::deque<std::unique_ptr<PendingBatch>> retireQueue;
-    std::mutex retireMutex;
-    std::condition_variable retireCv;
-    bool dispatchDone = false; ///< guarded by retireMutex
+    /** pipelineDepth() slots; batch k lives in slot k % size. The
+     *  credits taken are `submitted - retired` plus the one the
+     *  dispatch loop holds while it pops. */
+    std::vector<Slot> window;
+    std::mutex windowMutex;
+    std::condition_variable creditCv; ///< dispatch: a credit returned
+    std::condition_variable retireCv; ///< retire: a batch submitted
+    uint64_t submitted = 0;           ///< guarded by windowMutex
+    uint64_t retired = 0;             ///< guarded by windowMutex
+    bool dispatchDone = false;        ///< guarded by windowMutex
+
+    LatencyRecorder recorder;
+    mutable std::mutex recorderMutex; ///< retire writes vs snapshot
 
     std::atomic<uint64_t> arrived{0};
     std::atomic<uint64_t> rejectedFull{0};
@@ -311,8 +310,8 @@ class LiveServer
     std::atomic<bool> stopping{false};
     std::once_flag shutdownOnce;
 
-    // Declared last so the pool (and its worker loops, which touch
-    // every member above) is torn down first.
+    // Declared last so the pool (and its two loops, which touch every
+    // member above) is torn down first.
     runtime::ThreadPool pool;
 };
 

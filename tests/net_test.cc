@@ -36,6 +36,7 @@
 #include "net/shard_node.hh"
 #include "net/tcp_transport.hh"
 #include "net/wire.hh"
+#include "node_set.hh"
 #include "serve/live_server.hh"
 #include "util/rng.hh"
 
@@ -621,42 +622,6 @@ makeQuestions(size_t nq, size_t ed, uint64_t seed = 23)
         x = rng.uniformRange(-1.f, 1.f);
     return u;
 }
-
-/** Shard nodes serving on loopback endpoints, one thread each. */
-class NodeSet
-{
-  public:
-    void
-    add(const core::KnowledgeBase &shard_kb,
-        const core::EngineConfig &cfg, uint32_t shard,
-        net::Transport &transport, const std::string &endpoint)
-    {
-        auto listener = transport.listen(endpoint);
-        ASSERT_TRUE(listener) << "endpoint " << endpoint;
-        nodes.push_back(
-            std::make_unique<ShardNode>(shard_kb, cfg, shard));
-        ShardNode *node = nodes.back().get();
-        threads.emplace_back(
-            [node, l = std::move(listener)]() mutable {
-                node->serve(*l);
-            });
-    }
-
-    void
-    stop()
-    {
-        for (auto &n : nodes)
-            n->requestStop();
-        for (auto &t : threads)
-            t.join();
-        threads.clear();
-    }
-
-    ~NodeSet() { stop(); }
-
-    std::vector<std::unique_ptr<ShardNode>> nodes;
-    std::vector<std::thread> threads;
-};
 
 TEST(ShardNode, StopsOnShutdownFrameAndRefusesMiswiredRequests)
 {

@@ -525,6 +525,8 @@ TEST(LiveServerRouted, RoutedAnswersMatchARoutedReferenceEngine)
     for (size_t i = 0; i < n_requests; ++i) {
         Answer ans = futures[i].get();
         ASSERT_EQ(ans.o.size(), ed);
+        EXPECT_FALSE(ans.failed);
+        EXPECT_EQ(ans.shardMask, 0b1u);
         reference.infer(questions[i].data(), expected.data());
         for (size_t e = 0; e < ed; ++e)
             EXPECT_EQ(ans.o[e], expected[e]) << "request " << i;

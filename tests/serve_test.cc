@@ -4,22 +4,31 @@
  * conservation, latency bounds, batching behaviour under load, the
  * throughput benefit of batch-amortized knowledge-base streaming,
  * the shared batching-dispatcher policy edge cases (maxBatch=1,
- * zero timeout, queue-full rejection), and the shutdown-drain
- * guarantee (every accepted request answered exactly once).
+ * zero timeout, queue-full rejection), the shutdown-drain
+ * guarantee (every accepted request answered exactly once), the
+ * snapshot backlog bound in-process and over a loopback cluster, and
+ * the serving loop's window rule against a reordering test backend.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
+#include "core/sharded_knowledge_base.hh"
+#include "net/cluster_frontend.hh"
+#include "net/loopback_transport.hh"
+#include "node_set.hh"
 #include "serve/calibrate.hh"
 #include "serve/latency_recorder.hh"
 #include "serve/live_server.hh"
@@ -432,6 +441,8 @@ TEST(LiveServer, AnswersAreBitIdenticalToAReferenceEngine)
         ASSERT_EQ(a.o.size(), ed);
         EXPECT_GE(a.batchSize, 1u);
         EXPECT_LE(a.batchSize, cfg.maxBatch);
+        EXPECT_FALSE(a.failed);
+        EXPECT_EQ(a.shardMask, 0b1u); // one whole-KB shard
         reference.infer(questions[i].data(), expected.data());
         for (size_t e = 0; e < ed; ++e)
             EXPECT_EQ(a.o[e], expected[e]) << "request " << i
@@ -604,24 +615,12 @@ TEST(LiveServer, SnapshotQuantilesAreOrderedAndComplete)
     EXPECT_GE(s.batches, 1u);
 }
 
-TEST(LiveServer, ConcurrentSnapshotsNeverShowPhantomBacklog)
+// Floods `server` from this thread while a monitor thread polls
+// snapshot(); see ConcurrentSnapshotsNeverShowPhantomBacklog.
+void
+floodAndCheckBacklog(LiveServer &server)
 {
-    // snapshot() latches `arrived` before the rejection counters and
-    // both before merging the completion histograms (see
-    // live_server.hh). A monitor thread polling mid-flood must
-    // therefore never observe an apparent backlog
-    // (arrived - rejected - completed) beyond what can physically be
-    // in flight: the queue plus one dispatched batch per engine slot.
-    // Reading the counters in the opposite order would routinely
-    // violate this under load. The guarantee is one-sided: between
-    // latching `arrived` and the later reads, more requests can be
-    // rejected/completed, so the signed backlog may transiently go
-    // *negative* — it must only never exceed the physical bound.
-    const core::KnowledgeBase kb = makeKb(150, 8);
-    LiveServerConfig cfg = liveConfig();
-    cfg.queueCapacity = 32;
-    cfg.batchTimeout = 0.0;
-    LiveServer server(kb, cfg);
+    const LiveServerConfig &cfg = server.config();
     const uint64_t in_flight_bound =
         cfg.queueCapacity + server.engineSlots() * cfg.maxBatch;
 
@@ -643,24 +642,243 @@ TEST(LiveServer, ConcurrentSnapshotsNeverShowPhantomBacklog)
         }
     });
 
-    std::vector<float> q(8, 0.4f);
+    std::vector<float> q(server.embeddingDim(), 0.4f);
     std::vector<std::future<Answer>> futures;
     for (int i = 0; i < 600; ++i) {
         Ticket t = server.submit(q.data());
         if (t.accepted())
             futures.push_back(std::move(t.answer));
+        // Brief pauses let batches dispatch while the flood goes on,
+        // so the queue refills with batches out.
+        if (i % 8 == 7)
+            std::this_thread::sleep_for(20us);
     }
     server.shutdown();
     done.store(true, std::memory_order_release);
     monitor.join();
     for (auto &f : futures)
-        f.get();
+        EXPECT_FALSE(f.get().failed);
 
     // After shutdown the books balance exactly.
     const LatencySnapshot s = server.snapshot();
     EXPECT_EQ(s.arrived,
               s.completed + s.rejectedFull + s.rejectedShutdown);
     EXPECT_EQ(s.completed, futures.size());
+}
+
+TEST(LiveServer, ConcurrentSnapshotsNeverShowPhantomBacklog)
+{
+    // snapshot() latches `arrived` before the rejection counters and
+    // both before merging the completion histograms (see
+    // live_server.hh). A monitor thread polling mid-flood must
+    // therefore never observe an apparent backlog
+    // (arrived - rejected - completed) beyond what can physically be
+    // in flight: the queue plus one popped batch per engine slot —
+    // which the credit rule makes true in every mode, the cluster
+    // mode's window of W included. Reading the counters in the
+    // opposite order would routinely violate this under load. The
+    // guarantee is one-sided: between latching `arrived` and the
+    // later reads, more requests can be rejected/completed, so the
+    // signed backlog may transiently go *negative* — it must only
+    // never exceed the physical bound.
+    const core::KnowledgeBase kb = makeKb(150, 8);
+    LiveServerConfig cfg = liveConfig();
+    cfg.queueCapacity = 32;
+    cfg.batchTimeout = 0.0;
+    {
+        SCOPED_TRACE("in-process");
+        LiveServer server(kb, cfg);
+        floodAndCheckBacklog(server);
+    }
+    {
+        SCOPED_TRACE("cluster");
+        const core::ShardedKnowledgeBase skb(kb, cfg.engine.chunkSize,
+                                             2);
+        // A millisecond per message keeps every window slot busy, so
+        // the flood overflows the queue while W batches are out.
+        net::FaultSpec lag;
+        lag.baseLatencySeconds = 1e-3;
+        net::LoopbackNetwork netns;
+        net::LoopbackTransport transport(netns, lag);
+        NodeSet set;
+        set.add(skb.shard(0), cfg.engine, 0, transport, "s0");
+        set.add(skb.shard(1), cfg.engine, 1, transport, "s1");
+        net::ClusterConfig ccfg;
+        ccfg.replicas = {{"s0"}, {"s1"}};
+        ccfg.requestTimeoutSeconds = 30.0;
+        ccfg.pipelineDepth = 4;
+        net::ClusterFrontEnd fe(transport, ccfg);
+        LiveServer server(fe, kb.dim(), cfg);
+        EXPECT_EQ(server.engineSlots(), 4u);
+        floodAndCheckBacklog(server);
+    }
+}
+
+/**
+ * A backend that tests LiveServer's window rule on its own:
+ * submitBatch never blocks, and a completer thread answers (echoes
+ * u into o) only once the window is full or every question has
+ * arrived — then newest first, so completions run in reverse
+ * submission order. It records the most batches ever submitted but
+ * not yet waited.
+ */
+class ReversingBackend final : public BatchBackend
+{
+  public:
+    ReversingBackend(size_t depth, size_t questions)
+        : depth(depth), questions(questions), completer([this] { run(); })
+    {}
+
+    ~ReversingBackend() override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            stop = true;
+        }
+        cv.notify_all();
+        completer.join();
+    }
+
+    uint64_t
+    submitBatch(const float *u, size_t nq, size_t ed, float *o) override
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        batches.push_back({u, nq * ed, o, false});
+        received += nq;
+        maxOutstanding = std::max(maxOutstanding, batches.size() - waited);
+        cv.notify_all();
+        return batches.size() - 1;
+    }
+
+    BatchResult
+    waitBatch(uint64_t ticket) override
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        EXPECT_EQ(ticket, waited) << "tickets waited out of order";
+        cv.wait(lock, [&] { return batches[ticket].done; });
+        ++waited;
+        BatchResult r;
+        r.complete = true;
+        r.shardsAnswered = 1;
+        r.shardMask = 0b1;
+        return r;
+    }
+
+    size_t pipelineDepth() const override { return depth; }
+
+    void countersInto(LatencyRecorder &) const override {}
+
+    size_t
+    peakOutstanding()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return maxOutstanding;
+    }
+
+  private:
+    struct Batch
+    {
+        const float *u;
+        size_t floats;
+        float *o;
+        bool done;
+    };
+
+    void
+    run()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        size_t answered = 0; // batches [0, answered) are done
+        for (;;) {
+            cv.wait(lock, [&] {
+                const size_t pending = batches.size() - answered;
+                return stop || pending >= depth
+                    || (pending > 0 && received == questions);
+            });
+            if (stop)
+                return;
+            // Give a dispatcher that ignores the window time to
+            // overshoot it before anything completes.
+            lock.unlock();
+            std::this_thread::sleep_for(2ms);
+            lock.lock();
+            const size_t end = batches.size();
+            for (size_t j = end; j-- > answered;) {
+                Batch &b = batches[j];
+                std::copy(b.u, b.u + b.floats, b.o);
+                b.done = true;
+                cv.notify_all();
+                lock.unlock();
+                std::this_thread::sleep_for(1ms);
+                lock.lock();
+            }
+            answered = end;
+        }
+    }
+
+    const size_t depth;
+    const size_t questions;
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::vector<Batch> batches; ///< by ticket
+    size_t received = 0;        ///< questions submitted so far
+    size_t waited = 0;          ///< tickets [0, waited) were waited
+    size_t maxOutstanding = 0;
+    bool stop = false;
+    std::thread completer; ///< last: starts after every member above
+};
+
+TEST(LiveServer, WindowRuleHoldsOverAReorderingBackend)
+{
+    // The window rule is LiveServer's, not the backend's: with a
+    // backend that never blocks in submitBatch, at most pipelineDepth()
+    // batches may be submitted but not waited, and however the
+    // backend orders its completions the futures settle in
+    // submission order, each with its own answer.
+    const size_t ed = 4, depth = 3, n_requests = 20;
+    ReversingBackend backend(depth, n_requests);
+    LiveServerConfig cfg;
+    cfg.maxBatch = 2;
+    cfg.batchTimeout = 0.0;
+    cfg.queueCapacity = 64; // holds every request: none is refused
+    LiveServer server(backend, ed, cfg);
+    EXPECT_EQ(server.engineSlots(), depth);
+
+    std::vector<std::vector<float>> questions(n_requests);
+    std::vector<std::future<Answer>> futures;
+    for (size_t i = 0; i < n_requests; ++i) {
+        questions[i].assign(ed, static_cast<float>(i));
+        Ticket t = server.submit(questions[i].data());
+        ASSERT_TRUE(t.accepted());
+        futures.push_back(std::move(t.answer));
+    }
+
+    // The retire loop sets the promises one after another, so once
+    // future i is seen ready every earlier one must be ready too.
+    size_t ready = 0;
+    while (ready < n_requests) {
+        size_t high = n_requests;
+        while (high > ready
+               && futures[high - 1].wait_for(0s)
+                      != std::future_status::ready)
+            --high;
+        for (size_t j = ready; j < high; ++j)
+            ASSERT_EQ(futures[j].wait_for(0s), std::future_status::ready)
+                << "future " << high - 1 << " settled before " << j;
+        ready = high;
+        std::this_thread::sleep_for(100us);
+    }
+    for (size_t i = 0; i < n_requests; ++i) {
+        const Answer a = futures[i].get();
+        EXPECT_EQ(a.o, questions[i]) << "request " << i;
+        EXPECT_FALSE(a.failed);
+        EXPECT_EQ(a.shardMask, 0b1u);
+    }
+    server.shutdown();
+    EXPECT_LE(backend.peakOutstanding(), depth);
+    // The flood fills the window, so the rule was exercised at its
+    // limit rather than trivially.
+    EXPECT_EQ(backend.peakOutstanding(), depth);
 }
 
 TEST(LiveServer, ShutdownIsIdempotentAndDtorSafe)

@@ -312,6 +312,8 @@ TEST(LiveServer, ShardedModeAnswersMatchReferenceEngine)
     for (size_t i = 0; i < n_requests; ++i) {
         serve::Answer a = futures[i].get();
         ASSERT_EQ(a.o.size(), ed);
+        EXPECT_FALSE(a.failed);
+        EXPECT_EQ(a.shardMask, (1u << skb.shardCount()) - 1);
         reference.infer(questions[i].data(), expected.data());
         for (size_t e = 0; e < ed; ++e)
             EXPECT_EQ(a.o[e], expected[e])
