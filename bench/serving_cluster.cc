@@ -189,7 +189,6 @@ runScenario(const Scenario &sc, bool hedging,
 
     NodeSet nodeSet;
     net::ClusterConfig ccfg;
-    ccfg.onlineNormalize = ecfg.onlineNormalize;
     ccfg.requestTimeoutSeconds = timeoutSeconds;
     ccfg.hedging = hedging;
     ccfg.hedgeMinSeconds = 2e-3;
@@ -306,7 +305,6 @@ runPipelinePass(const net::FaultSpec &fault, size_t depth,
 
     NodeSet nodeSet;
     net::ClusterConfig ccfg;
-    ccfg.onlineNormalize = ecfg.onlineNormalize;
     ccfg.requestTimeoutSeconds = 30.0;
     ccfg.hedging = false; // isolate pipelining from hedging
     ccfg.pipelineDepth = depth;

@@ -78,7 +78,6 @@ main()
     cfg.chunkSize = 1000;
     cfg.streaming = true;
     cfg.skipThreshold = 0.05f;
-    cfg.onlineNormalize = true; // raw key dots can be large
     core::ColumnEngine engine(kb, cfg);
 
     const size_t n_queries = 200;

@@ -11,6 +11,7 @@
 
 #include "blas/kernels.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -269,9 +270,15 @@ expInplace(float *x, size_t n)
 }
 
 void
-expShiftInplace(float *x, size_t n, float shift)
+expShiftInplace(float *x, size_t n, float k)
 {
-    active().expShiftInplace(x, n, shift);
+    active().expShiftInplace(x, n, k);
+}
+
+float
+expShiftFor(float m)
+{
+    return std::floor(m * 1.44269504088896341f + 0.5f);
 }
 
 void
@@ -279,26 +286,7 @@ softmax(float *x, size_t n)
 {
     if (n == 0)
         return;
-    const float m = maxElement(x, n);
-    expShiftInplace(x, n, m);
-    const float s = sum(x, n);
-    scal(1.0f / s, x, n);
-}
-
-void
-softmaxRaw(float *x, size_t n)
-{
-    if (n == 0)
-        return;
-    // e^x overflows float above ~88.7; past that the raw quotient is
-    // inf/inf = NaN. Route large-logit inputs through the shifted
-    // path, which is the same quotient algebraically.
-    const float m = maxElement(x, n);
-    if (m > 80.0f) {
-        expShiftInplace(x, n, m);
-    } else {
-        expInplace(x, n);
-    }
+    expShiftInplace(x, n, expShiftFor(maxElement(x, n)));
     const float s = sum(x, n);
     scal(1.0f / s, x, n);
 }

@@ -270,15 +270,32 @@ void gemvT(const float *a, size_t rows, size_t cols,
 void gemm(const float *a, const float *b, float *c,
           size_t m, size_t k, size_t n, bool accumulate = false);
 
-/** Elementwise e^x over a length-n vector, in place; NaN stays NaN. */
+/**
+ * Elementwise e^x over a length-n vector, in place; NaN stays NaN.
+ * Unshifted, so logits above ~88.7 overflow to inf: the paper's
+ * softmax as printed, kept for BaselineEngine and the FPGA model.
+ */
 void expInplace(float *x, size_t n);
 
 /**
- * Elementwise shifted exponential, in place: x_i <- e^{x_i - shift}.
- * The fused form of the max-subtracted softmax inner loop; the column
- * engine's online-normalize path uses it with the running max.
+ * Elementwise exponential shifted by a power of two, in place:
+ * x_i <- e^{x_i} * 2^{-k} for an integer-valued k. Each result is
+ * e^r * 2^(n_i - k) with x_i = n_i ln 2 + r, and e^r depends on x_i
+ * alone, so results under two shifts differ by exactly 2^(k' - k)
+ * wherever both are normal floats. The max-subtracted softmax inner
+ * loop, and the column engine's phase 2 with its running shift: it
+ * rescales earlier partial sums by such a power of two, exactly, so
+ * where chunk boundaries fall cannot change a result bit. Exponents
+ * n_i - k beyond [-126, 127] give 0 or +inf; NaN stays NaN.
  */
-void expShiftInplace(float *x, size_t n, float shift);
+void expShiftInplace(float *x, size_t n, float k);
+
+/**
+ * The expShiftInplace shift for values whose maximum is m:
+ * round(m log2 e), which puts the largest result in [2^-0.5, 2^0.5]
+ * and every other below it.
+ */
+float expShiftFor(float m);
 
 /**
  * Numerically-stable softmax over a length-n vector, in place:
@@ -288,20 +305,6 @@ void expShiftInplace(float *x, size_t n, float shift);
  * with the standard max-subtraction guard.
  */
 void softmax(float *x, size_t n);
-
-/**
- * "Raw" softmax exactly as in the paper's Fig. 5 dataflow (exp then
- * divide by the plain sum, no max subtraction). Provided so the
- * column-based lazy softmax can be checked for *algebraic* equivalence
- * with the layer-at-a-time pipeline.
- *
- * Overflow guard: e^x overflows float above x ~ 88.7, turning the
- * normalization into inf/inf = NaN. When max(x) exceeds a safe bound
- * the computation is routed through the max-subtracted path, which is
- * algebraically identical (the shift cancels in the quotient); below
- * the bound the historical raw behaviour is bit-preserved.
- */
-void softmaxRaw(float *x, size_t n);
 
 /**
  * True when a SIMD tier is active (the CPU supports AVX2+FMA and
@@ -363,7 +366,7 @@ void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
 void gemm(const float *a, const float *b, float *c,
           size_t m, size_t k, size_t n, bool accumulate);
 void expInplace(float *x, size_t n);
-void expShiftInplace(float *x, size_t n, float shift);
+void expShiftInplace(float *x, size_t n, float k);
 
 } // namespace scalar
 

@@ -168,31 +168,26 @@ maxElementAvx2(const float *x, size_t n)
 }
 
 /**
- * Vector e^x, Cephes-style: split x = n*ln2 + r with |r| <= ln2/2,
- * evaluate a degree-6 polynomial for e^r, scale by 2^n through the
- * float exponent field. Inputs above 88.376 resolve to +inf and below
- * -87.337 to 0 so the boundary behaviour matches std::exp (the scalar
- * path's denormal outputs flush to zero, a < 1.2e-38 absolute
- * difference).
+ * Vector e^x * 2^-k for an integer-valued k, Cephes-style: split
+ * x = n*ln2 + r with |r| <= ln2/2, evaluate a degree-6 polynomial for
+ * e^r, and scale by 2^(n - k) through the float exponent field. The
+ * polynomial depends on x alone, so two shifts give results that
+ * differ by exactly 2^(k' - k) wherever both are normal: the column
+ * engine rescales its partial sums by such powers of two without
+ * rounding. n - k above 127 resolves to +inf and below -126 to 0
+ * (std::exp would go on into denormals, a < 1.2e-38 absolute
+ * difference); NaN stays NaN.
  */
 inline __m256
-exp8(__m256 x)
+exp8(__m256 x, __m256 k)
 {
-    const __m256 hi = _mm256_set1_ps(88.3762626647950f);
-    const __m256 lo = _mm256_set1_ps(-87.3365478515625f);
-    const __m256 over = _mm256_cmp_ps(x, hi, _CMP_GT_OQ);
-    const __m256 under = _mm256_cmp_ps(x, lo, _CMP_LT_OQ);
-
-    __m256 xc = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
-
     // n = round(x / ln2), computed as floor(x * log2e + 0.5).
-    __m256 fx = _mm256_fmadd_ps(xc,
-                                _mm256_set1_ps(1.44269504088896341f),
-                                _mm256_set1_ps(0.5f));
-    fx = _mm256_floor_ps(fx);
+    const __m256 fx = _mm256_floor_ps(
+        _mm256_fmadd_ps(x, _mm256_set1_ps(1.44269504088896341f),
+                        _mm256_set1_ps(0.5f)));
 
     // r = x - n*ln2, with ln2 split for extra precision.
-    __m256 r = _mm256_fnmadd_ps(fx, _mm256_set1_ps(0.693359375f), xc);
+    __m256 r = _mm256_fnmadd_ps(fx, _mm256_set1_ps(0.693359375f), x);
     r = _mm256_fnmadd_ps(fx, _mm256_set1_ps(-2.12194440e-4f), r);
 
     __m256 y = _mm256_set1_ps(1.9875691500e-4f);
@@ -204,8 +199,13 @@ exp8(__m256 x)
     y = _mm256_fmadd_ps(y, _mm256_mul_ps(r, r), r);
     y = _mm256_add_ps(y, _mm256_set1_ps(1.0f));
 
-    // y *= 2^n via the exponent field.
-    __m256i bits = _mm256_cvttps_epi32(fx);
+    // y *= 2^(n - k) via the exponent field.
+    const __m256 lo = _mm256_set1_ps(-126.f), hi = _mm256_set1_ps(127.f);
+    const __m256 e = _mm256_sub_ps(fx, k);
+    const __m256 over = _mm256_cmp_ps(e, hi, _CMP_GT_OQ);
+    const __m256 under = _mm256_cmp_ps(e, lo, _CMP_NGE_UQ); // NaN too
+    __m256i bits = _mm256_cvttps_epi32(
+        _mm256_min_ps(_mm256_max_ps(e, lo), hi));
     bits = _mm256_add_epi32(bits, _mm256_set1_epi32(127));
     bits = _mm256_slli_epi32(bits, 23);
     y = _mm256_mul_ps(y, _mm256_castsi256_ps(bits));
@@ -213,42 +213,30 @@ exp8(__m256 x)
     y = _mm256_blendv_ps(
         y, _mm256_set1_ps(std::numeric_limits<float>::infinity()), over);
     y = _mm256_blendv_ps(y, _mm256_setzero_ps(), under);
-    // The clamp above maps NaN to `lo` (vmaxps returns its second
-    // operand on NaN); blend NaN lanes back from the input, as std::exp.
     return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
 }
 
 void
-expInplaceAvx2(float *x, size_t n)
+expShiftInplaceAvx2(float *x, size_t n, float k)
 {
+    const __m256 kv = _mm256_set1_ps(k);
     size_t i = 0;
     for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(x + i, exp8(_mm256_loadu_ps(x + i)));
+        _mm256_storeu_ps(x + i, exp8(_mm256_loadu_ps(x + i), kv));
     if (i < n) {
         // Tail through the same vector path so results do not depend
         // on where the 8-lane boundary falls.
         float buf[8];
         std::memcpy(buf, x + i, (n - i) * sizeof(float));
-        _mm256_storeu_ps(buf, exp8(_mm256_loadu_ps(buf)));
+        _mm256_storeu_ps(buf, exp8(_mm256_loadu_ps(buf), kv));
         std::memcpy(x + i, buf, (n - i) * sizeof(float));
     }
 }
 
 void
-expShiftInplaceAvx2(float *x, size_t n, float shift)
+expInplaceAvx2(float *x, size_t n)
 {
-    const __m256 sh = _mm256_set1_ps(shift);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(
-            x + i, exp8(_mm256_sub_ps(_mm256_loadu_ps(x + i), sh)));
-    if (i < n) {
-        float buf[8];
-        std::memcpy(buf, x + i, (n - i) * sizeof(float));
-        _mm256_storeu_ps(buf,
-                         exp8(_mm256_sub_ps(_mm256_loadu_ps(buf), sh)));
-        std::memcpy(x + i, buf, (n - i) * sizeof(float));
-    }
+    expShiftInplaceAvx2(x, n, 0.f);
 }
 
 // --- gemm: packed-B 4x16 register-tiled micro-kernel ----------------

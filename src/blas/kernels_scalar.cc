@@ -404,10 +404,26 @@ expInplace(float *x, size_t n)
 }
 
 void
-expShiftInplace(float *x, size_t n, float shift)
+expShiftInplace(float *x, size_t n, float k)
 {
-    for (size_t i = 0; i < n; ++i)
-        x[i] = std::exp(x[i] - shift);
+    // The SIMD tiers' decomposition x = n*ln2 + r, with e^r from libm:
+    // e^r depends on x alone, so shifts change results by exact
+    // powers of two (see kernels.hh).
+    for (size_t i = 0; i < n; ++i) {
+        if (std::isnan(x[i]))
+            continue;
+        const float fx = std::floor(x[i] * 1.44269504088896341f + 0.5f);
+        const float e = fx - k;
+        if (e > 127.f) {
+            x[i] = std::numeric_limits<float>::infinity();
+        } else if (!(e >= -126.f)) { // NaN too (k = -inf)
+            x[i] = 0.f;
+        } else {
+            const float r = x[i] - fx * 0.693359375f
+                            - fx * -2.12194440e-4f;
+            x[i] = std::ldexp(std::exp(r), static_cast<int>(e));
+        }
+    }
 }
 
 } // namespace mnnfast::blas::scalar

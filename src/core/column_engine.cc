@@ -32,6 +32,19 @@ namespace {
 /** Oversubscription factor for the automatic group count. */
 constexpr size_t kAutoGroupsPerWorker = 4;
 
+/**
+ * 2^d for an integer-valued d <= 0: the exact factor between two
+ * running shifts (0 once it leaves the double range, as for d = -inf,
+ * the shift of a partial that saw no row; NaN stays NaN).
+ */
+double
+pow2(float d)
+{
+    if (!(d >= -1074.f))
+        return std::isnan(d) ? d : 0.0;
+    return std::ldexp(1.0, static_cast<int>(d));
+}
+
 } // namespace
 
 ColumnEngine::ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg)
@@ -155,7 +168,6 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
     // accumulation order is call-split invariant.
     const size_t strip =
         plan.stripRows == runtime::kWholeChunk ? chunk : plan.stripRows;
-    const bool online = cfg.onlineNormalize;
     const float th = cfg.skipThreshold;
 
     // Chunk-local e-value tile, the only per-question temporary:
@@ -284,25 +296,23 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         }
         out.tInner += phase_timer.seconds();
 
-        // Phase 2 (partial softmax): exponential + running sum. In
-        // online mode the accumulators are rescaled whenever a new
-        // running max appears, keeping exp arguments bounded.
+        // Phase 2 (partial softmax): exponential shifted by the
+        // running max + running sum. When the chunk raises the
+        // running shift, the accumulators are rescaled first — by an
+        // exact power of two (see header) — so no e-value exceeds
+        // ~1.4 and large logits cannot overflow.
         phase_timer.reset();
         for (size_t q = 0; q < nb; ++q) {
             float *tq = t + q * chunk;
-            if (online) {
-                const float m =
-                    std::max(runmax[q], blas::maxElement(tq, len));
-                if (m > runmax[q]) {
-                    const float rescale = std::exp(runmax[q] - m);
-                    psum[q] *= rescale;
-                    blas::scal(rescale, acc + q * ed, ed);
-                    runmax[q] = m;
-                }
-                blas::expShiftInplace(tq, len, m);
-            } else {
-                blas::expInplace(tq, len);
+            const float k = std::max(
+                runmax[q], blas::expShiftFor(blas::maxElement(tq, len)));
+            if (k > runmax[q]) {
+                const double rescale = pow2(runmax[q] - k);
+                psum[q] *= rescale;
+                blas::scal(static_cast<float>(rescale), acc + q * ed, ed);
+                runmax[q] = k;
             }
+            blas::expShiftInplace(tq, len, k);
         }
         out.tSoftmax += phase_timer.seconds();
 
@@ -466,7 +476,9 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     // same retained block — no allocation.
     partialArena.reset();
     partials.resize(groups.size());
-    for (Partial &p : partials) {
+    groupViews.resize(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+        Partial &p = partials[g];
         p.o = partialArena.floats(nq * ed);
         p.psum = partialArena.doubles(nq);
         p.runmax = partialArena.floats(nq);
@@ -475,6 +487,7 @@ ColumnEngine::runGroups(const float *u, size_t nq)
         std::fill(p.runmax, p.runmax + nq,
                   -std::numeric_limits<float>::infinity());
         p.tInner = p.tSoftmax = p.tWsum = 0.0;
+        groupViews[g] = {p.o, p.psum, p.runmax};
     }
 
     // Per-worker slots, indexed by the unique worker/part id, so the
@@ -531,47 +544,52 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     return totals;
 }
 
+double
+foldPartials(const PartialView *parts, size_t nParts, size_t q,
+             size_t ed, float *oq, float *runMax)
+{
+    float gmax = -std::numeric_limits<float>::infinity();
+    for (size_t i = 0; i < nParts; ++i)
+        gmax = std::max(gmax, parts[i].runMax[q]);
+    double s = 0.0;
+    blas::zero(oq, ed);
+    for (size_t i = 0; i < nParts; ++i) {
+        const PartialView &p = parts[i];
+        if (p.expSum[q] == 0.0)
+            continue;
+        const double scale = pow2(p.runMax[q] - gmax);
+        s += p.expSum[q] * scale;
+        blas::axpy(static_cast<float>(scale), p.o + q * ed, oq, ed);
+    }
+    *runMax = gmax;
+    return s;
+}
+
+void
+mergeStreamPartials(const PartialView *parts, size_t nParts, size_t nq,
+                    size_t ed, float *o)
+{
+    // The lazy softmax division: O(ed) divisions per question instead
+    // of O(ns).
+    for (size_t q = 0; q < nq; ++q) {
+        float gmax;
+        const double s = foldPartials(parts, nParts, q, ed, o + q * ed,
+                                      &gmax);
+        blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
+    }
+}
+
 void
 ColumnEngine::inferBatch(const float *u, size_t nq, float *o)
 {
-    const size_t ed = kb.dim();
     Timer timer;
     const RunTotals totals = runGroups(u, nq);
-
-    // Merge partials in group order (deterministic; see header) and
-    // apply the lazy softmax division: O(ed) divisions per question
-    // instead of O(ns).
-    if (cfg.onlineNormalize) {
-        for (size_t q = 0; q < nq; ++q) {
-            float gmax = -std::numeric_limits<float>::infinity();
-            for (const Partial &p : partials)
-                gmax = std::max(gmax, p.runmax[q]);
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (const Partial &p : partials) {
-                if (p.psum[q] == 0.0)
-                    continue;
-                const float scale = std::exp(p.runmax[q] - gmax);
-                s += p.psum[q] * scale;
-                blas::axpy(scale, p.o + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    } else {
-        for (size_t q = 0; q < nq; ++q) {
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (const Partial &p : partials) {
-                s += p.psum[q];
-                blas::axpy(1.0f, p.o + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    }
-
-    // The lazy-softmax division happened above; the partial entry
-    // point defers it to the gathering merge.
-    counterGroup["div_ops"].add(nq * ed);
+    // Group order is fixed by the config, never by the schedule (see
+    // header), so the merge is deterministic.
+    mergeStreamPartials(groupViews.data(), groupViews.size(), nq,
+                        kb.dim(), o);
+    // The partial entry point defers the division to the gather.
+    counterGroup["div_ops"].add(nq * kb.dim());
     recordRunStats(totals, nq, timer.seconds());
 }
 
@@ -586,44 +604,15 @@ ColumnEngine::inferPartial(const float *u, size_t nq, StreamPartial &out)
     out.o.resize(nq * ed);
     out.expSum.resize(nq);
     out.runMax.resize(nq);
-
-    // Merge the group partials in group order with exactly the same
-    // operation sequence as inferBatch — minus the division, which
-    // the gather side applies after the cross-shard merge. With a
-    // single group this is a bit-exact copy of its accumulators
-    // (0 + x and 1.0 * x are exact), the property the sharded
+    // The same fold as inferBatch, minus the division, which the
+    // gather applies after the cross-shard merge. With a single group
+    // this is a bit-exact copy of its accumulators (scale 2^0 = 1,
+    // 0 + x and 1 * x are exact), the property the sharded
     // bit-identity guarantee rests on.
-    if (cfg.onlineNormalize) {
-        for (size_t q = 0; q < nq; ++q) {
-            float gmax = -std::numeric_limits<float>::infinity();
-            for (const Partial &p : partials)
-                gmax = std::max(gmax, p.runmax[q]);
-            double s = 0.0;
-            blas::zero(out.o.data() + q * ed, ed);
-            for (const Partial &p : partials) {
-                if (p.psum[q] == 0.0)
-                    continue;
-                const float scale = std::exp(p.runmax[q] - gmax);
-                s += p.psum[q] * scale;
-                blas::axpy(scale, p.o + q * ed, out.o.data() + q * ed,
-                           ed);
-            }
-            out.expSum[q] = s;
-            out.runMax[q] = gmax;
-        }
-    } else {
-        for (size_t q = 0; q < nq; ++q) {
-            double s = 0.0;
-            blas::zero(out.o.data() + q * ed, ed);
-            for (const Partial &p : partials) {
-                s += p.psum[q];
-                blas::axpy(1.0f, p.o + q * ed, out.o.data() + q * ed,
-                           ed);
-            }
-            out.expSum[q] = s;
-            out.runMax[q] = -std::numeric_limits<float>::infinity();
-        }
-    }
+    for (size_t q = 0; q < nq; ++q)
+        out.expSum[q] =
+            foldPartials(groupViews.data(), groupViews.size(), q, ed,
+                         out.o.data() + q * ed, &out.runMax[q]);
 
     recordRunStats(totals, nq, timer.seconds());
 }

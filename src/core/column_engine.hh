@@ -11,6 +11,18 @@
  * from O(ns) to O(chunkSize) and every chunk's M_IN/M_OUT rows are
  * touched exactly once while hot.
  *
+ * The exponential is shifted by a running maximum, so large logits
+ * cannot overflow. The shift is kept on a power-of-two lattice: the
+ * running shift k = round(max log2 e) and every e-value is
+ * e^x * 2^-k (blas::expShiftInplace). When a chunk raises a
+ * question's k, its exp-sum and accumulator are first multiplied by
+ * 2^(k_old - k_new), which is exact, and e^x * 2^-k depends on k only
+ * through that exact factor. So the shift never changes a result bit
+ * (outside the denormal range): the output is invariant to chunk
+ * size and strip split, as an unshifted sum would be. This keeps the
+ * single pass; the paper's unshifted form (Fig. 5 as printed) lives
+ * on in BaselineEngine and the FPGA model.
+ *
  * The dataflow is *query-blocked*: each chunk is swept in small row
  * strips, and every strip is driven through the whole question batch
  * before the sweep advances — phase 1 is one dotBatchMulti call per
@@ -61,8 +73,6 @@
  *                   below threshold are kept (never the reverse), so
  *                   accuracy can only be better than the paper's
  *                   post-hoc skip at equal threshold.
- *  - onlineNormalize: numerically-safe running-max rescaling (see
- *                   EngineConfig).
  *  - routePolicy:   coarse-then-fine candidate selection (DESIGN.md
  *                   §11). A lazily built ChunkSummaryIndex gives every
  *                   chunk a per-dimension [lo, hi] envelope; before a
@@ -105,28 +115,66 @@
 namespace mnnfast::core {
 
 /**
- * The merged online-softmax state of one engine pass over (a shard
- * of) the knowledge base, *before* the lazy-softmax division: per
- * question a (rescaled) weighted-sum accumulator, a (rescaled)
- * running exp-sum, and the running maximum the rescaling is relative
- * to (-inf when onlineNormalize is off — the plain paper form never
- * shifts). Partials from disjoint sentence ranges merge exactly:
+ * Read-only view of one partial's state for nq questions, before the
+ * lazy-softmax division: per question a weighted-sum accumulator and
+ * an exp-sum, both scaled by 2^-runMax, where runMax is the running
+ * shift round(max logit * log2 e) (see the file header; -inf only for
+ * a question that saw no row). Views let the one merge read
+ * ColumnEngine's arena-resident group partials and StreamPartials
+ * alike, without copies.
+ */
+struct PartialView
+{
+    const float *o;       ///< nq x ed weighted-sum accumulators
+    const double *expSum; ///< nq exp sums
+    const float *runMax;  ///< nq running shifts
+};
+
+/**
+ * The merged state of one engine pass over (a shard of) the knowledge
+ * base, *before* the lazy-softmax division (see PartialView).
+ * Partials from disjoint sentence ranges merge with exact
+ * power-of-two scales:
  *
- *   m  = max(m_a, m_b)
- *   S  = S_a * e^(m_a - m) + S_b * e^(m_b - m)
- *   o  = o_a * e^(m_a - m) + o_b * e^(m_b - m)
+ *   k  = max(k_a, k_b)
+ *   S  = S_a * 2^(k_a - k) + S_b * 2^(k_b - k)
+ *   o  = o_a * 2^(k_a - k) + o_b * 2^(k_b - k)
  *
- * which is the same algebra ColumnEngine already applies to its
- * per-group partials. Produced by ColumnEngine::inferPartial and
- * consumed by ShardedEngine's canonical shard-order merge.
+ * Produced by ColumnEngine::inferPartial, merged by
+ * mergeStreamPartials in canonical shard order.
  */
 struct StreamPartial
 {
     std::vector<float> o;       ///< nq x ed weighted-sum accumulators
     std::vector<double> expSum; ///< nq running exp sums
-    std::vector<float> runMax;  ///< nq running maxima
+    std::vector<float> runMax;  ///< nq running shifts
     size_t nq = 0;              ///< questions this partial covers
+
+    PartialView view() const
+    {
+        return {o.data(), expSum.data(), runMax.data()};
+    }
 };
+
+/**
+ * The one partial merge. Folds question q of `parts`, in the order
+ * given, into the undivided accumulator `oq` (ed floats, overwritten)
+ * with the algebra above, stores the merged shift in `*runMax`, and
+ * returns the merged exp sum. A partial whose exp sum is 0 saw no row
+ * for q and is skipped. ColumnEngine merges its chunk groups with it
+ * and the gathers (ShardedEngine, net::ClusterFrontEnd) their shard
+ * partials, so every layer replays the same operation sequence.
+ */
+double foldPartials(const PartialView *parts, size_t nParts, size_t q,
+                    size_t ed, float *oq, float *runMax);
+
+/**
+ * Fold every question of `parts` (foldPartials) into `o` (nq x ed)
+ * and apply the single deferred lazy-softmax division. The order of
+ * `parts` must be canonical (group or shard order) for bit-identity.
+ */
+void mergeStreamPartials(const PartialView *parts, size_t nParts,
+                         size_t nq, size_t ed, float *o);
 
 /** Column-based (chunked, lazy-softmax) engine. See file header. */
 class ColumnEngine : public InferenceEngine
@@ -135,9 +183,9 @@ class ColumnEngine : public InferenceEngine
     /**
      * @param kb  Knowledge base; must outlive the engine.
      * @param cfg Engine tunables (chunk size, streaming, skipping,
-     *            threads, scheduling, online normalization). The
-     *            chunk size is clamped to the KB size at construction
-     *            (when the KB is non-empty) and must be nonzero.
+     *            threads, scheduling, routing). The chunk size is
+     *            clamped to the KB size at construction (when the KB
+     *            is non-empty) and must be nonzero.
      */
     ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg);
 
@@ -145,9 +193,9 @@ class ColumnEngine : public InferenceEngine
 
     /**
      * Run the same chunked pass as inferBatch but stop before the
-     * lazy-softmax division, leaving the merged online-softmax state
-     * in `out` (buffers resized as needed; reused capacity makes the
-     * steady state allocation-free). This is the scatter half of
+     * lazy-softmax division, leaving the merged state in `out`
+     * (buffers resized as needed; reused capacity makes the steady
+     * state allocation-free). This is the scatter half of
      * sharded inference: partials from engines over disjoint shards
      * merge exactly (see StreamPartial), and the gather side applies
      * the single deferred division.
@@ -174,7 +222,7 @@ class ColumnEngine : public InferenceEngine
     {
         float *o = nullptr;       ///< nq x ed weighted-sum accumulator
         double *psum = nullptr;   ///< nq running sums of exp values
-        float *runmax = nullptr;  ///< nq running maxima (online mode)
+        float *runmax = nullptr;  ///< nq running shifts
         double tInner = 0.0;      ///< seconds in inner products
         double tSoftmax = 0.0;    ///< seconds in exp/rescale
         double tWsum = 0.0;       ///< seconds in weighted sum
@@ -235,9 +283,9 @@ class ColumnEngine : public InferenceEngine
 
     /**
      * The shared pass: schedule every chunk group across the pool,
-     * leaving per-group accumulators in `partials`. inferBatch merges
-     * them with the final division; inferPartial merges them into a
-     * StreamPartial without it.
+     * leaving per-group accumulators in `partials` (and their views
+     * in `groupViews`). inferBatch merges them with the final
+     * division; inferPartial folds them into a StreamPartial.
      */
     RunTotals runGroups(const float *u, size_t nq);
 
@@ -254,6 +302,7 @@ class ColumnEngine : public InferenceEngine
     std::vector<runtime::ScratchArena> workerArenas; ///< chunk tiles
     runtime::ScratchArena partialArena;              ///< group partials
     std::vector<Partial> partials;
+    std::vector<PartialView> groupViews; ///< partials, for the merge
     std::vector<uint64_t> keptPerWorker;
     std::vector<uint64_t> skippedPerWorker;
     std::vector<uint64_t> routedPerWorker;

@@ -111,15 +111,6 @@ struct EngineConfig
      * PThread implementation.
      */
     size_t threads = 0;
-    /**
-     * Online max-rescaling inside the lazy softmax. The paper's
-     * single-pass formulation divides by sum(e^{x_i}) without a max
-     * guard; enabling this keeps the single-pass/streaming property
-     * but rescales accumulators when a new running max appears, which
-     * is algebraically equivalent and numerically safe for large
-     * logits. Off by default for paper fidelity.
-     */
-    bool onlineNormalize = false;
     /** Chunk-group scheduling policy (column engine). */
     Schedule schedule = Schedule::Dynamic;
     /**

@@ -1,10 +1,7 @@
 #include "core/sharded_engine.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
-#include "blas/kernels.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
@@ -46,9 +43,7 @@ ShardedEngine::ShardedEngine(const ShardedKnowledgeBase &skb,
             std::make_unique<ColumnEngine>(skb.shard(s), scfg));
     }
     parts.resize(engines.size());
-    partPtrs.resize(parts.size());
-    for (size_t s = 0; s < parts.size(); ++s)
-        partPtrs[s] = &parts[s];
+    views.resize(parts.size());
 
     displayName = "sharded[" + std::to_string(engines.size()) + "]+" +
                   engines.front()->name();
@@ -132,50 +127,13 @@ ShardedEngine::inferBatch(const float *u, size_t nq, float *o)
 }
 
 void
-mergeStreamPartials(const StreamPartial *const *parts, size_t nParts,
-                    size_t nq, size_t ed, bool onlineNormalize,
-                    float *o)
-{
-    // The same operation sequence as ColumnEngine::inferBatch's group
-    // merge — caller-given (canonical) order, psum == 0 skip, one
-    // division — so a gather over partials replays the reference
-    // merge exactly (see the file header).
-    if (onlineNormalize) {
-        for (size_t q = 0; q < nq; ++q) {
-            float gmax = -std::numeric_limits<float>::infinity();
-            for (size_t i = 0; i < nParts; ++i)
-                gmax = std::max(gmax, parts[i]->runMax[q]);
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (size_t i = 0; i < nParts; ++i) {
-                const StreamPartial &p = *parts[i];
-                if (p.expSum[q] == 0.0)
-                    continue;
-                const float scale = std::exp(p.runMax[q] - gmax);
-                s += p.expSum[q] * scale;
-                blas::axpy(scale, p.o.data() + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    } else {
-        for (size_t q = 0; q < nq; ++q) {
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (size_t i = 0; i < nParts; ++i) {
-                const StreamPartial &p = *parts[i];
-                s += p.expSum[q];
-                blas::axpy(1.0f, p.o.data() + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    }
-}
-
-void
 ShardedEngine::gather(size_t nq, float *o)
 {
-    mergeStreamPartials(partPtrs.data(), partPtrs.size(), nq,
-                        skb.parent().dim(), cfg.onlineNormalize, o);
+    // inferPartial may have moved the buffers; refresh the views.
+    for (size_t s = 0; s < parts.size(); ++s)
+        views[s] = parts[s].view();
+    mergeStreamPartials(views.data(), views.size(), nq,
+                        skb.parent().dim(), o);
 }
 
 } // namespace mnnfast::core

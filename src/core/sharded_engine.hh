@@ -2,9 +2,9 @@
  * @file
  * Scatter/gather inference over a sharded knowledge base (paper §6):
  * one ColumnEngine per shard streams its partition and produces a
- * StreamPartial (running max, rescaled exp-sum, rescaled weighted
+ * StreamPartial (running shift, rescaled exp-sum, rescaled weighted
  * sum); the gather side merges the partials in canonical shard order
- * with the online-softmax algebra and applies the single deferred
+ * with mergeStreamPartials, which applies the single deferred
  * lazy-softmax division.
  *
  * Bit-identity guarantee: a ShardedEngine over S shards produces
@@ -15,15 +15,15 @@
  *  1. ShardedKnowledgeBase uses the same splitRange decomposition as
  *     ColumnEngine::chunkGroups, so shard s covers exactly chunk
  *     group s — the same rows, swept with the same chunk size and the
- *     same kStreamStrip strips, so every kernel call sees identical
+ *     same plan-table strips, so every kernel call sees identical
  *     operands. Zero-skip decisions depend only on the group-local
  *     running sum, which starts at zero per group in both layouts.
  *  2. Each per-shard engine runs with scheduleGroups = 1, so its
  *     StreamPartial is that single group's accumulator state
  *     bit-for-bit (see ColumnEngine::inferPartial).
- *  3. The gather merge below is the same operation sequence as
- *     ColumnEngine::inferBatch's group merge (same order, same
- *     psum == 0 skip, same division), just spelled over shards.
+ *  3. The gather and ColumnEngine::inferBatch's group merge are the
+ *     same function, mergeStreamPartials, over partials in the same
+ *     order — so the merges agree by construction.
  *
  * Which worker streams which shard, and when, therefore never changes
  * the result — exactly the property that lets a serving layer scatter
@@ -56,22 +56,6 @@
 #include "runtime/thread_pool.hh"
 
 namespace mnnfast::core {
-
-/**
- * Merge shard StreamPartials — in the order given, which must be the
- * canonical shard order for bit-identity — with the online-softmax
- * algebra, and apply the single deferred lazy-softmax division. This
- * is the one gather implementation: ShardedEngine uses it for its
- * in-process pool and net::ClusterFrontEnd for partials that crossed
- * the wire, so the two agree bit-for-bit by construction.
- *
- * Every partial must cover `nq` questions of dimension `ed`.
- * `onlineNormalize` must match the engine config the partials were
- * produced under (it decides whether runMax rescaling applies).
- */
-void mergeStreamPartials(const StreamPartial *const *parts,
-                         size_t nParts, size_t nq, size_t ed,
-                         bool onlineNormalize, float *o);
 
 /** Scatter/gather engine over a ShardedKnowledgeBase. See header. */
 class ShardedEngine : public InferenceEngine
@@ -113,7 +97,7 @@ class ShardedEngine : public InferenceEngine
     runtime::ThreadPool pool;
     std::vector<std::unique_ptr<ColumnEngine>> engines;
     std::vector<StreamPartial> parts; ///< slot s = shard s (reused)
-    std::vector<const StreamPartial *> partPtrs; ///< parts, for merge
+    std::vector<PartialView> views;   ///< parts, for the merge
     std::string displayName;
 };
 

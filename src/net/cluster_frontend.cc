@@ -591,12 +591,12 @@ ClusterFrontEnd::waitBatch(uint64_t ticket)
     // Merge outside the lock: no fetch thread references this slot
     // once its remainingShards hit zero (ordered by the mutex).
     BatchResult result;
-    std::vector<const core::StreamPartial *> parts;
+    std::vector<core::PartialView> parts;
     parts.reserve(fetchers.size());
     for (size_t s = 0; s < fetchers.size(); ++s) {
         if (!(fl->answeredMask & (uint32_t{1} << s)))
             continue;
-        parts.push_back(&fl->parts[s]);
+        parts.push_back(fl->parts[s].view());
         ++result.shardsAnswered;
     }
     result.shardMask = fl->answeredMask;
@@ -607,7 +607,7 @@ ClusterFrontEnd::waitBatch(uint64_t ticket)
         || (cfg.allowPartial && result.shardsAnswered > 0);
     if (merge) {
         core::mergeStreamPartials(parts.data(), parts.size(), fl->nq,
-                                  fl->ed, cfg.onlineNormalize, fl->o);
+                                  fl->ed, fl->o);
     } else {
         result.shardsAnswered = 0; // failed closed; o untouched
         result.shardMask = 0;

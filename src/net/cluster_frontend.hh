@@ -3,7 +3,7 @@
  * Cluster front end: scatters question batches to one ShardNode per
  * shard over a Transport, gathers the StreamPartials, and merges them
  * with core::mergeStreamPartials — the same canonical-shard-order
- * online-softmax merge ShardedEngine runs in process (DESIGN.md §12).
+ * running-max merge ShardedEngine runs in process (DESIGN.md §12).
  *
  * Bit-identity. Over a lossless transport with every shard answering,
  * the gather is bit-identical to ShardedEngine::inferBatch over the
@@ -129,10 +129,6 @@ struct ClusterConfig
     /** Merge a strict subset of shards after the deadline instead of
      *  failing the batch. See the partial-answer policy above. */
     bool allowPartial = false;
-
-    /** Must match the node engines' EngineConfig::onlineNormalize —
-     *  it selects the merge algebra. */
-    bool onlineNormalize = false;
 
     /** In-flight batch window W: submitBatch admits up to this many
      *  unretired batches, overlapping scatter of batch k+1 with

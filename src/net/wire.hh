@@ -19,11 +19,11 @@
  * agree on the bytes. Floating-point values travel as their IEEE-754
  * bit patterns (f32 as u32, f64 as u64), which makes encode/decode
  * round trips *bit-exact*, including negative zero, denormals, NaN
- * payloads and the -inf running maxima the plain (onlineNormalize
- * off) engines produce. That exactness is one leg of the cluster
- * bit-identity guarantee: a partial that crosses the wire is the same
- * partial, so the gather-side merge reproduces the in-process
- * ShardedEngine result bit for bit (see cluster_frontend.hh).
+ * payloads and the -inf running shift of a question no row reached.
+ * That exactness is one leg of the cluster bit-identity guarantee: a
+ * partial that crosses the wire is the same partial, so the
+ * gather-side merge reproduces the in-process ShardedEngine result
+ * bit for bit (see cluster_frontend.hh).
  *
  * Decoding is defensive: bad magic, unknown version, unknown type,
  * a length that disagrees with the buffer, truncation anywhere, or a
@@ -44,8 +44,14 @@
 
 namespace mnnfast::net {
 
-/** Wire protocol version; bump on any layout change. */
-inline constexpr uint16_t kWireVersion = 1;
+/**
+ * Wire protocol version; bump on any layout or meaning change.
+ * 2: a PartialResponse's runMax is the power-of-two shift its o and
+ * expSum are scaled by (core::PartialView), finite for every question
+ * that saw a row; version 1 engines could send -inf beside unshifted
+ * sums, which a version 2 merge would turn into NaN.
+ */
+inline constexpr uint16_t kWireVersion = 2;
 
 /** Frame magic ("MNNF" as a little-endian u32). */
 inline constexpr uint32_t kWireMagic = 0x4D4E4E46u;

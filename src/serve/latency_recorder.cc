@@ -149,6 +149,7 @@ LatencySnapshot::toJson(int indent) const
                   "{\n%s\"arrived\": %llu,\n%s\"rejected\": %llu,\n"
                   "%s\"rejected_full\": %llu,\n"
                   "%s\"rejected_shutdown\": %llu,\n"
+                  "%s\"rejected_non_finite\": %llu,\n"
                   "%s\"completed\": %llu,\n%s\"batches\": %llu,\n"
                   "%s\"mean_batch_size\": %.4f,\n",
                   in.c_str(), static_cast<unsigned long long>(arrived),
@@ -157,6 +158,8 @@ LatencySnapshot::toJson(int indent) const
                   static_cast<unsigned long long>(rejectedFull),
                   in.c_str(),
                   static_cast<unsigned long long>(rejectedShutdown),
+                  in.c_str(),
+                  static_cast<unsigned long long>(rejectedNonFinite),
                   in.c_str(), static_cast<unsigned long long>(completed),
                   in.c_str(), static_cast<unsigned long long>(batches),
                   in.c_str(), meanBatchSize);

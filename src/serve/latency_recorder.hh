@@ -69,14 +69,15 @@ struct LatencySnapshot
 {
     uint64_t arrived = 0;  ///< submit() calls, accepted or not
     /**
-     * Total refusals (== rejectedFull + rejectedShutdown). Kept so
-     * existing consumers see one number; the split below is what
-     * overload analysis should read — a clean shutdown refusing
-     * late submissions is not backpressure.
+     * Total refusals (== rejectedFull + rejectedShutdown +
+     * rejectedNonFinite). Kept so existing consumers see one number;
+     * the split below is what overload analysis should read — a
+     * clean shutdown refusing late submissions is not backpressure.
      */
     uint64_t rejected = 0;
     uint64_t rejectedFull = 0;     ///< bounded queue at capacity
     uint64_t rejectedShutdown = 0; ///< server was draining
+    uint64_t rejectedNonFinite = 0; ///< NaN or infinite question
     uint64_t completed = 0;        ///< futures fulfilled
     uint64_t batches = 0;   ///< engine dispatches
     double meanBatchSize = 0.0;

