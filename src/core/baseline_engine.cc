@@ -50,12 +50,9 @@ BaselineEngine::inferBatch(const float *u, size_t nq, float *o)
     // The plan's strip doubles as the dynamic claim grain when it is
     // larger than the fixed default (row blocks are independent, so
     // the grain never affects results; a whole-chunk strip, 0, leaves
-    // the default). A configured stripRows wins.
+    // the default).
     const size_t strip =
-        cfg.stripRows > 0
-            ? cfg.stripRows
-            : runtime::kernelPlan(precisionName(kb.precision()), nq)
-                  .stripRows;
+        runtime::kernelPlan(precisionName(kb.precision()), nq).stripRows;
     const size_t grain = std::max(kStep1Grain, strip);
 
     timer.start();

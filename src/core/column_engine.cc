@@ -52,12 +52,6 @@ ColumnEngine::ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg)
 {
     if (this->cfg.chunkSize == 0)
         fatal("column engine chunk size must be nonzero");
-    // A strip off the kernels' 4-row register grid would otherwise be
-    // silently rounded: the caller would ask for one split and run
-    // another.
-    if (this->cfg.stripRows % 4 != 0)
-        fatal("EngineConfig::stripRows = %zu is not a multiple of 4",
-              this->cfg.stripRows);
     switch (this->cfg.routePolicy) {
       case RoutePolicy::None:
         break;
@@ -82,16 +76,6 @@ ColumnEngine::ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg)
     workerArenas.resize(std::max<size_t>(1, pool.threadCount()));
 }
 
-runtime::KernelPlan
-ColumnEngine::resolvePlan(size_t nq) const
-{
-    runtime::KernelPlan plan =
-        runtime::kernelPlan(precisionName(kb.precision()), nq);
-    if (cfg.stripRows > 0)
-        plan.stripRows = cfg.stripRows; // validated at construction
-    return plan;
-}
-
 const char *
 ColumnEngine::name() const
 {
@@ -108,11 +92,11 @@ ColumnEngine::name() const
 const std::vector<runtime::Range> &
 ColumnEngine::chunkGroups(size_t n_chunks)
 {
-    // A pure function of the chunk count and configuration, shared by
-    // both scheduling policies, so the schedule can never change the
-    // merged result (see header). Cached: the KB size is fixed for
-    // the engine's lifetime in the serving loop, so this recomputes
-    // only if the KB grows between calls.
+    // A pure function of the chunk count and configuration, so which
+    // worker claims which group can never change the merged result
+    // (see header). Cached: the KB size is fixed for the engine's
+    // lifetime in the serving loop, so this recomputes only if the KB
+    // grows between calls.
     if (groupCache.empty() || groupCacheChunks != n_chunks) {
         const size_t workers = std::max<size_t>(1, pool.threadCount());
         const size_t want_groups =
@@ -454,7 +438,8 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     const size_t n_chunks = (ns + cfg.chunkSize - 1) / cfg.chunkSize;
     const auto &groups = chunkGroups(n_chunks);
     // One plan lookup per pass, outside the worker loops.
-    const runtime::KernelPlan plan = resolvePlan(nq);
+    const runtime::KernelPlan plan =
+        runtime::kernelPlan(precisionName(kb.precision()), nq);
 
     // Routing: make sure the chunk-summary index snapshot covers the
     // current KB (lazy build; rebuilt only when the KB grew). Resolved
@@ -517,21 +502,11 @@ ColumnEngine::runGroups(const float *u, size_t nq)
                       bypassedPerWorker[worker]);
     };
 
-    if (cfg.schedule == Schedule::Dynamic) {
-        runtime::parallelForDynamic(
-            pool, groups.size(), 1,
-            [&](size_t worker, runtime::Range r) {
-                for (size_t g = r.begin; g < r.end; ++g)
-                    runGroup(worker, g);
-            });
-    } else {
-        runtime::parallelForParts(
-            pool, groups.size(), workers,
-            [&](size_t part, runtime::Range r) {
-                for (size_t g = r.begin; g < r.end; ++g)
-                    runGroup(part, g);
-            });
-    }
+    runtime::parallelForDynamic(
+        pool, groups.size(), 1, [&](size_t worker, runtime::Range r) {
+            for (size_t g = r.begin; g < r.end; ++g)
+                runGroup(worker, g);
+        });
 
     RunTotals totals;
     totals.nChunks = n_chunks;
@@ -584,8 +559,8 @@ ColumnEngine::inferBatch(const float *u, size_t nq, float *o)
 {
     Timer timer;
     const RunTotals totals = runGroups(u, nq);
-    // Group order is fixed by the config, never by the schedule (see
-    // header), so the merge is deterministic.
+    // Group order is fixed by the config, never by which worker ran a
+    // group (see header), so the merge is deterministic.
     mergeStreamPartials(groupViews.data(), groupViews.size(), nq,
                         kb.dim(), o);
     // The partial entry point defers the division to the gather.

@@ -56,10 +56,10 @@
  * contiguous chunk *groups* (cfg.scheduleGroups; default 4x workers).
  * Each group accumulates into its own partial slot and the slots are
  * merged in group order, so results are bit-identical whichever worker
- * ran a group and whenever it ran — the Static/Dynamic scheduling
- * policy (cfg.schedule) affects wall-clock only. Dynamic scheduling
- * pulls groups off a shared cursor, which keeps all workers busy when
- * zero-skipping makes per-chunk cost data-dependent.
+ * ran a group and whenever it ran. Workers claim groups off a shared
+ * cursor, which keeps them all busy when zero-skipping makes
+ * per-chunk cost data-dependent; the claim order affects wall-clock
+ * only.
  *
  * Options on top of the plain column dataflow:
  *  - streaming:     the paper's data streaming — the kernels' row
@@ -183,7 +183,7 @@ class ColumnEngine : public InferenceEngine
     /**
      * @param kb  Knowledge base; must outlive the engine.
      * @param cfg Engine tunables (chunk size, streaming, skipping,
-     *            threads, scheduling, routing). The chunk size is
+     *            threads, chunk groups, routing). The chunk size is
      *            clamped to the KB size at construction (when the KB
      *            is non-empty) and must be nonzero.
      */
@@ -258,13 +258,6 @@ class ColumnEngine : public InferenceEngine
                                runtime::Range chunks,
                                const runtime::KernelPlan &plan,
                                runtime::ScratchArena &scratch) const;
-
-    /**
-     * The (strip rows, look-ahead rows) plan for a batch of nq
-     * questions: the plan table's entry for the KB precision, with
-     * EngineConfig::stripRows replacing its strip when set.
-     */
-    runtime::KernelPlan resolvePlan(size_t nq) const;
 
     /** Group decomposition for the current KB size (cached). */
     const std::vector<runtime::Range> &chunkGroups(size_t n_chunks);

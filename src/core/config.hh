@@ -27,27 +27,6 @@ enum class EngineKind {
 const char *engineKindName(EngineKind kind);
 
 /**
- * How chunk groups are handed to pool workers.
- *
- * The column engine always decomposes its chunks into the *same* fixed
- * sequence of contiguous groups (a pure function of the chunk count,
- * worker count, and scheduleGroups) and merges group results in group
- * order — so the schedule decides only *which worker runs which group
- * when*, never the floating-point result. Static and Dynamic produce
- * bit-identical outputs.
- */
-enum class Schedule {
-    /** Pre-assign contiguous spans of groups, one span per worker. */
-    Static,
-    /**
-     * Workers claim the next group from a shared atomic cursor.
-     * Self-balancing when zero-skipping makes per-chunk cost
-     * data-dependent; the default.
-     */
-    Dynamic,
-};
-
-/**
  * Coarse-then-fine candidate selection over KB chunks (DESIGN.md §11).
  *
  * When enabled, the column engine builds a core::ChunkSummaryIndex
@@ -111,18 +90,6 @@ struct EngineConfig
      * PThread implementation.
      */
     size_t threads = 0;
-    /** Chunk-group scheduling policy (column engine). */
-    Schedule schedule = Schedule::Dynamic;
-    /**
-     * Rows per kernel call in the engines' strip sweeps, replacing the
-     * plan table's strip (runtime::kPlanTable); 0, the default, keeps
-     * the table's. Exists to show that the split cannot change
-     * results: any positive multiple of 4 — the kernels' register-group
-     * width — gives output bit-identical to every other. Other values
-     * are fatal at ColumnEngine construction, so a caller never runs a
-     * different split than it asked for.
-     */
-    size_t stripRows = 0;
     /**
      * Number of chunk groups the column engine decomposes the KB into
      * (clamped to the chunk count). 0 = auto: 4x the worker count, so
@@ -144,7 +111,7 @@ struct EngineConfig
      * None streams the full KB; TopK/BoundThreshold score chunks with
      * the summary-index bound and stream only candidates. Routing
      * composes with every other knob (precision, zskip, streaming,
-     * threads, schedule, sharding).
+     * threads, chunk groups, sharding).
      */
     RoutePolicy routePolicy = RoutePolicy::None;
     /**

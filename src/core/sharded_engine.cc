@@ -73,22 +73,11 @@ ShardedEngine::inferBatch(const float *u, size_t nq, float *o)
     auto runShard = [&](size_t s) {
         engines[s]->inferPartial(u, nq, parts[s]);
     };
-    if (cfg.schedule == Schedule::Dynamic) {
-        runtime::parallelForDynamic(
-            pool, engines.size(), 1,
-            [&](size_t, runtime::Range r) {
-                for (size_t s = r.begin; s < r.end; ++s)
-                    runShard(s);
-            });
-    } else {
-        runtime::parallelForParts(
-            pool, engines.size(),
-            std::max<size_t>(1, pool.threadCount()),
-            [&](size_t, runtime::Range r) {
-                for (size_t s = r.begin; s < r.end; ++s)
-                    runShard(s);
-            });
-    }
+    runtime::parallelForDynamic(
+        pool, engines.size(), 1, [&](size_t, runtime::Range r) {
+            for (size_t s = r.begin; s < r.end; ++s)
+                runShard(s);
+        });
 
     gather(nq, o);
 

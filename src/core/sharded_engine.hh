@@ -9,8 +9,8 @@
  *
  * Bit-identity guarantee: a ShardedEngine over S shards produces
  * *bit-identical* outputs to a single ColumnEngine over the whole KB
- * configured with scheduleGroups = S (any thread count, either
- * schedule). The argument has three legs:
+ * configured with scheduleGroups = S (any thread count). The argument
+ * has three legs:
  *
  *  1. ShardedKnowledgeBase uses the same splitRange decomposition as
  *     ColumnEngine::chunkGroups, so shard s covers exactly chunk
@@ -69,8 +69,8 @@ class ShardedEngine : public InferenceEngine
      * @param cfg Engine tunables. cfg.threads sizes this engine's
      *            scatter pool (0 = shards run inline, sequentially);
      *            per-shard engines always run single-threaded with
-     *            scheduleGroups = 1. cfg.schedule picks how shards
-     *            are handed to pool workers (wall-clock only).
+     *            scheduleGroups = 1. Pool workers claim shards
+     *            dynamically (wall-clock only).
      */
     ShardedEngine(const ShardedKnowledgeBase &skb,
                   const EngineConfig &cfg);

@@ -61,7 +61,7 @@ struct Example
 {
     std::vector<Sentence> story;
     Sentence question;
-    WordId answer;
+    WordId answer = 0;
     /** Indices of the story sentences that determine the answer. */
     std::vector<size_t> supportingFacts;
 };

@@ -30,6 +30,8 @@ struct ShardFetcher
     /** Observed RPC latencies; drives the hedge delay quantile. */
     stats::Histogram rpcLatency;
     static constexpr uint64_t kMinSamplesForQuantile = 16;
+    /** Hedge when the RPC is slower than this quantile of rpcLatency. */
+    static constexpr double kHedgeQuantile = 0.95;
 
     /** Pending batches for this shard, oldest first (front-end mutex
      *  guards it; the fetch thread drains it serially). */
@@ -194,7 +196,8 @@ hedgeDelaySeconds(const ClusterConfig &cfg,
         < detail::ShardFetcher::kMinSamplesForQuantile)
         return cfg.hedgeMinSeconds;
     return std::max(cfg.hedgeMinSeconds,
-                    f.rpcLatency.quantile(cfg.hedgeQuantile));
+                    f.rpcLatency.quantile(
+                        detail::ShardFetcher::kHedgeQuantile));
 }
 
 double

@@ -118,11 +118,10 @@ struct ClusterConfig
     /** Per-attempt connect budget (also capped by the deadline). */
     double connectTimeoutSeconds = 0.25;
 
-    /** Enable hedged backup requests (needs >= 2 replicas). */
+    /** Enable hedged backup requests (needs >= 2 replicas). A
+     *  backup goes out when the RPC is slower than the 95th
+     *  percentile of the shard's observed latencies. */
     bool hedging = true;
-    /** Hedge when the RPC is slower than this quantile of the shard's
-     *  observed latencies. */
-    double hedgeQuantile = 0.95;
     /** Hedge delay floor, and the delay until enough samples exist. */
     double hedgeMinSeconds = 1e-3;
 

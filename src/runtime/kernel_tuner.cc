@@ -13,6 +13,17 @@ namespace {
 
 std::atomic<const KernelPlan *> overridePlan{nullptr};
 
+/** A strip off the kernels' 4-row register grid would be silently
+ *  rounded: the caller would ask for one split and run another. */
+KernelPlan
+checkedPlan(KernelPlan plan)
+{
+    if (plan.stripRows % 4 != 0)
+        fatal("PlanOverride strip of %zu rows is not a multiple of 4",
+              plan.stripRows);
+    return plan;
+}
+
 } // namespace
 
 KernelPlan
@@ -27,7 +38,8 @@ kernelPlan(const char *sweep, size_t nq)
 }
 
 PlanOverride::PlanOverride(KernelPlan plan)
-    : plan(plan), previous(overridePlan.exchange(&this->plan))
+    : plan(checkedPlan(plan)),
+      previous(overridePlan.exchange(&this->plan))
 {}
 
 PlanOverride::~PlanOverride() { overridePlan.store(previous); }

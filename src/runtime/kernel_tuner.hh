@@ -71,7 +71,9 @@ KernelPlan kernelPlan(const char *sweep, size_t nq);
 /**
  * While alive, every kernelPlan() lookup returns `plan`. For
  * bench/plan_sweep, which times candidate plans through the real
- * engines; set it between inference calls, never during one.
+ * engines, and for tests that pin a split; set it between inference
+ * calls, never during one. A strip that is neither kWholeChunk nor a
+ * multiple of 4 is fatal.
  */
 class PlanOverride
 {

@@ -15,6 +15,14 @@ namespace mnnfast::serve {
 
 namespace {
 
+/**
+ * Latency histogram resolution: ~7.6 us bins over the default 0.5 s
+ * range resolve microsecond-scale engine latencies while still
+ * covering deep-overload queueing; the recorder's 3 histograms x 8 B
+ * bins take ~1.5 MiB.
+ */
+constexpr size_t kHistogramBins = 65536;
+
 double
 secondsBetween(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b)
@@ -123,7 +131,7 @@ LiveServer::LiveServer(std::unique_ptr<BatchBackend> owned,
       timeoutNs(std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::duration<double>(cfg.batchTimeout))),
       queue(cfg.queueCapacity), window(backend.pipelineDepth()),
-      recorder(cfg.histogramMaxSeconds, cfg.histogramBins),
+      recorder(cfg.histogramMaxSeconds, kHistogramBins),
       pool(2) // the dispatch and the retire loop
 {
     if (cfg.maxBatch == 0)
@@ -318,7 +326,7 @@ LiveServer::snapshot() const
     const uint64_t rn =
         rejectedNonFinite.load(std::memory_order_relaxed);
 
-    LatencyRecorder merged(cfg.histogramMaxSeconds, cfg.histogramBins);
+    LatencyRecorder merged(cfg.histogramMaxSeconds, kHistogramBins);
     {
         std::lock_guard<std::mutex> lock(recorderMutex);
         recorder.mergeInto(merged);

@@ -165,13 +165,9 @@ struct LiveServerConfig
      *  answers between the modes (see sharded_engine.hh). */
     core::EngineConfig engine;
     /** Latency histogram range; samples above land in overflow (and
-     *  clamp quantiles to the range — the exact max is still kept). */
+     *  clamp quantiles to the range — the exact max is still kept).
+     *  The range is cut into 65536 bins (~7.6 us each at 0.5 s). */
     double histogramMaxSeconds = 0.5;
-    /** Latency histogram resolution. The default (~7.6 us bins over
-     *  0.5 s) resolves microsecond-scale engine latencies while still
-     *  covering deep-overload queueing; 3 histograms x 8 B bins is
-     *  ~1.5 MiB per worker. */
-    size_t histogramBins = 65536;
 };
 
 /** The live serving runtime. See file header. */

@@ -248,6 +248,9 @@ TEST(ColumnEngine, RunningShiftIsExactAcrossChunkSizes)
 
 TEST(ColumnEngine, ThreadCountInvariance)
 {
+    // With scheduleGroups defaulted the group count follows the
+    // worker count, so outputs agree only to rounding; at a fixed
+    // group count they agree bit for bit (next two tests).
     const size_t ns = 2048, ed = 16, nq = 3;
     const KnowledgeBase kb = randomKb(ns, ed, 11);
     const auto u = randomBatch(nq, ed, 12);
@@ -535,56 +538,75 @@ TEST(ColumnEngine, BreakdownCoversAllPhases)
 
 TEST(ColumnEngine, DynamicAndStaticSchedulesAreBitIdentical)
 {
-    // The group decomposition (and thus every partial accumulation
-    // and the merge order) is a pure function of the config, so the
-    // scheduling policy must not change a single output bit.
+    // The group sequence (and thus every partial accumulation and the
+    // merge order) is a pure function of the chunk count and
+    // scheduleGroups; workers only decide who claims which group and
+    // when. threads = 0 walks the groups in order on the caller (the
+    // static sequence); every pool size claims them dynamically, and
+    // neither that nor a repeated call may change a single output bit.
     const size_t ns = 2048, ed = 24, nq = 3;
     const KnowledgeBase kb = randomKb(ns, ed, 61);
     const auto u = randomBatch(nq, ed, 62);
 
-    EngineConfig cfg;
-    cfg.chunkSize = 100;
-    cfg.threads = 3;
-    cfg.scheduleGroups = 8;
-    cfg.streaming = true;
-    cfg.skipThreshold = 0.05f;
-
-    cfg.schedule = Schedule::Dynamic;
-    std::vector<float> o_dyn(nq * ed);
-    ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_dyn.data());
-
-    cfg.schedule = Schedule::Static;
-    std::vector<float> o_sta(nq * ed);
-    ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_sta.data());
-
-    for (size_t i = 0; i < o_dyn.size(); ++i)
-        ASSERT_EQ(o_dyn[i], o_sta[i]) << "index " << i;
+    std::vector<float> in_order;
+    for (size_t threads : {0ul, 1ul, 2ul, 3ul, 5ul}) {
+        EngineConfig cfg;
+        cfg.chunkSize = 100;
+        cfg.threads = threads;
+        cfg.scheduleGroups = 8;
+        cfg.streaming = true;
+        cfg.skipThreshold = 0.05f;
+        ColumnEngine engine(kb, cfg);
+        for (int call = 0; call < 2; ++call) {
+            std::vector<float> o(nq * ed);
+            engine.inferBatch(u.data(), nq, o.data());
+            if (in_order.empty())
+                in_order = o;
+            for (size_t i = 0; i < o.size(); ++i)
+                ASSERT_EQ(o[i], in_order[i])
+                    << "threads=" << threads << " call=" << call
+                    << " index " << i;
+        }
+    }
 }
 
 TEST(ColumnEngine, ScheduleCountersMatchAcrossPolicies)
 {
+    // Zero-skip decisions are per row and per question, so the in-order
+    // walk (threads = 0) and every dynamic pool keep and skip the same
+    // rows, on every call.
     const size_t ns = 3000, ed = 16, nq = 2;
     const KnowledgeBase kb = randomKb(ns, ed, 63);
     const auto u = randomBatch(nq, ed, 64);
     std::vector<float> o(nq * ed);
 
-    uint64_t kept[2], skipped[2];
-    const Schedule policies[] = {Schedule::Dynamic, Schedule::Static};
-    for (int i = 0; i < 2; ++i) {
+    uint64_t first_kept = 0, first_skipped = 0;
+    for (size_t threads : {0ul, 2ul, 5ul}) {
         EngineConfig cfg;
         cfg.chunkSize = 128;
-        cfg.threads = 2;
+        cfg.threads = threads;
         cfg.scheduleGroups = 6;
         cfg.skipThreshold = 0.1f;
-        cfg.schedule = policies[i];
         ColumnEngine engine(kb, cfg);
-        engine.inferBatch(u.data(), nq, o.data());
-        kept[i] = engine.counters().value("rows_kept");
-        skipped[i] = engine.counters().value("rows_skipped");
+        uint64_t kept = 0, skipped = 0;
+        for (int call = 0; call < 2; ++call) {
+            engine.inferBatch(u.data(), nq, o.data());
+            const uint64_t k = engine.counters().value("rows_kept");
+            const uint64_t sk = engine.counters().value("rows_skipped");
+            if (threads == 0 && call == 0) {
+                first_kept = k;
+                first_skipped = sk;
+                EXPECT_GT(sk, 0u) << "zero-skip never fired";
+                EXPECT_EQ(k + sk, uint64_t(nq) * ns);
+            }
+            EXPECT_EQ(k - kept, first_kept)
+                << "threads=" << threads << " call=" << call;
+            EXPECT_EQ(sk - skipped, first_skipped)
+                << "threads=" << threads << " call=" << call;
+            kept = k;
+            skipped = sk;
+        }
     }
-    EXPECT_EQ(kept[0], kept[1]);
-    EXPECT_EQ(skipped[0], skipped[1]);
-    EXPECT_EQ(kept[0] + skipped[0], uint64_t(nq) * ns);
 }
 
 TEST(ColumnEngine, ObserverSeesEveryChunkOnce)
@@ -629,7 +651,6 @@ TEST(ColumnEngine, DynamicSchedulingBalancesStalledWorkers)
     cfg.threads = kWorkers;
     cfg.scheduleGroups = kChunks; // one chunk per group: max slack
     cfg.skipThreshold = 0.1f;
-    cfg.schedule = Schedule::Dynamic;
     std::mutex mu;
     std::condition_variable drained;
     std::vector<size_t> per_worker(kWorkers, 0);
@@ -666,8 +687,8 @@ TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)
     // The query-blocked dataflow must agree with the baseline at
     // every batch size that exercises a different register-tile
     // shape: odd/even nq, nq crossing the 2-query tile, and nq
-    // crossing the kWsumQueryTile dispatch split (16), under every
-    // schedule x zero-skip combination.
+    // crossing the kWsumQueryTile dispatch split (16), with and
+    // without zero-skip.
     const size_t ns = 600, ed = 32, max_nq = 17;
     const KnowledgeBase kb = randomKb(ns, ed, 81);
     const auto u = randomBatch(max_nq, ed, 82);
@@ -678,25 +699,21 @@ TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)
         std::vector<float> o_base(nq * ed);
         baseline.inferBatch(u.data(), nq, o_base.data());
 
-        for (Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
-            for (bool zskip : {false, true}) {
-                EngineConfig cfg;
-                cfg.chunkSize = 64;
-                cfg.threads = 2;
-                cfg.schedule = sched;
-                cfg.skipThreshold = zskip ? 1e-5f : 0.f;
-                ColumnEngine column(kb, cfg);
-                std::vector<float> o_col(nq * ed);
-                column.inferBatch(u.data(), nq, o_col.data());
-                // Zero-skipping drops at most ns * th of the
-                // probability mass; exact paths agree to float
-                // accumulation tolerance.
-                const double tol = zskip ? 5e-2 : 1e-4;
-                for (size_t i = 0; i < o_col.size(); ++i)
-                    ASSERT_NEAR(o_base[i], o_col[i], tol)
-                        << "nq=" << nq << " sched=" << int(sched)
-                        << " zskip=" << zskip << " index " << i;
-            }
+        for (bool zskip : {false, true}) {
+            EngineConfig cfg;
+            cfg.chunkSize = 64;
+            cfg.threads = 2;
+            cfg.skipThreshold = zskip ? 1e-5f : 0.f;
+            ColumnEngine column(kb, cfg);
+            std::vector<float> o_col(nq * ed);
+            column.inferBatch(u.data(), nq, o_col.data());
+            // Zero-skipping drops at most ns * th of the probability
+            // mass; exact paths agree to float accumulation tolerance.
+            const double tol = zskip ? 5e-2 : 1e-4;
+            for (size_t i = 0; i < o_col.size(); ++i)
+                ASSERT_NEAR(o_base[i], o_col[i], tol)
+                    << "nq=" << nq << " zskip=" << zskip << " index "
+                    << i;
         }
     }
 }
@@ -1106,8 +1123,9 @@ TEST(I8Engines, ChunkSizeCrossingQuantGroupsIsBitInvariant)
 TEST(TunedPlans, EngineOutputBitIdenticalAcrossPlanVariants)
 {
     // Sweep nq across register-tile and dispatch-split boundaries
-    // (1..17), both schedules, zero-skipping and streaming, comparing
-    // every strip against the table's plan — per storage precision.
+    // (1..17), zero-skipping and streaming, pinning every strip with a
+    // PlanOverride that keeps the table's look-ahead, and comparing
+    // against the table's plan — per storage precision.
     const size_t ns = 600, ed = 32, max_nq = 17, chunk = 64;
     const auto u = randomBatch(max_nq, ed, 61);
 
@@ -1125,33 +1143,30 @@ TEST(TunedPlans, EngineOutputBitIdenticalAcrossPlanVariants)
         for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(7),
                           size_t(8), size_t(15), size_t(16),
                           size_t(17)}) {
-            for (Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
-                for (bool zskip : {false, true}) {
-                    for (bool streaming : {false, true}) {
-                        EngineConfig cfg;
-                        cfg.chunkSize = chunk;
-                        cfg.threads = 2;
-                        cfg.schedule = sched;
-                        cfg.skipThreshold = zskip ? 1e-4f : 0.f;
-                        cfg.streaming = streaming;
-                        std::vector<float> ref(nq * ed);
+            const size_t lookahead =
+                runtime::kernelPlan(precisionName(prec), nq)
+                    .lookaheadRows;
+            for (bool zskip : {false, true}) {
+                for (bool streaming : {false, true}) {
+                    EngineConfig cfg;
+                    cfg.chunkSize = chunk;
+                    cfg.threads = 2;
+                    cfg.skipThreshold = zskip ? 1e-4f : 0.f;
+                    cfg.streaming = streaming;
+                    std::vector<float> ref(nq * ed);
+                    ColumnEngine(kb, cfg).inferBatch(u.data(), nq,
+                                                     ref.data());
+                    for (size_t strip : strips) {
+                        const runtime::PlanOverride pin({strip, lookahead});
+                        std::vector<float> o(nq * ed);
                         ColumnEngine(kb, cfg).inferBatch(u.data(), nq,
-                                                         ref.data());
-                        for (size_t strip : strips) {
-                            EngineConfig vcfg = cfg;
-                            vcfg.stripRows = strip;
-                            std::vector<float> o(nq * ed);
-                            ColumnEngine(kb, vcfg).inferBatch(
-                                u.data(), nq, o.data());
-                            for (size_t i = 0; i < o.size(); ++i)
-                                ASSERT_EQ(o[i], ref[i])
-                                    << precisionName(prec)
-                                    << " nq=" << nq
-                                    << " sched=" << int(sched)
-                                    << " zskip=" << zskip
-                                    << " streaming=" << streaming
-                                    << " strip=" << strip << " i=" << i;
-                        }
+                                                         o.data());
+                        for (size_t i = 0; i < o.size(); ++i)
+                            ASSERT_EQ(o[i], ref[i])
+                                << precisionName(prec) << " nq=" << nq
+                                << " zskip=" << zskip
+                                << " streaming=" << streaming
+                                << " strip=" << strip << " i=" << i;
                     }
                 }
             }

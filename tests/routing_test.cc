@@ -234,9 +234,9 @@ TEST(ChunkSummaryIndex, RejectsEmptyKbAndZeroChunk)
 TEST(RoutedEngine, KeepAllSelectionsAreBitIdenticalToUnrouted)
 {
     // k >= chunk count and threshold 0 must reproduce the unrouted
-    // engine bit-for-bit, across precision x threads x zskip x
-    // schedule. This is the guarantee that makes
-    // routing a pure perf knob at the exact operating point.
+    // engine bit-for-bit, across precision x threads x zskip. This is
+    // the guarantee that makes routing a pure perf knob at the exact
+    // operating point.
     const size_t ns = 640, ed = 24, nq = 5, chunk = 64;
     const std::vector<float> u = randomBatch(nq, ed, 21);
     std::vector<float> ref(nq * ed), out(nq * ed);
@@ -251,8 +251,6 @@ TEST(RoutedEngine, KeepAllSelectionsAreBitIdenticalToUnrouted)
                 cfg.threads = threads;
                 cfg.skipThreshold = zskip;
                 cfg.streaming = true;
-                cfg.schedule = threads ? Schedule::Static
-                                       : Schedule::Dynamic;
                 ColumnEngine plain(kb, cfg);
                 plain.inferBatch(u.data(), nq, ref.data());
 
@@ -743,11 +741,19 @@ namespace {
 
 TEST(EngineConfigValidation, RejectsMisalignedStripRowsPin)
 {
+    // A strip is pinned with runtime::PlanOverride, not EngineConfig;
+    // a strip off the kernels' 4-row register group still stops the
+    // process before an engine can run a split nobody asked for.
     const KnowledgeBase kb = randomKb(64, 8, 81);
-    EngineConfig cfg;
-    cfg.stripRows = 6; // not a multiple of the 4-row register group
-    EXPECT_EXIT(ColumnEngine(kb, cfg), ::testing::ExitedWithCode(1),
-                "stripRows");
+    const std::vector<float> u = randomBatch(1, 8, 82);
+    std::vector<float> o(8);
+    EXPECT_EXIT(
+        {
+            runtime::PlanOverride pin({6, 0});
+            ColumnEngine(kb, EngineConfig{}).inferBatch(u.data(), 1,
+                                                        o.data());
+        },
+        ::testing::ExitedWithCode(1), "strip of 6 rows");
 }
 
 TEST(EngineConfigValidation, RejectsInvalidRoutingKnobs)

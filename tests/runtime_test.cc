@@ -60,8 +60,9 @@ TEST_P(SplitRangeProperty, CoversExactlyOnceAndBalanced)
         max_size = std::max(max_size, r.size());
     }
     EXPECT_EQ(expected_begin, n);
-    if (n > 0)
+    if (n > 0) {
         EXPECT_LE(max_size - min_size, 1u);
+    }
     EXPECT_LE(ranges.size(), parts);
 }
 
@@ -482,6 +483,15 @@ TEST(PlanTable, OverrideAppliesWhileAliveAndNests)
     }
     EXPECT_EQ(kernelPlan("f32", 4).stripRows, table.stripRows);
     EXPECT_EQ(kernelPlan("f32", 4).lookaheadRows, table.lookaheadRows);
+
+    // A strip off the kernels' 4-row register grid would be rounded
+    // into a split the caller did not ask for: refused, by size.
+    EXPECT_EXIT({ PlanOverride pin({6, 0}); },
+                ::testing::ExitedWithCode(1), "strip of 6 rows");
+    for (size_t strip : {size_t{4}, kWholeChunk}) {
+        PlanOverride pin({strip, 0});
+        EXPECT_EQ(kernelPlan("f32", 1).stripRows, strip);
+    }
 }
 
 TEST(PlanTable, ExportJsonListsEveryEntry)

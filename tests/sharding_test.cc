@@ -74,8 +74,9 @@ TEST(ShardedKnowledgeBase, PartitionIsChunkAlignedAndCoversKb)
         EXPECT_GT(r.end, r.begin);
         // Interior boundaries land on chunk multiples.
         EXPECT_EQ(r.begin % chunk, 0u);
-        if (s + 1 < skb.shardCount())
+        if (s + 1 < skb.shardCount()) {
             EXPECT_EQ(r.end % chunk, 0u);
+        }
         // The view window is the right rows of the parent.
         const core::KnowledgeBase &v = skb.shard(s);
         ASSERT_EQ(v.size(), r.end - r.begin);
@@ -158,7 +159,9 @@ TEST(ShardedEngine, BitIdenticalToSingleEngineAcrossConfigs)
 
 /**
  * The streaming sweep behind a threaded scatter pool (the running-max
- * merge with rescaled partials) is bit-identical too.
+ * merge with rescaled partials) is bit-identical too, at another KB
+ * size and batch. (Named when the running-max merge was an option; it
+ * is the only merge now.)
  */
 TEST(ShardedEngine, OnlineNormalizeMergeIsAlsoBitIdentical)
 {
@@ -209,7 +212,6 @@ TEST(ShardedEngine, GatherOrderIsIndependentOfCompletionOrder)
 
     core::EngineConfig pool_cfg = inline_cfg;
     pool_cfg.threads = 4;
-    pool_cfg.schedule = core::Schedule::Dynamic;
     core::ShardedEngine pooled(skb, pool_cfg);
     std::vector<float> o_pooled(nq * ed);
     for (int run = 0; run < 5; ++run) {
