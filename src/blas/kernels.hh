@@ -90,8 +90,9 @@ float maxElement(const float *x, size_t n);
  * (property-tested), and results never depend on how queries are
  * tiled, how a row sweep is split into calls or how far its row
  * look-ahead (RowLookahead) reaches. Rows in different
- * int8 quantization chunks need separate calls (the engines split at
- * KnowledgeBase::i8GroupEnd; see DESIGN.md §10).
+ * int8 quantization chunks need separate calls: the knowledge base's
+ * row sweeps (core::KnowledgeBase::dotMin, weightedSumMout) make them
+ * and carry the look-ahead across each split (DESIGN.md §10).
  */
 
 /**

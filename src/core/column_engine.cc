@@ -123,30 +123,11 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
 {
     const size_t ed = kb.dim();
     const size_t chunk = cfg.chunkSize;
-    // Storage precision decides which fused kernels sweep the chunk;
-    // everything else (strips, look-ahead reach, scratch, merge) is
-    // precision-agnostic. The i8 sweeps additionally split kernel
-    // calls at quantization-group boundaries (kb.i8GroupEnd) so each
-    // call carries one (scale, zero) pair; the split points cannot
-    // change results (see kernels.hh).
-    const Precision prec = kb.precision();
-    const float *min = nullptr, *mout = nullptr;
-    const uint16_t *min16 = nullptr, *mout16 = nullptr;
-    const int8_t *min8 = nullptr, *mout8 = nullptr;
-    switch (prec) {
-      case Precision::F32:
-        min = kb.minData();
-        mout = kb.moutData();
-        break;
-      case Precision::BF16:
-        min16 = kb.minData16();
-        mout16 = kb.moutData16();
-        break;
-      case Precision::I8:
-        min8 = kb.minData8();
-        mout8 = kb.moutData8();
-        break;
-    }
+    // The knowledge base's two row sweeps (kb.dotMin, kb.weightedSumMout)
+    // pick the fused kernels of its storage precision and, for int8,
+    // split kernel calls at quantization-group ends and carry the
+    // look-ahead across each split; everything here (strips,
+    // look-ahead reach, scratch, merge) is precision-agnostic.
     const size_t ahead_rows = cfg.streaming ? plan.lookaheadRows : 0;
     // Call granularity never changes results: the per-(question, row)
     // accumulation order is call-split invariant.
@@ -215,7 +196,7 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
             if (!any)
                 next_len = 0;
         }
-        // The look-ahead of a call that ends at chunk row `end`.
+        // The look-ahead of a strip that ends at chunk row `end`.
         const auto ahead = [&](size_t end) {
             return blas::RowLookahead{ahead_rows, len - end + next_len};
         };
@@ -253,30 +234,7 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         phase_timer.reset();
         for (size_t s0 = 0; s0 < len; s0 += strip) {
             const size_t s1 = std::min(s0 + strip, len);
-            switch (prec) {
-              case Precision::F32:
-                blas::dotBatchMulti(uu, nb, ed, min + (c0 + s0) * ed,
-                                    s1 - s0, ed, ed, t + s0, chunk,
-                                    ahead(s1));
-                break;
-              case Precision::BF16:
-                blas::dotBatchMultiBf16(uu, nb, ed,
-                                        min16 + (c0 + s0) * ed,
-                                        s1 - s0, ed, ed, t + s0, chunk,
-                                        ahead(s1));
-                break;
-              case Precision::I8:
-                for (size_t g0 = s0; g0 < s1;) {
-                    const size_t g1 =
-                        std::min(s1, kb.i8GroupEnd(c0 + g0) - c0);
-                    blas::dotBatchMultiI8(
-                        uu, nb, ed, min8 + (c0 + g0) * ed, g1 - g0, ed,
-                        ed, kb.minScale(c0 + g0), kb.minZero(c0 + g0),
-                        t + g0, chunk, ahead(g1));
-                    g0 = g1;
-                }
-                break;
-            }
+            kb.dotMin(uu, nb, c0 + s0, c0 + s1, t + s0, chunk, ahead(s1));
         }
         out.tInner += phase_timer.seconds();
 
@@ -314,32 +272,8 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         phase_timer.reset();
         for (size_t s0 = 0; s0 < len; s0 += strip) {
             const size_t s1 = std::min(s0 + strip, len);
-            switch (prec) {
-              case Precision::F32:
-                blas::weightedSumSkipMulti(t + s0, nb, chunk,
-                                           mout + (c0 + s0) * ed,
-                                           s1 - s0, ed, ed, th, psum,
-                                           acc, ed, kept, skipped,
-                                           ahead(s1));
-                break;
-              case Precision::BF16:
-                blas::weightedSumSkipMultiBf16(
-                    t + s0, nb, chunk, mout16 + (c0 + s0) * ed, s1 - s0,
-                    ed, ed, th, psum, acc, ed, kept, skipped, ahead(s1));
-                break;
-              case Precision::I8:
-                for (size_t g0 = s0; g0 < s1;) {
-                    const size_t g1 =
-                        std::min(s1, kb.i8GroupEnd(c0 + g0) - c0);
-                    blas::weightedSumSkipMultiI8(
-                        t + g0, nb, chunk, mout8 + (c0 + g0) * ed,
-                        g1 - g0, ed, ed, kb.moutScale(c0 + g0),
-                        kb.moutZero(c0 + g0), th, psum, acc, ed,
-                        kept, skipped, ahead(g1));
-                    g0 = g1;
-                }
-                break;
-            }
+            kb.weightedSumMout(t + s0, nb, chunk, c0 + s0, c0 + s1, th,
+                               psum, acc, kept, skipped, ahead(s1));
         }
         out.tWsum += phase_timer.seconds();
 

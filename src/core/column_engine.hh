@@ -25,9 +25,9 @@
  *
  * The dataflow is *query-blocked*: each chunk is swept in small row
  * strips, and every strip is driven through the whole question batch
- * before the sweep advances — phase 1 is one dotBatchMulti call per
- * strip (a packed GEMM whose register tile reuses each M_IN load
- * across queries) and phase 3 is one weightedSumSkipMulti call per
+ * before the sweep advances — phase 1 is one KnowledgeBase::dotMin
+ * sweep per strip (a packed GEMM whose register tile reuses each M_IN
+ * load across queries) and phase 3 is one weightedSumMout sweep per
  * strip (a kept M_OUT row is loaded once and axpy'd into every
  * question's accumulator). A strip therefore streams from DRAM once
  * per *batch* rather than once per question, which is the serving

@@ -32,6 +32,27 @@ quantizeRow(const float *src, int8_t *dst, size_t n, float scale,
     }
 }
 
+/**
+ * Run call(g0, g1, ahead) once per int8 quantization group
+ * [g0, g1) of rows [begin, end). A named look-ahead runs on across
+ * the split: the call ending at g1 also owns the (end - g1) rows left
+ * in the range. Without one, every call takes the int8 default.
+ */
+template <typename Call>
+void
+forEachI8Group(const KnowledgeBase &kb, size_t begin, size_t end,
+               const std::optional<blas::RowLookahead> &ahead, Call call)
+{
+    for (size_t g0 = begin; g0 < end;) {
+        const size_t g1 = std::min(end, kb.i8GroupEnd(g0));
+        call(g0, g1,
+             ahead ? blas::RowLookahead{ahead->rows,
+                                        ahead->beyond + (end - g1)}
+                   : blas::kI8CallLookahead);
+        g0 = g1;
+    }
+}
+
 } // namespace
 
 const char *
@@ -410,6 +431,71 @@ KnowledgeBase::i8GroupEnd(size_t i) const
     mnn_assert(i < count, "i8GroupEnd row out of range");
     const size_t next = ((vrowOff + i) / qchunk + 1) * qchunk;
     return std::min(next - vrowOff, count);
+}
+
+void
+KnowledgeBase::dotMin(const float *u, size_t nq, size_t begin,
+                      size_t end, float *out, size_t ostride,
+                      std::optional<blas::RowLookahead> ahead) const
+{
+    mnn_assert(begin < end && end <= count, "dotMin row range");
+    switch (prec) {
+      case Precision::F32:
+        blas::dotBatchMulti(u, nq, ed, minRow(begin), end - begin, ed,
+                            ed, out, ostride, ahead.value_or(
+                                blas::RowLookahead{}));
+        return;
+      case Precision::BF16:
+        blas::dotBatchMultiBf16(u, nq, ed, minRow16(begin), end - begin,
+                                ed, ed, out, ostride, ahead.value_or(
+                                    blas::RowLookahead{}));
+        return;
+      case Precision::I8:
+        forEachI8Group(*this, begin, end, ahead,
+                       [&](size_t g0, size_t g1, blas::RowLookahead a) {
+                           blas::dotBatchMultiI8(
+                               u, nq, ed, minRow8(g0), g1 - g0, ed, ed,
+                               minScale(g0), minZero(g0),
+                               out + (g0 - begin), ostride, a);
+                       });
+        return;
+    }
+}
+
+void
+KnowledgeBase::weightedSumMout(const float *e, size_t nq, size_t estride,
+                               size_t begin, size_t end,
+                               float threshold, double *running_sums,
+                               float *acc, uint64_t &kept,
+                               uint64_t &skipped,
+                               std::optional<blas::RowLookahead> ahead)
+    const
+{
+    mnn_assert(begin < end && end <= count, "weightedSumMout row range");
+    switch (prec) {
+      case Precision::F32:
+        blas::weightedSumSkipMulti(e, nq, estride, moutRow(begin),
+                                   end - begin, ed, ed, threshold,
+                                   running_sums, acc, ed, kept, skipped,
+                                   ahead.value_or(blas::RowLookahead{}));
+        return;
+      case Precision::BF16:
+        blas::weightedSumSkipMultiBf16(
+            e, nq, estride, moutRow16(begin), end - begin, ed, ed,
+            threshold, running_sums, acc, ed, kept, skipped,
+            ahead.value_or(blas::RowLookahead{}));
+        return;
+      case Precision::I8:
+        forEachI8Group(
+            *this, begin, end, ahead,
+            [&](size_t g0, size_t g1, blas::RowLookahead a) {
+                blas::weightedSumSkipMultiI8(
+                    e + (g0 - begin), nq, estride, moutRow8(g0), g1 - g0,
+                    ed, ed, moutScale(g0), moutZero(g0), threshold,
+                    running_sums, acc, ed, kept, skipped, a);
+            });
+        return;
+    }
 }
 
 } // namespace mnnfast::core

@@ -9,8 +9,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "blas/kernels.hh"
 #include "util/aligned_buffer.hh"
 
 namespace mnnfast::core {
@@ -41,8 +43,9 @@ size_t precisionBytes(Precision p);
 /**
  * Default rows per int8 quantization chunk. Matches the default
  * EngineConfig::chunkSize so one engine chunk reads one scale/zero
- * pair, but any value works: the engines split their row sweeps at
- * quantization-chunk boundaries (KnowledgeBase::i8GroupEnd).
+ * pair, but any value works: the row sweeps (KnowledgeBase::dotMin,
+ * weightedSumMout) split their kernel calls at quantization-chunk
+ * boundaries.
  */
 inline constexpr size_t kI8ChunkRowsDefault = 1000;
 
@@ -69,6 +72,13 @@ inline constexpr size_t kI8ChunkRowsDefault = 1000;
  * (plus the per-row minScale()/minZero() code lookups) only in I8
  * mode, so a caller can never silently reinterpret one layout as
  * another.
+ *
+ * The engines reach the rows through two const row-range sweeps,
+ * dotMin() (phase 1) and weightedSumMout() (phase 3), which hold the
+ * only storage-precision switch of the fused sweep: they pick the
+ * typed rows and the matching blas kernel, and in I8 mode make one
+ * kernel call per quantization group. Concurrent sweeps over one
+ * knowledge base are safe; they only read it.
  *
  * view() produces a non-owning window over a contiguous row range —
  * the storage behind knowledge-base sharding (sharded_knowledge_base
@@ -180,14 +190,48 @@ class KnowledgeBase
     /**
      * First row index after `i` where the (scale, zero) pair may
      * change, clamped to size() — i.e. rows [i, i8GroupEnd(i)) share
-     * row i's quantization code, so a sweep that processes
-     * [i, i8GroupEnd(i)) per kernel call passes one scale/zero pair
-     * per call. Views may start mid-chunk (sharding cuts at engine
-     * chunk boundaries, which need not be quantization boundaries),
-     * so the first group of a view can be shorter than i8ChunkRows().
-     * I8 mode only.
+     * row i's quantization code. Views may start mid-chunk (sharding
+     * cuts at engine chunk boundaries, which need not be quantization
+     * boundaries), so the first group of a view can be shorter than
+     * i8ChunkRows(). The row sweeps below split their kernel calls
+     * here; the chunk-summary index reduces per group. I8 mode only.
      */
     size_t i8GroupEnd(size_t i) const;
+
+    /**
+     * Phase-1 sweep over M_IN rows [begin, end) (non-empty, in
+     * bounds) for nq questions of dim() floats each, contiguous in u:
+     *
+     *   out[q * ostride + (r - begin)] = u_q . M_IN[r]
+     *
+     * through the fused dot kernel of this precision (blas::
+     * dotBatchMulti and its Bf16/I8 forms). In I8 mode it makes one
+     * call per quantization group [g0, min(end, i8GroupEnd(g0))),
+     * with that group's scale and zero; the split cannot change a
+     * result bit (kernels.hh). `ahead` is the look-ahead of the whole
+     * range: ahead->beyond counts rows past `end`, and a split call
+     * ending at g1 gets beyond + (end - g1), so the look-ahead runs
+     * on across group ends. Without one, each call takes its kernel's
+     * default (none for F32 and BF16, blas::kI8CallLookahead for I8).
+     */
+    void dotMin(const float *u, size_t nq, size_t begin, size_t end,
+                float *out, size_t ostride,
+                std::optional<blas::RowLookahead> ahead = {}) const;
+
+    /**
+     * Phase-3 sweep: the blas::weightedSumSkipMulti contract over
+     * M_OUT rows [begin, end) (non-empty, in bounds) for nq
+     * questions, with e[q * estride + (r - begin)] the e value of
+     * (q, r) and acc holding nq accumulators of dim() floats each,
+     * contiguous. Threshold 0 is the dense weighted sum. The I8 group
+     * split and the look-ahead rule are dotMin's.
+     */
+    void weightedSumMout(const float *e, size_t nq, size_t estride,
+                         size_t begin, size_t end, float threshold,
+                         double *running_sums, float *acc,
+                         uint64_t &kept, uint64_t &skipped,
+                         std::optional<blas::RowLookahead> ahead =
+                             {}) const;
 
     /**
      * Total bytes held by M_IN + M_OUT (for footprint and traffic

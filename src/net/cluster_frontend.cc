@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -164,16 +165,18 @@ struct FetchContext
     NetClock::time_point deadline;
 };
 
-ScatterRequest
-buildRequest(const FetchContext &ctx, uint32_t shard)
+/** The frame asking `shard` for request `requestId`'s nq x ed batch. */
+Frame
+encodeRequest(uint64_t requestId, size_t shard, const float *u, size_t nq,
+              size_t ed)
 {
     ScatterRequest req;
-    req.requestId = ctx.requestId;
-    req.shard = shard;
-    req.nq = static_cast<uint32_t>(ctx.nq);
-    req.ed = static_cast<uint32_t>(ctx.ed);
-    req.u.assign(ctx.u, ctx.u + ctx.nq * ctx.ed);
-    return req;
+    req.requestId = requestId;
+    req.shard = static_cast<uint32_t>(shard);
+    req.nq = static_cast<uint32_t>(nq);
+    req.ed = static_cast<uint32_t>(ed);
+    req.u.assign(u, u + nq * ed);
+    return encodeScatterRequest(req);
 }
 
 /** Connect to replica `r` within the connect budget and deadline. */
@@ -287,8 +290,15 @@ fetchShard(const FetchContext &ctx, detail::ShardFetcher &f,
         }
     }
 
-    const Frame reqFrame =
-        encodeScatterRequest(buildRequest(ctx, f.shard));
+    // Encoded on first send: a job already sent ahead needs its frame
+    // only for a failover or a hedge.
+    std::optional<Frame> reqFrame;
+    const auto frame = [&]() -> const Frame & {
+        if (!reqFrame)
+            reqFrame = encodeRequest(ctx.requestId, f.shard, ctx.u, ctx.nq,
+                                     ctx.ed);
+        return *reqFrame;
+    };
     NetClock::time_point primarySentAt{};
     NetClock::time_point hedgeSentAt{};
     bool sentOnPrimary = false;
@@ -354,7 +364,7 @@ fetchShard(const FetchContext &ctx, detail::ShardFetcher &f,
         // from an earlier job re-arms here (new requestId); a
         // promoted hedge does not (its request is outstanding).
         if (!sentOnPrimary) {
-            if (!f.channel->send(reqFrame)) {
+            if (!f.channel->send(frame())) {
                 failPrimary();
                 continue;
             }
@@ -391,7 +401,7 @@ fetchShard(const FetchContext &ctx, detail::ShardFetcher &f,
             f.hedgeReplica = (f.current + 1) % f.replicas.size();
             f.hedgeChannel = connectReplica(ctx, f, f.hedgeReplica);
             if (f.hedgeChannel) {
-                if (f.hedgeChannel->send(reqFrame)) {
+                if (f.hedgeChannel->send(frame())) {
                     sentOnHedge = true;
                     ++c.hedgesFired;
                     ++c.rpcs;
@@ -492,13 +502,8 @@ ClusterFrontEnd::fetchLoop(size_t s)
                 if (f.sentAhead.count(job->requestId) != 0
                     || f.early.count(job->requestId) != 0)
                     return true;
-                ScatterRequest req;
-                req.requestId = job->requestId;
-                req.shard = static_cast<uint32_t>(s);
-                req.nq = static_cast<uint32_t>(job->nq);
-                req.ed = static_cast<uint32_t>(job->ed);
-                req.u.assign(job->u, job->u + job->nq * job->ed);
-                if (!f.channel->send(encodeScatterRequest(req)))
+                if (!f.channel->send(encodeRequest(job->requestId, s, job->u,
+                                                   job->nq, job->ed)))
                     return false;
                 f.sentAhead.emplace(job->requestId, NetClock::now());
                 ++counters.rpcs;

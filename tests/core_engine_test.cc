@@ -18,6 +18,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -536,7 +537,7 @@ TEST(ColumnEngine, BreakdownCoversAllPhases)
     EXPECT_EQ(engine.breakdown().total(), 0.0);
 }
 
-TEST(ColumnEngine, DynamicAndStaticSchedulesAreBitIdentical)
+TEST(ColumnEngine, InlineAndPooledGroupWalksAreBitIdentical)
 {
     // The group sequence (and thus every partial accumulation and the
     // merge order) is a pure function of the chunk count and
@@ -570,7 +571,7 @@ TEST(ColumnEngine, DynamicAndStaticSchedulesAreBitIdentical)
     }
 }
 
-TEST(ColumnEngine, ScheduleCountersMatchAcrossPolicies)
+TEST(ColumnEngine, ScheduleCountersMatchAcrossThreadCounts)
 {
     // Zero-skip decisions are per row and per question, so the in-order
     // walk (threads = 0) and every dynamic pool keep and skip the same
@@ -1017,6 +1018,102 @@ TEST(KnowledgeBaseI8, ViewsResolveParentScalesAndGroups)
     EXPECT_EQ(v.i8GroupEnd(3), 11u);
     EXPECT_EQ(v.i8GroupEnd(12), 19u);
     EXPECT_EQ(v.i8GroupEnd(19), 20u); // clamped to the view size
+}
+
+TEST(KnowledgeBase, RowSweepsMatchDirectKernelCalls)
+{
+    // The two row sweeps are the only callers of the fused kernels in
+    // the engines: over a view range that crosses int8 group ends
+    // (view rows [1, 19) with ends at 3 and 11), each must equal the
+    // direct blas calls bit for bit — one call for f32 and bf16, one
+    // per quantization group for int8 — with or without a named
+    // look-ahead.
+    const size_t ed = 12, nq = 3, qchunk = 8;
+    const size_t begin = 1, end = 19, n = end - begin;
+    const size_t ends[] = {3, 11, end};
+    const auto u = randomBatch(nq, ed, 149);
+    XorShiftRng rng(150);
+    std::vector<float> e(nq * n);
+    for (float &x : e)
+        x = rng.uniformRange(0.f, 1.f);
+
+    for (Precision prec :
+         {Precision::F32, Precision::BF16, Precision::I8}) {
+        const KnowledgeBase kb =
+            randomKb(40, ed, 151, 0.5f, prec, qchunk);
+        const KnowledgeBase v = kb.view(5, 25);
+        const char *pname = precisionName(prec);
+
+        std::vector<float> ref(nq * n);
+        switch (prec) {
+          case Precision::F32:
+            blas::dotBatchMulti(u.data(), nq, ed, v.minRow(begin), n,
+                                ed, ed, ref.data(), n);
+            break;
+          case Precision::BF16:
+            blas::dotBatchMultiBf16(u.data(), nq, ed, v.minRow16(begin),
+                                    n, ed, ed, ref.data(), n);
+            break;
+          case Precision::I8:
+            ASSERT_EQ(v.i8GroupEnd(begin), ends[0]);
+            ASSERT_EQ(v.i8GroupEnd(ends[0]), ends[1]);
+            for (size_t g0 = begin, k = 0; g0 < end; g0 = ends[k++])
+                blas::dotBatchMultiI8(
+                    u.data(), nq, ed, v.minRow8(g0), ends[k] - g0, ed,
+                    ed, v.minScale(g0), v.minZero(g0),
+                    ref.data() + (g0 - begin), n);
+            break;
+        }
+        for (const auto ahead :
+             {std::optional<blas::RowLookahead>{},
+              std::optional<blas::RowLookahead>{{4, 1}}}) {
+            std::vector<float> out(nq * n);
+            v.dotMin(u.data(), nq, begin, end, out.data(), n, ahead);
+            for (size_t i = 0; i < out.size(); ++i)
+                ASSERT_EQ(out[i], ref[i]) << pname << " i=" << i;
+        }
+
+        for (float th : {0.1f, 0.f}) {
+            std::vector<float> acc_ref(nq * ed, 0.25f);
+            std::vector<double> sums_ref(nq, 0.0);
+            uint64_t kept_ref = 0, skipped_ref = 0;
+            switch (prec) {
+              case Precision::F32:
+                blas::weightedSumSkipMulti(
+                    e.data(), nq, n, v.moutRow(begin), n, ed, ed, th,
+                    sums_ref.data(), acc_ref.data(), ed, kept_ref,
+                    skipped_ref);
+                break;
+              case Precision::BF16:
+                blas::weightedSumSkipMultiBf16(
+                    e.data(), nq, n, v.moutRow16(begin), n, ed, ed, th,
+                    sums_ref.data(), acc_ref.data(), ed, kept_ref,
+                    skipped_ref);
+                break;
+              case Precision::I8:
+                for (size_t g0 = begin, k = 0; g0 < end; g0 = ends[k++])
+                    blas::weightedSumSkipMultiI8(
+                        e.data() + (g0 - begin), nq, n, v.moutRow8(g0),
+                        ends[k] - g0, ed, ed, v.moutScale(g0),
+                        v.moutZero(g0), th, sums_ref.data(),
+                        acc_ref.data(), ed, kept_ref, skipped_ref);
+                break;
+            }
+            std::vector<float> acc(nq * ed, 0.25f);
+            std::vector<double> sums(nq, 0.0);
+            uint64_t kept = 0, skipped = 0;
+            v.weightedSumMout(e.data(), nq, n, begin, end, th,
+                              sums.data(), acc.data(), kept, skipped);
+            EXPECT_EQ(kept, kept_ref) << pname << " th=" << th;
+            EXPECT_EQ(skipped, skipped_ref) << pname << " th=" << th;
+            EXPECT_EQ(skipped > 0, th > 0.f) << pname << " th=" << th;
+            for (size_t q = 0; q < nq; ++q)
+                ASSERT_EQ(sums[q], sums_ref[q]) << pname << " q=" << q;
+            for (size_t i = 0; i < acc.size(); ++i)
+                ASSERT_EQ(acc[i], acc_ref[i])
+                    << pname << " th=" << th << " i=" << i;
+        }
+    }
 }
 
 TEST(I8Engines, ColumnMatchesBaselineOnSameStorage)

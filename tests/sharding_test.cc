@@ -160,10 +160,9 @@ TEST(ShardedEngine, BitIdenticalToSingleEngineAcrossConfigs)
 /**
  * The streaming sweep behind a threaded scatter pool (the running-max
  * merge with rescaled partials) is bit-identical too, at another KB
- * size and batch. (Named when the running-max merge was an option; it
- * is the only merge now.)
+ * size and batch.
  */
-TEST(ShardedEngine, OnlineNormalizeMergeIsAlsoBitIdentical)
+TEST(ShardedEngine, StreamingThreadedScatterIsBitIdentical)
 {
     const size_t ns = 500, ed = 16, nq = 4, chunk = 64;
     const core::KnowledgeBase kb = makeKb(ns, ed);
