@@ -19,9 +19,10 @@
  *     distribution straight from the answers' own timings;
  *  2. open-loop throughput at ~0.9x the single-pass capacity;
  *  3. engine-level sanity: median direct ShardedEngine::inferBatch
- *     wall time and the max |difference| against a single reference
- *     ColumnEngine (0 when shard boundaries are chunk-aligned — the
- *     bit-identity guarantee).
+ *     wall time and the max |difference| against the shard views'
+ *     merged partials, what a cluster's shard nodes compute (0 when
+ *     shard boundaries are chunk-aligned — the bit-identity
+ *     guarantee).
  *
  * Emits BENCH_sharding.json (path overridable via MNNFAST_BENCH_JSON).
  *
@@ -88,7 +89,7 @@ struct ModeResult
     uint64_t completed = 0;
     uint64_t rejectedFull = 0;
     double directBatchSeconds = 0.0; ///< engine-level median
-    double maxAbsDiff = 0.0;         ///< vs single-engine reference
+    double maxAbsDiff = 0.0;         ///< vs the shard views' merge
 };
 
 core::KnowledgeBase
@@ -253,9 +254,9 @@ main(int argc, char **argv)
         modes.push_back({"sharded[" + std::to_string(s) + "]", s, {},
                          {}, 0.0, 0, 0, 0.0, 0.0});
 
-    // Engine-level reference outputs for the equivalence column: one
-    // full-KB engine whose group decomposition matches each shard
-    // count (see sharded_engine.hh).
+    // Engine-level reference outputs for the equivalence column: the
+    // shard views' partials merged in shard order (see
+    // sharded_engine.hh).
     for (ModeResult &m : modes) {
         serve::LiveServerConfig lcfg;
         lcfg.maxBatch = max_batch;
@@ -272,13 +273,11 @@ main(int argc, char **argv)
             core::EngineConfig scfg = ecfg;
             scfg.threads = workers;
             core::ShardedEngine eng(skb, scfg);
-            core::EngineConfig rcfg = ecfg;
-            rcfg.scheduleGroups = skb.shardCount();
-            core::ColumnEngine ref(kb, rcfg);
             std::vector<float> o_sharded(max_batch * ed);
             std::vector<float> o_ref(max_batch * ed);
             eng.inferBatch(uflat.data(), max_batch, o_sharded.data());
-            ref.inferBatch(uflat.data(), max_batch, o_ref.data());
+            bench::shardViewAnswers(skb, ecfg, uflat.data(), max_batch,
+                                    o_ref.data());
             for (size_t i = 0; i < o_ref.size(); ++i)
                 m.maxAbsDiff = std::max(
                     m.maxAbsDiff,

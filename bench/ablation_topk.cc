@@ -11,9 +11,11 @@
  *     BIT-IDENTICAL to the unrouted engine (asserted; nonzero exit on
  *     violation) — that is the guarantee that makes routing a pure
  *     perf knob at the exact operating point.
- *  2. Sharded composition — a routed ShardedEngine (shards >= 2) must
- *     answer bit-identically to a routed single engine with
- *     scheduleGroups = shards (asserted), the property that lets
+ *  2. Sharded composition — a routed ShardedEngine (shards >= 2, one
+ *     engine whose chunk groups are the shards) must answer
+ *     bit-identically to routed single-group engines over the shard
+ *     views with their partials merged in shard order — what routed
+ *     shard nodes compute (asserted), the property that lets
  *     scatter/gather serving route per shard.
  *  3. Accuracy (skipped under --smoke) — trained bAbI models swept
  *     over k with forwardTopK, charting relative accuracy loss
@@ -185,8 +187,8 @@ main(int argc, char **argv)
     table.print();
 
     // ---- Leg 2: routed sharded composition ---------------------------
-    // A routed ShardedEngine must reproduce the routed single engine
-    // with scheduleGroups = shards bit-for-bit (sharded_engine.hh).
+    // A routed ShardedEngine must reproduce the routed shard views'
+    // merged partials bit-for-bit (sharded_engine.hh).
     {
         const size_t shards = 4;
         const size_t k = std::max<size_t>(2, n_chunks / shards / 4);
@@ -199,12 +201,9 @@ main(int argc, char **argv)
         cfg.routePolicy = core::RoutePolicy::TopK;
         cfg.routeTopK = k;
 
-        core::EngineConfig single = cfg;
-        single.scheduleGroups = shards;
-        core::ColumnEngine mono(kb, single);
-        mono.inferBatch(u.data(), nq, ref.data());
-
         core::ShardedKnowledgeBase skb(kb, chunk, shards);
+        bench::shardViewAnswers(skb, cfg, u.data(), nq, ref.data());
+
         core::EngineConfig scatter = cfg;
         scatter.threads = 2;
         core::ShardedEngine shard_engine(skb, scatter);

@@ -10,8 +10,11 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
+#include "core/sharded_knowledge_base.hh"
 #include "data/babi.hh"
 #include "stats/csv.hh"
 #include "train/model.hh"
@@ -122,6 +125,30 @@ makeAttentionKb(size_t ns, size_t ed, const float *u,
         kb.addSentence(min_row.data(), mout_row.data());
     }
     return kb;
+}
+
+/**
+ * A lossless cluster's answer, in process: one single-group
+ * ColumnEngine per shard view skb.shard(s), as net::ShardNode runs
+ * it, and their partials merged in shard order with
+ * core::mergeStreamPartials, as net::ClusterFrontEnd merges them.
+ * The reference a ShardedEngine over `skb` must equal bit for bit.
+ */
+inline void
+shardViewAnswers(const core::ShardedKnowledgeBase &skb,
+                 core::EngineConfig cfg, const float *u, size_t nq,
+                 float *o)
+{
+    cfg.threads = 0;
+    cfg.scheduleGroups = 1;
+    std::vector<core::StreamPartial> parts(skb.shardCount());
+    std::vector<core::PartialView> views(parts.size());
+    for (size_t s = 0; s < parts.size(); ++s) {
+        core::ColumnEngine(skb.shard(s), cfg).inferPartial(u, nq, parts[s]);
+        views[s] = parts[s].view();
+    }
+    core::mergeStreamPartials(views.data(), views.size(), nq,
+                              skb.parent().dim(), o);
 }
 
 } // namespace mnnfast::bench

@@ -5,8 +5,11 @@
  *
  *  (a) Per-operator latency breakdown (inner product / softmax /
  *      weighted sum / other) of the four real engines, measured on
- *      this machine (single thread — the host has one core; see
- *      EXPERIMENTS.md).
+ *      this machine single-threaded: inline, each phase's seconds are
+ *      its wall-clock, whereas a pooled engine's phases overlap
+ *      across workers and are only apportioned by the worker count.
+ *      Thread scaling is part (b)'s job: 4 shared vCPUs cannot show
+ *      the paper's 24-core curve (see EXPERIMENTS.md).
  *  (b) Speedup over the baseline vs. thread count, projected with the
  *      traffic + CPU timing model at 4 DRAM channels (paper: MnnFast
  *      reaches 5.38x at 20 threads, 4.02x on average).

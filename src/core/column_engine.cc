@@ -422,9 +422,10 @@ ColumnEngine::runGroups(const float *u, size_t nq)
         // Any span a previous group claimed on this worker is dead by
         // now; steady state is a pure bump-pointer rewind.
         scratch.reset();
-        // Selection is per chunk group: shard s of a ShardedEngine
-        // sees exactly group s's rows, so group-local selection is
-        // what makes routing compose with sharding bit-identically.
+        // Selection is per chunk group: a shard node's engine over
+        // shard view s sees exactly group s's rows, so group-local
+        // selection is what makes routing compose with sharding
+        // bit-identically.
         const uint8_t *sel =
             routed ? selectGroup(u, nq, cr, bound_plan, scratch)
                    : nullptr;

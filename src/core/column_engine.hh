@@ -162,8 +162,9 @@ struct StreamPartial
  * with the algebra above, stores the merged shift in `*runMax`, and
  * returns the merged exp sum. A partial whose exp sum is 0 saw no row
  * for q and is skipped. ColumnEngine merges its chunk groups with it
- * and the gathers (ShardedEngine, net::ClusterFrontEnd) their shard
- * partials, so every layer replays the same operation sequence.
+ * (a ShardedEngine's groups are its shards) and net::ClusterFrontEnd
+ * its shard nodes' partials, so every layer replays the same
+ * operation sequence.
  */
 double foldPartials(const PartialView *parts, size_t nParts, size_t q,
                     size_t ed, float *oq, float *runMax);
@@ -195,15 +196,15 @@ class ColumnEngine : public InferenceEngine
      * Run the same chunked pass as inferBatch but stop before the
      * lazy-softmax division, leaving the merged state in `out`
      * (buffers resized as needed; reused capacity makes the steady
-     * state allocation-free). This is the scatter half of
-     * sharded inference: partials from engines over disjoint shards
-     * merge exactly (see StreamPartial), and the gather side applies
+     * state allocation-free). This is a shard node's half of
+     * cluster inference: partials from engines over disjoint shards
+     * merge exactly (see StreamPartial), and the front end applies
      * the single deferred division.
      *
      * When this engine's group decomposition has exactly one group
      * (scheduleGroups = 1), `out` *is* that group's accumulator state
-     * bit-for-bit — the property ShardedEngine builds its
-     * bit-identity guarantee on.
+     * bit-for-bit — so an engine over shard view s reproduces chunk
+     * group s of a ShardedEngine (see sharded_engine.hh).
      */
     void inferPartial(const float *u, size_t nq, StreamPartial &out);
 

@@ -35,8 +35,9 @@ const char *engineKindName(EngineKind kind);
  * before streaming; only selected (question, chunk) pairs run the
  * fused phase-1..3 kernels. Selection is *per chunk group* (the same
  * fixed group decomposition the scheduler uses), which is what makes
- * routing compose bit-identically with ShardedEngine: shard s sees
- * exactly group s's rows and therefore makes exactly group s's
+ * routing compose bit-identically with sharding: a shard node's
+ * engine over ShardedKnowledgeBase::shard(s) sees exactly group s's
+ * rows of a ShardedEngine and therefore makes exactly group s's
  * selection. With threads = 0 and scheduleGroups defaulted, one group
  * spans the whole KB and selection is global.
  */

@@ -2,16 +2,19 @@
  * @file
  * Cluster front end: scatters question batches to one ShardNode per
  * shard over a Transport, gathers the StreamPartials, and merges them
- * with core::mergeStreamPartials — the same canonical-shard-order
- * running-max merge ShardedEngine runs in process (DESIGN.md §12).
+ * with core::mergeStreamPartials — the same running-max merge a
+ * ColumnEngine applies to its chunk groups in group order
+ * (DESIGN.md §12).
  *
  * Bit-identity. Over a lossless transport with every shard answering,
- * the gather is bit-identical to ShardedEngine::inferBatch over the
- * same partition and config: the nodes' single-group engines produce
- * the exact shard accumulators, the wire carries their IEEE-754 bit
+ * the gather is bit-identical to ShardedEngine::inferBatch (a
+ * ColumnEngine whose chunk groups are the shards) over the same
+ * partition and config: the nodes' single-group engines produce the
+ * exact group accumulators, the wire carries their IEEE-754 bit
  * patterns unchanged, and the merge is literally the same function in
- * the same order. Tests and the cluster bench enforce this across
- * shard counts and KB precisions — pipelined and serial alike.
+ * the same order (see sharded_engine.hh). Tests and the cluster bench
+ * enforce this across shard counts and KB precisions — pipelined and
+ * serial alike.
  *
  * Pipelining. The front end admits a window of up to
  * ClusterConfig::pipelineDepth in-flight batches:

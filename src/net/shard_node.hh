@@ -3,12 +3,12 @@
  * One cluster node: owns a single shard's ColumnEngine and serves
  * ScatterRequest frames over a transport Listener (DESIGN.md §12).
  *
- * The node is the server half of the PR-5 scatter/gather pipeline
- * taken across a process boundary. Its engine runs with
- * scheduleGroups = 1 — exactly like ShardedEngine's per-shard engines
- * — so the StreamPartial it returns is the shard's single-group
- * accumulator bit-for-bit, and a lossless ClusterFrontEnd gather
- * reproduces the in-process ShardedEngine result exactly.
+ * The node is the server half of scatter/gather inference taken
+ * across a process boundary. Its engine runs with scheduleGroups = 1
+ * over its shard view, so the StreamPartial it returns is chunk group
+ * s of the in-process ShardedEngine bit-for-bit, and a lossless
+ * ClusterFrontEnd gather reproduces that engine's answer exactly
+ * (the three legs in sharded_engine.hh).
  *
  * Serving model: serve() accepts connections until stopped and hands
  * each to its own handler thread, so a front end that fails over or

@@ -18,10 +18,11 @@
  *   whatever order the shards answered in).
  *
  * Implementations: LiveServer's private in-process backend over
- * ColumnEngines or one ShardedEngine, and net::ClusterFrontEnd, whose
- * lossless path is bit-identical to an in-process ShardedEngine over
- * the same partition. LiveServer's dispatch/retire loops are written
- * against this interface only.
+ * ColumnEngines (in sharded mode one, whose chunk groups are the
+ * shards), and net::ClusterFrontEnd, whose lossless path is
+ * bit-identical to that grouped engine over the same partition.
+ * LiveServer's dispatch/retire loops are written against this
+ * interface only.
  *
  * Threading contract: one thread submits, one thread waits — the two
  * may be (and in LiveServer are) different threads, overlapping the

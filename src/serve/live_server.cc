@@ -38,8 +38,8 @@ secondsBetween(std::chrono::steady_clock::time_point a,
  * submitted. submitBatch therefore never blocks.
  *
  * Replicated mode: W = cfg.workers ColumnEngines over the whole KB.
- * Sharded mode: W = 1, a ShardedEngine over the partition this
- * backend owns, scattering across its own cfg.workers-thread pool.
+ * Sharded mode: W = 1, one ColumnEngine (core::ShardedEngine) whose
+ * chunk groups are the S shards, walked by a cfg.workers-thread pool.
  */
 class EngineBackend final : public BatchBackend
 {
@@ -54,16 +54,16 @@ class EngineBackend final : public BatchBackend
             fatal("live server needs a non-empty knowledge base");
         size_t shards = 1;
         if (cfg.shards >= 2) {
-            sharding = std::make_unique<core::ShardedKnowledgeBase>(
+            const core::ShardedKnowledgeBase sharding(
                 kb, cfg.engine.chunkSize, cfg.shards);
-            shards = sharding->shardCount();
+            shards = sharding.shardCount();
             if (shards > 32)
                 fatal("live server supports at most 32 shards (got %zu)",
                       shards);
             core::EngineConfig ecfg = cfg.engine;
             ecfg.threads = cfg.workers;
             engines.push_back(
-                std::make_unique<core::ShardedEngine>(*sharding, ecfg));
+                std::make_unique<core::ShardedEngine>(sharding, ecfg));
         } else {
             for (size_t i = 0; i < cfg.workers; ++i)
                 engines.push_back(
@@ -100,8 +100,7 @@ class EngineBackend final : public BatchBackend
     void countersInto(LatencyRecorder &) const override {}
 
   private:
-    std::unique_ptr<core::ShardedKnowledgeBase> sharding;
-    std::vector<std::unique_ptr<core::InferenceEngine>> engines;
+    std::vector<std::unique_ptr<core::ColumnEngine>> engines;
     BatchResult result; ///< every batch: all shards answered
     uint64_t next = 0;  ///< next ticket (submitting thread only)
     std::vector<std::future<void>> done; ///< per engine: its batch

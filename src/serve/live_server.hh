@@ -40,12 +40,11 @@
  *    once — but W engines stream the KB W times, paying redundant
  *    bandwidth (the paper's §6 scalability critique).
  *  - Sharded (shards >= 2): an in-process backend over one
- *    core::ShardedEngine that partitions the KB once into
- *    chunk-aligned shards and scatters each batch across a
- *    `workers`-thread pool, one shard per worker, gathering the
- *    online-softmax partials in canonical shard order. One batch at a
- *    time, each KB byte streamed once per batch, and answers
- *    bit-identical to the replicated mode's (see sharded_engine.hh).
+ *    ColumnEngine (core::ShardedEngine) whose chunk groups are the
+ *    KB's S chunk-aligned shards; its `workers`-thread pool claims
+ *    the groups and their online-softmax partials merge in group
+ *    order. One batch at a time, each KB byte streamed once per
+ *    batch (see sharded_engine.hh).
  *  - Cluster (the BatchBackend constructor): a caller-owned backend,
  *    canonically a net::ClusterFrontEnd over shard node processes.
  *    With a window W >= 2, batch k+1 scatters while batch k gathers;
@@ -144,25 +143,26 @@ struct LiveServerConfig
     double batchTimeout = 2.0e-3;
     /** Engine workers. Replicated mode: the number of full-KB
      *  ColumnEngines, hence of batches in flight at once. Sharded
-     *  mode: the scatter width of the one ShardedEngine, which serves
-     *  one batch at a time. Ignored in cluster mode. */
+     *  mode: the thread count of the one grouped engine, which
+     *  serves one batch at a time. Ignored in cluster mode. */
     size_t workers = 1;
     /** Knowledge-base shards for scatter/gather dispatch. 0 or 1
      *  keeps the replicated mode; >= 2 partitions the KB (boundaries
-     *  aligned to engine.chunkSize) and scatters every batch across
-     *  the worker pool, one shard per worker; at most 32 effective
+     *  aligned to engine.chunkSize) into the engine's chunk groups,
+     *  which the worker pool claims one at a time; at most 32 effective
      *  shards (the Answer::shardMask width). See the file header. */
     size_t shards = 0;
     /** Bounded-queue capacity; submissions beyond it are rejected. */
     size_t queueCapacity = 1024;
     /** Per-worker engine tunables (threads=0 keeps engines inline —
      *  parallelism comes from serving concurrent batches or, in
-     *  sharded mode, from the scatter pool; nested pools would
+     *  sharded mode, from the one engine's `workers`-thread group
+     *  walk, which overrides threads; nested pools would
      *  oversubscribe the cores). Coarse routing flows through here
      *  too: set engine.routePolicy / routeTopK / routeBoundThreshold
-     *  and every engine routes — replicated workers select
-     *  globally, sharded scatter selects per shard, with bit-identical
-     *  answers between the modes (see sharded_engine.hh). */
+     *  and every engine routes — replicated workers select per their
+     *  own chunk groups, the sharded engine per shard, exactly as a
+     *  cluster's shard nodes do (see sharded_engine.hh). */
     core::EngineConfig engine;
     /** Latency histogram range; samples above land in overflow (and
      *  clamp quantiles to the range — the exact max is still kept).

@@ -20,6 +20,7 @@
 #include "core/column_engine.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
+#include "node_set.hh"
 #include "runtime/kernel_tuner.hh"
 #include "serve/live_server.hh"
 #include "sim/traffic.hh"
@@ -369,9 +370,10 @@ TEST(RoutedEngine, BoundThresholdOneKeepsOnlyTopChunks)
 
 TEST(RoutedSharding, ShardedRoutedMatchesGroupedSingleEngineBitwise)
 {
-    // A routed ShardedEngine over S shards must answer bit-identically
-    // to a routed single engine with scheduleGroups = S: selection is
-    // per chunk group, and shard s IS group s (sharded_engine.hh).
+    // Routed shard views (what S shard nodes compute, merged in shard
+    // order) must answer bit-identically to a routed single engine
+    // with scheduleGroups = S: selection is per chunk group, and
+    // shard view s IS group s (sharded_engine.hh).
     const size_t ns = 768, ed = 20, nq = 4, chunk = 64;
     const std::vector<float> u = randomBatch(nq, ed, 51);
     std::vector<float> ref(nq * ed), out(nq * ed);
@@ -392,10 +394,8 @@ TEST(RoutedSharding, ShardedRoutedMatchesGroupedSingleEngineBitwise)
             mono.inferBatch(u.data(), nq, ref.data());
 
             const ShardedKnowledgeBase skb(kb, chunk, shards);
-            EngineConfig scatter = cfg;
-            scatter.threads = 2;
-            ShardedEngine sharded(skb, scatter);
-            sharded.inferBatch(u.data(), nq, out.data());
+            ShardViews views(skb, cfg);
+            views.inferBatch(u.data(), nq, out.data());
             EXPECT_TRUE(bitIdentical(ref, out))
                 << precisionName(prec) << " shards " << shards;
         }

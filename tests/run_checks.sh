@@ -77,21 +77,21 @@ for preset in "${presets[@]}"; do
     fi
     # Routed-attention smoke: the top-k ablation's k=all leg asserts
     # bit-identity with the unrouted engine across every storage
-    # precision, and its sharded leg asserts routed scatter/gather
-    # composes bit-identically — the binary exits nonzero on any
-    # violation.
+    # precision, and its sharded leg asserts the routed ShardedEngine
+    # equals the routed shard views' merged partials bit for bit —
+    # the binary exits nonzero on any violation.
     if [ -x "${bindir}/bench/ablation_topk" ]; then
         echo "==> preset: ${preset} (top-k routing smoke)"
         MNNFAST_BENCH_JSON="${bindir}/BENCH_topk_smoke.json" \
             "${bindir}/bench/ablation_topk" --smoke
     fi
     # Cluster-serving smoke: the loopback scenario grid's bit-identity
-    # leg (cluster gather vs in-process ShardedEngine, every
-    # precision), its failover leg (no accepted request lost across
-    # injected disconnects), and the pipelined leg (a W=4 window with
-    # send-ahead must beat the serial front end on the clean and
-    # jittery networks, every batch complete) all exit nonzero on
-    # violation.
+    # leg (cluster gather vs the in-process engine whose chunk groups
+    # are the shards, every precision), its failover leg (no accepted
+    # request lost across injected disconnects), and the pipelined leg
+    # (a W=4 window with send-ahead must beat the serial front end on
+    # the clean and jittery networks, every batch complete) all exit
+    # nonzero on violation.
     if [ -x "${bindir}/bench/serving_cluster" ]; then
         echo "==> preset: ${preset} (cluster serving smoke)"
         MNNFAST_BENCH_JSON="${bindir}/BENCH_cluster_smoke.json" \

@@ -1,9 +1,10 @@
 /**
  * @file
  * Sharded knowledge base + scatter/gather engine tests: chunk-aligned
- * partition geometry, the bit-identity guarantee against a single
- * engine across shard counts x zero-skipping x precision, canonical
- * merge order under concurrent scatter, counter aggregation, and the
+ * partition geometry, the shard-view contract (merged single-group
+ * partials over the shard views equal the grouped engine, bits and
+ * counters) across shard counts x zero-skipping x precision,
+ * canonical merge order under a concurrent group walk, and the
  * LiveServer sharded serving mode (correctness, drain, rejection
  * split).
  */
@@ -19,6 +20,7 @@
 #include "core/knowledge_base.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
+#include "node_set.hh"
 #include "serve/live_server.hh"
 #include "util/rng.hh"
 
@@ -113,9 +115,10 @@ TEST(ShardedKnowledgeBase, SingleShardIsTheWholeKb)
 // ---------------------------------------------------------------
 
 /**
- * The tentpole guarantee: sharded scatter/gather output is
- * bit-identical to one ColumnEngine with scheduleGroups = shardCount,
- * across shard counts x zero-skipping x precision x streaming.
+ * The shard-view contract: the shard nodes' partials (single-group
+ * engines over skb.shard(s), merged in shard order) are bit-identical
+ * to the ShardedEngine, one ColumnEngine with scheduleGroups =
+ * shardCount, across shard counts x zero-skipping x precision.
  */
 TEST(ShardedEngine, BitIdenticalToSingleEngineAcrossConfigs)
 {
@@ -135,18 +138,15 @@ TEST(ShardedEngine, BitIdenticalToSingleEngineAcrossConfigs)
                 cfg.skipThreshold = zskip;
 
                 const core::ShardedKnowledgeBase skb(kb, chunk, shards);
+                ShardViews views(skb, cfg);
                 core::EngineConfig scfg = cfg;
                 scfg.threads = 2;
                 core::ShardedEngine sharded(skb, scfg);
 
-                core::EngineConfig rcfg = cfg;
-                rcfg.scheduleGroups = skb.shardCount();
-                core::ColumnEngine reference(kb, rcfg);
-
                 std::vector<float> o_sharded(nq * ed, -1.f);
                 std::vector<float> o_ref(nq * ed, -2.f);
                 sharded.inferBatch(u.data(), nq, o_sharded.data());
-                reference.inferBatch(u.data(), nq, o_ref.data());
+                views.inferBatch(u.data(), nq, o_ref.data());
                 for (size_t i = 0; i < o_ref.size(); ++i)
                     ASSERT_EQ(o_sharded[i], o_ref[i])
                         << "prec=" << core::precisionName(prec)
@@ -222,6 +222,10 @@ TEST(ShardedEngine, GatherOrderIsIndependentOfCompletionOrder)
     }
 }
 
+/**
+ * The shard views' counters sum to the grouped engine's: the same
+ * chunks swept and the same zero-skip decisions, per shard.
+ */
 TEST(ShardedEngine, AggregatesCountersAcrossShards)
 {
     const size_t ns = 600, ed = 16, nq = 3, chunk = 64;
@@ -234,25 +238,23 @@ TEST(ShardedEngine, AggregatesCountersAcrossShards)
     cfg.skipThreshold = 0.05f;
 
     const core::ShardedKnowledgeBase skb(kb, chunk, 4);
+    ASSERT_EQ(skb.shardCount(), 4u);
     core::EngineConfig scfg = cfg;
     scfg.threads = 2;
     core::ShardedEngine sharded(skb, scfg);
-    core::EngineConfig rcfg = cfg;
-    rcfg.scheduleGroups = skb.shardCount();
-    core::ColumnEngine reference(kb, rcfg);
+    ShardViews views(skb, cfg);
 
     std::vector<float> o(nq * ed);
     sharded.inferBatch(u.data(), nq, o.data());
-    reference.inferBatch(u.data(), nq, o.data());
+    views.inferBatch(u.data(), nq, o.data());
 
-    // Whole-KB totals match a single engine: same chunks swept, same
-    // zero-skip decisions (bit-identity), same deferred divisions.
     for (const char *name : {"chunks_processed", "rows_kept",
                              "rows_skipped", "flops_inner",
-                             "flops_wsum", "div_ops"})
-        EXPECT_EQ(sharded.counters().value(name),
-                  reference.counters().value(name))
+                             "flops_wsum"})
+        EXPECT_EQ(views.counter(name), sharded.counters().value(name))
             << name;
+    // The single deferred division per output element.
+    EXPECT_EQ(sharded.counters().value("div_ops"), uint64_t(nq) * ed);
     // Every weighted-sum row was either kept or skipped.
     EXPECT_EQ(sharded.counters().value("rows_kept")
                   + sharded.counters().value("rows_skipped"),
