@@ -2,15 +2,15 @@
  * @file
  * Sharded vs replicated serving ablation (DESIGN.md §9).
  *
- * Both LiveServer modes stream the whole knowledge base once per
- * dispatched batch; what sharding changes is *where a batch's pass
- * runs*. Replicated mode serves W concurrent batches on W full-KB
- * engines — under load the passes timeslice the cores, so every batch
- * takes ~W passes of wall-clock. Sharded mode serves one batch at a
- * time across all W workers (one shard each), so a batch takes ~one
- * pass. Same total work, same saturated throughput, lower
- * per-question latency — the paper's §6 scalability argument made
- * measurable on the serving path.
+ * What sharding changes is *where a batch's pass runs*. Replicated
+ * mode serves W concurrent batches on W full-KB engines, each
+ * streaming the whole knowledge base — under load the passes
+ * timeslice the cores, so every batch takes ~W passes of wall-clock.
+ * Sharded mode runs a cooperative scan: one ring per shard, all W
+ * workers stepping the rings, and every batch in flight joins them at
+ * the next chunk, so a batch takes ~one pass and concurrent batches
+ * share it — the paper's §6 scalability argument made measurable on
+ * the serving path.
  *
  * For each mode (replicated at fixed workers; sharded at S = 2, 4, 8
  * with the same workers) this harness measures:
@@ -23,6 +23,12 @@
  *     merged partials, what a cluster's shard nodes compute (0 when
  *     shard boundaries are chunk-aligned — the bit-identity
  *     guarantee).
+ *
+ * Every answer the rounds serve is compared bit for bit with the
+ * reference engine's (the ShardedEngine over the same partition, or
+ * one ColumnEngine when replicated); the sharded rounds' batches join
+ * the scan mid-revolution, so this checks those joins end to end. Any
+ * mismatch makes the harness exit 1.
  *
  * Emits BENCH_sharding.json (path overridable via MNNFAST_BENCH_JSON).
  *
@@ -90,7 +96,19 @@ struct ModeResult
     uint64_t rejectedFull = 0;
     double directBatchSeconds = 0.0; ///< engine-level median
     double maxAbsDiff = 0.0;         ///< vs the shard views' merge
+    size_t mismatches = 0; ///< served answers != the reference's
 };
+
+/** Count `a` as a mismatch unless it is question qi's reference
+ *  answer bit for bit. */
+void
+check(const serve::Answer &a, const std::vector<float> &ref, size_t qi,
+      size_t ed, ModeResult &out)
+{
+    if (a.o.size() != ed
+        || !std::equal(a.o.begin(), a.o.end(), ref.begin() + qi * ed))
+        ++out.mismatches;
+}
 
 core::KnowledgeBase
 buildKb(size_t ns, size_t ed)
@@ -126,23 +144,24 @@ makeQuestions(size_t count, size_t ed, uint64_t seed)
 void
 runBursts(serve::LiveServer &server, size_t rounds, size_t burst,
           const std::vector<std::vector<float>> &questions,
-          ModeResult &out)
+          const std::vector<float> &ref, ModeResult &out)
 {
     std::vector<double> e2e, service;
     e2e.reserve(rounds * burst);
     service.reserve(rounds * burst);
-    std::vector<std::future<serve::Answer>> futures;
+    std::vector<std::pair<size_t, std::future<serve::Answer>>> futures;
     size_t qi = 0;
     for (size_t r = 0; r < rounds; ++r) {
         futures.clear();
         for (size_t i = 0; i < burst; ++i) {
-            serve::Ticket t = server.submit(
-                questions[qi++ % questions.size()].data());
+            const size_t q = qi++ % questions.size();
+            serve::Ticket t = server.submit(questions[q].data());
             if (t.accepted())
-                futures.push_back(std::move(t.answer));
+                futures.emplace_back(q, std::move(t.answer));
         }
-        for (auto &f : futures) {
+        for (auto &[q, f] : futures) {
             serve::Answer a = f.get();
+            check(a, ref, q, server.embeddingDim(), out);
             e2e.push_back(a.queueWaitSeconds + a.serviceSeconds);
             service.push_back(a.serviceSeconds);
         }
@@ -155,11 +174,11 @@ runBursts(serve::LiveServer &server, size_t rounds, size_t burst,
 void
 runThroughput(serve::LiveServer &server, double rate, double duration,
               const std::vector<std::vector<float>> &questions,
-              ModeResult &out)
+              const std::vector<float> &ref, ModeResult &out)
 {
     using Clock = std::chrono::steady_clock;
     XorShiftRng rng(4321);
-    std::vector<std::future<serve::Answer>> futures;
+    std::vector<std::pair<size_t, std::future<serve::Answer>>> futures;
     futures.reserve(static_cast<size_t>(rate * duration * 1.2) + 16);
 
     const auto t0 = Clock::now();
@@ -177,14 +196,14 @@ runThroughput(serve::LiveServer &server, double rate, double duration,
         if (next > window_end)
             break;
         std::this_thread::sleep_until(next);
-        serve::Ticket t =
-            server.submit(questions[qi++ % questions.size()].data());
+        const size_t q = qi++ % questions.size();
+        serve::Ticket t = server.submit(questions[q].data());
         if (t.accepted())
-            futures.push_back(std::move(t.answer));
+            futures.emplace_back(q, std::move(t.answer));
     }
     server.shutdown();
-    for (auto &f : futures)
-        f.get();
+    for (auto &[q, f] : futures)
+        check(f.get(), ref, q, server.embeddingDim(), out);
     const double makespan =
         std::chrono::duration<double>(Clock::now() - t0).count();
 
@@ -220,7 +239,9 @@ main(int argc, char **argv)
         makeQuestions(64, ed, 7);
 
     core::EngineConfig ecfg;
-    ecfg.chunkSize = std::min<size_t>(512, ns);
+    // The smoke's 64-row chunks give each shard's ring several chunks,
+    // so its bursts join the rings mid-revolution.
+    ecfg.chunkSize = smoke ? 64 : 512;
     ecfg.threads = 0;
     ecfg.streaming = true;
 
@@ -244,6 +265,10 @@ main(int argc, char **argv)
         pass_seconds = t[t.size() / 2];
     }
     const double rate = 0.9 * double(max_batch) / pass_seconds;
+    std::vector<float> qflat;
+    for (const std::vector<float> &q : questions)
+        qflat.insert(qflat.end(), q.begin(), q.end());
+    std::vector<float> served_ref(qflat.size());
 
     std::vector<size_t> shard_counts =
         smoke ? std::vector<size_t>{2} : std::vector<size_t>{2, 4, 8};
@@ -292,32 +317,38 @@ main(int argc, char **argv)
             }
             std::sort(t.begin(), t.end());
             m.directBatchSeconds = t[t.size() / 2];
+            eng.inferBatch(qflat.data(), questions.size(),
+                           served_ref.data());
         } else {
             m.directBatchSeconds = pass_seconds;
+            core::ColumnEngine(kb, ecfg).inferBatch(
+                qflat.data(), questions.size(), served_ref.data());
         }
 
         {
             serve::LiveServer server(kb, lcfg);
             runBursts(server, burst_rounds, 2 * max_batch, questions,
-                      m);
+                      served_ref, m);
         }
         {
             serve::LiveServer server(kb, lcfg);
-            runThroughput(server, rate, window, questions, m);
+            runThroughput(server, rate, window, questions, served_ref,
+                          m);
         }
     }
 
     stats::Table table({"mode", "burst e2e p50 (ms)",
                         "burst e2e mean (ms)", "burst svc p50 (ms)",
                         "open-loop q/s", "direct batch (ms)",
-                        "max|diff|"});
+                        "max|diff|", "served != ref"});
     for (const ModeResult &m : modes) {
         table.addRow({m.label, stats::Table::num(m.burstE2e.p50 * 1e3, 3),
                       stats::Table::num(m.burstE2e.mean * 1e3, 3),
                       stats::Table::num(m.burstService.p50 * 1e3, 3),
                       stats::Table::num(m.throughputQps, 0),
                       stats::Table::num(m.directBatchSeconds * 1e3, 3),
-                      stats::Table::num(m.maxAbsDiff, 10)});
+                      stats::Table::num(m.maxAbsDiff, 10),
+                      std::to_string(m.mismatches)});
     }
     table.print();
 
@@ -360,6 +391,7 @@ main(int argc, char **argv)
         json.endObject();
         json.field("direct_batch_seconds", m.directBatchSeconds);
         json.field("max_abs_diff_vs_reference", m.maxAbsDiff);
+        json.field("served_mismatches", m.mismatches);
         json.endObject();
     }
     json.endArray();
@@ -367,11 +399,21 @@ main(int argc, char **argv)
 
     std::printf("\nwrote %s (%zu modes)\n", json.path().c_str(),
                 modes.size());
-    std::printf("reading: both modes stream the full KB once per "
-                "batch, so saturated throughput matches; sharded "
-                "scatter/gather serves one batch across all workers "
-                "instead of timeslicing concurrent batches, which is "
-                "the per-question latency win. max|diff| is 0 by the "
-                "chunk-aligned merge-exactness guarantee.\n");
+    std::printf("reading: replicated workers timeslice concurrent "
+                "full-KB passes; the sharded scan runs each batch's "
+                "pass across all workers and lets concurrent batches "
+                "share it, which is the per-question latency win. "
+                "max|diff| is 0 by the chunk-aligned merge-exactness "
+                "guarantee, and served != ref counts served answers "
+                "that are not the reference engine's bits.\n");
+    for (const ModeResult &m : modes) {
+        if (m.mismatches > 0) {
+            std::fprintf(stderr,
+                         "%s: %zu served answers differ from the "
+                         "reference engine's\n",
+                         m.label.c_str(), m.mismatches);
+            return 1;
+        }
+    }
     return 0;
 }

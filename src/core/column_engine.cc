@@ -110,11 +110,129 @@ ColumnEngine::chunkGroups(size_t n_chunks)
     return groupCache;
 }
 
+ChunkSweep::ChunkSweep(const KnowledgeBase &kb, const EngineConfig &cfg,
+                       size_t nq)
+    : kb(kb), th(cfg.skipThreshold)
+{
+    // One plan lookup per pass. The knowledge base's two row sweeps
+    // (kb.dotMin, kb.weightedSumMout) pick the fused kernels of its
+    // storage precision and, for int8, split kernel calls at
+    // quantization-group ends and carry the look-ahead across each
+    // split; everything here (strips, look-ahead reach, compaction)
+    // is precision-agnostic.
+    const runtime::KernelPlan plan =
+        runtime::kernelPlan(precisionName(kb.precision()), nq);
+    strip = plan.stripRows == runtime::kWholeChunk ? cfg.chunkSize
+                                                   : plan.stripRows;
+    aheadRows = cfg.streaming ? plan.lookaheadRows : 0;
+}
+
+blas::RowLookahead
+ChunkSweep::ahead(ChunkSpan rows, size_t end) const
+{
+    // The kernels' row look-ahead may run past a call into the rest
+    // of this chunk and on into the next one the pass streams.
+    return {aheadRows, rows.end - end + rows.nextLen};
+}
+
+void
+ChunkSweep::logits(const float *u, size_t nb, ChunkSpan rows, float *t,
+                   size_t tstride, PhaseSeconds &times) const
+{
+    // Phase 1: inner products, query-blocked. Each strip of M_IN rows
+    // is loaded once and swept through the whole question batch by
+    // the register-tiled kernel (a small packed GEMM); the strip stays
+    // L1-resident across the batch, so the chunk streams from memory
+    // once per batch, not once per question.
+    Timer timer;
+    for (size_t s0 = rows.begin; s0 < rows.end; s0 += strip) {
+        const size_t s1 = std::min(s0 + strip, rows.end);
+        kb.dotMin(u, nb, s0, s1, t + (s0 - rows.begin), tstride,
+                  ahead(rows, s1));
+    }
+    times.inner += timer.seconds();
+}
+
+void
+ChunkSweep::accumulate(ChunkSpan rows, float *t, size_t tstride,
+                       size_t nb, const uint32_t *sel,
+                       const AccumState &acc, const AccumState &sub,
+                       uint64_t &kept, uint64_t &skipped,
+                       PhaseSeconds &times) const
+{
+    const size_t ed = kb.dim();
+    const size_t len = rows.end - rows.begin;
+    // Partial selection runs the identical phases over a compacted
+    // question sub-batch: gather the selected questions' accumulator
+    // state, run the kernels at the sub-batch size, scatter back.
+    // Exact per question — the kernels' per-(question, row)
+    // accumulation order does not depend on which other questions
+    // share the call.
+    AccumState st = acc;
+    if (sel) {
+        for (size_t j = 0; j < nb; ++j) {
+            const size_t q = sel[j];
+            blas::copy(acc.o + q * ed, sub.o + j * ed, ed);
+            sub.expSum[j] = acc.expSum[q];
+            sub.runMax[j] = acc.runMax[q];
+        }
+        st = sub;
+    }
+
+    // Phase 2 (partial softmax): exponential shifted by the running
+    // max + running sum. When the chunk raises the running shift, the
+    // accumulators are rescaled first — by an exact power of two (see
+    // header) — so no e-value exceeds ~1.4 and large logits cannot
+    // overflow.
+    Timer timer;
+    for (size_t j = 0; j < nb; ++j) {
+        float *tj = t + j * tstride;
+        const float k = std::max(
+            st.runMax[j], blas::expShiftFor(blas::maxElement(tj, len)));
+        if (k > st.runMax[j]) {
+            const double rescale = pow2(st.runMax[j] - k);
+            st.expSum[j] *= rescale;
+            blas::scal(static_cast<float>(rescale), st.o + j * ed, ed);
+            st.runMax[j] = k;
+        }
+        blas::expShiftInplace(tj, len, k);
+    }
+    times.softmax += timer.seconds();
+
+    // Phase 3: fused weighted sum with optional zero-skipping,
+    // query-blocked like phase 1 — a kept M_OUT row is loaded once and
+    // accumulated into every question that keeps it. The skip test
+    // stays per-(question,row): the kernel folds e into each
+    // question's running sum before testing e < th * S_running, so the
+    // test is conservative (see header) and decisions are identical to
+    // the per-question sweep; skipped rows never touch M_OUT or the
+    // accumulator for that question. Under zero-skip most of M_OUT is
+    // never read, and which rows will be is unknown until the skip
+    // test, so only a dense sweep looks ahead across rows (kernels.hh,
+    // RowLookahead).
+    timer.reset();
+    for (size_t s0 = rows.begin; s0 < rows.end; s0 += strip) {
+        const size_t s1 = std::min(s0 + strip, rows.end);
+        kb.weightedSumMout(t + (s0 - rows.begin), nb, tstride, s0, s1, th,
+                           st.expSum, st.o, kept, skipped,
+                           ahead(rows, s1));
+    }
+    times.wsum += timer.seconds();
+
+    if (sel) {
+        for (size_t j = 0; j < nb; ++j) {
+            const size_t q = sel[j];
+            blas::copy(sub.o + j * ed, acc.o + q * ed, ed);
+            acc.expSum[q] = sub.expSum[j];
+            acc.runMax[q] = sub.runMax[j];
+        }
+    }
+}
+
 void
 ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
-                            size_t row_end,
-                            const runtime::KernelPlan &plan, Partial &out,
-                            size_t worker, uint64_t &kept,
+                            size_t row_end, const ChunkSweep &sweep,
+                            Partial &out, size_t worker, uint64_t &kept,
                             uint64_t &skipped,
                             runtime::ScratchArena &scratch,
                             const uint8_t *sel, size_t sel_stride,
@@ -123,17 +241,6 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
 {
     const size_t ed = kb.dim();
     const size_t chunk = cfg.chunkSize;
-    // The knowledge base's two row sweeps (kb.dotMin, kb.weightedSumMout)
-    // pick the fused kernels of its storage precision and, for int8,
-    // split kernel calls at quantization-group ends and carry the
-    // look-ahead across each split; everything here (strips,
-    // look-ahead reach, scratch, merge) is precision-agnostic.
-    const size_t ahead_rows = cfg.streaming ? plan.lookaheadRows : 0;
-    // Call granularity never changes results: the per-(question, row)
-    // accumulation order is call-split invariant.
-    const size_t strip =
-        plan.stripRows == runtime::kWholeChunk ? chunk : plan.stripRows;
-    const float th = cfg.skipThreshold;
 
     // Chunk-local e-value tile, the only per-question temporary:
     // t[q * chunk + i] is the (exponentiated) score of chunk row i for
@@ -142,26 +249,23 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
     // pure bump-pointer rewind. Under routing, row q of the tile
     // belongs to the q-th *selected* question of the current chunk.
     float *t = scratch.floats(nq * chunk);
-    // Compacted sub-batch buffers for partially selected chunks:
-    // gathered question vectors and accumulator state for the
-    // selected questions only, scattered back after the chunk.
-    float *u_sub = nullptr, *acc_sub = nullptr, *runmax_sub = nullptr;
-    double *psum_sub = nullptr;
+    // Compacted sub-batch buffers for partially selected chunks: the
+    // selected questions' vectors here, their accumulator state in
+    // the sweep's gather/scatter.
+    float *u_sub = nullptr;
+    AccumState sub{};
     uint32_t *qsel = nullptr;
     if (sel) {
         u_sub = scratch.floats(nq * ed);
-        acc_sub = scratch.floats(nq * ed);
-        runmax_sub = scratch.floats(nq);
-        psum_sub = scratch.doubles(nq);
+        sub = {scratch.floats(nq * ed), scratch.doubles(nq),
+               scratch.floats(nq)};
         qsel = reinterpret_cast<uint32_t *>(
             scratch.bytes(nq * sizeof(uint32_t)));
     }
     const size_t first_chunk = row_begin / chunk;
-    Timer phase_timer;
 
     for (size_t c0 = row_begin; c0 < row_end; c0 += chunk) {
         const size_t c1 = std::min(c0 + chunk, row_end);
-        const size_t len = c1 - c0;
 
         // Routing: gather this chunk's selected questions. A chunk no
         // question selected is bypassed outright — its rows are never
@@ -177,17 +281,15 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                 ++bypassed;
                 continue;
             }
-            routed_rows += len * nb;
+            routed_rows += (c1 - c0) * nb;
         }
 
-        // Streaming: the kernels' row look-ahead may run past a call
-        // into the rest of this chunk and on into the next one, which
-        // this group streams next. Under routing, a next chunk no
-        // question selected is out of its reach (its bytes will never
-        // be read).
+        // Streaming reaches into the next chunk, which this group
+        // streams next. Under routing, a next chunk no question
+        // selected is out of its reach (its bytes will never be read).
         size_t next_len =
-            ahead_rows > 0 && c1 < row_end ? std::min(chunk, row_end - c1)
-                                           : 0;
+            cfg.streaming && c1 < row_end ? std::min(chunk, row_end - c1)
+                                          : 0;
         if (sel && next_len > 0) {
             const size_t nci = c1 / chunk - first_chunk;
             bool any = false;
@@ -196,118 +298,37 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
             if (!any)
                 next_len = 0;
         }
-        // The look-ahead of a strip that ends at chunk row `end`.
-        const auto ahead = [&](size_t end) {
-            return blas::RowLookahead{ahead_rows, len - end + next_len};
-        };
+        const ChunkSpan rows{c0, c1, next_len};
 
-        // Partial selection runs the identical three phases over a
-        // compacted question sub-batch: gather the selected questions'
-        // query vectors and accumulator state, run the kernels at the
-        // sub-batch size, scatter back. Exact per question — the
-        // kernels' per-(question, row) accumulation order does not
-        // depend on which other questions share the call.
-        const float *uu = u;
-        float *acc = out.o;
-        double *psum = out.psum;
-        float *runmax = out.runmax;
         const bool compact = sel && nb < nq;
-        if (compact) {
-            for (size_t j = 0; j < nb; ++j) {
-                const size_t q = qsel[j];
-                blas::copy(u + q * ed, u_sub + j * ed, ed);
-                blas::copy(out.o + q * ed, acc_sub + j * ed, ed);
-                psum_sub[j] = out.psum[q];
-                runmax_sub[j] = out.runmax[q];
-            }
-            uu = u_sub;
-            acc = acc_sub;
-            psum = psum_sub;
-            runmax = runmax_sub;
-        }
-
-        // Phase 1: inner products, query-blocked. Each strip of M_IN
-        // rows is loaded once and swept through the whole question
-        // batch by the register-tiled kernel (a small packed GEMM);
-        // the strip stays L1-resident across the batch, so the chunk
-        // streams from memory once per batch, not once per question.
-        phase_timer.reset();
-        for (size_t s0 = 0; s0 < len; s0 += strip) {
-            const size_t s1 = std::min(s0 + strip, len);
-            kb.dotMin(uu, nb, c0 + s0, c0 + s1, t + s0, chunk, ahead(s1));
-        }
-        out.tInner += phase_timer.seconds();
-
-        // Phase 2 (partial softmax): exponential shifted by the
-        // running max + running sum. When the chunk raises the
-        // running shift, the accumulators are rescaled first — by an
-        // exact power of two (see header) — so no e-value exceeds
-        // ~1.4 and large logits cannot overflow.
-        phase_timer.reset();
-        for (size_t q = 0; q < nb; ++q) {
-            float *tq = t + q * chunk;
-            const float k = std::max(
-                runmax[q], blas::expShiftFor(blas::maxElement(tq, len)));
-            if (k > runmax[q]) {
-                const double rescale = pow2(runmax[q] - k);
-                psum[q] *= rescale;
-                blas::scal(static_cast<float>(rescale), acc + q * ed, ed);
-                runmax[q] = k;
-            }
-            blas::expShiftInplace(tq, len, k);
-        }
-        out.tSoftmax += phase_timer.seconds();
-
-        // Phase 3: fused weighted sum with optional zero-skipping,
-        // query-blocked like phase 1 — a kept M_OUT row is loaded once
-        // and accumulated into every question that keeps it. The skip
-        // test stays per-(question,row): the kernel folds e into each
-        // question's running sum before testing e < th * S_running, so
-        // the test is conservative (see header) and decisions are
-        // identical to the per-question sweep; skipped rows never
-        // touch M_OUT or the accumulator for that question. Under
-        // zero-skip most of M_OUT is never read, and which rows will
-        // be is unknown until the skip test, so only a dense sweep
-        // looks ahead across rows (kernels.hh, RowLookahead).
-        phase_timer.reset();
-        for (size_t s0 = 0; s0 < len; s0 += strip) {
-            const size_t s1 = std::min(s0 + strip, len);
-            kb.weightedSumMout(t + s0, nb, chunk, c0 + s0, c0 + s1, th,
-                               psum, acc, kept, skipped, ahead(s1));
-        }
-        out.tWsum += phase_timer.seconds();
-
-        if (compact) {
-            for (size_t j = 0; j < nb; ++j) {
-                const size_t q = qsel[j];
-                blas::copy(acc_sub + j * ed, out.o + q * ed, ed);
-                out.psum[q] = psum_sub[j];
-                out.runmax[q] = runmax_sub[j];
-            }
-        }
+        if (compact)
+            for (size_t j = 0; j < nb; ++j)
+                blas::copy(u + qsel[j] * ed, u_sub + j * ed, ed);
+        sweep.logits(compact ? u_sub : u, nb, rows, t, chunk, out.times);
+        sweep.accumulate(rows, t, chunk, nb, compact ? qsel : nullptr,
+                         out.acc, sub, kept, skipped, out.times);
 
         if (cfg.chunkObserver)
             cfg.chunkObserver(worker, c0 / chunk);
     }
 }
 
-const uint8_t *
-ColumnEngine::selectGroup(const float *u, size_t nq,
-                          runtime::Range chunks,
-                          const runtime::KernelPlan &plan,
-                          runtime::ScratchArena &scratch) const
+void
+selectChunks(const ChunkSummaryIndex &index, const EngineConfig &cfg,
+             const float *u, size_t nq, runtime::Range chunks,
+             uint8_t *sel, runtime::ScratchArena &scratch)
 {
-    const size_t ed = kb.dim();
+    const size_t ed = index.dim();
     const size_t n_g = chunks.end - chunks.begin;
     float *scores = scratch.floats(nq * n_g);
-    uint8_t *sel = scratch.bytes(nq * n_g);
 
     // Coarse scoring: the fused bound kernel over this group's chunk
     // summaries, strip-swept with the "bound" plan. Strip boundaries
     // cannot change scores (per-(question, chunk) pairs are
     // independent).
-    const float *lo = routeIndex->loData() + chunks.begin * ed;
-    const float *hi = routeIndex->hiData() + chunks.begin * ed;
+    const runtime::KernelPlan plan = runtime::kernelPlan("bound", nq);
+    const float *lo = index.loData() + chunks.begin * ed;
+    const float *hi = index.hiData() + chunks.begin * ed;
     const size_t strip =
         plan.stripRows == runtime::kWholeChunk ? n_g : plan.stripRows;
     for (size_t s0 = 0; s0 < n_g; s0 += strip) {
@@ -320,7 +341,7 @@ ColumnEngine::selectGroup(const float *u, size_t nq,
         const size_t k = std::min(cfg.routeTopK, n_g);
         if (k >= n_g) {
             std::fill(sel, sel + nq * n_g, uint8_t(1));
-            return sel;
+            return;
         }
         // Exact top-k per question under the total order (score desc,
         // chunk index asc) — the tie-break makes the selected *set* a
@@ -358,7 +379,6 @@ ColumnEngine::selectGroup(const float *u, size_t nq,
                 m[c] = s[c] >= cut ? uint8_t(1) : uint8_t(0);
         }
     }
-    return sel;
 }
 
 ColumnEngine::RunTotals
@@ -372,21 +392,15 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     const size_t n_chunks = (ns + cfg.chunkSize - 1) / cfg.chunkSize;
     const auto &groups = chunkGroups(n_chunks);
     // One plan lookup per pass, outside the worker loops.
-    const runtime::KernelPlan plan =
-        runtime::kernelPlan(precisionName(kb.precision()), nq);
+    const ChunkSweep sweep(kb, cfg, nq);
 
     // Routing: make sure the chunk-summary index snapshot covers the
     // current KB (lazy build; rebuilt only when the KB grew). Resolved
     // on the caller thread, before workers start.
     const bool routed = routingActive();
-    runtime::KernelPlan bound_plan{};
-    if (routed) {
-        if (!routeIndex || routeIndexRows != ns) {
-            routeIndex =
-                std::make_unique<ChunkSummaryIndex>(kb, cfg.chunkSize);
-            routeIndexRows = ns;
-        }
-        bound_plan = runtime::kernelPlan("bound", nq);
+    if (routed && (!routeIndex || routeIndexRows != ns)) {
+        routeIndex = std::make_unique<ChunkSummaryIndex>(kb, cfg.chunkSize);
+        routeIndexRows = ns;
     }
 
     // Group partials live in the persistent arena: the previous
@@ -398,15 +412,14 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     groupViews.resize(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
         Partial &p = partials[g];
-        p.o = partialArena.floats(nq * ed);
-        p.psum = partialArena.doubles(nq);
-        p.runmax = partialArena.floats(nq);
-        blas::zero(p.o, nq * ed);
-        std::fill(p.psum, p.psum + nq, 0.0);
-        std::fill(p.runmax, p.runmax + nq,
+        p.acc = {partialArena.floats(nq * ed), partialArena.doubles(nq),
+                 partialArena.floats(nq)};
+        blas::zero(p.acc.o, nq * ed);
+        std::fill(p.acc.expSum, p.acc.expSum + nq, 0.0);
+        std::fill(p.acc.runMax, p.acc.runMax + nq,
                   -std::numeric_limits<float>::infinity());
-        p.tInner = p.tSoftmax = p.tWsum = 0.0;
-        groupViews[g] = {p.o, p.psum, p.runmax};
+        p.times = {};
+        groupViews[g] = {p.acc.o, p.acc.expSum, p.acc.runMax};
     }
 
     // Per-worker slots, indexed by the unique worker/part id, so the
@@ -426,11 +439,13 @@ ColumnEngine::runGroups(const float *u, size_t nq)
         // shard view s sees exactly group s's rows, so group-local
         // selection is what makes routing compose with sharding
         // bit-identically.
-        const uint8_t *sel =
-            routed ? selectGroup(u, nq, cr, bound_plan, scratch)
-                   : nullptr;
+        uint8_t *sel = nullptr;
+        if (routed) {
+            sel = scratch.bytes(nq * (cr.end - cr.begin));
+            selectChunks(*routeIndex, cfg, u, nq, cr, sel, scratch);
+        }
         processChunks(u, nq, cr.begin * cfg.chunkSize,
-                      std::min(ns, cr.end * cfg.chunkSize), plan,
+                      std::min(ns, cr.end * cfg.chunkSize), sweep,
                       partials[g], worker, keptPerWorker[worker],
                       skippedPerWorker[worker], scratch, sel,
                       cr.end - cr.begin, routedPerWorker[worker],
@@ -538,9 +553,9 @@ ColumnEngine::recordRunStats(const RunTotals &totals, size_t nq,
     const size_t workers = std::max<size_t>(1, pool.threadCount());
     double t_inner = 0.0, t_soft = 0.0, t_wsum = 0.0;
     for (const Partial &p : partials) {
-        t_inner += p.tInner;
-        t_soft += p.tSoftmax;
-        t_wsum += p.tWsum;
+        t_inner += p.times.inner;
+        t_soft += p.times.softmax;
+        t_wsum += p.times.wsum;
     }
     const double denom = static_cast<double>(workers);
     times.innerProduct += t_inner / denom;

@@ -140,8 +140,9 @@ struct PartialView
  *   S  = S_a * 2^(k_a - k) + S_b * 2^(k_b - k)
  *   o  = o_a * 2^(k_a - k) + o_b * 2^(k_b - k)
  *
- * Produced by ColumnEngine::inferPartial, merged by
- * mergeStreamPartials in canonical shard order.
+ * Produced by ColumnEngine::inferPartial and by a ScanRing ride
+ * (scan_ring.hh), merged by mergeStreamPartials in canonical shard
+ * order.
  */
 struct StreamPartial
 {
@@ -162,9 +163,9 @@ struct StreamPartial
  * with the algebra above, stores the merged shift in `*runMax`, and
  * returns the merged exp sum. A partial whose exp sum is 0 saw no row
  * for q and is skipped. ColumnEngine merges its chunk groups with it
- * (a ShardedEngine's groups are its shards) and net::ClusterFrontEnd
- * its shard nodes' partials, so every layer replays the same
- * operation sequence.
+ * (a ShardedEngine's groups are its shards), LiveServer's sharded scan
+ * its rings' partials and net::ClusterFrontEnd its shard nodes'
+ * partials, so every layer replays the same operation sequence.
  */
 double foldPartials(const PartialView *parts, size_t nParts, size_t q,
                     size_t ed, float *oq, float *runMax);
@@ -176,6 +177,88 @@ double foldPartials(const PartialView *parts, size_t nParts, size_t q,
  */
 void mergeStreamPartials(const PartialView *parts, size_t nParts,
                          size_t nq, size_t ed, float *o);
+
+/** Writable accumulation state of nq questions (see PartialView). */
+struct AccumState
+{
+    float *o = nullptr;       ///< nq x ed weighted-sum accumulators
+    double *expSum = nullptr; ///< nq exp sums
+    float *runMax = nullptr;  ///< nq running shifts
+};
+
+/** Seconds spent in each phase of the chunked pass. */
+struct PhaseSeconds
+{
+    double inner = 0.0;   ///< phase 1: inner products
+    double softmax = 0.0; ///< phase 2: shifted exp and rescale
+    double wsum = 0.0;    ///< phase 3: weighted sum
+};
+
+/** One chunk's rows [begin, end) and the row count of the chunk the
+ *  pass streams after it (0: none, or out of look-ahead reach). */
+struct ChunkSpan
+{
+    size_t begin = 0;
+    size_t end = 0;
+    size_t nextLen = 0;
+};
+
+/**
+ * One chunk of the column dataflow over a knowledge base at one
+ * batch's kernel plan: phase 1, and phases 2 and 3 with the routing
+ * sub-batch compaction. ColumnEngine's group walk and the serving
+ * scan rings (scan_ring.hh) run every chunk through it, so the
+ * running shift, the exp and the weighted sum live in one place.
+ * Strips and look-ahead follow the plan; neither changes a bit.
+ */
+class ChunkSweep
+{
+  public:
+    /** `nq` picks the kernel plan (single- or multi-question). */
+    ChunkSweep(const KnowledgeBase &kb, const EngineConfig &cfg,
+               size_t nq);
+
+    /**
+     * Phase 1: t[j * tstride + (r - rows.begin)] = u_j . M_IN[r] for
+     * the nb questions of `u` (contiguous) and every row of `rows`.
+     */
+    void logits(const float *u, size_t nb, ChunkSpan rows, float *t,
+                size_t tstride, PhaseSeconds &times) const;
+
+    /**
+     * Phases 2 and 3 of chunk `rows` for nb questions of `acc`: row j
+     * of `t` (stride tstride, exponentiated in place) holds the
+     * logits of question sel[j], or of question j when `sel` is null.
+     * With `sel`, that state is gathered into `sub` (room for nb
+     * questions), advanced and scattered back — exact per question,
+     * since the kernels' per-(question, row) order does not depend on
+     * which questions share a call.
+     */
+    void accumulate(ChunkSpan rows, float *t, size_t tstride, size_t nb,
+                    const uint32_t *sel, const AccumState &acc,
+                    const AccumState &sub, uint64_t &kept,
+                    uint64_t &skipped, PhaseSeconds &times) const;
+
+  private:
+    /** The look-ahead of a strip of `rows` that ends at row `end`. */
+    blas::RowLookahead ahead(ChunkSpan rows, size_t end) const;
+
+    const KnowledgeBase &kb;
+    size_t strip;     ///< rows per kernel call
+    size_t aheadRows; ///< plan look-ahead (0 without streaming)
+    float th;         ///< zero-skip threshold
+};
+
+/**
+ * Routing selection for the chunks [chunks.begin, chunks.end) of
+ * `index` (one chunk group): score each chunk's bound for the nq
+ * questions of `u` and apply cfg's policy, writing the nq x (chunk
+ * count) mask to `sel`. A question's row of the mask does not depend
+ * on the other questions. Temporaries are claimed from `scratch`.
+ */
+void selectChunks(const ChunkSummaryIndex &index, const EngineConfig &cfg,
+                  const float *u, size_t nq, runtime::Range chunks,
+                  uint8_t *sel, runtime::ScratchArena &scratch);
 
 /** Column-based (chunked, lazy-softmax) engine. See file header. */
 class ColumnEngine : public InferenceEngine
@@ -221,12 +304,8 @@ class ColumnEngine : public InferenceEngine
      */
     struct Partial
     {
-        float *o = nullptr;       ///< nq x ed weighted-sum accumulator
-        double *psum = nullptr;   ///< nq running sums of exp values
-        float *runmax = nullptr;  ///< nq running shifts
-        double tInner = 0.0;      ///< seconds in inner products
-        double tSoftmax = 0.0;    ///< seconds in exp/rescale
-        double tWsum = 0.0;       ///< seconds in weighted sum
+        AccumState acc{};   ///< nq questions' accumulators
+        PhaseSeconds times; ///< this group's phase seconds
     };
 
     /**
@@ -238,7 +317,7 @@ class ColumnEngine : public InferenceEngine
      * resets `scratch` before any claims tied to this group.
      */
     void processChunks(const float *u, size_t nq, size_t row_begin,
-                       size_t row_end, const runtime::KernelPlan &plan,
+                       size_t row_end, const ChunkSweep &sweep,
                        Partial &out, size_t worker, uint64_t &kept,
                        uint64_t &skipped, runtime::ScratchArena &scratch,
                        const uint8_t *sel, size_t sel_stride,
@@ -249,16 +328,6 @@ class ColumnEngine : public InferenceEngine
     {
         return cfg.routePolicy != RoutePolicy::None;
     }
-
-    /**
-     * Score one chunk group's summaries for the batch and apply the
-     * selection policy; returns the nq x (group chunk count) mask,
-     * claimed from `scratch` (valid until its next reset).
-     */
-    const uint8_t *selectGroup(const float *u, size_t nq,
-                               runtime::Range chunks,
-                               const runtime::KernelPlan &plan,
-                               runtime::ScratchArena &scratch) const;
 
     /** Group decomposition for the current KB size (cached). */
     const std::vector<runtime::Range> &chunkGroups(size_t n_chunks);

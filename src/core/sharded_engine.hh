@@ -21,6 +21,11 @@
  *  3. The front end's gather and ColumnEngine::inferBatch's group
  *     merge are the same function over partials in the same order.
  *
+ * LiveServer's sharded mode rests on the same three legs: its scan
+ * rings (scan_ring.hh) stream the shard views, a ring's partial is
+ * the view's single-group accumulator state whatever chunk a batch
+ * joined at, and the rides merge in shard order.
+ *
  * Coarse routing (DESIGN.md §11) composes with this: selection is
  * per chunk group, so shard view s selects over exactly group s's
  * chunks, and leg 1 extends row-for-row to the routed sweep.

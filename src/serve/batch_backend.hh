@@ -17,10 +17,12 @@
  *   order (the window is a FIFO: completion order is delivery order,
  *   whatever order the shards answered in).
  *
- * Implementations: LiveServer's private in-process backend over
- * ColumnEngines (in sharded mode one, whose chunk groups are the
- * shards), and net::ClusterFrontEnd, whose lossless path is
- * bit-identical to that grouped engine over the same partition.
+ * Implementations: LiveServer's two private in-process backends —
+ * replicated, W ColumnEngines over the whole KB (window W), and
+ * sharded, a cooperative scan with one core::ScanRing per shard view
+ * that each batch joins at its next chunk (window 4) — and
+ * net::ClusterFrontEnd, whose lossless path is bit-identical to the
+ * scan over the same partition.
  * LiveServer's dispatch/retire loops are written against this
  * interface only.
  *

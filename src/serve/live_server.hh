@@ -39,12 +39,14 @@
  *    on engine t % workers, so up to `workers` batches proceed at
  *    once — but W engines stream the KB W times, paying redundant
  *    bandwidth (the paper's §6 scalability critique).
- *  - Sharded (shards >= 2): an in-process backend over one
- *    ColumnEngine (core::ShardedEngine) whose chunk groups are the
- *    KB's S chunk-aligned shards; its `workers`-thread pool claims
- *    the groups and their online-softmax partials merge in group
- *    order. One batch at a time, each KB byte streamed once per
- *    batch (see sharded_engine.hh).
+ *  - Sharded (shards >= 2): an in-process cooperative scan over the
+ *    KB's S chunk-aligned shards — one core::ScanRing per shard view,
+ *    stepped a chunk at a time by `workers` threads. A dispatched
+ *    batch joins every ring at its next chunk boundary instead of
+ *    waiting for the batch in flight, rides one revolution, and its S
+ *    partials merge in shard order; riders share each chunk's
+ *    stream, so each KB byte is read once per revolution however many
+ *    batches ride (see scan_ring.hh). Up to 4 batches ride at once.
  *  - Cluster (the BatchBackend constructor): a caller-owned backend,
  *    canonically a net::ClusterFrontEnd over shard node processes.
  *    With a window W >= 2, batch k+1 scatters while batch k gathers;
@@ -143,26 +145,29 @@ struct LiveServerConfig
     double batchTimeout = 2.0e-3;
     /** Engine workers. Replicated mode: the number of full-KB
      *  ColumnEngines, hence of batches in flight at once. Sharded
-     *  mode: the thread count of the one grouped engine, which
-     *  serves one batch at a time. Ignored in cluster mode. */
+     *  mode: the threads stepping the shards' scan rings (a ring is
+     *  stepped by one thread at a time, so more than `shards` idle).
+     *  Ignored in cluster mode. */
     size_t workers = 1;
     /** Knowledge-base shards for scatter/gather dispatch. 0 or 1
      *  keeps the replicated mode; >= 2 partitions the KB (boundaries
-     *  aligned to engine.chunkSize) into the engine's chunk groups,
-     *  which the worker pool claims one at a time; at most 32 effective
-     *  shards (the Answer::shardMask width). See the file header. */
+     *  aligned to engine.chunkSize) into shard views, one scan ring
+     *  each; at most 32 effective shards (the Answer::shardMask
+     *  width). See the file header. */
     size_t shards = 0;
     /** Bounded-queue capacity; submissions beyond it are rejected. */
     size_t queueCapacity = 1024;
     /** Per-worker engine tunables (threads=0 keeps engines inline —
      *  parallelism comes from serving concurrent batches or, in
-     *  sharded mode, from the one engine's `workers`-thread group
-     *  walk, which overrides threads; nested pools would
-     *  oversubscribe the cores). Coarse routing flows through here
-     *  too: set engine.routePolicy / routeTopK / routeBoundThreshold
-     *  and every engine routes — replicated workers select per their
-     *  own chunk groups, the sharded engine per shard, exactly as a
-     *  cluster's shard nodes do (see sharded_engine.hh). */
+     *  sharded mode, from the `workers` ring threads; threads and
+     *  scheduleGroups do not apply to the rings). Coarse routing flows
+     *  through here too: set engine.routePolicy / routeTopK /
+     *  routeBoundThreshold and every engine routes — replicated
+     *  workers select per their own chunk groups, the sharded scan
+     *  per shard, exactly as a cluster's shard nodes do (see
+     *  sharded_engine.hh). A chunkObserver sees each scan step's
+     *  chunk, numbered in the whole KB, once per step however many
+     *  batches ride it. */
     core::EngineConfig engine;
     /** Latency histogram range; samples above land in overflow (and
      *  clamp quantiles to the range — the exact max is still kept).
@@ -224,8 +229,9 @@ class LiveServer
      * rejected or queued. Every admitted request lives in the bounded
      * queue or a popped batch until its completion is recorded, and
      * the credit rule (file header) caps popped-but-unrecorded
-     * batches at engineSlots(), so the apparent backlog
-     * `arrived - rejected - completed` never exceeds
+     * batches at engineSlots() — W replicated engines, the 4 batches
+     * riding the sharded scan, a cluster's window W — so the apparent
+     * backlog `arrived - rejected - completed` never exceeds
      * queueCapacity + engineSlots() * maxBatch — a snapshot can show a
      * just-completed request as completed-but-not-yet-arrived
      * (transiently *under*-counting the backlog) but never reports
@@ -247,7 +253,8 @@ class LiveServer
     bool remote() const { return !ownedBackend; }
 
     /** Batches in flight at most: the backend's pipelineDepth() —
-     *  cfg.workers replicated, 1 sharded, the cluster's window W. */
+     *  cfg.workers replicated, the scan depth 4 sharded (batches
+     *  riding the rings at once), the cluster's window W. */
     size_t engineSlots() const { return window.size(); }
 
     const LiveServerConfig &config() const { return cfg; }

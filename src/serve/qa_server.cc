@@ -54,10 +54,13 @@ class Server
         if (stats.makespan > 0.0) {
             stats.throughputQps =
                 static_cast<double>(stats.completed) / stats.makespan;
+            const double executors =
+                cfg.dispatch == DispatchPolicy::JoinAtNextChunk
+                    ? 1.0
+                    : static_cast<double>(cfg.workers);
             stats.utilization =
                 busy_ticks
-                / (static_cast<double>(last_completion)
-                   * static_cast<double>(cfg.workers));
+                / (static_cast<double>(last_completion) * executors);
         }
         if (!latencies.empty()) {
             std::sort(latencies.begin(), latencies.end());
@@ -135,9 +138,14 @@ class Server
             const size_t n = std::min(pending.size(), cfg.maxBatch);
             mnn_assert(n > 0, "dispatch of an empty batch");
 
+            // A joining batch's revolution is shared with every
+            // question riding already.
+            const bool join =
+                cfg.dispatch == DispatchPolicy::JoinAtNextChunk;
+            const size_t riders = join ? riding + n : n;
             const sim::Tick service = toTicks(
                 cfg.batchBaseSeconds
-                + double(n) * cfg.perQuestionSeconds);
+                + double(riders) * cfg.perQuestionSeconds);
             const sim::Tick done = queue_events.now() + service;
 
             std::vector<sim::Tick> batch_arrivals(
@@ -148,13 +156,24 @@ class Server
 
             --free_workers;
             ++batches;
-            busy_ticks += static_cast<double>(service);
+            if (!join) {
+                busy_ticks += static_cast<double>(service);
+            } else {
+                if (riding == 0)
+                    busy_since = queue_events.now();
+                riding += n;
+            }
 
             queue_events.schedule(done, [this, batch_arrivals] {
                 const sim::Tick now = queue_events.now();
                 for (sim::Tick a : batch_arrivals)
                     latencies.push_back(toSeconds(now - a));
                 last_completion = std::max(last_completion, now);
+                if (cfg.dispatch == DispatchPolicy::JoinAtNextChunk) {
+                    riding -= batch_arrivals.size();
+                    if (riding == 0)
+                        busy_ticks += static_cast<double>(now - busy_since);
+                }
                 ++free_workers;
                 dispatchIfReady();
             });
@@ -173,6 +192,8 @@ class Server
 
     std::deque<sim::Tick> pending; ///< arrival times, FIFO
     size_t free_workers;
+    size_t riding = 0;       ///< JoinAtNextChunk: questions riding
+    sim::Tick busy_since = 0; ///< JoinAtNextChunk: riding since
     uint64_t arrived = 0;
     uint64_t batches = 0;
     double busy_ticks = 0.0;

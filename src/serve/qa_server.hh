@@ -13,7 +13,9 @@
  *
  * with a large amortizable base. The simulator runs Poisson question
  * arrivals against a batching dispatcher (size cap + oldest-question
- * timeout) over a pool of executor workers, and reports throughput,
+ * timeout) over a pool of executor workers — or over one cooperative
+ * scan that a batch joins at its next chunk (DispatchPolicy) — and
+ * reports throughput,
  * latency percentiles, mean batch size and utilization — the numbers
  * a capacity planner needs to choose the batching policy.
  */
@@ -25,6 +27,26 @@
 #include <cstdint>
 
 namespace mnnfast::serve {
+
+/** How a dispatched batch meets the knowledge-base stream. */
+enum class DispatchPolicy {
+    /**
+     * A batch waits for a free executor and streams the KB on its own:
+     * it completes t(n) = batchBaseSeconds + n * perQuestionSeconds
+     * after dispatch.
+     */
+    BatchAtATime,
+    /**
+     * Cooperative scan (LiveServer's sharded mode): a batch starts the
+     * moment it is dispatched, joining the stream in flight at its
+     * next chunk, and completes one revolution later. A revolution
+     * costs batchBaseSeconds + riders * perQuestionSeconds, riders
+     * being every question riding when the batch joins, its own
+     * included. `workers` is the number of batches that may ride at
+     * once (the scan's window).
+     */
+    JoinAtNextChunk,
+};
 
 /** Service and workload parameters. */
 struct ServerConfig
@@ -42,8 +64,10 @@ struct ServerConfig
     double batchBaseSeconds = 1.0e-3;
     /** Marginal service time per question in the batch. */
     double perQuestionSeconds = 4.0e-5;
-    /** Parallel executors (e.g., sockets or accelerator instances). */
+    /** Parallel executors (e.g., sockets or accelerator instances);
+     *  under JoinAtNextChunk, the batches riding at once. */
     size_t workers = 1;
+    DispatchPolicy dispatch = DispatchPolicy::BatchAtATime;
     /** Length of the arrival window simulated (seconds). */
     double simSeconds = 5.0;
     uint64_t seed = 1;
@@ -61,7 +85,8 @@ struct ServerStats
     double p95Latency = 0.0;
     double p99Latency = 0.0;
     double meanBatchSize = 0.0;
-    /** Fraction of the makespan the executors were busy. */
+    /** Fraction of the makespan the executors were busy (under
+     *  JoinAtNextChunk: the fraction with a batch riding). */
     double utilization = 0.0;
     /** Total wall time simulated (arrival window + drain). */
     double makespan = 0.0;

@@ -115,9 +115,10 @@ for preset in "${presets[@]}"; do
         echo "==> preset: ${preset} (live-server smoke)"
         MNNFAST_BENCH_JSON=build-asan/BENCH_serving_smoke.json \
             ./build-asan/bench/serving_live --smoke
-        # Sharded-serving smoke: scatter/gather across the worker pool
-        # plus the engine-level equivalence column, under the same
-        # leak/UB checking.
+        # Sharded-serving smoke: the cooperative scan across the worker
+        # pool, every served answer bit-checked against the reference
+        # engine (exit 1 on a mismatch), plus the engine-level
+        # equivalence column, under the same leak/UB checking.
         echo "==> preset: ${preset} (sharded-serving smoke)"
         MNNFAST_BENCH_JSON=build-asan/BENCH_sharding_smoke.json \
             ./build-asan/bench/ablation_sharding --smoke

@@ -139,6 +139,46 @@ TEST(QaServer, UtilizationSaturatesUnderOverload)
     EXPECT_LE(stats.utilization, 1.0 + 1e-9);
 }
 
+TEST(QaServer, JoiningAtTheNextChunkNeverRaisesTheMedian)
+{
+    // The cooperative scan's model against batch-at-a-time at the same
+    // arrivals, from idle to past the batch-at-a-time capacity, where
+    // the knowledge-base stream is most of a batch's cost: the sharded
+    // servebench workload's model (a 512 MiB KB, 15 ms a pass plus
+    // ~1 ms a question) and a more stream-bound one. A joining batch
+    // skips the wait for the batch in flight and pays only for the
+    // riders it shares the revolution with, so its median is never
+    // higher. (Where per-question work dominates, riders lengthen each
+    // other's revolutions and joining can lose near capacity; see
+    // examples/qa_server_study.)
+    ServerConfig dense = baseConfig();
+    dense.batchBaseSeconds = 15e-3;
+    dense.perQuestionSeconds = 1e-3;
+    dense.maxBatch = 16;
+    ServerConfig streamBound = baseConfig();
+    streamBound.batchBaseSeconds = 4e-3;
+    streamBound.perQuestionSeconds = 5e-5;
+    for (const ServerConfig &model : {dense, streamBound}) {
+        const double capacity =
+            double(model.maxBatch)
+            / (model.batchBaseSeconds
+               + double(model.maxBatch) * model.perQuestionSeconds);
+        for (double load : {0.05, 0.2, 0.5, 0.8, 0.95, 1.2}) {
+            ServerConfig batch = model;
+            batch.arrivalRate = load * capacity;
+            ServerConfig join = batch;
+            join.dispatch = DispatchPolicy::JoinAtNextChunk;
+            join.workers = 4;
+            const ServerStats b = simulateServer(batch);
+            const ServerStats j = simulateServer(join);
+            EXPECT_EQ(j.completed, j.arrived);
+            EXPECT_LE(j.p50Latency, b.p50Latency)
+                << "base " << model.batchBaseSeconds << " load " << load;
+            EXPECT_LE(j.utilization, 1.0 + 1e-9);
+        }
+    }
+}
+
 TEST(QaServer, DeterministicForSameSeed)
 {
     const auto a = simulateServer(baseConfig());

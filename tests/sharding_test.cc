@@ -3,21 +3,27 @@
  * Sharded knowledge base + scatter/gather engine tests: chunk-aligned
  * partition geometry, the shard-view contract (merged single-group
  * partials over the shard views equal the grouped engine, bits and
- * counters) across shard counts x zero-skipping x precision,
- * canonical merge order under a concurrent group walk, and the
- * LiveServer sharded serving mode (correctness, drain, rejection
- * split).
+ * counters) across shard counts x zero-skipping x precision, and the
+ * LiveServer sharded serving mode, a cooperative scan: bit identity
+ * with batches joining mid-revolution at every chunk, canonical merge
+ * order whatever order the rings finish in, drain, rejection split,
+ * and the scan ring's join rule.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
+#include "core/scan_ring.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
 #include "node_set.hh"
@@ -157,14 +163,38 @@ TEST(ShardedEngine, BitIdenticalToSingleEngineAcrossConfigs)
     }
 }
 
+/** Serve each question of `u` (nq x ed) alone and collect the
+ *  answers in order. */
+std::vector<float>
+serveEach(serve::LiveServer &server, const std::vector<float> &u,
+          size_t nq)
+{
+    const size_t ed = server.embeddingDim();
+    std::vector<std::future<serve::Answer>> futures;
+    for (size_t q = 0; q < nq; ++q) {
+        serve::Ticket t = server.submit(u.data() + q * ed);
+        EXPECT_TRUE(t.accepted());
+        futures.push_back(std::move(t.answer));
+    }
+    std::vector<float> o;
+    for (auto &f : futures) {
+        const serve::Answer a = f.get();
+        EXPECT_FALSE(a.failed);
+        o.insert(o.end(), a.o.begin(), a.o.end());
+    }
+    return o;
+}
+
 /**
- * The streaming sweep behind a threaded scatter pool (the running-max
- * merge with rescaled partials) is bit-identical too, at another KB
- * size and batch.
+ * The threaded scatter of the serving path — LiveServer's scan, one
+ * ring per shard view stepped by three workers (fewer rings than
+ * workers, then more), with the kernels' row look-ahead on — answers
+ * a burst whose batches join the rings mid-revolution bit for bit as
+ * the shard views' merged partials.
  */
 TEST(ShardedEngine, StreamingThreadedScatterIsBitIdentical)
 {
-    const size_t ns = 500, ed = 16, nq = 4, chunk = 64;
+    const size_t ns = 500, ed = 16, nq = 24, chunk = 64;
     const core::KnowledgeBase kb = makeKb(ns, ed);
     const std::vector<float> u = makeQuestions(nq, ed);
 
@@ -173,26 +203,32 @@ TEST(ShardedEngine, StreamingThreadedScatterIsBitIdentical)
     cfg.streaming = true;
     for (size_t shards : {size_t(2), size_t(4)}) {
         const core::ShardedKnowledgeBase skb(kb, chunk, shards);
-        core::EngineConfig scfg = cfg;
-        scfg.threads = 2;
-        core::ShardedEngine sharded(skb, scfg);
-        core::EngineConfig rcfg = cfg;
-        rcfg.scheduleGroups = skb.shardCount();
-        core::ColumnEngine reference(kb, rcfg);
+        ShardViews views(skb, cfg);
+        std::vector<float> o_ref(nq * ed);
+        views.inferBatch(u.data(), nq, o_ref.data());
 
-        std::vector<float> o_sharded(nq * ed), o_ref(nq * ed);
-        sharded.inferBatch(u.data(), nq, o_sharded.data());
-        reference.inferBatch(u.data(), nq, o_ref.data());
+        serve::LiveServerConfig lcfg;
+        lcfg.maxBatch = 4;
+        lcfg.batchTimeout = 0.0;
+        lcfg.workers = 3;
+        lcfg.shards = shards;
+        lcfg.engine = cfg;
+        serve::LiveServer server(kb, lcfg);
+        const std::vector<float> o = serveEach(server, u, nq);
+        ASSERT_EQ(o.size(), o_ref.size());
         for (size_t i = 0; i < o_ref.size(); ++i)
-            ASSERT_EQ(o_sharded[i], o_ref[i]) << "shards=" << shards;
+            ASSERT_EQ(o[i], o_ref[i]) << "shards=" << shards
+                                      << " elem=" << i;
     }
 }
 
 /**
- * Merge order is canonical (shard index), not completion order: with
- * a multi-threaded scatter pool and dynamic shard handout, shard
- * completion order varies run to run, yet every run must produce the
- * same bits as the inline (threads = 0) scatter.
+ * Merge order is canonical (shard index), not completion order: the
+ * scan's rings finish a batch's rides in whatever order their workers
+ * reach the ends of the revolutions. An observer that stalls one
+ * shard's chunks — a different shard each run — reorders those
+ * completions, yet every run answers with the bits of the shard views
+ * merged in shard order.
  */
 TEST(ShardedEngine, GatherOrderIsIndependentOfCompletionOrder)
 {
@@ -201,25 +237,44 @@ TEST(ShardedEngine, GatherOrderIsIndependentOfCompletionOrder)
     const std::vector<float> u = makeQuestions(nq, ed);
     const core::ShardedKnowledgeBase skb(kb, chunk, 8);
     ASSERT_EQ(skb.shardCount(), 8u);
+    const size_t per_shard = ns / chunk / 8;
 
-    core::EngineConfig inline_cfg;
-    inline_cfg.chunkSize = chunk;
-    inline_cfg.threads = 0; // sequential scatter: canonical order
-    core::ShardedEngine inline_engine(skb, inline_cfg);
-    std::vector<float> o_inline(nq * ed);
-    inline_engine.inferBatch(u.data(), nq, o_inline.data());
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    ShardViews views(skb, cfg);
+    std::vector<float> o_ref(nq * ed);
+    views.inferBatch(u.data(), nq, o_ref.data());
 
-    core::EngineConfig pool_cfg = inline_cfg;
-    pool_cfg.threads = 4;
-    core::ShardedEngine pooled(skb, pool_cfg);
-    std::vector<float> o_pooled(nq * ed);
-    for (int run = 0; run < 5; ++run) {
-        std::fill(o_pooled.begin(), o_pooled.end(), -1.f);
-        pooled.inferBatch(u.data(), nq, o_pooled.data());
-        for (size_t i = 0; i < o_inline.size(); ++i)
-            ASSERT_EQ(o_pooled[i], o_inline[i])
-                << "run " << run << " elem " << i;
+    std::set<std::vector<size_t>> orders;
+    for (size_t slow = 0; slow < skb.shardCount(); ++slow) {
+        std::mutex m;
+        std::vector<size_t> finished; // shards, by last chunk streamed
+        serve::LiveServerConfig lcfg;
+        lcfg.maxBatch = nq;
+        lcfg.batchTimeout = 50e-3; // the nq questions form one batch
+        lcfg.workers = 4;
+        lcfg.shards = 8;
+        lcfg.engine = cfg;
+        lcfg.engine.chunkObserver = [&](size_t, size_t c) {
+            const size_t shard = c / per_shard;
+            if (shard == slow)
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            if (c % per_shard == per_shard - 1) {
+                std::lock_guard<std::mutex> lock(m);
+                finished.push_back(shard);
+            }
+        };
+        serve::LiveServer server(kb, lcfg);
+        const std::vector<float> o = serveEach(server, u, nq);
+        server.shutdown();
+        ASSERT_EQ(o.size(), o_ref.size());
+        for (size_t i = 0; i < o_ref.size(); ++i)
+            ASSERT_EQ(o[i], o_ref[i]) << "slow shard " << slow
+                                      << " elem " << i;
+        orders.insert(finished);
     }
+    // The stalls did reorder the completions.
+    EXPECT_GT(orders.size(), 1u);
 }
 
 /**
@@ -299,7 +354,7 @@ TEST(LiveServer, ShardedModeAnswersMatchReferenceEngine)
 
     serve::LiveServer server(kb, cfg);
     EXPECT_TRUE(server.sharded());
-    EXPECT_EQ(server.engineSlots(), 1u); // one scatter/gather slot
+    EXPECT_EQ(server.engineSlots(), 4u); // the scan's riding window
 
     XorShiftRng rng(31);
     std::vector<std::vector<float>> questions(n_requests);
@@ -367,6 +422,318 @@ TEST(LiveServer, ShardedModeDrainsAndSplitsRejections)
     EXPECT_EQ(s.rejectedShutdown, 1u);
     EXPECT_EQ(s.rejected, s.rejectedFull + s.rejectedShutdown);
     EXPECT_EQ(s.completed + s.rejected, s.arrived);
+}
+
+// ---------------------------------------------------------------
+// LiveServer sharded mode: the cooperative scan
+// ---------------------------------------------------------------
+
+/**
+ * A chunk observer that stops the scan's worker after the k-th chunk
+ * streamed since arm(k), until release().
+ */
+class ChunkHold
+{
+  public:
+    void
+    arm(size_t k)
+    {
+        std::lock_guard<std::mutex> lock(m);
+        calls = 0;
+        at = k;
+        held = released = false;
+    }
+
+    void
+    chunk()
+    {
+        std::unique_lock<std::mutex> lock(m);
+        if (++calls != at)
+            return;
+        held = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return released; });
+    }
+
+    /** Wait until the hold caught a chunk (true) or `f` settled
+     *  without reaching the k-th chunk (false). */
+    bool
+    waitHeld(std::future<serve::Answer> &f)
+    {
+        for (;;) {
+            {
+                std::unique_lock<std::mutex> lock(m);
+                if (cv.wait_for(lock, std::chrono::microseconds(200),
+                                [&] { return held; }))
+                    return true;
+            }
+            if (f.wait_for(std::chrono::seconds(0))
+                == std::future_status::ready)
+                return false;
+        }
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(m);
+        released = true;
+        cv.notify_all();
+    }
+
+    size_t
+    count()
+    {
+        std::lock_guard<std::mutex> lock(m);
+        return calls;
+    }
+
+  private:
+    std::mutex m;
+    std::condition_variable cv;
+    size_t calls = 0, at = 0;
+    bool held = false, released = false;
+};
+
+/**
+ * A batch joins the scan at whatever chunk each ring is on. One
+ * worker steps both rings; a chunk observer holds it after the k-th
+ * chunk of a first batch's ride, for every k, while a second batch is
+ * dispatched, so the second joins at every chunk offset of both
+ * rings. Each answer must equal the ShardedEngine over the same
+ * partition bit for bit, across precision x zero-skip x streaming x
+ * routing.
+ */
+TEST(LiveServer, ScanJoinsAtEveryChunkBitIdentical)
+{
+    // 7 chunks: shards of 4 and 3.
+    const size_t ns = 200, ed = 16, chunk = 32, nq = 4;
+    const std::vector<float> u = makeQuestions(nq, ed);
+    size_t mid_ring_rounds = 0;
+
+    for (core::Precision prec :
+         {core::Precision::F32, core::Precision::BF16,
+          core::Precision::I8}) {
+        const core::KnowledgeBase kb = makeKb(ns, ed, prec);
+        for (float zskip : {0.0f, 0.05f})
+        for (bool streaming : {false, true})
+        for (bool routed : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << core::precisionName(prec) << " zskip="
+                         << zskip << " streaming=" << streaming
+                         << " routed=" << routed);
+            core::EngineConfig cfg;
+            cfg.chunkSize = chunk;
+            cfg.skipThreshold = zskip;
+            cfg.streaming = streaming;
+            if (routed) {
+                cfg.routePolicy = core::RoutePolicy::TopK;
+                cfg.routeTopK = 2;
+            }
+            const core::ShardedKnowledgeBase skb(kb, chunk, 2);
+            ASSERT_EQ(skb.shardCount(), 2u);
+            core::ShardedEngine reference(skb, cfg);
+            std::vector<float> o_ref(nq * ed);
+            reference.inferBatch(u.data(), nq, o_ref.data());
+
+            ChunkHold hold;
+            serve::LiveServerConfig lcfg;
+            lcfg.maxBatch = 2; // questions 0-1 ride first, 2-3 join
+            lcfg.batchTimeout = 10e-3;
+            lcfg.workers = 1;
+            lcfg.shards = 2;
+            lcfg.engine = cfg;
+            lcfg.engine.chunkObserver = [&](size_t, size_t) {
+                hold.chunk();
+            };
+            serve::LiveServer server(kb, lcfg);
+
+            // The first batch alone streams 7 chunks unrouted, so
+            // k = 8 lets the second find both rings idle.
+            for (size_t k = 1; k <= 8; ++k) {
+                hold.arm(k);
+                std::vector<std::future<serve::Answer>> f;
+                for (size_t q = 0; q < nq; ++q) {
+                    if (q == 2 && hold.waitHeld(f[0]))
+                        // Let the dispatch loop hand the batch over
+                        // before the rings move on.
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(5));
+                    serve::Ticket t = server.submit(u.data() + q * ed);
+                    ASSERT_TRUE(t.accepted());
+                    f.push_back(std::move(t.answer));
+                }
+                hold.release();
+                for (size_t q = 0; q < nq; ++q) {
+                    const serve::Answer a = f[q].get();
+                    ASSERT_EQ(a.o.size(), ed);
+                    for (size_t e = 0; e < ed; ++e)
+                        ASSERT_EQ(a.o[e], o_ref[q * ed + e])
+                            << "k=" << k << " question " << q;
+                }
+                // Riders that shared chunks stream fewer than the
+                // 2 x 7 of two separate revolutions.
+                if (!routed && hold.count() < 14)
+                    ++mid_ring_rounds;
+            }
+        }
+    }
+    EXPECT_GT(mid_ring_rounds, 0u);
+}
+
+/**
+ * Flood a sharded server while a chunk observer holds its rings with
+ * riders mid-revolution, and shut it down before releasing them:
+ * every accepted future settles exactly once, with the reference
+ * answer, in submission order, and arrived == rejected + completed.
+ */
+TEST(LiveServer, ScanFloodAndShutdownMidRevolutionSettlesEveryFuture)
+{
+    const size_t ns = 2048, ed = 16, chunk = 64, n = 300;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> u = makeQuestions(n, ed);
+
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    cfg.skipThreshold = 0.05f;
+    const core::ShardedKnowledgeBase skb(kb, chunk, 2);
+    ShardViews views(skb, cfg);
+    std::vector<float> o_ref(n * ed);
+    views.inferBatch(u.data(), n, o_ref.data());
+
+    ChunkHold hold;
+    hold.arm(5);
+    serve::LiveServerConfig lcfg;
+    lcfg.maxBatch = 4;
+    lcfg.batchTimeout = 0.0;
+    lcfg.workers = 2;
+    lcfg.shards = 2;
+    lcfg.queueCapacity = 16;
+    lcfg.engine = cfg;
+    lcfg.engine.chunkObserver = [&](size_t, size_t) { hold.chunk(); };
+    serve::LiveServer server(kb, lcfg);
+
+    std::vector<size_t> index; // question of each accepted future
+    std::vector<std::future<serve::Answer>> futures;
+    uint64_t refused = 0;
+    for (size_t i = 0; i < n; ++i) {
+        serve::Ticket t = server.submit(u.data() + i * ed);
+        if (t.accepted()) {
+            index.push_back(i);
+            futures.push_back(std::move(t.answer));
+        } else {
+            EXPECT_EQ(t.status, serve::SubmitStatus::Rejected);
+            ++refused;
+        }
+    }
+    ASSERT_GT(refused, 0u); // the held rings let the queue fill
+    ASSERT_TRUE(hold.waitHeld(futures[0]));
+
+    std::thread stopper([&] { server.shutdown(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    hold.release();
+
+    // The retire loop settles batches in submission order, so once
+    // future i is seen ready every earlier one must be ready too.
+    size_t ready = 0;
+    while (ready < futures.size()) {
+        size_t high = futures.size();
+        while (high > ready
+               && futures[high - 1].wait_for(std::chrono::seconds(0))
+                      != std::future_status::ready)
+            --high;
+        for (size_t j = ready; j < high; ++j)
+            ASSERT_EQ(futures[j].wait_for(std::chrono::seconds(0)),
+                      std::future_status::ready)
+                << "future " << high - 1 << " settled before " << j;
+        ready = high;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    stopper.join();
+
+    for (size_t j = 0; j < futures.size(); ++j) {
+        const serve::Answer a = futures[j].get();
+        ASSERT_EQ(a.o.size(), ed);
+        for (size_t e = 0; e < ed; ++e)
+            ASSERT_EQ(a.o[e], o_ref[index[j] * ed + e])
+                << "question " << index[j];
+    }
+    EXPECT_EQ(server.submit(u.data()).status,
+              serve::SubmitStatus::ShuttingDown);
+    const serve::LatencySnapshot s = server.snapshot();
+    EXPECT_EQ(s.completed, futures.size());
+    EXPECT_EQ(s.rejectedFull, refused);
+    EXPECT_EQ(s.rejectedShutdown, 1u);
+    EXPECT_EQ(s.arrived, n + 1);
+    EXPECT_EQ(s.arrived, s.rejected + s.completed);
+}
+
+/**
+ * One ring's join rule (core::ScanRing, stepped by hand): a batch that
+ * finds the ring idle joins at chunk 0 and keeps no logits — also when
+ * the ring stopped mid-revolution — while one attached at chunk j > 0
+ * keeps exactly its rows from chunk j on, at most kb rows per
+ * question. Either way its partial is the single-group engine's.
+ */
+TEST(LiveServer, IdleScanRingKeepsNoLogits)
+{
+    const size_t ns = 300, ed = 16, chunk = 64, nq = 3; // 5 chunks
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> ua = makeQuestions(nq, ed, 41);
+    const std::vector<float> ub = makeQuestions(nq, ed, 42);
+
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    cfg.streaming = true;
+    cfg.skipThreshold = 0.05f;
+    core::EngineConfig single = cfg;
+    single.scheduleGroups = 1;
+    core::ColumnEngine engine(kb, single);
+    core::StreamPartial ref_a, ref_b;
+    engine.inferPartial(ua.data(), nq, ref_a);
+    engine.inferPartial(ub.data(), nq, ref_b);
+    const auto expectPartial = [&](const core::StreamPartial &p,
+                                   const core::StreamPartial &ref,
+                                   size_t j) {
+        ASSERT_EQ(p.nq, nq);
+        for (size_t q = 0; q < nq; ++q) {
+            EXPECT_EQ(p.expSum[q], ref.expSum[q]) << "j=" << j;
+            EXPECT_EQ(p.runMax[q], ref.runMax[q]) << "j=" << j;
+        }
+        for (size_t i = 0; i < nq * ed; ++i)
+            ASSERT_EQ(p.o[i], ref.o[i]) << "j=" << j << " elem " << i;
+    };
+
+    core::ScanRing ring(kb, cfg);
+    ASSERT_EQ(ring.chunkCount(), 5u);
+    for (size_t j = 0; j < ring.chunkCount(); ++j) {
+        core::ScanRider a, b;
+        a.u = ua.data();
+        a.nq = nq;
+        b.u = ub.data();
+        b.nq = nq;
+        ASSERT_TRUE(ring.idle());
+        ring.attach(a);
+        EXPECT_EQ(a.joinedAt, 0u) << "j=" << j;
+        std::vector<core::ScanRider *> done;
+        for (size_t s = 0; s < j; ++s)
+            ring.step(0, done);
+        ring.attach(b);
+        EXPECT_EQ(b.joinedAt, j);
+        while (!ring.idle())
+            ring.step(0, done);
+        // The ring stops where b's revolution ended, at chunk j; the
+        // next round still starts at chunk 0.
+        EXPECT_EQ(ring.position(), j);
+
+        ASSERT_EQ(done.size(), 2u);
+        EXPECT_EQ(done[0], &a);
+        EXPECT_EQ(done[1], &b);
+        EXPECT_EQ(a.keptFloats, 0u);
+        EXPECT_EQ(b.keptFloats, j == 0 ? 0 : nq * (ns - j * chunk));
+        expectPartial(a.partial, ref_a, j);
+        expectPartial(b.partial, ref_b, j);
+    }
 }
 
 } // namespace
