@@ -30,7 +30,7 @@ const char *engineKindName(EngineKind kind);
  * Coarse-then-fine candidate selection over KB chunks (DESIGN.md §11).
  *
  * When enabled, the column engine builds a core::ChunkSummaryIndex
- * over M_IN (lazily, rebuilt when the KB grows) and scores every chunk
+ * over M_IN (lazily, rebuilt when the KB changes) and scores every chunk
  * per question with the envelope's max-inner-product upper bound
  * before streaming; only selected (question, chunk) pairs run the
  * fused phase-1..3 kernels. Selection is *per chunk group* (the same
@@ -132,6 +132,16 @@ struct EngineConfig
      */
     float routeBoundThreshold = 0.0f;
 };
+
+/**
+ * The chunk size an engine over `rows` rows runs: cfg.chunkSize
+ * clamped to the row count, since a chunk is never larger than the KB
+ * (zero rows leave it alone). The one check of an engine config's
+ * chunk and routing knobs: a zero chunk size, routeTopK 0 under TopK
+ * and a routeBoundThreshold outside [0, 1] under BoundThreshold are
+ * fatal. ColumnEngine and ScanRing call it at construction.
+ */
+size_t effectiveChunkSize(const EngineConfig &cfg, size_t rows);
 
 } // namespace mnnfast::core
 

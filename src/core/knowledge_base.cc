@@ -92,8 +92,10 @@ KnowledgeBase::reserve(size_t ns)
 {
     if (viewed)
         fatal("reserve() on a knowledge-base view");
-    if (ns > capacity)
+    if (ns > capacity) {
         grow(ns);
+        ++gen; // the rows moved
+    }
 }
 
 void
@@ -101,6 +103,7 @@ KnowledgeBase::clear()
 {
     if (viewed)
         fatal("clear() on a knowledge-base view");
+    ++gen;
     count = 0;
     minScaleV.clear();
     minZeroV.clear();
@@ -191,6 +194,7 @@ KnowledgeBase::addSentence(const float *min_row, const float *mout_row)
 {
     if (viewed)
         fatal("addSentence() on a knowledge-base view");
+    ++gen;
     if (count == capacity)
         grow(count + 1);
     switch (prec) {

@@ -121,6 +121,14 @@ class KnowledgeBase
      */
     KnowledgeBase view(size_t row_begin, size_t row_end) const;
 
+    /**
+     * Bumped by every addSentence, clear and reallocating reserve: a
+     * knowledge base whose generation has not changed holds the same
+     * rows at the same addresses (a view's never changes). Engines
+     * rebuild what they derive from the rows when it changes.
+     */
+    uint64_t generation() const { return gen; }
+
     /** True for non-owning views produced by view(). */
     bool isView() const { return viewed; }
 
@@ -253,6 +261,7 @@ class KnowledgeBase
     size_t qchunk; ///< I8 quantization-chunk rows
     size_t count = 0;
     size_t capacity = 0;
+    uint64_t gen = 0; ///< see generation()
     AlignedBuffer<float> min;      ///< F32 mode storage
     AlignedBuffer<float> mout;
     AlignedBuffer<uint16_t> min16; ///< BF16 mode storage

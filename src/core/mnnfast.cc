@@ -32,6 +32,29 @@ routePolicyName(RoutePolicy policy)
     panic("unknown RoutePolicy %d", static_cast<int>(policy));
 }
 
+size_t
+effectiveChunkSize(const EngineConfig &cfg, size_t rows)
+{
+    if (cfg.chunkSize == 0)
+        fatal("engine chunk size must be nonzero");
+    switch (cfg.routePolicy) {
+      case RoutePolicy::None:
+        break;
+      case RoutePolicy::TopK:
+        if (cfg.routeTopK == 0)
+            fatal("RoutePolicy::TopK requires routeTopK > 0");
+        break;
+      case RoutePolicy::BoundThreshold:
+        if (!(cfg.routeBoundThreshold >= 0.f
+              && cfg.routeBoundThreshold <= 1.f))
+            fatal("RoutePolicy::BoundThreshold requires "
+                  "routeBoundThreshold in [0, 1], got %g",
+                  static_cast<double>(cfg.routeBoundThreshold));
+        break;
+    }
+    return rows > 0 ? std::min(cfg.chunkSize, rows) : cfg.chunkSize;
+}
+
 namespace {
 
 std::unique_ptr<InferenceEngine>

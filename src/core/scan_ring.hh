@@ -1,10 +1,14 @@
 /**
  * @file
- * A cooperative circular scan over one knowledge base (in serving, one
- * shard view): batches ride a ring of its chunks, each joining at the
- * next chunk boundary instead of waiting for the batch in flight —
- * cooperative scans in databases (Zukowski et al., VLDB 2007) applied
- * to the paper's column dataflow.
+ * The chunk walk of the column dataflow (paper Fig. 5b) and its
+ * partials: a cooperative circular scan over one knowledge base (one
+ * chunk group of a ColumnEngine, or in serving one shard view).
+ * Batches ride a ring of its chunks, each joining at the next chunk
+ * boundary instead of waiting for the batch in flight — cooperative
+ * scans in databases (Zukowski et al., VLDB 2007) applied to the
+ * paper's column dataflow. A ColumnEngine pass is one ride per chunk
+ * group, each on an idle ring, so this is the only loop over a
+ * group's chunks.
  *
  * Each step streams one chunk for every rider at once: the riders'
  * questions share that chunk's one KnowledgeBase::dotMin call, so the
@@ -14,25 +18,26 @@
  *
  * Bit identity. A rider's partial is the accumulator state of the
  * single-group pass ColumnEngine(kb, scheduleGroups 1) makes for its
- * batch, bit for bit, whatever chunk it joined at:
+ * batch — which is a ride that found the ring idle — bit for bit,
+ * whatever chunk it joined at:
  *  - a (question, row) logit depends neither on the other questions
  *    of a dotMin call nor on its strips or look-ahead (kernels.hh);
  *  - phases 2 and 3 (the running shift, the zero-skip running sum)
- *    depend on chunk order, so they run per rider in canonical order
- *    through the engine's own ChunkSweep::accumulate: a rider that
- *    joined at chunk 0 runs them on each chunk's tile at once; one
- *    that joined at chunk j > 0 keeps its logits of chunks j..n-1,
- *    runs chunks 0..j-1 on the tile after the wrap, then replays the
- *    kept ones;
- *  - routing selects per question over the ring's chunks
- *    (selectChunks), which are the engine's single group.
+ *    depend on chunk order, so they run per rider in canonical order:
+ *    a rider that joined at chunk 0 runs them on each chunk's tile at
+ *    once; one that joined at chunk j > 0 keeps its logits of chunks
+ *    j..n-1, runs chunks 0..j-1 on the tile after the wrap, then
+ *    replays the kept ones;
+ *  - routing selects per question over the ring's chunks, which are
+ *    the engine's single group.
  *
  * An idle ring restarts at chunk 0, so a batch that finds it idle
  * keeps no logits and does exactly the engine's work. Kept logits take
  * at most kb.size() floats per question.
  *
  * Threading: none inside. One thread at a time may attach and step
- * (serve's scan backend hands each ring to one worker per step).
+ * (ColumnEngine hands each group's ring to one worker per pass,
+ * serve's scan backend to one worker per step).
  */
 
 #ifndef MNNFAST_CORE_SCAN_RING_HH
@@ -42,14 +47,112 @@
 #include <memory>
 #include <vector>
 
-#include "core/column_engine.hh"
+#include "core/chunk_summary_index.hh"
+#include "core/config.hh"
+#include "core/knowledge_base.hh"
+#include "runtime/scratch_arena.hh"
 
 namespace mnnfast::core {
 
 /**
+ * Read-only view of one partial's state for nq questions, before the
+ * lazy-softmax division: per question a weighted-sum accumulator and
+ * an exp-sum, both scaled by 2^-runMax, where runMax is the running
+ * shift round(max logit * log2 e) (see column_engine.hh; -inf only for
+ * a question that saw no row). Views let the one merge read partials
+ * wherever they live, without copies.
+ */
+struct PartialView
+{
+    const float *o;       ///< nq x ed weighted-sum accumulators
+    const double *expSum; ///< nq exp sums
+    const float *runMax;  ///< nq running shifts
+};
+
+/**
+ * The merged state of one engine pass over (a shard of) the knowledge
+ * base, *before* the lazy-softmax division (see PartialView).
+ * Partials from disjoint sentence ranges merge with exact
+ * power-of-two scales:
+ *
+ *   k  = max(k_a, k_b)
+ *   S  = S_a * 2^(k_a - k) + S_b * 2^(k_b - k)
+ *   o  = o_a * 2^(k_a - k) + o_b * 2^(k_b - k)
+ *
+ * Produced by a ScanRing ride and by ColumnEngine::inferPartial,
+ * merged by mergeStreamPartials in canonical shard order.
+ */
+struct StreamPartial
+{
+    std::vector<float> o;       ///< nq x ed weighted-sum accumulators
+    std::vector<double> expSum; ///< nq running exp sums
+    std::vector<float> runMax;  ///< nq running shifts
+    size_t nq = 0;              ///< questions this partial covers
+
+    PartialView view() const
+    {
+        return {o.data(), expSum.data(), runMax.data()};
+    }
+};
+
+/**
+ * The one partial merge. Folds question q of `parts`, in the order
+ * given, into the undivided accumulator `oq` (ed floats, overwritten)
+ * with the algebra above, stores the merged shift in `*runMax`, and
+ * returns the merged exp sum. A partial whose exp sum is 0 saw no row
+ * for q and is skipped. ColumnEngine merges its chunk groups with it
+ * (a ShardedEngine's groups are its shards), LiveServer's sharded scan
+ * its rings' partials and net::ClusterFrontEnd its shard nodes'
+ * partials, so every layer replays the same operation sequence.
+ */
+double foldPartials(const PartialView *parts, size_t nParts, size_t q,
+                    size_t ed, float *oq, float *runMax);
+
+/**
+ * Fold every question of `parts` (foldPartials) into `o` (nq x ed)
+ * and apply the single deferred lazy-softmax division. The order of
+ * `parts` must be canonical (group or shard order) for bit-identity.
+ */
+void mergeStreamPartials(const PartialView *parts, size_t nParts,
+                         size_t nq, size_t ed, float *o);
+
+/** Seconds spent in each phase of the chunked pass. */
+struct PhaseSeconds
+{
+    double inner = 0.0;   ///< phase 1: inner products
+    double softmax = 0.0; ///< phase 2: shifted exp and rescale
+    double wsum = 0.0;    ///< phase 3: weighted sum
+};
+
+/** What a ring's steps did since it was built or its totals taken. */
+struct ScanTotals
+{
+    uint64_t kept = 0;    ///< (question, row) weighted-sum rows kept
+    uint64_t skipped = 0; ///< ... and zero-skipped
+    /** (question, row) pairs streamed in phase 1 (routing only). */
+    uint64_t routedRows = 0;
+    /** Chunks bypassed because no question selected them. */
+    uint64_t bypassed = 0;
+    PhaseSeconds times;
+
+    ScanTotals &operator+=(const ScanTotals &t)
+    {
+        kept += t.kept;
+        skipped += t.skipped;
+        routedRows += t.routedRows;
+        bypassed += t.bypassed;
+        times.inner += t.times.inner;
+        times.softmax += t.times.softmax;
+        times.wsum += t.times.wsum;
+        return *this;
+    }
+};
+
+/**
  * One batch's ride on a ScanRing. The caller sets `u` and `nq` before
  * attach() and reads `partial` once step() reports the ride done; the
- * other fields are the ring's.
+ * other fields are the ring's. A rider may ride again once done; its
+ * buffers keep their capacity.
  */
 struct ScanRider
 {
@@ -67,6 +170,9 @@ struct ScanRider
     /** Logit floats kept for the replay (0 iff joinedAt is 0). */
     size_t keptFloats = 0;
 
+    /** Bytes the rider retains between rides: partial and mask. */
+    size_t retainedBytes() const;
+
   private:
     friend class ScanRing;
     size_t left = 0;                 ///< steps left in the revolution
@@ -80,12 +186,14 @@ class ScanRing
 {
   public:
     /**
-     * @param kb          Rows the ring streams; must outlive it.
+     * @param kb          Rows the ring streams; non-empty, must outlive
+     *                    the ring un-mutated.
      * @param cfg         Engine tunables (chunk size, streaming, zero-
-     *                    skip, routing, chunkObserver); threads and
+     *                    skip, routing, chunkObserver), checked and
+     *                    clamped by effectiveChunkSize; threads and
      *                    scheduleGroups are ignored.
      * @param first_chunk Chunk number of kb's first chunk for the
-     *                    observer (a shard's first chunk in its parent).
+     *                    observer (a group's first chunk in its parent).
      */
     ScanRing(const KnowledgeBase &kb, const EngineConfig &cfg,
              size_t first_chunk = 0);
@@ -114,21 +222,22 @@ class ScanRing
     /** Chunks per revolution. */
     size_t chunkCount() const { return nChunks; }
 
+    /** The steps' totals since the last call (or construction). */
+    ScanTotals takeTotals();
+
+    /** Bytes of step scratch the ring retains between steps. */
+    size_t scratchBytes() const;
+
   private:
-    /** Rows of chunk c, with the look-ahead reach into chunk c + 1
-     *  when streaming and one of `rs` streams it. */
-    ChunkSpan span(size_t c, const std::vector<ScanRider *> &rs) const;
+    /** True when the look-ahead of chunk c may reach into chunk c + 1:
+     *  streaming, c + 1 in this revolution, and one of `rs` streams it. */
+    bool reachesNext(size_t c, const std::vector<ScanRider *> &rs) const;
 
     /** r's questions that stream chunk c, into q; returns the count. */
     size_t select(const ScanRider &r, size_t c, uint32_t *q) const;
 
     /** Phases 2-3 of r's kept chunks, in order, after the wrap. */
     void replay(ScanRider &r);
-
-    /** Phases 2-3 of chunk `rows` for r's n questions of `t`. */
-    void accumulate(const ChunkSweep &sweep, ChunkSpan rows, float *t,
-                    size_t tstride, size_t n, const uint32_t *sel,
-                    ScanRider &r);
 
     const KnowledgeBase &kb;
     EngineConfig cfg;
@@ -137,15 +246,14 @@ class ScanRing
     std::unique_ptr<ChunkSummaryIndex> index; ///< routing only
     size_t cursor = 0;
     std::vector<ScanRider *> riders; ///< attach order
+    ScanTotals totals;
 
     // Step scratch, reused (capacity retained).
     std::vector<float> uTile;   ///< questions streaming the chunk
     std::vector<float> tile;    ///< their logits, stride chunkSize
     std::vector<uint32_t> qsel; ///< their indices, rider by rider
     std::vector<size_t> nbOf;   ///< how many per rider
-    std::vector<float> subO;    ///< compaction state (sub-batch)
-    std::vector<double> subSum;
-    std::vector<float> subMax;
+    StreamPartial sub;          ///< compacted sub-batch state
     runtime::ScratchArena scratch; ///< selection temporaries
 };
 

@@ -1,7 +1,5 @@
 #include "core/sharded_engine.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace mnnfast::core {
@@ -12,10 +10,7 @@ namespace {
 EngineConfig
 grouped(const ShardedKnowledgeBase &skb, EngineConfig cfg)
 {
-    if (cfg.chunkSize == 0)
-        fatal("sharded engine chunk size must be nonzero");
-    const size_t effective =
-        std::min(cfg.chunkSize, skb.parent().size());
+    const size_t effective = effectiveChunkSize(cfg, skb.parent().size());
     if (effective != skb.chunkSize())
         fatal("sharded engine chunk size %zu does not match the "
               "partition's %zu — shard boundaries would not be "

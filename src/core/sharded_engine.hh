@@ -11,13 +11,14 @@
  * skb.shard(s), and a front end merges their partials in shard order.
  * That merge is bit-identical to this engine's answer:
  *
- *  1. ShardedKnowledgeBase uses ColumnEngine::chunkGroups' splitRange
- *     decomposition, so shard view s is chunk group s: the same rows,
- *     chunks and strips, so every kernel call sees identical operands,
- *     and zero-skip's group-local running sum starts at zero in both.
+ *  1. A ColumnEngine's chunk groups are a ShardedKnowledgeBase of its
+ *     KB, so shard view s is chunk group s: the same rows, chunks and
+ *     strips, so every kernel call sees identical operands, and
+ *     zero-skip's group-local running sum starts at zero in both.
  *  2. Each shard-view engine runs with scheduleGroups = 1, so its
  *     partial is that single group's accumulator state bit-for-bit
- *     (see ColumnEngine::inferPartial).
+ *     (see ColumnEngine::inferPartial): one ride on a ScanRing over
+ *     the view, as group s of this engine is.
  *  3. The front end's gather and ColumnEngine::inferBatch's group
  *     merge are the same function over partials in the same order.
  *

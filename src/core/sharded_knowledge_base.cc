@@ -22,11 +22,11 @@ ShardedKnowledgeBase::ShardedKnowledgeBase(const KnowledgeBase &kb,
     chunk = std::min(chunk, ns);
     const size_t n_chunks = (ns + chunk - 1) / chunk;
 
-    // The same decomposition ColumnEngine::chunkGroups uses for
-    // scheduleGroups = shards: contiguous, near-equal in chunks,
-    // never empty. Scaling group boundaries by the chunk size keeps
-    // every shard boundary chunk-aligned (the last shard absorbs the
-    // trailing partial chunk).
+    // Contiguous, near-equal in chunks, never empty: the chunk groups
+    // of a ColumnEngine with scheduleGroups = shards, which holds this
+    // partition of its KB. Scaling group boundaries by the chunk size
+    // keeps every shard boundary chunk-aligned (the last shard absorbs
+    // the trailing partial chunk).
     const auto groups =
         runtime::splitRange(n_chunks, std::min(shards, n_chunks));
     rowRanges.reserve(groups.size());

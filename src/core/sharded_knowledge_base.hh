@@ -7,14 +7,12 @@
  * (or, in the near-memory designs this models, across ranks/banks)
  * and each partition streamed by a different worker.
  *
- * Shard boundaries are always multiples of the chunk size, computed
- * with the same runtime::splitRange decomposition the column engine
- * uses for its chunk groups. That alignment is what makes sharded
- * inference *bit-identical* to a single engine: shard s covers
- * exactly chunk group s of a ColumnEngine configured with
- * scheduleGroups = shardCount(), so every kernel call, every chunk
- * sweep, and the canonical merge order coincide (see
- * sharded_engine.hh).
+ * Shard boundaries are always multiples of the chunk size. A
+ * ColumnEngine's chunk groups are this partition of its KB, so shard s
+ * is exactly chunk group s of an engine configured with
+ * scheduleGroups = shardCount(), and every kernel call, every chunk
+ * sweep, and the canonical merge order coincide: sharded inference is
+ * *bit-identical* to a single engine (see sharded_engine.hh).
  *
  * Shards are zero-copy KnowledgeBase::view windows — the parent KB
  * must outlive the sharding and stay un-mutated while it is in use.

@@ -82,7 +82,7 @@ class ShardNode
 
     std::atomic<bool> stopFlag{false};
     std::atomic<uint64_t> served{0};
-    /** The engine's scratch arena has one owner; connections share. */
+    /** The engine's scratch has one owner; connections share. */
     std::mutex engineMutex;
 };
 

@@ -17,7 +17,7 @@ medianSeconds(core::InferenceEngine &engine, const float *u, size_t nq,
               float *o, size_t repeats)
 {
     // One untimed call: faults in the KB pages for this sweep pattern
-    // and lets the engine's scratch arenas grow to steady state, so
+    // and lets the engine's scratch grow to steady state, so
     // the timed repetitions measure the serving loop, not first-touch.
     engine.inferBatch(u, nq, o);
 

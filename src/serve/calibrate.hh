@@ -47,7 +47,7 @@ struct ServiceTimeFit
  *
  * Question vectors are synthesized deterministically from `seed`; each
  * batch size is timed `repeats` times (after one untimed warm-up call
- * that also lets the engine's scratch arenas reach steady state) and
+ * that also lets the engine's scratch reach steady state) and
  * the median is used, so one scheduling hiccup cannot skew the fit.
  * The slope is clamped to >= 0, and the base to >= 0 — on a machine
  * where amortization is so strong that t(large) < t(small) the fit

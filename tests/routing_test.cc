@@ -297,6 +297,60 @@ TEST(RoutedEngine, RepeatedRoutedCallsAreBitIdentical)
     }
 }
 
+TEST(RoutedEngine, ReusedEngineFollowsKbChanges)
+{
+    // An engine outlives changes to its knowledge base: growth that
+    // changes the chunk and group counts, and a clear and refill to the
+    // same row count (MnnFastSystem::clearStory, then
+    // addStorySentence). After either, a reused engine must answer as
+    // a fresh one over the same rows, bit for bit — its groups and
+    // routing summaries follow the rows, not just their count.
+    const size_t ed = 16, nq = 3, chunk = 64;
+    const std::vector<float> u = randomBatch(nq, ed, 91);
+    const auto fill = [&](KnowledgeBase &kb, size_t ns, uint64_t seed) {
+        XorShiftRng rng(seed);
+        std::vector<float> a(ed), b(ed);
+        while (kb.size() < ns) {
+            for (size_t e = 0; e < ed; ++e) {
+                a[e] = rng.uniformRange(-1.f, 1.f);
+                b[e] = rng.uniformRange(-1.f, 1.f);
+            }
+            kb.addSentence(a.data(), b.data());
+        }
+    };
+
+    for (bool routed : {false, true})
+    for (size_t threads : {size_t{0}, size_t{2}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "routed=" << routed << " threads=" << threads);
+        EngineConfig cfg;
+        cfg.chunkSize = chunk;
+        cfg.threads = threads;
+        cfg.streaming = true;
+        if (routed) {
+            cfg.routePolicy = RoutePolicy::TopK;
+            cfg.routeTopK = 1;
+        }
+        KnowledgeBase kb(ed);
+        fill(kb, 256, 92); // 4 chunks: 1 group, or 4 with threads
+        ColumnEngine reused(kb, cfg);
+        std::vector<float> out(nq * ed), ref(nq * ed);
+        reused.inferBatch(u.data(), nq, out.data());
+
+        const auto expectFresh = [&](const char *leg) {
+            reused.inferBatch(u.data(), nq, out.data());
+            ColumnEngine fresh(kb, cfg);
+            fresh.inferBatch(u.data(), nq, ref.data());
+            EXPECT_TRUE(bitIdentical(ref, out)) << leg;
+        };
+        fill(kb, 640, 93); // 10 chunks: 1 group, or 8 with threads
+        expectFresh("growth");
+        kb.clear();
+        fill(kb, 640, 94);
+        expectFresh("clear and refill");
+    }
+}
+
 TEST(RoutedEngine, TopKRecoversConcentratedAttention)
 {
     // Plant one hot row the probe strongly matches; background rows
@@ -398,6 +452,14 @@ TEST(RoutedSharding, ShardedRoutedMatchesGroupedSingleEngineBitwise)
             views.inferBatch(u.data(), nq, out.data());
             EXPECT_TRUE(bitIdentical(ref, out))
                 << precisionName(prec) << " shards " << shards;
+            // The grouped engine's routing counters are the sums of
+            // its groups', which are the shard views' own.
+            for (const char *name : {"rows_routed", "chunks_bypassed"})
+                EXPECT_EQ(mono.counters().value(name), views.counter(name))
+                    << name << " " << precisionName(prec) << " shards "
+                    << shards;
+            EXPECT_LT(mono.counters().value("rows_routed"),
+                      uint64_t(nq) * ns);
         }
     }
 }
@@ -773,6 +835,23 @@ TEST(EngineConfigValidation, RejectsInvalidRoutingKnobs)
     th.routeBoundThreshold = -0.1f;
     EXPECT_EXIT(ColumnEngine(kb, th), ::testing::ExitedWithCode(1),
                 "routeBoundThreshold");
+
+    // Checked before any row is seen, and by the sharded server's scan
+    // rings as by its engines.
+    const KnowledgeBase empty(8);
+    EXPECT_EXIT(ColumnEngine(empty, topk), ::testing::ExitedWithCode(1),
+                "routeTopK");
+    serve::LiveServerConfig sharded;
+    sharded.shards = 2;
+    sharded.engine = topk;
+    sharded.engine.chunkSize = 16;
+    EXPECT_EXIT(serve::LiveServer(kb, sharded),
+                ::testing::ExitedWithCode(1), "routeTopK");
+    sharded.engine = th;
+    sharded.engine.chunkSize = 16;
+    sharded.engine.routeBoundThreshold = 1.5f;
+    EXPECT_EXIT(serve::LiveServer(kb, sharded),
+                ::testing::ExitedWithCode(1), "routeBoundThreshold");
 }
 
 TEST(EngineConfigValidation, RoutePolicyNamesAreStable)
