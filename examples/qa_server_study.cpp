@@ -108,11 +108,18 @@ simulatorStudy()
     };
     // The second model is servebench's dense_f32: a 512 MiB f32 KB
     // on 2 shards, 15-17 ms per pass at 1-2 questions, 30-32 ms at 16.
+    // The last two are one cluster_tcp shard node (64 MiB of bf16,
+    // front-end window 4): ~2.4 ms for one question and ~12.2 ms for
+    // 8 on the 256-bit bf16 tile, ~9.3 ms for 8 on the pair tile.
     const Model models[] = {
         {"1 ms + 40 us/q, cap 32", 1e-3, 4e-5, 32,
          {2000.0, 8000.0, 11000.0, 13000.0}},
         {"15 ms + 1 ms/q, cap 16", 15e-3, 1e-3, 16,
          {50.0, 100.0, 200.0, 400.0, 500.0}},
+        {"node: 1 ms + 1.4 ms/q, cap 8", 1e-3, 1.4e-3, 8,
+         {150.0, 400.0, 600.0, 650.0, 700.0}},
+        {"node, pair tile: 1.4 ms + 0.98 ms/q", 1.4e-3, 0.98e-3, 8,
+         {150.0, 600.0, 800.0, 900.0, 950.0}},
     };
     for (const Model &m : models) {
         for (double rate : m.rates) {

@@ -11,12 +11,16 @@
  *
  * Shapes: a zmm holds two questions' 8-lane chains for one row, the
  * questions interleaved once per call into a packed [q0 block | q1
- * block] buffer and each row block broadcast into both halves (f32 and
- * int8 rows; the bf16 dot stays on the AVX2 tier's tile). Tiles
- * are 4 pairs x 8 rows (32 accumulators): a 4 x 4 tile is faster on
- * cache-resident rows, but on the engine's streamed strips the 8-row
- * tile won end to end. An odd last question is padded with a repeat,
- * and a lone question runs on the 256-bit trait. The weighted sum
+ * block] buffer and each row block broadcast into both halves (f32,
+ * bf16 and int8 rows alike). Tiles are 4 pairs x 8 rows (32
+ * accumulators): a 4 x 4 tile is faster on cache-resident rows, but on
+ * the engine's streamed strips the 8-row tile won end to end. An odd
+ * last question is padded with a repeat, and a lone question runs on
+ * the 256-bit trait. The bf16 pair tile is compute-bound where it
+ * serves: a shard node rides all its in-flight requests on one scan
+ * (net::ShardNode), so a chunk step carries ~32 questions rather than
+ * one 8-question batch near its stream time, whose time swung with the
+ * host's memory (DESIGN.md §5). The weighted sum
  * accumulates 16 lanes at a time and, for tiles of more than four
  * questions, scans the skip tests of eight questions per __m512d.
  */
@@ -53,15 +57,24 @@ struct Zmm
     /** A packed pair's block: the buffer is 64-byte aligned. */
     static Vec loadQ(const float *p) { return _mm512_load_ps(p); }
     /**
-     * Row blocks into both halves: f32 by vbroadcastf32x8; int8
-     * broadcasts its stored bytes first (a load-port broadcast) and
-     * widens all 16 lanes at once, so no lane shuffle follows. The bf16
-     * dot is the AVX2 tier's (fusedTable).
+     * Row blocks into both halves: f32 by vbroadcastf32x8; bf16 and
+     * int8 broadcast their stored bytes first (a load-port broadcast:
+     * 16 bytes for bf16, 8 for int8) and widen all 16 lanes at once, so
+     * no lane shuffle follows.
      */
     static Vec
     rowBlock(const float *p)
     {
         return _mm512_broadcast_f32x8(_mm256_loadu_ps(p));
+    }
+    /** Zero-extend to 32 bits and shift into the high half: exact. */
+    static Vec
+    rowBlock(const uint16_t *p)
+    {
+        const __m256i h = _mm256_broadcastsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+        return _mm512_castsi512_ps(
+            _mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16));
     }
     static Vec
     rowBlock(const int8_t *p)

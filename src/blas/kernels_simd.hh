@@ -20,8 +20,7 @@
  *    kTileGroups (query groups per tile) and kTileRows; zero, loadQ
  *    (kQ questions' blocks from a packed buffer, or one question's),
  *    rowBlock (8 stored row elements, widened exactly into every
- *    question's half; one overload per element type whose dot the
- *    trait runs, see fusedTable), fma, half (one
+ *    question's half; one overload per element type), fma, half (one
  *    question's 8 lanes) and block (one 128-bit block); tree, hsum8x8
  *    over eight Vecs (see dotTile);
  *  - phase 3: AccVec of kAccLanes fp32 lanes with loadAcc, storeAcc,
@@ -942,10 +941,12 @@ weightedSumSkipMultiSimd(const float *e, size_t ne, size_t estride,
 /**
  * A tier's table: the fused kernels of every precision instantiated for
  * width trait V, the other entries taken from `base` (the AVX2 tier's
- * reductions, exp and gemm serve every SIMD tier). A paired-question
- * trait (kQ > 1) keeps base's bf16 dot: on the bf16 shard nodes the
- * pair tile's throughput swung ~2x from run to run where the 256-bit
- * tile's stayed within ~10 % (DESIGN.md §5).
+ * reductions, exp and gemm serve every SIMD tier). Every precision's
+ * dot takes V's tile, the AVX-512 pair tile for bf16 included: it was
+ * once withdrawn because a shard node's lone 8-question batch, near its
+ * stream time, swung ~2x with the host's memory; a node now rides all
+ * its in-flight requests on one scan, so its chunk steps carry ~32
+ * questions and the tile is compute-bound (DESIGN.md §5).
  */
 template <class V>
 constexpr KernelTable
@@ -954,8 +955,7 @@ fusedTable(KernelTable base, const char *name)
     base.name = name;
     base.dotBatchMulti = dotBatchMultiSimd<V, F32Rows>;
     base.weightedSumSkipMulti = weightedSumSkipMultiSimd<V, F32Rows>;
-    if constexpr (V::kQ == 1)
-        base.dotBatchMultiBf16 = dotBatchMultiSimd<V, Bf16Rows>;
+    base.dotBatchMultiBf16 = dotBatchMultiSimd<V, Bf16Rows>;
     base.weightedSumSkipMultiBf16 = weightedSumSkipMultiSimd<V, Bf16Rows>;
     base.dotBatchMultiI8 = dotBatchMultiSimd<V, I8Rows, float, float>;
     base.weightedSumSkipMultiI8 =

@@ -37,7 +37,8 @@
  *
  * Threading: none inside. One thread at a time may attach and step
  * (ColumnEngine hands each group's ring to one worker per pass,
- * serve's scan backend to one worker per step).
+ * serve::ScanBackend — LiveServer's sharded mode, a cluster node — to
+ * one worker per step).
  */
 
 #ifndef MNNFAST_CORE_SCAN_RING_HH
@@ -152,7 +153,10 @@ struct ScanTotals
  * One batch's ride on a ScanRing. The caller sets `u` and `nq` before
  * attach() and reads `partial` once step() reports the ride done; the
  * other fields are the ring's. A rider may ride again once done; its
- * buffers keep their capacity.
+ * buffers keep their capacity, the kept-logit buffer included, so a
+ * rider that rides again with no more questions and joins no earlier
+ * than before allocates nothing. That buffer keeps the pages its
+ * largest ride touched (at most kb.size() floats per question).
  */
 struct ScanRider
 {
@@ -170,14 +174,19 @@ struct ScanRider
     /** Logit floats kept for the replay (0 iff joinedAt is 0). */
     size_t keptFloats = 0;
 
-    /** Bytes the rider retains between rides: partial and mask. */
+    /** Bytes the rider retains between rides: partial, mask and the
+     *  kept-logit buffer. */
     size_t retainedBytes() const;
+
+    /** The kept-logit buffer (null until a ride joins past chunk 0). */
+    const float *keptLogits() const { return logits.get(); }
 
   private:
     friend class ScanRing;
     size_t left = 0;                 ///< steps left in the revolution
     std::vector<uint8_t> sel;        ///< routing mask, nq x chunks
     std::unique_ptr<float[]> logits; ///< kept logits of chunks >= joinedAt
+    size_t logitCap = 0;             ///< floats `logits` holds (grow-only)
     std::vector<size_t> keptAt;      ///< their offsets, per chunk
 };
 
@@ -230,8 +239,9 @@ class ScanRing
 
   private:
     /** True when the look-ahead of chunk c may reach into chunk c + 1:
-     *  streaming, c + 1 in this revolution, and one of `rs` streams it. */
-    bool reachesNext(size_t c, const std::vector<ScanRider *> &rs) const;
+     *  streaming, c + 1 in this revolution, and one of the n riders
+     *  `rs` streams it. */
+    bool reachesNext(size_t c, ScanRider *const *rs, size_t n) const;
 
     /** r's questions that stream chunk c, into q; returns the count. */
     size_t select(const ScanRider &r, size_t c, uint32_t *q) const;

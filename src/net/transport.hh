@@ -29,9 +29,13 @@
  *    Closed once buffered input is exhausted (transports may discard
  *    buffered input on close — callers must not rely on post-close
  *    drains).
- *  - Channels are *not* thread-safe: one thread sends and receives on
- *    a channel at a time (the cluster code gives each shard fetch its
- *    own channels). Listener::accept and Transport::connect are
+ *  - Channels are thread-safe for one sender and one receiver: one
+ *    thread may send while another receives on the same channel (a
+ *    ShardNode's scan worker sends responses while the connection's
+ *    handler receives), but two sends, two recvs, or a close beside a
+ *    send or recv must not overlap (the cluster code gives each shard
+ *    fetch its own channels, and a node orders its sends and its
+ *    close with a mutex). Listener::accept and Transport::connect are
  *    thread-safe.
  */
 

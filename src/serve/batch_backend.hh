@@ -19,8 +19,8 @@
  *
  * Implementations: LiveServer's two private in-process backends —
  * replicated, W ColumnEngines over the whole KB (window W), and
- * sharded, a cooperative scan with one core::ScanRing per shard view
- * that each batch joins at its next chunk (window 4) — and
+ * sharded, a serve::ScanBackend with one core::ScanRing per shard
+ * view that each batch joins at its next chunk (window 4) — and
  * net::ClusterFrontEnd, whose lossless path is bit-identical to the
  * scan over the same partition.
  * LiveServer's dispatch/retire loops are written against this

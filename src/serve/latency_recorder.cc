@@ -62,6 +62,7 @@ LatencyRecorder::mergeCountersInto(LatencyRecorder &acc) const
         acc.rpcShardCounters[s].addFrom(rpcShardCounters[s]);
     acc.partialAnswerCount += partialAnswerCount;
     acc.failedBatchCount += failedBatchCount;
+    acc.scanCounters.addFrom(scanCounters);
 }
 
 LatencyQuantiles
@@ -92,6 +93,7 @@ LatencyRecorder::snapshot() const
     s.rpcShards = rpcShardCounters;
     s.partialAnswers = partialAnswerCount;
     s.failedBatches = failedBatchCount;
+    s.scan = scanCounters;
     return s;
 }
 
@@ -166,7 +168,16 @@ LatencySnapshot::toJson(int indent) const
     std::string out = head;
     out += quantilesJson("queue_wait_seconds", queueWait, in) + ",\n";
     out += quantilesJson("service_seconds", service, in) + ",\n";
-    out += quantilesJson("end_to_end_seconds", endToEnd, in);
+    out += quantilesJson("end_to_end_seconds", endToEnd, in) + ",\n";
+    char scanBuf[256];
+    std::snprintf(scanBuf, sizeof(scanBuf),
+                  "%s\"scan\": {\"rows_kept\": %llu, \"rows_skipped\": %llu, "
+                  "\"rows_routed\": %llu, \"chunks_bypassed\": %llu}",
+                  in.c_str(), static_cast<unsigned long long>(scan.rowsKept),
+                  static_cast<unsigned long long>(scan.rowsSkipped),
+                  static_cast<unsigned long long>(scan.rowsRouted),
+                  static_cast<unsigned long long>(scan.chunksBypassed));
+    out += scanBuf;
     // The rpc block only exists for cluster serving; in-process
     // snapshots keep their exact pre-cluster shape.
     if (!rpcShards.empty()) {

@@ -53,6 +53,29 @@ struct RpcShardCounters
     }
 };
 
+/**
+ * What a cooperative scan's rings did (core::ScanTotals; LiveServer's
+ * sharded mode writes these; zero for the other backends). Monotone,
+ * merged by addition. Under zero-skip rowsKept + rowsSkipped is the
+ * (question, row) pairs the weighted sum tested.
+ */
+struct ScanCounters
+{
+    uint64_t rowsKept = 0;       ///< (question, row) weighted-sum rows kept
+    uint64_t rowsSkipped = 0;    ///< ... and zero-skipped
+    uint64_t rowsRouted = 0;     ///< pairs streamed in phase 1 (routing)
+    uint64_t chunksBypassed = 0; ///< chunks no question selected
+
+    void
+    addFrom(const ScanCounters &o)
+    {
+        rowsKept += o.rowsKept;
+        rowsSkipped += o.rowsSkipped;
+        rowsRouted += o.rowsRouted;
+        chunksBypassed += o.chunksBypassed;
+    }
+};
+
 /** Merged quantile view of one latency axis. */
 struct LatencyQuantiles
 {
@@ -103,6 +126,9 @@ struct LatencySnapshot
      */
     uint64_t failedBatches = 0;
 
+    /** The scan's engine counters (see ScanCounters). */
+    ScanCounters scan;
+
     /** Sum of rpcShards (all shards). */
     RpcShardCounters rpcTotals() const;
 
@@ -147,14 +173,17 @@ class LatencyRecorder
      *  histograms — see LatencySnapshot::failedBatches). */
     void recordFailedBatch() { ++failedBatchCount; }
 
+    /** Add a scan's engine counters. */
+    void recordScan(const ScanCounters &c) { scanCounters.addFrom(c); }
+
     /** Fold this recorder into an accumulating snapshot builder.
      *  Histogram geometries must match (Histogram::merge checks). */
     void mergeInto(LatencyRecorder &acc) const;
 
     /**
      * Fold only the monotone counters — per-shard RPC counters,
-     * partial answers, failed batches — into `acc`, leaving its
-     * histograms and batch totals untouched. This is how a serving
+     * partial answers, failed batches, scan counters — into `acc`,
+     * leaving its histograms and batch totals untouched. This is how a serving
      * layer composes a snapshot from a backend whose recorder has a
      * different histogram geometry (see BatchBackend::countersInto).
      */
@@ -181,6 +210,7 @@ class LatencyRecorder
     std::vector<RpcShardCounters> rpcShardCounters;
     uint64_t partialAnswerCount = 0;
     uint64_t failedBatchCount = 0;
+    ScanCounters scanCounters;
 };
 
 } // namespace mnnfast::serve

@@ -7,8 +7,8 @@
 #include <memory>
 #include <utility>
 
-#include "core/scan_ring.hh"
 #include "core/sharded_knowledge_base.hh"
+#include "serve/scan_backend.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::serve {
@@ -89,56 +89,32 @@ class EngineBackend final : public BatchBackend
 constexpr size_t kScanDepth = 4;
 
 /**
- * The sharded in-process backend: a cooperative circular scan. One
- * core::ScanRing per shard view skb.shard(s), advanced one chunk per
- * step by cfg.workers threads, each ring by one thread at a time. A
- * submitted batch attaches to every ring at its next chunk boundary
- * and settles once it has ridden each ring one revolution; waitBatch
- * merges its S partials in shard order with core::mergeStreamPartials.
- * A ring's partial is its shard's single-group pass (scan_ring.hh), so
- * the answer is bit for bit the one a ColumnEngine with the shards as
- * its chunk groups gives — and a cluster of shard nodes over the same
- * partition.
+ * The sharded in-process backend: a ScanBackend with one ring per
+ * shard view skb.shard(s), advanced by cfg.workers threads. A
+ * submitted batch rides every ring from its next chunk boundary;
+ * waitBatch merges its S partials in shard order with
+ * core::mergeStreamPartials. A ring's partial is its shard's single-
+ * group pass (scan_ring.hh), so the answer is bit for bit the one a
+ * ColumnEngine with the shards as its chunk groups gives — and a
+ * cluster of shard nodes over the same partition.
  */
-class ScanBackend final : public BatchBackend
+class ShardedScan final : public BatchBackend
 {
   public:
-    ScanBackend(const core::KnowledgeBase &kb,
-                const LiveServerConfig &cfg)
+    ShardedScan(const core::KnowledgeBase &kb, const LiveServerConfig &cfg)
         : ed(kb.dim()), skb(kb, cfg.engine.chunkSize, cfg.shards),
-          lanes(skb.shardCount()), batches(kScanDepth),
-          pool(cfg.workers)
+          scan(skb, cfg.engine, cfg.workers)
     {
         const size_t shards = skb.shardCount();
         if (shards > 32)
             fatal("live server supports at most 32 shards (got %zu)",
                   shards);
-        core::EngineConfig ecfg = cfg.engine;
-        ecfg.chunkSize = skb.chunkSize();
-        for (size_t s = 0; s < shards; ++s)
-            lanes[s].ring = std::make_unique<core::ScanRing>(
-                skb.shard(s), ecfg, skb.rows(s).begin / skb.chunkSize());
-        for (size_t b = 0; b < kScanDepth; ++b) {
-            batches[b].rides = std::vector<Ride>(shards);
-            batches[b].views.resize(shards);
-            for (Ride &r : batches[b].rides)
-                r.batch = b;
-        }
+        for (size_t b = 0; b < kScanDepth; ++b)
+            batches.push_back(std::make_unique<Batch>(*this, shards));
         result.complete = true;
         result.shardsAnswered = static_cast<uint32_t>(shards);
         result.shardMask =
             static_cast<uint32_t>((uint64_t{1} << shards) - 1);
-        for (size_t w = 0; w < cfg.workers; ++w)
-            pool.submit([this, w] { work(w); });
-    }
-
-    ~ScanBackend() override
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            stopping = true;
-        }
-        workCv.notify_all();
     }
 
     uint64_t
@@ -147,33 +123,31 @@ class ScanBackend final : public BatchBackend
         // The credit rule makes the batch's slot free: the ticket
         // kScanDepth before it was waited.
         const uint64_t t = next++;
-        Batch &b = batches[t % kScanDepth];
+        Batch &b = *batches[t % kScanDepth];
         b.nq = nq;
         b.o = o;
-        for (Ride &r : b.rides) {
-            r.u = u;
-            r.nq = nq;
-        }
         {
             std::lock_guard<std::mutex> lock(mutex);
-            b.pending = lanes.size();
-            for (size_t s = 0; s < lanes.size(); ++s)
-                lanes[s].joining.push_back(&b.rides[s]);
+            b.done = false;
         }
-        workCv.notify_all();
+        for (size_t s = 0; s < skb.shardCount(); ++s) {
+            b.ride(s).u = u;
+            b.ride(s).nq = nq;
+        }
+        scan.submit(b);
         return t;
     }
 
     BatchResult
     waitBatch(uint64_t ticket) override
     {
-        Batch &b = batches[ticket % kScanDepth];
+        Batch &b = *batches[ticket % kScanDepth];
         {
             std::unique_lock<std::mutex> lock(mutex);
-            doneCv.wait(lock, [&] { return b.pending == 0; });
+            doneCv.wait(lock, [&] { return b.done; });
         }
-        for (size_t s = 0; s < lanes.size(); ++s)
-            b.views[s] = b.rides[s].partial.view();
+        for (size_t s = 0; s < b.views.size(); ++s)
+            b.views[s] = b.ride(s).partial.view();
         core::mergeStreamPartials(b.views.data(), b.views.size(), b.nq,
                                   ed, b.o);
         return result;
@@ -181,97 +155,47 @@ class ScanBackend final : public BatchBackend
 
     size_t pipelineDepth() const override { return kScanDepth; }
 
-    void countersInto(LatencyRecorder &) const override {}
+    void
+    countersInto(LatencyRecorder &acc) const override
+    {
+        const core::ScanTotals t = scan.totals();
+        acc.recordScan({t.kept, t.skipped, t.routedRows, t.bypassed});
+    }
 
   private:
-    /** One batch's ride on one shard's ring. */
-    struct Ride : core::ScanRider
-    {
-        size_t batch = 0; ///< its Batch slot
-    };
-
     /** A ticket's slot: ticket t lives in batches[t % kScanDepth]. */
-    struct Batch
+    struct Batch final : ScanJob
     {
-        std::vector<Ride> rides; ///< one per shard
+        Batch(ShardedScan &owner, size_t shards)
+            : ScanJob(shards), owner(owner), views(shards)
+        {}
+
+        void
+        settled() override
+        {
+            {
+                std::lock_guard<std::mutex> lock(owner.mutex);
+                done = true;
+            }
+            owner.doneCv.notify_one();
+        }
+
+        ShardedScan &owner;
         std::vector<core::PartialView> views;
         size_t nq = 0;
         float *o = nullptr;
-        size_t pending = 0; ///< rides not done (guarded by mutex)
+        bool done = false; ///< every ride done (guarded by owner.mutex)
     };
-
-    /** One shard's ring and its hand-off state (guarded by mutex). */
-    struct Lane
-    {
-        std::unique_ptr<core::ScanRing> ring;
-        std::vector<core::ScanRider *> joining; ///< attach next step
-        bool busy = false;   ///< a worker is stepping the ring
-        bool riding = false; ///< the ring has riders
-    };
-
-    /** A worker: step any ring with work that no other worker holds,
-     *  one chunk at a time, rotating so no ring starves. */
-    void
-    work(size_t worker)
-    {
-        std::vector<core::ScanRider *> joining, done;
-        size_t from = worker % lanes.size();
-        // The first free ring with work, searching from `from`.
-        const auto claim = [&]() -> Lane * {
-            for (size_t i = 0; i < lanes.size(); ++i) {
-                Lane &l = lanes[(from + i) % lanes.size()];
-                if (!l.busy && (l.riding || !l.joining.empty())) {
-                    from = (from + i + 1) % lanes.size();
-                    return &l;
-                }
-            }
-            return nullptr;
-        };
-        std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
-            Lane *lane = nullptr;
-            workCv.wait(lock, [&] {
-                lane = claim();
-                return lane || stopping;
-            });
-            if (!lane)
-                return;
-            lane->busy = true;
-            joining.swap(lane->joining);
-            lock.unlock();
-
-            for (core::ScanRider *r : joining)
-                lane->ring->attach(*r);
-            joining.clear();
-            lane->ring->step(worker, done);
-
-            lock.lock();
-            lane->busy = false;
-            lane->riding = !lane->ring->idle();
-            bool settled = false;
-            for (core::ScanRider *r : done)
-                settled |= --batches[static_cast<Ride *>(r)->batch]
-                               .pending
-                           == 0;
-            done.clear();
-            if (settled)
-                doneCv.notify_one();
-        }
-    }
 
     size_t ed;
     core::ShardedKnowledgeBase skb;
-    /** Guards the lanes' hand-off state, Batch::pending and stopping. */
-    std::mutex mutex;
-    std::vector<Lane> lanes;
-    std::vector<Batch> batches;
+    std::vector<std::unique_ptr<Batch>> batches;
     BatchResult result; ///< every batch: all shards answered
     uint64_t next = 0;  ///< next ticket (submitting thread only)
-    std::condition_variable workCv; ///< workers: a ring has work
+    std::mutex mutex;   ///< guards Batch::done
     std::condition_variable doneCv; ///< waitBatch: a batch settled
-    bool stopping = false;
-    // Declared last: its threads touch every member above.
-    runtime::ThreadPool pool;
+    // Declared last: its workers touch the batches.
+    ScanBackend scan;
 };
 
 /** The in-process backend cfg.shards selects. */
@@ -283,7 +207,7 @@ inProcessBackend(const core::KnowledgeBase &kb, const LiveServerConfig &cfg)
     if (kb.size() == 0)
         fatal("live server needs a non-empty knowledge base");
     if (cfg.shards >= 2)
-        return std::make_unique<ScanBackend>(kb, cfg);
+        return std::make_unique<ShardedScan>(kb, cfg);
     return std::make_unique<EngineBackend>(kb, cfg);
 }
 

@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -24,10 +26,12 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <pthread.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
@@ -315,6 +319,51 @@ TEST(LoopbackTransport, DeliversFramesBothWaysAndClosesLikeASocket)
     EXPECT_EQ(t.connect("nowhere", net::deadlineIn(0.01)), nullptr);
 }
 
+/**
+ * One thread sends n frames on `a` while another receives n frames on
+ * it, which `b` sent before reading a's: the transport contract lets
+ * one sender and one receiver share a channel (a ShardNode's scan
+ * worker sends while the connection's handler receives).
+ */
+void
+sendWhileReceiving(net::Channel &a, net::Channel &b)
+{
+    constexpr uint64_t n = 200;
+    std::thread sender([&] {
+        for (uint64_t i = 0; i < n; ++i)
+            ASSERT_TRUE(a.send(taggedFrame(i)));
+    });
+    std::thread receiver([&] {
+        Frame f;
+        for (uint64_t i = 0; i < n; ++i) {
+            ASSERT_EQ(a.recv(f, net::deadlineIn(5.0)), RecvStatus::Ok);
+            EXPECT_EQ(frameTag(f), 1000 + i);
+        }
+    });
+    for (uint64_t i = 0; i < n; ++i)
+        ASSERT_TRUE(b.send(taggedFrame(1000 + i)));
+    Frame f;
+    for (uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(b.recv(f, net::deadlineIn(5.0)), RecvStatus::Ok);
+        EXPECT_EQ(frameTag(f), i);
+    }
+    sender.join();
+    receiver.join();
+}
+
+TEST(LoopbackTransport, OneThreadSendsWhileAnotherReceives)
+{
+    LoopbackNetwork netns;
+    LoopbackTransport t(netns);
+    auto listener = t.listen("node");
+    ASSERT_TRUE(listener);
+    auto client = t.connect("node", net::deadlineIn(1.0));
+    ASSERT_TRUE(client);
+    auto server = listener->accept(net::deadlineIn(1.0));
+    ASSERT_TRUE(server);
+    sendWhileReceiving(*server, *client);
+}
+
 std::vector<net::FaultEvent>
 faultScheduleFor(uint64_t seed, const FaultSpec &spec, size_t sends)
 {
@@ -511,6 +560,21 @@ TEST(TcpTransport, RoundTripsFramesOverAnEphemeralPort)
               RecvStatus::Closed);
 }
 
+TEST(TcpTransport, OneThreadSendsWhileAnotherReceives)
+{
+    net::TcpTransport t;
+    auto listener = t.listen("127.0.0.1:0");
+    ASSERT_TRUE(listener);
+    const uint16_t port =
+        static_cast<net::TcpListener *>(listener.get())->boundPort();
+    auto client =
+        t.connect("127.0.0.1:" + std::to_string(port), net::deadlineIn(2.0));
+    ASSERT_TRUE(client);
+    auto server = listener->accept(net::deadlineIn(2.0));
+    ASSERT_TRUE(server);
+    sendWhileReceiving(*server, *client);
+}
+
 TEST(TcpTransport, RejectsBadEndpointsAndDeadConnects)
 {
     net::TcpTransport t;
@@ -689,6 +753,248 @@ TEST(ShardNode, StopsOnShutdownFrameAndRefusesMiswiredRequests)
         ASSERT_TRUE(ch->send(Frame{FrameType::Shutdown, {}}));
     }
     set.stop(); // joins: hangs here if Shutdown did not land
+}
+
+/** A ScatterRequest frame for shard 0. */
+Frame
+requestFrame(uint64_t id, const std::vector<float> &u, size_t nq, size_t ed)
+{
+    net::ScatterRequest req;
+    req.requestId = id;
+    req.shard = 0;
+    req.nq = static_cast<uint32_t>(nq);
+    req.ed = static_cast<uint32_t>(ed);
+    req.u = u;
+    return encodeScatterRequest(req);
+}
+
+/** Receive the response to request `id` on `ch` and check its partial
+ *  against `ref` bit for bit. */
+void
+expectResponse(net::Channel &ch, uint64_t id,
+               const core::StreamPartial &ref)
+{
+    Frame f;
+    ASSERT_EQ(ch.recv(f, net::deadlineIn(5.0)), RecvStatus::Ok);
+    net::PartialResponse resp;
+    ASSERT_EQ(decodePartialResponse(f, resp), WireStatus::Ok);
+    EXPECT_EQ(resp.requestId, id);
+    const core::StreamPartial &p = resp.partial;
+    ASSERT_EQ(p.nq, ref.nq);
+    ASSERT_EQ(p.o.size(), ref.o.size());
+    for (size_t q = 0; q < ref.nq; ++q) {
+        EXPECT_EQ(f64Bits(p.expSum[q]), f64Bits(ref.expSum[q])) << q;
+        EXPECT_EQ(f32Bits(p.runMax[q]), f32Bits(ref.runMax[q])) << q;
+    }
+    for (size_t i = 0; i < ref.o.size(); ++i)
+        ASSERT_EQ(f32Bits(p.o[i]), f32Bits(ref.o[i])) << "elem " << i;
+}
+
+/**
+ * A node rides every request on one scan, so a request joins at
+ * whatever chunk the ring is on. A chunk observer holds the node's
+ * ring after the k-th chunk of a first request's ride, for every k,
+ * while a second request arrives — on the same channel and on a second
+ * one. Each response's partial must equal the single-group engine's
+ * inferPartial over the node's KB bit for bit, across precision x
+ * zero-skip x routing.
+ */
+TEST(ShardNode, ScanJoinsAtEveryChunkBitIdentical)
+{
+    const size_t ns = 200, ed = 16, chunk = 32, nq = 2; // 7 chunks
+    const std::vector<float> ua = makeQuestions(nq, ed, 61);
+    const std::vector<float> ub = makeQuestions(nq, ed, 62);
+    size_t mid_ring_rounds = 0;
+
+    for (core::Precision prec :
+         {core::Precision::F32, core::Precision::BF16,
+          core::Precision::I8}) {
+        const core::KnowledgeBase kb = makeKb(ns, ed, prec);
+        for (float zskip : {0.0f, 0.05f})
+        for (bool routed : {false, true})
+        for (bool second_channel : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << core::precisionName(prec) << " zskip="
+                         << zskip << " routed=" << routed
+                         << " second_channel=" << second_channel);
+            core::EngineConfig cfg;
+            cfg.chunkSize = chunk;
+            cfg.skipThreshold = zskip;
+            cfg.streaming = true;
+            if (routed) {
+                cfg.routePolicy = core::RoutePolicy::TopK;
+                cfg.routeTopK = 2;
+            }
+            core::EngineConfig single = cfg;
+            single.threads = 0;
+            single.scheduleGroups = 1;
+            core::ColumnEngine engine(kb, single);
+            core::StreamPartial ref_a, ref_b;
+            engine.inferPartial(ua.data(), nq, ref_a);
+            engine.inferPartial(ub.data(), nq, ref_b);
+
+            ChunkHold hold;
+            core::EngineConfig ncfg = cfg;
+            ncfg.chunkObserver = [&](size_t, size_t) { hold.chunk(); };
+            LoopbackNetwork netns;
+            LoopbackTransport t(netns);
+            NodeSet set;
+            set.add(kb, ncfg, /*shard=*/0, t, "node0");
+            const ShardNode &node = *set.nodes[0];
+            auto ch_a = t.connect("node0", net::deadlineIn(1.0));
+            ASSERT_TRUE(ch_a);
+            auto ch_b = second_channel
+                            ? t.connect("node0", net::deadlineIn(1.0))
+                            : nullptr;
+            net::Channel &cb = second_channel ? *ch_b : *ch_a;
+
+            // The first request alone streams 7 chunks unrouted, so
+            // k = 8 lets the second find the ring idle.
+            for (size_t k = 1; k <= 8; ++k) {
+                hold.arm(k);
+                const uint64_t before = node.requestsServed();
+                ASSERT_TRUE(ch_a->send(requestFrame(2 * k, ua, nq, ed)));
+                if (hold.waitHeld(
+                        [&] { return node.requestsServed() > before; }))
+                    // Let the handler attach the second request before
+                    // the ring moves on.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(5));
+                ASSERT_TRUE(cb.send(requestFrame(2 * k + 1, ub, nq, ed)));
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                hold.release();
+                expectResponse(*ch_a, 2 * k, ref_a);
+                expectResponse(cb, 2 * k + 1, ref_b);
+                // Rides that shared chunks stream fewer than the 2 x 7
+                // of two separate revolutions.
+                if (!routed && hold.count() < 14)
+                    ++mid_ring_rounds;
+            }
+        }
+    }
+    EXPECT_GT(mid_ring_rounds, 0u);
+}
+
+/**
+ * A Shutdown frame that arrives while the node's ring holds rides of
+ * two connections mid-revolution closes every connection at once and
+ * stops the node, without waiting for the rides.
+ */
+TEST(ShardNode, ShutdownMidRevolutionClosesEveryConnection)
+{
+    const size_t ns = 256, ed = 8, nq = 2; // 8 chunks
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    ChunkHold hold;
+    hold.arm(3);
+    core::EngineConfig cfg;
+    cfg.chunkSize = 32;
+    cfg.chunkObserver = [&](size_t, size_t) { hold.chunk(); };
+
+    LoopbackNetwork netns;
+    LoopbackTransport t(netns);
+    NodeSet set;
+    set.add(kb, cfg, /*shard=*/0, t, "node0");
+    auto ch1 = t.connect("node0", net::deadlineIn(1.0));
+    auto ch2 = t.connect("node0", net::deadlineIn(1.0));
+    ASSERT_TRUE(ch1 && ch2);
+    const std::vector<float> u = makeQuestions(nq, ed);
+    ASSERT_TRUE(ch1->send(requestFrame(1, u, nq, ed)));
+    ASSERT_TRUE(ch2->send(requestFrame(2, u, nq, ed)));
+    ASSERT_TRUE(hold.waitHeld([] { return false; }));
+
+    auto ch3 = t.connect("node0", net::deadlineIn(1.0));
+    ASSERT_TRUE(ch3);
+    ASSERT_TRUE(ch3->send(Frame{FrameType::Shutdown, {}}));
+    // The ring is still held: no ride ended, yet both close.
+    Frame f;
+    EXPECT_EQ(ch1->recv(f, net::deadlineIn(5.0)), RecvStatus::Closed);
+    EXPECT_EQ(ch2->recv(f, net::deadlineIn(5.0)), RecvStatus::Closed);
+    EXPECT_EQ(set.nodes[0]->requestsServed(), 0u);
+    hold.release();
+    set.stop(); // joins serve(): hangs here if a handler did not return
+    EXPECT_EQ(set.nodes[0]->requestsServed(), 0u);
+}
+
+/** Threads of this process. */
+size_t
+taskCount()
+{
+    size_t n = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)e;
+        ++n;
+    }
+    return n;
+}
+
+/** Writable mappings the size of a default thread stack (its guard
+ *  page aside): what an exited thread leaves until it is joined. */
+size_t
+stackMappings()
+{
+    pthread_attr_t attr;
+    size_t stack = 0;
+    EXPECT_EQ(pthread_attr_init(&attr), 0);
+    EXPECT_EQ(pthread_attr_getstacksize(&attr, &stack), 0);
+    pthread_attr_destroy(&attr);
+    std::ifstream in("/proc/self/maps");
+    std::string line;
+    size_t n = 0;
+    while (std::getline(in, line)) {
+        char *end = nullptr;
+        const uint64_t lo = std::strtoull(line.c_str(), &end, 16);
+        const uint64_t hi = std::strtoull(end + 1, &end, 16);
+        const size_t size = static_cast<size_t>(hi - lo);
+        if (end[1] == 'r' && end[2] == 'w' && size <= stack
+            && size + 65536 >= stack)
+            ++n;
+    }
+    return n;
+}
+
+/**
+ * Every failover or hedge reconnect hands a node a new connection and
+ * a new handler thread. The node joins handlers whose connection
+ * ended, so 50 reconnects leave neither threads nor their stacks
+ * behind: an exited thread's stack stays mapped until it is joined.
+ */
+TEST(ShardNode, ReconnectsDoNotAccumulateHandlerThreads)
+{
+    const size_t ns = 128, ed = 8, nq = 1;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    core::EngineConfig cfg;
+    cfg.chunkSize = 32;
+    LoopbackNetwork netns;
+    LoopbackTransport t(netns);
+    NodeSet set;
+    set.add(kb, cfg, /*shard=*/0, t, "node0");
+    const std::vector<float> u = makeQuestions(nq, ed);
+    const auto roundTrip = [&](uint64_t id) {
+        auto ch = t.connect("node0", net::deadlineIn(1.0));
+        ASSERT_TRUE(ch);
+        ASSERT_TRUE(ch->send(requestFrame(id, u, nq, ed)));
+        Frame f;
+        ASSERT_EQ(ch->recv(f, net::deadlineIn(5.0)), RecvStatus::Ok);
+        ch->close();
+    };
+    roundTrip(0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const size_t tasks0 = taskCount();
+    const size_t stacks0 = stackMappings();
+
+    constexpr size_t kReconnects = 50;
+    for (size_t i = 1; i <= kReconnects; ++i)
+        roundTrip(i);
+    // The handlers see their closes, and the accept loop's next slice
+    // joins them.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    EXPECT_LE(taskCount(), tasks0 + 2);
+    const size_t stacks1 = stackMappings();
+    EXPECT_LT(stacks1, stacks0 + kReconnects / 5)
+        << "stack-sized mappings " << stacks0 << " -> " << stacks1;
+    EXPECT_EQ(set.nodes[0]->requestsServed(), kReconnects + 1);
 }
 
 /**

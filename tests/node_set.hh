@@ -2,8 +2,9 @@
  * @file
  * Test helpers for the shard nodes' side of scatter/gather: shard
  * nodes serving on transport endpoints, one thread each, stopped and
- * joined when the set is destroyed; and ShardViews, what those nodes
- * compute without the transport.
+ * joined when the set is destroyed; ShardViews, what those nodes
+ * compute without the transport; and ChunkHold, a chunk observer that
+ * holds a scan mid-revolution so a test can join it at a chosen chunk.
  */
 
 #ifndef MNNFAST_TESTS_NODE_SET_HH
@@ -11,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +113,72 @@ class ShardViews
     std::vector<std::unique_ptr<core::ColumnEngine>> engines;
     std::vector<core::StreamPartial> parts;
     std::vector<core::PartialView> views;
+};
+
+/**
+ * A chunk observer that stops the scan's worker after the k-th chunk
+ * streamed since arm(k), until release().
+ */
+class ChunkHold
+{
+  public:
+    void
+    arm(size_t k)
+    {
+        std::lock_guard<std::mutex> lock(m);
+        calls = 0;
+        at = k;
+        held = released = false;
+    }
+
+    void
+    chunk()
+    {
+        std::unique_lock<std::mutex> lock(m);
+        if (++calls != at)
+            return;
+        held = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return released; });
+    }
+
+    /** Wait until the hold caught a chunk (true) or `finished` says
+     *  the ride ended without reaching the k-th chunk (false). */
+    bool
+    waitHeld(const std::function<bool()> &finished)
+    {
+        for (;;) {
+            {
+                std::unique_lock<std::mutex> lock(m);
+                if (cv.wait_for(lock, std::chrono::microseconds(200),
+                                [&] { return held; }))
+                    return true;
+            }
+            if (finished())
+                return false;
+        }
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(m);
+        released = true;
+        cv.notify_all();
+    }
+
+    size_t
+    count()
+    {
+        std::lock_guard<std::mutex> lock(m);
+        return calls;
+    }
+
+  private:
+    std::mutex m;
+    std::condition_variable cv;
+    size_t calls = 0, at = 0;
+    bool held = false, released = false;
 };
 
 } // namespace mnnfast

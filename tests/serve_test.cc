@@ -416,7 +416,9 @@ TEST(LatencyRecorder, SnapshotJsonHasEveryField)
           "\"completed\"",
           "\"batches\"", "\"mean_batch_size\"",
           "\"queue_wait_seconds\"", "\"service_seconds\"",
-          "\"end_to_end_seconds\"", "\"p50\"", "\"p95\"", "\"p99\""})
+          "\"end_to_end_seconds\"", "\"p50\"", "\"p95\"", "\"p99\"",
+          "\"scan\"", "\"rows_kept\"", "\"rows_skipped\"",
+          "\"rows_routed\"", "\"chunks_bypassed\""})
         EXPECT_NE(j.find(key), std::string::npos) << key;
 }
 

@@ -428,72 +428,12 @@ TEST(LiveServer, ShardedModeDrainsAndSplitsRejections)
 // LiveServer sharded mode: the cooperative scan
 // ---------------------------------------------------------------
 
-/**
- * A chunk observer that stops the scan's worker after the k-th chunk
- * streamed since arm(k), until release().
- */
-class ChunkHold
+/** True once `f` settled. */
+bool
+settled(std::future<serve::Answer> &f)
 {
-  public:
-    void
-    arm(size_t k)
-    {
-        std::lock_guard<std::mutex> lock(m);
-        calls = 0;
-        at = k;
-        held = released = false;
-    }
-
-    void
-    chunk()
-    {
-        std::unique_lock<std::mutex> lock(m);
-        if (++calls != at)
-            return;
-        held = true;
-        cv.notify_all();
-        cv.wait(lock, [&] { return released; });
-    }
-
-    /** Wait until the hold caught a chunk (true) or `f` settled
-     *  without reaching the k-th chunk (false). */
-    bool
-    waitHeld(std::future<serve::Answer> &f)
-    {
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lock(m);
-                if (cv.wait_for(lock, std::chrono::microseconds(200),
-                                [&] { return held; }))
-                    return true;
-            }
-            if (f.wait_for(std::chrono::seconds(0))
-                == std::future_status::ready)
-                return false;
-        }
-    }
-
-    void
-    release()
-    {
-        std::lock_guard<std::mutex> lock(m);
-        released = true;
-        cv.notify_all();
-    }
-
-    size_t
-    count()
-    {
-        std::lock_guard<std::mutex> lock(m);
-        return calls;
-    }
-
-  private:
-    std::mutex m;
-    std::condition_variable cv;
-    size_t calls = 0, at = 0;
-    bool held = false, released = false;
-};
+    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
 
 /**
  * A batch joins the scan at whatever chunk each ring is on. One
@@ -554,7 +494,7 @@ TEST(LiveServer, ScanJoinsAtEveryChunkBitIdentical)
                 hold.arm(k);
                 std::vector<std::future<serve::Answer>> f;
                 for (size_t q = 0; q < nq; ++q) {
-                    if (q == 2 && hold.waitHeld(f[0]))
+                    if (q == 2 && hold.waitHeld([&] { return settled(f[0]); }))
                         // Let the dispatch loop hand the batch over
                         // before the rings move on.
                         std::this_thread::sleep_for(
@@ -627,7 +567,7 @@ TEST(LiveServer, ScanFloodAndShutdownMidRevolutionSettlesEveryFuture)
         }
     }
     ASSERT_GT(refused, 0u); // the held rings let the queue fill
-    ASSERT_TRUE(hold.waitHeld(futures[0]));
+    ASSERT_TRUE(hold.waitHeld([&] { return settled(futures[0]); }));
 
     std::thread stopper([&] { server.shutdown(); });
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -666,6 +606,105 @@ TEST(LiveServer, ScanFloodAndShutdownMidRevolutionSettlesEveryFuture)
     EXPECT_EQ(s.rejectedShutdown, 1u);
     EXPECT_EQ(s.arrived, n + 1);
     EXPECT_EQ(s.arrived, s.rejected + s.completed);
+}
+
+/**
+ * A sharded server's snapshot carries its scan's engine counters:
+ * every served question tests every KB row once in the zero-skip
+ * weighted sum, kept or skipped, whatever chunk its batch joined at.
+ */
+TEST(LiveServer, ShardedSnapshotCarriesScanCounters)
+{
+    const size_t ns = 500, ed = 16, n = 40;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> u = makeQuestions(n, ed);
+    serve::LiveServerConfig cfg;
+    cfg.maxBatch = 4;
+    cfg.batchTimeout = 0.0;
+    cfg.workers = 2;
+    cfg.shards = 2;
+    cfg.engine.chunkSize = 64;
+    cfg.engine.skipThreshold = 0.05f;
+    serve::LiveServer server(kb, cfg);
+
+    std::vector<std::future<serve::Answer>> futures;
+    for (size_t i = 0; i < n; ++i) {
+        serve::Ticket t = server.submit(u.data() + i * ed);
+        ASSERT_TRUE(t.accepted());
+        futures.push_back(std::move(t.answer));
+    }
+    for (auto &f : futures)
+        f.get();
+
+    const serve::LatencySnapshot s = server.snapshot();
+    EXPECT_EQ(s.scan.rowsKept + s.scan.rowsSkipped, n * ns);
+    EXPECT_GT(s.scan.rowsKept, 0u);
+    EXPECT_GT(s.scan.rowsSkipped, 0u);
+    EXPECT_EQ(s.scan.rowsRouted, 0u); // routing is off
+    EXPECT_EQ(s.scan.chunksBypassed, 0u);
+    const std::string j = s.toJson();
+    EXPECT_NE(j.find("\"rows_kept\": " + std::to_string(s.scan.rowsKept)),
+              std::string::npos);
+}
+
+/**
+ * A rider's buffers only grow: riding again, joining at the same
+ * chunk, reuses its kept-logit buffer (same address and capacity, no
+ * allocation) and gives the same bits, for every join chunk.
+ */
+TEST(LiveServer, ScanRiderRidesAgainWithoutReallocating)
+{
+    const size_t ns = 300, ed = 16, chunk = 64, nq = 3; // 5 chunks
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> ua = makeQuestions(nq, ed, 51);
+    const std::vector<float> ub = makeQuestions(nq, ed, 52);
+
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    cfg.streaming = true;
+    cfg.skipThreshold = 0.05f;
+    core::ScanRing ring(kb, cfg);
+    core::ScanRider a, b;
+    a.u = ua.data();
+    a.nq = nq;
+    b.u = ub.data();
+    b.nq = nq;
+    // Ride b at chunk j behind a; returns b's partial.
+    std::vector<core::ScanRider *> done;
+    const auto rideAt = [&](size_t j) {
+        ring.attach(a);
+        for (size_t s = 0; s < j; ++s)
+            ring.step(0, done);
+        ring.attach(b);
+        while (!ring.idle())
+            ring.step(0, done);
+        done.clear();
+        EXPECT_EQ(b.joinedAt, j);
+        return b.partial;
+    };
+
+    for (size_t j = 1; j < ring.chunkCount(); ++j) {
+        SCOPED_TRACE(::testing::Message() << "j=" << j);
+        const core::StreamPartial first = rideAt(j);
+        const float *buffer = b.keptLogits();
+        const size_t bytes = b.retainedBytes();
+        ASSERT_NE(buffer, nullptr);
+        const core::StreamPartial second = rideAt(j);
+        EXPECT_EQ(b.keptLogits(), buffer);
+        EXPECT_EQ(b.retainedBytes(), bytes);
+        ASSERT_EQ(second.o.size(), first.o.size());
+        for (size_t i = 0; i < first.o.size(); ++i)
+            ASSERT_EQ(second.o[i], first.o[i]) << "elem " << i;
+        for (size_t q = 0; q < nq; ++q) {
+            EXPECT_EQ(second.expSum[q], first.expSum[q]);
+            EXPECT_EQ(second.runMax[q], first.runMax[q]);
+        }
+    }
+    // Joining later keeps fewer logits: the buffer stays put.
+    const float *buffer = b.keptLogits();
+    rideAt(1);
+    rideAt(ring.chunkCount() - 1);
+    EXPECT_EQ(b.keptLogits(), buffer);
 }
 
 /**
