@@ -107,6 +107,7 @@ BM_DotBatchMulti(benchmark::State &state)
 }
 BENCHMARK(BM_DotBatchMulti)
     ->Args({512, 1})
+    ->Args({512, 3})
     ->Args({512, 4})
     ->Args({512, 8})
     ->Args({512, 16});
@@ -168,6 +169,7 @@ BM_DotBatchMultiBf16(benchmark::State &state)
 }
 BENCHMARK(BM_DotBatchMultiBf16)
     ->Args({512, 1})
+    ->Args({512, 3})
     ->Args({512, 4})
     ->Args({512, 8})
     ->Args({512, 16});
@@ -228,6 +230,7 @@ BM_DotBatchMultiI8(benchmark::State &state)
 }
 BENCHMARK(BM_DotBatchMultiI8)
     ->Args({512, 1})
+    ->Args({512, 3})
     ->Args({512, 4})
     ->Args({512, 8})
     ->Args({512, 16});

@@ -95,30 +95,38 @@ simulatorStudy()
 
     // ---- 3. Dispatch: batch at a time vs joining the scan ----
     std::printf("\n3) dispatch policy (join = a batch joins the "
-                "stream at its next chunk, 4 riding at once):\n\n");
+                "stream at its next chunk, 4 riding at once; wait = "
+                "it joins once the cap or the timeout releases it, "
+                "arrive = it leaves whenever a slot is free, a zero "
+                "timeout):\n\n");
     stats::Table join_table({"service model", "arrival (q/s)",
-                             "batch p50 (ms)", "join p50 (ms)",
-                             "batch p99 (ms)", "join p99 (ms)"});
+                             "batch p50", "wait p50", "arrive p50",
+                             "batch p99", "wait p99", "arrive p99"});
     struct Model
     {
         const char *name;
         double base, per;
         size_t cap;
+        double timeout;
         std::vector<double> rates;
     };
-    // The second model is servebench's dense_f32: a 512 MiB f32 KB
-    // on 2 shards, 15-17 ms per pass at 1-2 questions, 30-32 ms at 16.
-    // The last two are one cluster_tcp shard node (64 MiB of bf16,
-    // front-end window 4): ~2.4 ms for one question and ~12.2 ms for
-    // 8 on the 256-bit bf16 tile, ~9.3 ms for 8 on the pair tile.
+    // The second and third models are servebench's workloads (timeouts
+    // as there): dense_f32, a 512 MiB f32 KB on 2 shards, 15-17 ms per
+    // pass at 1-2 questions, 30-32 ms at 16; cluster_tcp, 128 MiB of
+    // bf16 on 2 node processes behind a window of 4, ~6 ms for one
+    // question. The last two are one cluster_tcp shard node (64 MiB of
+    // bf16): ~2.4 ms for one question and ~12.2 ms for 8 on the
+    // 256-bit bf16 tile, ~9.3 ms for 8 on the pair tile.
     const Model models[] = {
-        {"1 ms + 40 us/q, cap 32", 1e-3, 4e-5, 32,
+        {"1 ms + 40 us/q, cap 32", 1e-3, 4e-5, 32, 2e-3,
          {2000.0, 8000.0, 11000.0, 13000.0}},
-        {"15 ms + 1 ms/q, cap 16", 15e-3, 1e-3, 16,
+        {"dense_f32: 15 ms + 1 ms/q, cap 16", 15e-3, 1e-3, 16, 2e-3,
          {50.0, 100.0, 200.0, 400.0, 500.0}},
-        {"node: 1 ms + 1.4 ms/q, cap 8", 1e-3, 1.4e-3, 8,
+        {"cluster_tcp: 5 ms + 1 ms/q, cap 8", 5e-3, 1e-3, 8, 4e-3,
+         {75.0, 150.0, 300.0, 450.0, 600.0}},
+        {"node: 1 ms + 1.4 ms/q, cap 8", 1e-3, 1.4e-3, 8, 4e-3,
          {150.0, 400.0, 600.0, 650.0, 700.0}},
-        {"node, pair tile: 1.4 ms + 0.98 ms/q", 1.4e-3, 0.98e-3, 8,
+        {"node, pair tile: 1.4 ms + 0.98 ms/q", 1.4e-3, 0.98e-3, 8, 4e-3,
          {150.0, 600.0, 800.0, 900.0, 950.0}},
     };
     for (const Model &m : models) {
@@ -128,24 +136,30 @@ simulatorStudy()
             cfg.batchBaseSeconds = m.base;
             cfg.perQuestionSeconds = m.per;
             cfg.maxBatch = m.cap;
+            cfg.batchTimeout = m.timeout;
             cfg.simSeconds = 20.0;
             const auto b = serve::simulateServer(cfg);
             cfg.dispatch = serve::DispatchPolicy::JoinAtNextChunk;
             cfg.workers = 4;
+            const auto w = serve::simulateServer(cfg);
+            cfg.batchTimeout = 0.0; // LiveServer's rule for the scan
             const auto j = serve::simulateServer(cfg);
+            const auto ms = [](double s) {
+                return stats::Table::num(s * 1e3, 2);
+            };
             join_table.addRow({m.name, stats::Table::num(rate, 0),
-                               stats::Table::num(b.p50Latency * 1e3, 2),
-                               stats::Table::num(j.p50Latency * 1e3, 2),
-                               stats::Table::num(b.p99Latency * 1e3, 2),
-                               stats::Table::num(j.p99Latency * 1e3, 2)});
+                               ms(b.p50Latency), ms(w.p50Latency),
+                               ms(j.p50Latency), ms(b.p99Latency),
+                               ms(w.p99Latency), ms(j.p99Latency)});
         }
     }
     join_table.print();
-    std::printf("\nreading: when the KB stream dominates a batch's "
-                "cost, joining removes the wait for the batch in "
-                "flight at every load; when per-question work "
-                "dominates, riders lengthen each other's revolutions "
-                "and near capacity joining loses\n");
+    std::printf("\n(latencies in ms) reading: when the KB stream "
+                "dominates a batch's cost, joining removes the wait for "
+                "the batch in flight at every load, and leaving on "
+                "arrival removes the batching timeout too; when "
+                "per-question work dominates, riders lengthen each "
+                "other's revolutions and near capacity joining loses\n");
 }
 
 /** Drive one live policy point with open-loop Poisson arrivals. */

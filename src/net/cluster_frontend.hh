@@ -192,6 +192,12 @@ class ClusterFrontEnd : public serve::BatchBackend
     /** The configured in-flight window (clamped to >= 1). */
     size_t pipelineDepth() const override;
 
+    /** True: each shard node rides every request it receives on one
+     *  scan of its shard (shard_node.hh), so a batch shares the
+     *  stream whenever it arrives and a LiveServer in front
+     *  dispatches on arrival (serve::BatchBackend). */
+    bool joinsInFlight() const override { return true; }
+
     /** Merged latency + per-shard RPC counter snapshot; safe to call
      *  while batches are in flight. */
     serve::LatencySnapshot snapshot() const;

@@ -1,5 +1,7 @@
 #include "net/shard_node.hh"
 
+#include <chrono>
+#include <condition_variable>
 #include <thread>
 #include <utility>
 
@@ -28,6 +30,11 @@ struct ShardNode::Connection
      *  close: a send never overlaps a close. */
     std::mutex sendMutex;
     bool closed = false;
+
+    /** Guards rides; rideCv wakes the handler when one ends. */
+    std::mutex rideMutex;
+    std::condition_variable rideCv;
+    size_t rides = 0; ///< this connection's requests on the ring
 
     void
     close()
@@ -105,8 +112,17 @@ ShardNode::serve(Listener &listener)
 void
 ShardNode::serveChannel(const std::shared_ptr<Connection> &conn)
 {
+    const auto slice = std::chrono::duration<double>(kPollSliceSeconds);
     Frame frame;
     while (!stopFlag.load()) {
+        {
+            // At the cap, read nothing until a ride ends (see header).
+            std::unique_lock<std::mutex> lock(conn->rideMutex);
+            if (!conn->rideCv.wait_for(lock, slice, [&] {
+                    return conn->rides < kMaxRidesPerConnection;
+                }))
+                continue;
+        }
         const RecvStatus st =
             conn->channel->recv(frame, deadlineIn(kPollSliceSeconds));
         if (st == RecvStatus::Timeout)
@@ -129,6 +145,10 @@ ShardNode::serveChannel(const std::shared_ptr<Connection> &conn)
         r->conn = conn;
         r->ride(0).u = r->req.u.data();
         r->ride(0).nq = r->req.nq;
+        {
+            std::lock_guard<std::mutex> lock(conn->rideMutex);
+            ++conn->rides;
+        }
         scan.submit(*r);
     }
     // Rides still on the ring find the connection closed and drop
@@ -149,10 +169,18 @@ ShardNode::acquire()
     return r;
 }
 
+size_t
+ShardNode::slotCount() const
+{
+    std::lock_guard<std::mutex> lock(slotMutex);
+    return slots.size();
+}
+
 void
 ShardNode::respond(Request &r)
 {
-    if (r.conn) {
+    const std::shared_ptr<Connection> conn = std::move(r.conn);
+    if (conn) {
         const core::ScanRider &ride = r.ride(0);
         PartialResponse &resp = r.resp;
         resp.requestId = r.req.requestId;
@@ -175,16 +203,26 @@ ShardNode::respond(Request &r)
         {
             // A failed send leaves the close to the handler, whose
             // recv sees the broken connection.
-            std::lock_guard<std::mutex> lock(r.conn->sendMutex);
-            if (!r.conn->closed) {
+            std::lock_guard<std::mutex> lock(conn->sendMutex);
+            if (!conn->closed) {
                 served.fetch_add(1);
-                r.conn->closed = !r.conn->channel->send(frame);
+                conn->closed = !conn->channel->send(frame);
             }
         }
-        r.conn.reset();
     }
-    std::lock_guard<std::mutex> lock(slotMutex);
-    freeSlots.push_back(&r);
+    {
+        std::lock_guard<std::mutex> lock(slotMutex);
+        freeSlots.push_back(&r);
+    }
+    // The slot is free before the handler may read again, so a
+    // connection never holds more than the cap.
+    if (conn) {
+        {
+            std::lock_guard<std::mutex> lock(conn->rideMutex);
+            --conn->rides;
+        }
+        conn->rideCv.notify_one();
+    }
 }
 
 } // namespace mnnfast::net

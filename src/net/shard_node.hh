@@ -35,7 +35,11 @@
  * Memory: each in-flight request holds a slot (its questions, its
  * ride and the ride's kept logits, at most the shard's rows x 4 B per
  * question); slots are reused, their buffers only grow, and there are
- * as many as requests were ever in flight at once.
+ * as many as requests were ever in flight at once. A handler reads no
+ * further request while its connection holds kMaxRidesPerConnection
+ * rides, so a client that pipelines without reading meets the
+ * transport's backpressure (a full TCP socket) instead of growing the
+ * node: a node's slots stay within that cap times its connections.
  *
  * A request whose shard index or embedding dimension does not match
  * this node closes the connection instead of answering: a miswired
@@ -97,6 +101,19 @@ class ShardNode
     /** ScatterRequests answered so far (monotone; thread-safe). */
     uint64_t requestsServed() const { return served.load(); }
 
+    /**
+     * Rides one connection may hold on the ring at once. A front end
+     * keeps at most its window (ClusterConfig::pipelineDepth; 4 in
+     * servebench and the cluster benches) in flight per connection, so
+     * the cap never holds one back; a deeper window still works, its
+     * extra send-aheads waiting in the socket until a ride ends.
+     */
+    static constexpr size_t kMaxRidesPerConnection = 16;
+
+    /** Request slots allocated so far: the most requests that were in
+     *  flight at once (thread-safe). */
+    size_t slotCount() const;
+
   private:
     struct Connection;
     class Request;
@@ -115,7 +132,7 @@ class ShardNode
     std::atomic<bool> stopFlag{false};
     std::atomic<uint64_t> served{0};
 
-    std::mutex slotMutex; ///< guards slots and freeSlots
+    mutable std::mutex slotMutex; ///< guards slots and freeSlots
     std::vector<std::unique_ptr<Request>> slots;
     std::vector<Request *> freeSlots;
 

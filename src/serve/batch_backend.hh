@@ -26,6 +26,17 @@
  * LiveServer's dispatch/retire loops are written against this
  * interface only.
  *
+ * Joining the work in flight. A backend whose submitted batch joins
+ * the work already in flight — shares one stream of the knowledge base
+ * with every batch riding it, whenever it arrives — says so with
+ * joinsInFlight(). The sharded scan does (its rings), and so does
+ * net::ClusterFrontEnd (each shard node rides every request on one
+ * ring). For such a backend, holding a batch back to collect riders
+ * buys no sharing, only waiting, so LiveServer dispatches whatever is
+ * queued as soon as it holds a window credit; the replicated backend,
+ * whose engines each stream the KB per batch, keeps the batch timeout
+ * (live_server.hh).
+ *
  * Threading contract: one thread submits, one thread waits — the two
  * may be (and in LiveServer are) different threads, overlapping the
  * scatter of batch k+1 with the gather of batch k.
@@ -77,6 +88,15 @@ class BatchBackend
 
     /** The in-flight window size W (>= 1). */
     virtual size_t pipelineDepth() const = 0;
+
+    /**
+     * True when a submitted batch joins the work in flight, sharing
+     * its knowledge-base stream whenever it arrives (see header); then
+     * LiveServer dispatches on arrival instead of waiting out
+     * batchTimeout. False — the default — for a backend that streams
+     * the KB once per batch.
+     */
+    virtual bool joinsInFlight() const { return false; }
 
     /**
      * Fold the backend's *counters* — per-shard RPC counters, partial

@@ -5,10 +5,12 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <utility>
 
 #include "core/sharded_knowledge_base.hh"
 #include "serve/scan_backend.hh"
+#include "stats/counter.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::serve {
@@ -36,7 +38,9 @@ secondsBetween(std::chrono::steady_clock::time_point a,
  * t runs on engine t % W. That engine is free: LiveServer's credit
  * rule keeps at most W tickets outstanding, and they are waited in
  * order, so ticket t - W was waited before t is submitted.
- * submitBatch therefore never blocks.
+ * submitBatch therefore never blocks. Each engine streams the whole KB
+ * per batch, so a batch does not join the work in flight and the
+ * server waits out batchTimeout for riders.
  */
 class EngineBackend final : public BatchBackend
 {
@@ -65,7 +69,26 @@ class EngineBackend final : public BatchBackend
     BatchResult
     waitBatch(uint64_t ticket) override
     {
-        done[ticket % engines.size()].get();
+        const size_t e = ticket % engines.size();
+        done[e].get();
+        // The credit rule leaves engine e idle until ticket + W is
+        // submitted, after this returns: fold its pass's counters into
+        // the backend's and start them over.
+        stats::CounterGroup &c = engines[e]->counters();
+        const auto take = [&c](const char *name) {
+            const uint64_t v = c.value(name);
+            c[name].reset();
+            return v;
+        };
+        ScanCounters pass;
+        pass.rowsKept = take("rows_kept");
+        pass.rowsSkipped = take("rows_skipped");
+        pass.rowsRouted = take("rows_routed");
+        pass.chunksBypassed = take("chunks_bypassed");
+        {
+            std::lock_guard<std::mutex> lock(countersMutex);
+            totals.addFrom(pass);
+        }
         BatchResult r;
         r.complete = true;
         r.shardsAnswered = 1;
@@ -75,12 +98,19 @@ class EngineBackend final : public BatchBackend
 
     size_t pipelineDepth() const override { return engines.size(); }
 
-    void countersInto(LatencyRecorder &) const override {}
+    void
+    countersInto(LatencyRecorder &acc) const override
+    {
+        std::lock_guard<std::mutex> lock(countersMutex);
+        acc.recordScan(totals);
+    }
 
   private:
     std::vector<std::unique_ptr<core::ColumnEngine>> engines;
     uint64_t next = 0; ///< next ticket (submitting thread only)
     std::vector<std::future<void>> done; ///< per engine: its batch
+    mutable std::mutex countersMutex; ///< guards totals
+    ScanCounters totals; ///< every waited batch's engine counters
     // Declared last: its threads touch every member above.
     runtime::ThreadPool pool;
 };
@@ -91,7 +121,8 @@ constexpr size_t kScanDepth = 4;
 /**
  * The sharded in-process backend: a ScanBackend with one ring per
  * shard view skb.shard(s), advanced by cfg.workers threads. A
- * submitted batch rides every ring from its next chunk boundary;
+ * submitted batch rides every ring from its next chunk boundary (it
+ * joins the work in flight, so the server dispatches it on arrival);
  * waitBatch merges its S partials in shard order with
  * core::mergeStreamPartials. A ring's partial is its shard's single-
  * group pass (scan_ring.hh), so the answer is bit for bit the one a
@@ -154,6 +185,8 @@ class ShardedScan final : public BatchBackend
     }
 
     size_t pipelineDepth() const override { return kScanDepth; }
+
+    bool joinsInFlight() const override { return true; }
 
     void
     countersInto(LatencyRecorder &acc) const override
@@ -229,8 +262,10 @@ LiveServer::LiveServer(std::unique_ptr<BatchBackend> owned,
     : ownedBackend(std::move(owned)),
       backend(external ? *external : *ownedBackend), ed(embedding_dim),
       cfg(cfg),
-      timeoutNs(std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::duration<double>(cfg.batchTimeout))),
+      timeoutNs(backend.joinsInFlight()
+                    ? std::chrono::nanoseconds::zero()
+                    : std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::duration<double>(cfg.batchTimeout))),
       queue(cfg.queueCapacity), window(backend.pipelineDepth()),
       recorder(cfg.histogramMaxSeconds, kHistogramBins),
       pool(2) // the dispatch and the retire loop
@@ -307,7 +342,9 @@ LiveServer::dispatchLoop()
     for (uint64_t k = 0;; ++k) {
         // Take batch k's credit before popping it: a batch forms only
         // when the backend has room, and while the window is full
-        // arrivals wait in (and are refused by) the bounded queue.
+        // arrivals wait in (and are refused by) the bounded queue. A
+        // joining backend's zero timeoutNs then pops whatever is
+        // queued at once.
         {
             std::unique_lock<std::mutex> lock(windowMutex);
             creditCv.wait(lock, [&] { return k - retired < depth; });

@@ -6,7 +6,8 @@
  *   clients --submit()--> RequestQueue --popBatch()--> dispatch loop
  *                         (bounded,      (size cap +       |
  *                          rejects        oldest-Q     submitBatch
- *                          when full)     timeout)         v
+ *                          when full)     timeout, or      v
+ *                                         on arrival)
  *                                                     BatchBackend
  *   futures <--set_value()-- retire loop <--waitBatch()----'
  *
@@ -19,14 +20,26 @@
  * that is guaranteed to become ready.
  *
  * Batching. The dispatch loop pulls batches with
- * RequestQueue::popBatch, whose rule — release at `maxBatch` pending
- * or when the oldest pending request has waited `batchTimeout` — is
- * the same policy the simulator implements in simulated time. This
- * is deliberate: the serving claim inherited from the paper is that a
- * batch shares one streaming pass over the knowledge base
- * (t(n) = base + n * slope), and keeping the policies identical lets
- * bench/serving_live replay one workload through both and compare the
- * model against wall-clock reality.
+ * RequestQueue::popBatch, whose rule is the one the simulator
+ * implements in simulated time (qa_server.hh), so one workload can be
+ * replayed through both and the model compared against wall-clock
+ * reality. The serving claim inherited from the paper is that a batch
+ * shares one streaming pass over the knowledge base
+ * (t(n) = base + n * slope), and the rule depends on who shares it:
+ *
+ *  - a backend that streams the KB once per batch (the replicated
+ *    mode) releases a batch at `maxBatch` pending or when the oldest
+ *    pending request has waited `batchTimeout`: the wait buys the
+ *    stream riders (the simulator's BatchAtATime);
+ *  - a backend whose batches join the work in flight
+ *    (BatchBackend::joinsInFlight: the sharded mode, a cluster front
+ *    end) shares its stream with every batch riding, whenever it
+ *    arrives, so waiting buys nothing: the dispatch loop pops whatever
+ *    is queued (up to `maxBatch`) as soon as it holds a window credit,
+ *    and `batchTimeout` does not apply (the simulator's
+ *    JoinAtNextChunk with a zero timeout). While the
+ *    window is full, arrivals still queue and leave together when a
+ *    credit returns, so under load batches fill as before.
  *
  * One serving loop. Every mode runs the same two threads over a
  * BatchBackend: a *dispatch* loop that pops a batch, flattens it and
@@ -141,7 +154,11 @@ struct LiveServerConfig
     /** Maximum questions per dispatched batch. */
     size_t maxBatch = 32;
     /** Dispatch a partial batch once its oldest question waited this
-     *  long (seconds). Zero means dispatch immediately when nonempty. */
+     *  long (seconds). Zero means dispatch immediately when nonempty.
+     *  Applies only to a backend that streams the KB per batch (the
+     *  replicated mode): the sharded and cluster modes' batches join
+     *  the work in flight and are dispatched on arrival, whatever this
+     *  says (file header). */
     double batchTimeout = 2.0e-3;
     /** Engine workers. Replicated mode: the number of full-KB
      *  ColumnEngines, hence of batches in flight at once. Sharded
@@ -246,6 +263,10 @@ class LiveServer
     /** False once shutdown has begun. */
     bool accepting() const { return !stopping.load(); }
 
+    /** Requests admitted and not yet dispatched in a batch (a
+     *  snapshot: it moves while clients submit). */
+    size_t queued() const { return queue.size(); }
+
     /** True when batches are scattered across a sharded KB. */
     bool sharded() const { return cfg.shards >= 2; }
 
@@ -291,6 +312,8 @@ class LiveServer
     BatchBackend &backend;
     size_t ed; ///< question width
     LiveServerConfig cfg;
+    /** cfg.batchTimeout, or zero (dispatch on arrival) when the
+     *  backend's batches join the work in flight. */
     std::chrono::nanoseconds timeoutNs;
 
     RequestQueue<Request> queue;

@@ -12,12 +12,21 @@
  *     t(n) = batchBaseSeconds + n * perQuestionSeconds
  *
  * with a large amortizable base. The simulator runs Poisson question
- * arrivals against a batching dispatcher (size cap + oldest-question
- * timeout) over a pool of executor workers — or over one cooperative
- * scan that a batch joins at its next chunk (DispatchPolicy) — and
- * reports throughput,
- * latency percentiles, mean batch size and utilization — the numbers
- * a capacity planner needs to choose the batching policy.
+ * arrivals against a dispatcher over a pool of executor workers — or
+ * over one cooperative scan that a batch joins at its next chunk —
+ * and reports throughput, latency percentiles, mean batch size and
+ * utilization — the numbers a capacity planner needs to choose the
+ * batching policy.
+ *
+ * The dispatch rule is LiveServer's (live_server.hh): a batch leaves
+ * when an executor (a window slot) is free and either `maxBatch`
+ * questions are pending or the oldest has waited `batchTimeout`. For a
+ * batch that streams the KB on its own (BatchAtATime) the wait buys
+ * riders to share its stream. A batch that joins the scan in flight
+ * (JoinAtNextChunk) shares the stream with every rider however it
+ * arrives, so LiveServer dispatches such backends on arrival; the
+ * simulator models that as JoinAtNextChunk with `batchTimeout` = 0,
+ * and a nonzero timeout there prices what waiting costs.
  */
 
 #ifndef MNNFAST_SERVE_QA_SERVER_HH
@@ -37,13 +46,14 @@ enum class DispatchPolicy {
      */
     BatchAtATime,
     /**
-     * Cooperative scan (LiveServer's sharded mode): a batch starts the
-     * moment it is dispatched, joining the stream in flight at its
-     * next chunk, and completes one revolution later. A revolution
+     * Cooperative scan (LiveServer's sharded and cluster modes): a
+     * dispatched batch starts at once, joining the stream in flight at
+     * its next chunk, and completes one revolution later. A revolution
      * costs batchBaseSeconds + riders * perQuestionSeconds, riders
      * being every question riding when the batch joins, its own
      * included. `workers` is the number of batches that may ride at
-     * once (the scan's window).
+     * once (the scan's window); `batchTimeout` = 0 dispatches whenever
+     * one is free, as LiveServer does (see header).
      */
     JoinAtNextChunk,
 };
@@ -57,7 +67,7 @@ struct ServerConfig
     size_t maxBatch = 32;
     /**
      * Dispatch a partial batch once its oldest question has waited
-     * this long (seconds).
+     * this long (seconds); zero dispatches on arrival (see header).
      */
     double batchTimeout = 2.0e-3;
     /** Per-batch service time: the shared knowledge-base stream. */

@@ -15,7 +15,10 @@
  * qa_server.cc: a batch is released only when `maxBatch` items are
  * pending or the oldest pending item has waited `timeout` — so the
  * live runtime and the simulator dispatch under identical rules and
- * their behaviour can be compared point for point. close() wakes all
+ * their behaviour can be compared point for point. A zero timeout
+ * releases whatever is pending (up to `maxBatch`) at once: dispatch on
+ * arrival, which LiveServer uses for a backend whose batches join the
+ * work in flight (batch_backend.hh). close() wakes all
  * waiters; remaining items drain as immediate partial batches (no
  * timeout wait), after which popBatch returns false forever — the
  * shutdown handshake that guarantees no accepted item is lost.
@@ -94,7 +97,8 @@ class RequestQueue
      *
      * Dispatch condition (identical to the simulator's): at least
      * `maxBatch` items are pending, or the oldest pending item has
-     * waited `timeout`. After close(), pending items are released
+     * waited `timeout` — with a zero timeout, one pending item suffices
+     * (see the file header). After close(), pending items are released
      * immediately as (partial) batches; once the queue is both closed
      * and empty this returns false and `out` stays empty.
      */

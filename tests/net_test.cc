@@ -876,6 +876,66 @@ TEST(ShardNode, ScanJoinsAtEveryChunkBitIdentical)
 }
 
 /**
+ * A client that pipelines without reading cannot grow a node: the
+ * handler stops reading its channel at kMaxRidesPerConnection rides.
+ * With the ring held, four times the cap in requests go out at once;
+ * the node takes exactly the cap, leaves the rest in the channel, and
+ * once the ring moves on answers every one, in order, with the bits of
+ * the single-group engine.
+ */
+TEST(ShardNode, PipeliningWithoutReadingHoldsAtTheRideCap)
+{
+    const size_t ns = 128, ed = 8, nq = 1; // 4 chunks
+    const size_t cap = ShardNode::kMaxRidesPerConnection, n = 4 * cap;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    core::EngineConfig cfg;
+    cfg.chunkSize = 32;
+    std::vector<std::vector<float>> u;
+    std::vector<core::StreamPartial> ref(n);
+    {
+        core::EngineConfig single = cfg;
+        single.scheduleGroups = 1;
+        core::ColumnEngine engine(kb, single);
+        for (size_t i = 0; i < n; ++i) {
+            u.push_back(makeQuestions(nq, ed, 900 + i));
+            engine.inferPartial(u[i].data(), nq, ref[i]);
+        }
+    }
+
+    ChunkHold hold;
+    hold.arm(1);
+    core::EngineConfig ncfg = cfg;
+    ncfg.chunkObserver = [&](size_t, size_t) { hold.chunk(); };
+    LoopbackNetwork netns;
+    LoopbackTransport t(netns);
+    NodeSet set;
+    set.add(kb, ncfg, /*shard=*/0, t, "node0");
+    const ShardNode &node = *set.nodes[0];
+    auto ch = t.connect("node0", net::deadlineIn(1.0));
+    ASSERT_TRUE(ch);
+    for (size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(ch->send(requestFrame(i, u[i], nq, ed)));
+    ASSERT_TRUE(hold.waitHeld([] { return false; }));
+
+    const auto until = std::chrono::steady_clock::now()
+                     + std::chrono::seconds(5);
+    while (node.slotCount() < cap
+           && std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(node.slotCount(), cap);
+    // Given time, the handler still reads no further.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(node.slotCount(), cap);
+    EXPECT_EQ(node.requestsServed(), 0u);
+
+    hold.release();
+    for (size_t i = 0; i < n; ++i)
+        expectResponse(*ch, i, ref[i]);
+    EXPECT_EQ(node.requestsServed(), n);
+    EXPECT_LE(node.slotCount(), cap); // slots only grow: never above
+}
+
+/**
  * A Shutdown frame that arrives while the node's ring holds rides of
  * two connections mid-revolution closes every connection at once and
  * stops the node, without waiting for the rides.
@@ -1730,6 +1790,50 @@ TEST(LiveServerCluster, AnswersBitIdenticalToShardedEngine)
     EXPECT_GE(snap.rpcShards[0].rpcs, snap.batches);
     EXPECT_GE(snap.rpcShards[1].rpcs, snap.batches);
     EXPECT_EQ(snap.failedBatches, 0u);
+}
+
+TEST(LiveServerCluster, DispatchesALoneRequestOnArrival)
+{
+    // The shard nodes ride every request on one scan, so a batch joins
+    // the work in flight and the server in front dispatches on arrival:
+    // a lone request is answered long before a 10 s batchTimeout, with
+    // the bits of the in-process engine over the same partition.
+    const size_t ns = 256, ed = 8, chunk = 64;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    const core::ShardedKnowledgeBase skb(kb, chunk, 2);
+    core::ShardedEngine reference(skb, cfg);
+
+    LoopbackNetwork netns;
+    LoopbackTransport t(netns);
+    NodeSet set;
+    set.add(skb.shard(0), cfg, 0, t, "s0");
+    set.add(skb.shard(1), cfg, 1, t, "s1");
+    ClusterConfig ccfg;
+    ccfg.replicas = {{"s0"}, {"s1"}};
+    ccfg.requestTimeoutSeconds = 30.0;
+    ccfg.pipelineDepth = 4;
+    ClusterFrontEnd fe(t, ccfg);
+    EXPECT_TRUE(fe.joinsInFlight());
+
+    serve::LiveServerConfig lcfg;
+    lcfg.maxBatch = 8;
+    lcfg.batchTimeout = 10.0;
+    serve::LiveServer server(fe, ed, lcfg);
+    const std::vector<float> u = makeQuestions(1, ed, 71);
+    serve::Ticket tk = server.submit(u.data());
+    ASSERT_TRUE(tk.accepted());
+    ASSERT_EQ(tk.answer.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    const serve::Answer a = tk.answer.get();
+    EXPECT_FALSE(a.failed);
+    EXPECT_EQ(a.batchSize, 1u);
+    std::vector<float> expect(ed);
+    reference.inferBatch(u.data(), 1, expect.data());
+    ASSERT_EQ(a.o.size(), ed);
+    for (size_t e = 0; e < ed; ++e)
+        ASSERT_EQ(f32Bits(a.o[e]), f32Bits(expect[e])) << "e=" << e;
 }
 
 TEST(LiveServerCluster, FloodAndShutdownAnswersEveryAcceptedRequest)

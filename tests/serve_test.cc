@@ -179,6 +179,48 @@ TEST(QaServer, JoiningAtTheNextChunkNeverRaisesTheMedian)
     }
 }
 
+TEST(QaServer, DispatchOnArrivalNeverRaisesTheMedianOfAJoiningScan)
+{
+    // servebench's two workloads as the simulator sees them: dense_f32
+    // (15 ms a pass + 1 ms a question, cap 16, 2 ms timeout, 100 req/s)
+    // and cluster_tcp (5 ms + 1 ms, cap 8, 4 ms timeout, 150 req/s),
+    // both with 4 batches riding at once. Leaving on arrival (a zero
+    // timeout, LiveServer's rule for a joining backend) instead of
+    // waiting out the timeout never raises the median, from a
+    // quarter of each workload's rate to twice it.
+    struct Workload
+    {
+        double base, per, timeout, rate;
+        size_t cap;
+    };
+    for (const Workload &w : {Workload{15e-3, 1e-3, 2e-3, 100.0, 16},
+                              Workload{5e-3, 1e-3, 4e-3, 150.0, 8}}) {
+        for (double scale : {0.25, 0.5, 1.0, 2.0}) {
+            ServerConfig wait = baseConfig();
+            wait.batchBaseSeconds = w.base;
+            wait.perQuestionSeconds = w.per;
+            wait.batchTimeout = w.timeout;
+            wait.maxBatch = w.cap;
+            wait.arrivalRate = scale * w.rate;
+            wait.simSeconds = 20.0;
+            wait.workers = 4;
+            wait.dispatch = DispatchPolicy::JoinAtNextChunk;
+            ServerConfig arrive = wait;
+            arrive.batchTimeout = 0.0;
+            const ServerStats a = simulateServer(arrive);
+            const ServerStats b = simulateServer(wait);
+            EXPECT_EQ(a.completed, a.arrived);
+            EXPECT_LE(a.p50Latency, b.p50Latency)
+                << "base " << w.base << " rate " << wait.arrivalRate;
+            // Nothing waits out the timeout at the workload's own rate:
+            // the median is one revolution with its few riders.
+            if (scale == 1.0) {
+                EXPECT_LT(a.p50Latency, b.p50Latency - 0.5 * w.timeout);
+            }
+        }
+    }
+}
+
 TEST(QaServer, DeterministicForSameSeed)
 {
     const auto a = simulateServer(baseConfig());
@@ -581,6 +623,32 @@ TEST(LiveServer, FullQueueRejectsWithBackpressureStatus)
     EXPECT_EQ(s.rejectedShutdown, 1u);
     EXPECT_EQ(s.rejected, 7u);
     EXPECT_EQ(s.arrived, 11u);
+}
+
+TEST(LiveServer, ReplicatedHoldsALoneRequestForItsBatchTimeout)
+{
+    // A replicated engine streams the whole KB per batch, so the
+    // server still waits out batchTimeout for riders before it sends
+    // a lone request.
+    const size_t ed = 8;
+    const core::KnowledgeBase kb = makeKb(100, ed);
+    LiveServerConfig cfg = liveConfig();
+    cfg.batchTimeout = 0.3;
+    LiveServer server(kb, cfg);
+    core::ColumnEngine reference(kb, cfg.engine);
+
+    const std::vector<float> q(ed, 0.5f);
+    Ticket t = server.submit(q.data());
+    ASSERT_TRUE(t.accepted());
+    EXPECT_EQ(t.answer.wait_for(100ms), std::future_status::timeout);
+    const Answer a = t.answer.get();
+    EXPECT_EQ(a.batchSize, 1u);
+    EXPECT_GE(a.queueWaitSeconds, cfg.batchTimeout);
+    std::vector<float> expected(ed);
+    reference.infer(q.data(), expected.data());
+    ASSERT_EQ(a.o.size(), ed);
+    for (size_t e = 0; e < ed; ++e)
+        EXPECT_EQ(a.o[e], expected[e]) << "element " << e;
 }
 
 TEST(LiveServer, NonFiniteQuestionsAreRefusedAtAdmission)

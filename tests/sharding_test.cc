@@ -250,8 +250,10 @@ TEST(ShardedEngine, GatherOrderIsIndependentOfCompletionOrder)
         std::mutex m;
         std::vector<size_t> finished; // shards, by last chunk streamed
         serve::LiveServerConfig lcfg;
+        // The scan dispatches on arrival, so the questions ride as
+        // they arrive — alone or together, and each gather merges
+        // eight partials in shard order whatever its size.
         lcfg.maxBatch = nq;
-        lcfg.batchTimeout = 50e-3; // the nq questions form one batch
         lcfg.workers = 4;
         lcfg.shards = 8;
         lcfg.engine = cfg;
@@ -437,12 +439,15 @@ settled(std::future<serve::Answer> &f)
 
 /**
  * A batch joins the scan at whatever chunk each ring is on. One
- * worker steps both rings; a chunk observer holds it after the k-th
- * chunk of a first batch's ride, for every k, while a second batch is
- * dispatched, so the second joins at every chunk offset of both
- * rings. Each answer must equal the ShardedEngine over the same
- * partition bit for bit, across precision x zero-skip x streaming x
- * routing.
+ * worker steps both rings. Four single-question fillers hold the
+ * window full while questions 0-1 and 2-3 queue, so each pair leaves
+ * as one batch: 0-1 when the first filler retires, 2-3 when the second
+ * does. A chunk observer holds the first filler after its k-th chunk
+ * while the other three are dispatched, so they — and with them the
+ * second pair — trail by k chunks, and the second pair joins the first
+ * near its k-th chunk, for every k the first filler streams. Each
+ * answer must equal the ShardedEngine over the same partition bit for
+ * bit, across precision x zero-skip x streaming x routing.
  */
 TEST(LiveServer, ScanJoinsAtEveryChunkBitIdentical)
 {
@@ -478,8 +483,7 @@ TEST(LiveServer, ScanJoinsAtEveryChunkBitIdentical)
 
             ChunkHold hold;
             serve::LiveServerConfig lcfg;
-            lcfg.maxBatch = 2; // questions 0-1 ride first, 2-3 join
-            lcfg.batchTimeout = 10e-3;
+            lcfg.maxBatch = 2;
             lcfg.workers = 1;
             lcfg.shards = 2;
             lcfg.engine = cfg;
@@ -487,38 +491,103 @@ TEST(LiveServer, ScanJoinsAtEveryChunkBitIdentical)
                 hold.chunk();
             };
             serve::LiveServer server(kb, lcfg);
+            ASSERT_EQ(server.engineSlots(), 4u);
+            const auto submit = [&](size_t q) {
+                serve::Ticket t = server.submit(u.data() + q * ed);
+                EXPECT_TRUE(t.accepted());
+                return std::move(t.answer);
+            };
 
-            // The first batch alone streams 7 chunks unrouted, so
-            // k = 8 lets the second find both rings idle.
-            for (size_t k = 1; k <= 8; ++k) {
+            // The chunks question 0 streams alone (no chunk is the
+            // 0th, so nothing is held): 7 unrouted.
+            hold.arm(0);
+            submit(0).get();
+            const size_t lone = hold.count();
+            if (!routed) {
+                ASSERT_EQ(lone, 7u);
+            }
+
+            for (size_t k = 1; k <= lone; ++k) {
                 hold.arm(k);
-                std::vector<std::future<serve::Answer>> f;
-                for (size_t q = 0; q < nq; ++q) {
-                    if (q == 2 && hold.waitHeld([&] { return settled(f[0]); }))
-                        // Let the dispatch loop hand the batch over
-                        // before the rings move on.
+                // The fillers are questions 0-3 again, each dispatched
+                // alone before the next arrives.
+                std::vector<std::future<serve::Answer>> fill, f;
+                for (size_t i = 0; i < 4; ++i) {
+                    fill.push_back(submit(i));
+                    if (i == 0) {
+                        ASSERT_TRUE(hold.waitHeld(
+                            [&] { return settled(fill[0]); }));
+                    }
+                    while (server.queued() != 0)
                         std::this_thread::sleep_for(
-                            std::chrono::milliseconds(5));
-                    serve::Ticket t = server.submit(u.data() + q * ed);
-                    ASSERT_TRUE(t.accepted());
-                    f.push_back(std::move(t.answer));
+                            std::chrono::microseconds(100));
                 }
+                for (size_t q = 0; q < nq; ++q)
+                    f.push_back(submit(q));
+                // The held rings keep every filler riding, so no
+                // credit returns and the pairs wait together.
+                EXPECT_EQ(server.queued(), nq);
                 hold.release();
+
                 for (size_t q = 0; q < nq; ++q) {
-                    const serve::Answer a = f[q].get();
+                    const serve::Answer a = fill[q].get();
+                    const serve::Answer b = f[q].get();
+                    EXPECT_EQ(a.batchSize, 1u);
+                    EXPECT_EQ(b.batchSize, 2u) << "k=" << k;
                     ASSERT_EQ(a.o.size(), ed);
-                    for (size_t e = 0; e < ed; ++e)
+                    ASSERT_EQ(b.o.size(), ed);
+                    for (size_t e = 0; e < ed; ++e) {
                         ASSERT_EQ(a.o[e], o_ref[q * ed + e])
+                            << "k=" << k << " filler " << q;
+                        ASSERT_EQ(b.o[e], o_ref[q * ed + e])
                             << "k=" << k << " question " << q;
+                    }
                 }
-                // Riders that shared chunks stream fewer than the
-                // 2 x 7 of two separate revolutions.
-                if (!routed && hold.count() < 14)
+                // Three revolutions one after another (the first
+                // filler's, the first pair's, the second pair's) stream
+                // 3 x 7 chunks; fewer means the pairs shared some.
+                if (!routed && hold.count() < 3 * lone)
                     ++mid_ring_rounds;
             }
         }
     }
     EXPECT_GT(mid_ring_rounds, 0u);
+}
+
+/**
+ * The scan's batches join the work in flight, so the server
+ * dispatches on arrival: a lone request is answered long before a
+ * 10 s batchTimeout, with the bits of the shard views merged.
+ */
+TEST(LiveServer, ScanDispatchesALoneRequestOnArrival)
+{
+    const size_t ns = 300, ed = 16, chunk = 64;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> u = makeQuestions(1, ed);
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    cfg.skipThreshold = 0.05f;
+    const core::ShardedKnowledgeBase skb(kb, chunk, 2);
+    ShardViews views(skb, cfg);
+    std::vector<float> o_ref(ed);
+    views.inferBatch(u.data(), 1, o_ref.data());
+
+    serve::LiveServerConfig lcfg;
+    lcfg.maxBatch = 8;
+    lcfg.batchTimeout = 10.0;
+    lcfg.shards = 2;
+    lcfg.engine = cfg;
+    serve::LiveServer server(kb, lcfg);
+    serve::Ticket t = server.submit(u.data());
+    ASSERT_TRUE(t.accepted());
+    ASSERT_EQ(t.answer.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    const serve::Answer a = t.answer.get();
+    EXPECT_EQ(a.batchSize, 1u);
+    EXPECT_LT(a.queueWaitSeconds, 2.0);
+    ASSERT_EQ(a.o.size(), ed);
+    for (size_t e = 0; e < ed; ++e)
+        EXPECT_EQ(a.o[e], o_ref[e]) << "element " << e;
 }
 
 /**
@@ -645,6 +714,56 @@ TEST(LiveServer, ShardedSnapshotCarriesScanCounters)
     const std::string j = s.toJson();
     EXPECT_NE(j.find("\"rows_kept\": " + std::to_string(s.scan.rowsKept)),
               std::string::npos);
+}
+
+/**
+ * The replicated mode's snapshot carries its engines' counters too:
+ * each waited batch folds what its engine's pass kept, skipped,
+ * routed and bypassed.
+ */
+TEST(LiveServer, ReplicatedSnapshotCarriesScanCounters)
+{
+    const size_t ns = 500, ed = 16, n = 40;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> u = makeQuestions(n, ed);
+    serve::LiveServerConfig cfg;
+    cfg.maxBatch = 4;
+    cfg.batchTimeout = 0.0;
+    cfg.workers = 2;
+    cfg.engine.chunkSize = 64;
+    cfg.engine.skipThreshold = 0.05f;
+    serve::LiveServer server(kb, cfg);
+    ASSERT_FALSE(server.sharded());
+
+    std::vector<std::future<serve::Answer>> futures;
+    for (size_t i = 0; i < n; ++i) {
+        serve::Ticket t = server.submit(u.data() + i * ed);
+        ASSERT_TRUE(t.accepted());
+        futures.push_back(std::move(t.answer));
+    }
+    for (auto &f : futures)
+        f.get();
+
+    const serve::LatencySnapshot s = server.snapshot();
+    EXPECT_EQ(s.scan.rowsKept + s.scan.rowsSkipped, n * ns);
+    EXPECT_GT(s.scan.rowsKept, 0u);
+    EXPECT_GT(s.scan.rowsSkipped, 0u);
+    EXPECT_EQ(s.scan.rowsRouted, 0u); // routing is off
+    EXPECT_EQ(s.scan.chunksBypassed, 0u);
+
+    // With routing on, the routed rows and bypassed chunks arrive too.
+    cfg.engine.routePolicy = core::RoutePolicy::TopK;
+    cfg.engine.routeTopK = 2;
+    serve::LiveServer routed(kb, cfg);
+    for (size_t i = 0; i < n; ++i) {
+        serve::Ticket t = routed.submit(u.data() + i * ed);
+        ASSERT_TRUE(t.accepted());
+        t.answer.get();
+    }
+    const serve::LatencySnapshot r = routed.snapshot();
+    EXPECT_GT(r.scan.rowsRouted, 0u);
+    EXPECT_LT(r.scan.rowsRouted, n * ns);
+    EXPECT_GT(r.scan.chunksBypassed, 0u);
 }
 
 /**
