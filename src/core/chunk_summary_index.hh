@@ -1,9 +1,9 @@
 /**
  * @file
  * Coarse chunk summaries for routed (sublinear) KB attention: one
- * per-dimension [lo, hi] envelope plus a centroid per engine chunk of
- * M_IN. The envelope yields a cheap max-inner-product upper bound —
- * for any query x and any row m in the chunk,
+ * per-dimension [lo, hi] envelope per engine chunk of M_IN. The
+ * envelope yields a cheap max-inner-product upper bound — for any
+ * query x and any row m in the chunk,
  *
  *     x . m  <=  sum_d max(x_d*hi_d, x_d*lo_d)
  *
@@ -27,15 +27,14 @@ namespace mnnfast::core {
 /**
  * Immutable summary of a KnowledgeBase's M_IN rows at a fixed chunk
  * grid: for each chunk of `chunk_rows` consecutive rows (the last
- * chunk may be short), the per-dimension min (`lo`), max (`hi`) and
- * mean (`centroid`) of the rows as the fused kernels would stream
- * them:
+ * chunk may be short), the per-dimension min (`lo`) and max (`hi`)
+ * of the rows as the fused kernels would stream them:
  *
  *  - F32 rows are read exactly.
  *  - BF16 rows are decoded bf16 -> fp32 first (the envelope bounds
  *    the decoded values the bf16 kernels actually dot against).
  *  - I8 rows never touch fp32 row decode: per quantization group
- *    (KnowledgeBase::i8GroupEnd) the int8 extremes/sum per dimension
+ *    (KnowledgeBase::i8GroupEnd) the int8 extremes per dimension
  *    are found first and mapped through the group's affine code
  *    (scale >= 0 always, so the int8 order is the dequantized order).
  *    One group costs an int8 scan plus ed affine maps — the
@@ -85,22 +84,16 @@ class ChunkSummaryIndex
     /** Per-dimension maxima, chunk c (ed floats). */
     const float *hi(size_t c) const { return hiV.data() + c * ed; }
 
-    /** Per-dimension means, chunk c (ed floats). */
-    const float *centroid(size_t c) const
-    {
-        return centroidV.data() + c * ed;
-    }
-
     /** All minima, row-major (chunks() x ed) — kernel input. */
     const float *loData() const { return loV.data(); }
 
     /** All maxima, row-major (chunks() x ed) — kernel input. */
     const float *hiData() const { return hiV.data(); }
 
-    /** Footprint of the three summary matrices, in bytes. */
+    /** Footprint of the two summary matrices, in bytes. */
     size_t bytes() const
     {
-        return 3 * nChunks * ed * sizeof(float);
+        return 2 * nChunks * ed * sizeof(float);
     }
 
   private:
@@ -108,9 +101,8 @@ class ChunkSummaryIndex
     size_t chunk;
     size_t nChunks;
     size_t nRows;
-    std::vector<float> loV;       ///< (nChunks x ed) per-dim minima
-    std::vector<float> hiV;       ///< (nChunks x ed) per-dim maxima
-    std::vector<float> centroidV; ///< (nChunks x ed) per-dim means
+    std::vector<float> loV; ///< (nChunks x ed) per-dim minima
+    std::vector<float> hiV; ///< (nChunks x ed) per-dim maxima
 };
 
 } // namespace mnnfast::core

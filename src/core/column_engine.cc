@@ -105,24 +105,11 @@ ColumnEngine::inferBatch(const float *u, size_t nq, float *o)
 void
 ColumnEngine::inferPartial(const float *u, size_t nq, StreamPartial &out)
 {
-    const size_t ed = kb.dim();
     Timer timer;
     const ScanTotals totals = runGroups(u, nq);
-
-    out.nq = nq;
-    out.o.resize(nq * ed);
-    out.expSum.resize(nq);
-    out.runMax.resize(nq);
-    // The same fold as inferBatch, minus the division, which the
-    // gather applies after the cross-shard merge. With a single group
-    // this is a bit-exact copy of its accumulators (scale 2^0 = 1,
-    // 0 + x and 1 * x are exact), the property the sharded
-    // bit-identity guarantee rests on.
-    for (size_t q = 0; q < nq; ++q)
-        out.expSum[q] =
-            foldPartials(groupViews.data(), groupViews.size(), q, ed,
-                         out.o.data() + q * ed, &out.runMax[q]);
-
+    // The same fold as inferBatch, minus the division.
+    foldStreamPartials(groupViews.data(), groupViews.size(), nq,
+                       kb.dim(), out);
     recordRunStats(totals, nq, timer.seconds());
 }
 

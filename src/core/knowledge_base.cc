@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "util/bf16.hh"
 #include "util/logging.hh"
@@ -52,6 +54,22 @@ forEachI8Group(const KnowledgeBase &kb, size_t begin, size_t end,
         g0 = g1;
     }
 }
+
+/** The storage precision whose elements are T. */
+template <typename T>
+constexpr Precision
+storedAs()
+{
+    if constexpr (std::is_same_v<T, float>)
+        return Precision::F32;
+    else if constexpr (std::is_same_v<T, uint16_t>)
+        return Precision::BF16;
+    else
+        return Precision::I8;
+}
+
+/** Names in the wrong-precision panics, indexed by Precision. */
+const char *const kPrecisionTag[] = {"F32", "BF16", "I8"};
 
 } // namespace
 
@@ -105,10 +123,10 @@ KnowledgeBase::clear()
         fatal("clear() on a knowledge-base view");
     ++gen;
     count = 0;
-    minScaleV.clear();
-    minZeroV.clear();
-    moutScaleV.clear();
-    moutZeroV.clear();
+    for (RowStore *m : {&in, &out}) {
+        m->scaleV.clear();
+        m->zeroV.clear();
+    }
 }
 
 KnowledgeBase
@@ -120,24 +138,12 @@ KnowledgeBase::view(size_t row_begin, size_t row_end) const
     KnowledgeBase v(ed, prec, qchunk);
     v.viewed = true;
     v.count = row_end - row_begin;
-    switch (prec) {
-      case Precision::F32:
-        v.vmin = minData() + row_begin * ed;
-        v.vmout = moutData() + row_begin * ed;
-        break;
-      case Precision::BF16:
-        v.vmin16 = minData16() + row_begin * ed;
-        v.vmout16 = moutData16() + row_begin * ed;
-        break;
-      case Precision::I8:
-        v.vmin8 = minData8() + row_begin * ed;
-        v.vmout8 = moutData8() + row_begin * ed;
-        v.vminScale = minScalesPtr();
-        v.vminZero = minZerosPtr();
-        v.vmoutScale = moutScalesPtr();
-        v.vmoutZero = moutZerosPtr();
-        v.vrowOff = vrowOff + row_begin;
-        break;
+    v.rowOff = rowOff + row_begin;
+    const size_t row_bytes = ed * elemBytes();
+    for (auto [dst, src] : {std::pair{&v.in, &in}, {&v.out, &out}}) {
+        dst->rows = src->rows + row_begin * row_bytes;
+        dst->scales = src->scales;
+        dst->zeros = src->zeros;
     }
     return v;
 }
@@ -147,46 +153,56 @@ KnowledgeBase::grow(size_t min_capacity)
 {
     const size_t new_cap = std::max(min_capacity,
                                     std::max<size_t>(16, capacity * 2));
-    switch (prec) {
-      case Precision::F32: {
-        AlignedBuffer<float> new_min(new_cap * ed);
-        AlignedBuffer<float> new_mout(new_cap * ed);
-        if (count > 0) {
-            std::memcpy(new_min.data(), min.data(),
-                        count * ed * sizeof(float));
-            std::memcpy(new_mout.data(), mout.data(),
-                        count * ed * sizeof(float));
-        }
-        min = std::move(new_min);
-        mout = std::move(new_mout);
-        break;
-      }
-      case Precision::BF16: {
-        AlignedBuffer<uint16_t> new_min(new_cap * ed);
-        AlignedBuffer<uint16_t> new_mout(new_cap * ed);
-        if (count > 0) {
-            std::memcpy(new_min.data(), min16.data(),
-                        count * ed * sizeof(uint16_t));
-            std::memcpy(new_mout.data(), mout16.data(),
-                        count * ed * sizeof(uint16_t));
-        }
-        min16 = std::move(new_min);
-        mout16 = std::move(new_mout);
-        break;
-      }
-      case Precision::I8: {
-        AlignedBuffer<int8_t> new_min(new_cap * ed);
-        AlignedBuffer<int8_t> new_mout(new_cap * ed);
-        if (count > 0) {
-            std::memcpy(new_min.data(), min8.data(), count * ed);
-            std::memcpy(new_mout.data(), mout8.data(), count * ed);
-        }
-        min8 = std::move(new_min);
-        mout8 = std::move(new_mout);
-        break;
-      }
+    const size_t row_bytes = ed * elemBytes();
+    for (RowStore *m : {&in, &out}) {
+        AlignedBuffer<std::byte> bigger(new_cap * row_bytes);
+        if (count > 0)
+            std::memcpy(bigger.data(), m->store.data(),
+                        count * row_bytes);
+        m->store = std::move(bigger);
+        m->rows = m->store.data();
     }
     capacity = new_cap;
+}
+
+void
+KnowledgeBase::RowStore::appendI8(const float *row, size_t i, size_t ed,
+                                  size_t qchunk)
+{
+    if (tail.empty())
+        tail.resize(qchunk * ed);
+    const size_t k = i % qchunk; // row within the tail chunk
+    const size_t c = i / qchunk;
+    if (k == 0) { // starting a fresh quantization chunk
+        scaleV.push_back(0.f);
+        zeroV.push_back(0.f);
+        scales = scaleV.data();
+        zeros = zeroV.data();
+    }
+    // Stage the fp32 row, and either quantize just this row under the
+    // chunk's frozen-so-far code, or — when the row extends the
+    // chunk's element range — recompute the code and requantize the
+    // whole staged tail chunk so the stored bytes match a
+    // from-scratch quantization.
+    float *slot = tail.data() + k * ed;
+    std::memcpy(slot, row, ed * sizeof(float));
+    const auto [plo, phi] = std::minmax_element(row, row + ed);
+    if (!std::isfinite(*plo) || !std::isfinite(*phi))
+        fatal("I8 knowledge bases require finite embeddings");
+    int8_t *base = reinterpret_cast<int8_t *>(store.data()) + (i - k) * ed;
+    if (k == 0 || *plo < lo || *phi > hi) {
+        lo = (k == 0) ? *plo : std::min(lo, *plo);
+        hi = (k == 0) ? *phi : std::max(hi, *phi);
+        const float scale = (hi > lo) ? (hi - lo) / 255.f : 0.f;
+        const float zero = lo + 128.f * scale;
+        scaleV[c] = scale;
+        zeroV[c] = zero;
+        for (size_t r = 0; r <= k; ++r)
+            quantizeRow(tail.data() + r * ed, base + r * ed, ed, scale,
+                        zero);
+    } else {
+        quantizeRow(slot, base + k * ed, ed, scaleV[c], zeroV[c]);
+    }
 }
 
 void
@@ -197,108 +213,80 @@ KnowledgeBase::addSentence(const float *min_row, const float *mout_row)
     ++gen;
     if (count == capacity)
         grow(count + 1);
-    switch (prec) {
-      case Precision::F32:
-        std::memcpy(min.data() + count * ed, min_row,
-                    ed * sizeof(float));
-        std::memcpy(mout.data() + count * ed, mout_row,
-                    ed * sizeof(float));
-        break;
-      case Precision::BF16: {
-        uint16_t *mi = min16.data() + count * ed;
-        uint16_t *mo = mout16.data() + count * ed;
-        for (size_t e = 0; e < ed; ++e) {
-            mi[e] = bf16FromFloat(min_row[e]);
-            mo[e] = bf16FromFloat(mout_row[e]);
+    for (auto [m, row] : {std::pair{&in, min_row}, {&out, mout_row}}) {
+        std::byte *dst = m->store.data() + count * ed * elemBytes();
+        switch (prec) {
+          case Precision::F32:
+            std::memcpy(dst, row, ed * sizeof(float));
+            break;
+          case Precision::BF16: {
+            uint16_t *h = reinterpret_cast<uint16_t *>(dst);
+            for (size_t e = 0; e < ed; ++e)
+                h[e] = bf16FromFloat(row[e]);
+            break;
+          }
+          case Precision::I8:
+            m->appendI8(row, count, ed, qchunk);
+            break;
         }
-        break;
-      }
-      case Precision::I8: {
-        if (tailMin.empty()) {
-            tailMin.resize(qchunk * ed);
-            tailMout.resize(qchunk * ed);
-        }
-        const size_t k = count % qchunk; // row within the tail chunk
-        if (k == 0) { // starting a fresh quantization chunk
-            minScaleV.push_back(0.f);
-            minZeroV.push_back(0.f);
-            moutScaleV.push_back(0.f);
-            moutZeroV.push_back(0.f);
-        }
-        const size_t c = count / qchunk;
-        // Ingest one matrix: stage the fp32 row, and either quantize
-        // just this row under the chunk's frozen-so-far code, or —
-        // when the row extends the chunk's element range — recompute
-        // the code and requantize the whole staged tail chunk so the
-        // stored bytes match a from-scratch quantization.
-        auto ingest = [&](const float *row, std::vector<float> &staged,
-                          AlignedBuffer<int8_t> &store,
-                          std::vector<float> &scales,
-                          std::vector<float> &zeros, float &lo,
-                          float &hi) {
-            float *slot = staged.data() + k * ed;
-            std::memcpy(slot, row, ed * sizeof(float));
-            const auto [plo, phi] =
-                std::minmax_element(row, row + ed);
-            if (!std::isfinite(*plo) || !std::isfinite(*phi))
-                fatal("I8 knowledge bases require finite embeddings");
-            int8_t *base = store.data() + (count - k) * ed;
-            if (k == 0 || *plo < lo || *phi > hi) {
-                lo = (k == 0) ? *plo : std::min(lo, *plo);
-                hi = (k == 0) ? *phi : std::max(hi, *phi);
-                const float scale =
-                    (hi > lo) ? (hi - lo) / 255.f : 0.f;
-                const float zero = lo + 128.f * scale;
-                scales[c] = scale;
-                zeros[c] = zero;
-                for (size_t r = 0; r <= k; ++r)
-                    quantizeRow(staged.data() + r * ed, base + r * ed,
-                                ed, scale, zero);
-            } else {
-                quantizeRow(slot, base + k * ed, ed, scales[c],
-                            zeros[c]);
-            }
-        };
-        ingest(min_row, tailMin, min8, minScaleV, minZeroV, minLo,
-               minHi);
-        ingest(mout_row, tailMout, mout8, moutScaleV, moutZeroV,
-               moutLo, moutHi);
-        break;
-      }
     }
     ++count;
+}
+
+template <typename T>
+const T *
+KnowledgeBase::typedRows(const RowStore &m, const char *what) const
+{
+    constexpr Precision want = storedAs<T>();
+    if (prec != want)
+        panic("%s on a non-%s knowledge base", what,
+              kPrecisionTag[static_cast<int>(want)]);
+    return reinterpret_cast<const T *>(m.rows);
+}
+
+float
+KnowledgeBase::code(const float *codes, size_t i, const char *what) const
+{
+    mnn_assert(i < count, "knowledge-base row out of range");
+    if (prec != Precision::I8)
+        panic("%s on a non-I8 knowledge base", what);
+    return codes[(rowOff + i) / qchunk];
 }
 
 const float *
 KnowledgeBase::minData() const
 {
-    mnn_assert(prec == Precision::F32,
-               "minData() on a non-F32 knowledge base");
-    return viewed ? vmin : min.data();
+    return typedRows<float>(in, "minData()");
 }
 
 const float *
 KnowledgeBase::moutData() const
 {
-    mnn_assert(prec == Precision::F32,
-               "moutData() on a non-F32 knowledge base");
-    return viewed ? vmout : mout.data();
+    return typedRows<float>(out, "moutData()");
 }
 
 const uint16_t *
 KnowledgeBase::minData16() const
 {
-    mnn_assert(prec == Precision::BF16,
-               "minData16() on a non-BF16 knowledge base");
-    return viewed ? vmin16 : min16.data();
+    return typedRows<uint16_t>(in, "minData16()");
 }
 
 const uint16_t *
 KnowledgeBase::moutData16() const
 {
-    mnn_assert(prec == Precision::BF16,
-               "moutData16() on a non-BF16 knowledge base");
-    return viewed ? vmout16 : mout16.data();
+    return typedRows<uint16_t>(out, "moutData16()");
+}
+
+const int8_t *
+KnowledgeBase::minData8() const
+{
+    return typedRows<int8_t>(in, "minData8()");
+}
+
+const int8_t *
+KnowledgeBase::moutData8() const
+{
+    return typedRows<int8_t>(out, "moutData8()");
 }
 
 const float *
@@ -330,22 +318,6 @@ KnowledgeBase::moutRow16(size_t i) const
 }
 
 const int8_t *
-KnowledgeBase::minData8() const
-{
-    mnn_assert(prec == Precision::I8,
-               "minData8() on a non-I8 knowledge base");
-    return viewed ? vmin8 : min8.data();
-}
-
-const int8_t *
-KnowledgeBase::moutData8() const
-{
-    mnn_assert(prec == Precision::I8,
-               "moutData8() on a non-I8 knowledge base");
-    return viewed ? vmout8 : mout8.data();
-}
-
-const int8_t *
 KnowledgeBase::minRow8(size_t i) const
 {
     mnn_assert(i < count, "M_IN row out of range");
@@ -367,64 +339,28 @@ KnowledgeBase::i8ChunkRows() const
     return qchunk;
 }
 
-const float *
-KnowledgeBase::minScalesPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "minScale() on a non-I8 knowledge base");
-    return viewed ? vminScale : minScaleV.data();
-}
-
-const float *
-KnowledgeBase::minZerosPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "minZero() on a non-I8 knowledge base");
-    return viewed ? vminZero : minZeroV.data();
-}
-
-const float *
-KnowledgeBase::moutScalesPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "moutScale() on a non-I8 knowledge base");
-    return viewed ? vmoutScale : moutScaleV.data();
-}
-
-const float *
-KnowledgeBase::moutZerosPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "moutZero() on a non-I8 knowledge base");
-    return viewed ? vmoutZero : moutZeroV.data();
-}
-
 float
 KnowledgeBase::minScale(size_t i) const
 {
-    mnn_assert(i < count, "M_IN row out of range");
-    return minScalesPtr()[(vrowOff + i) / qchunk];
+    return code(in.scales, i, "minScale()");
 }
 
 float
 KnowledgeBase::minZero(size_t i) const
 {
-    mnn_assert(i < count, "M_IN row out of range");
-    return minZerosPtr()[(vrowOff + i) / qchunk];
+    return code(in.zeros, i, "minZero()");
 }
 
 float
 KnowledgeBase::moutScale(size_t i) const
 {
-    mnn_assert(i < count, "M_OUT row out of range");
-    return moutScalesPtr()[(vrowOff + i) / qchunk];
+    return code(out.scales, i, "moutScale()");
 }
 
 float
 KnowledgeBase::moutZero(size_t i) const
 {
-    mnn_assert(i < count, "M_OUT row out of range");
-    return moutZerosPtr()[(vrowOff + i) / qchunk];
+    return code(out.zeros, i, "moutZero()");
 }
 
 size_t
@@ -433,8 +369,8 @@ KnowledgeBase::i8GroupEnd(size_t i) const
     mnn_assert(prec == Precision::I8,
                "i8GroupEnd() on a non-I8 knowledge base");
     mnn_assert(i < count, "i8GroupEnd row out of range");
-    const size_t next = ((vrowOff + i) / qchunk + 1) * qchunk;
-    return std::min(next - vrowOff, count);
+    const size_t next = ((rowOff + i) / qchunk + 1) * qchunk;
+    return std::min(next - rowOff, count);
 }
 
 void

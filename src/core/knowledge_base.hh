@@ -73,6 +73,14 @@ inline constexpr size_t kI8ChunkRowsDefault = 1000;
  * mode, so a caller can never silently reinterpret one layout as
  * another.
  *
+ * Each matrix is one row store: a 64-byte-aligned byte buffer of
+ * capacity x ed elements of the storage precision, plus, in I8 mode,
+ * that matrix's per-chunk codes and tail-chunk staging. Every read
+ * goes through one row base (and, in I8 mode, one pair of code
+ * arrays), which a view points into its parent's storage, so owners
+ * and views share one read path; only the encode in addSentence()
+ * and the kernel choice in the sweeps below depend on the precision.
+ *
  * The engines reach the rows through two const row-range sweeps,
  * dotMin() (phase 1) and weightedSumMout() (phase 3), which hold the
  * only storage-precision switch of the fused sweep: they pick the
@@ -250,11 +258,38 @@ class KnowledgeBase
     size_t bytes() const { return 2 * count * ed * elemBytes(); }
 
   private:
+    /**
+     * One matrix (M_IN or M_OUT). Readers use only the first three
+     * fields: the row base and, in I8 mode, one scale/zero pair per
+     * quantization chunk of the owning KB (indexed through rowOff).
+     * An owner points them at its own storage below; a view points
+     * them at its parent's, so owners and views read alike.
+     */
+    struct RowStore
+    {
+        const std::byte *rows = nullptr; ///< row 0
+        const float *scales = nullptr;   ///< I8 per-chunk scales
+        const float *zeros = nullptr;    ///< I8 per-chunk zeros
+
+        // Owner storage: capacity x ed elements of the KB's
+        // precision, 64-byte aligned and zero-filled; in I8 mode one
+        // code per started chunk, the fp32 staging copy of the tail
+        // chunk (allocated on first append) and its running element
+        // range. Empty in a view.
+        AlignedBuffer<std::byte> store;
+        std::vector<float> scaleV, zeroV;
+        std::vector<float> tail;
+        float lo = 0.f, hi = 0.f;
+
+        /** I8 mode: quantize `row` into row i, the next one. */
+        void appendI8(const float *row, size_t i, size_t ed,
+                      size_t qchunk);
+    };
+
     void grow(size_t min_capacity);
-    const float *minScalesPtr() const;
-    const float *minZerosPtr() const;
-    const float *moutScalesPtr() const;
-    const float *moutZerosPtr() const;
+    template <typename T>
+    const T *typedRows(const RowStore &m, const char *what) const;
+    float code(const float *codes, size_t i, const char *what) const;
 
     size_t ed;
     Precision prec;
@@ -262,39 +297,10 @@ class KnowledgeBase
     size_t count = 0;
     size_t capacity = 0;
     uint64_t gen = 0; ///< see generation()
-    AlignedBuffer<float> min;      ///< F32 mode storage
-    AlignedBuffer<float> mout;
-    AlignedBuffer<uint16_t> min16; ///< BF16 mode storage
-    AlignedBuffer<uint16_t> mout16;
-    AlignedBuffer<int8_t> min8;    ///< I8 mode storage
-    AlignedBuffer<int8_t> mout8;
-
-    // I8 quantization state (owners only): one scale/zero pair per
-    // started chunk and matrix, the fp32 staging copy of the current
-    // tail chunk (allocated lazily on first append), and the tail
-    // chunk's running element ranges.
-    std::vector<float> minScaleV, minZeroV;
-    std::vector<float> moutScaleV, moutZeroV;
-    std::vector<float> tailMin, tailMout;
-    float minLo = 0.f, minHi = 0.f;
-    float moutLo = 0.f, moutHi = 0.f;
-
-    // View state: when `viewed`, the v* pointers alias a window of
-    // the parent's rows (and, in I8 mode, the parent's scale/zero
-    // arrays, with vrowOff locating the window inside the parent's
-    // quantization chunks) and the buffers above stay empty.
     bool viewed = false;
-    const float *vmin = nullptr;
-    const float *vmout = nullptr;
-    const uint16_t *vmin16 = nullptr;
-    const uint16_t *vmout16 = nullptr;
-    const int8_t *vmin8 = nullptr;
-    const int8_t *vmout8 = nullptr;
-    const float *vminScale = nullptr;
-    const float *vminZero = nullptr;
-    const float *vmoutScale = nullptr;
-    const float *vmoutZero = nullptr;
-    size_t vrowOff = 0;
+    size_t rowOff = 0; ///< row 0's index in the owner (views)
+    RowStore in;  ///< M_IN
+    RowStore out; ///< M_OUT
 };
 
 } // namespace mnnfast::core

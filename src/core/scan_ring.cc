@@ -333,6 +333,20 @@ mergeStreamPartials(const PartialView *parts, size_t nParts, size_t nq,
     }
 }
 
+void
+foldStreamPartials(const PartialView *parts, size_t nParts, size_t nq,
+                   size_t ed, StreamPartial &out)
+{
+    out.nq = nq;
+    out.o.resize(nq * ed);
+    out.expSum.resize(nq);
+    out.runMax.resize(nq);
+    for (size_t q = 0; q < nq; ++q)
+        out.expSum[q] = foldPartials(parts, nParts, q, ed,
+                                     out.o.data() + q * ed,
+                                     &out.runMax[q]);
+}
+
 size_t
 ScanRider::retainedBytes() const
 {

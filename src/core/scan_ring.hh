@@ -117,6 +117,18 @@ double foldPartials(const PartialView *parts, size_t nParts, size_t q,
 void mergeStreamPartials(const PartialView *parts, size_t nParts,
                          size_t nq, size_t ed, float *o);
 
+/**
+ * Size `out` for nq questions and fold every question of `parts`
+ * (foldPartials) into it, without the division, which the gather
+ * applies after the cross-shard merge: the partial a shard hands on
+ * (ColumnEngine::inferPartial, net::ShardNode). With a single part
+ * this is a bit-exact copy of its accumulators (scale 2^0 = 1,
+ * 0 + x and 1 * x are exact), the property the sharded bit-identity
+ * guarantee rests on.
+ */
+void foldStreamPartials(const PartialView *parts, size_t nParts,
+                        size_t nq, size_t ed, StreamPartial &out);
+
 /** Seconds spent in each phase of the chunked pass. */
 struct PhaseSeconds
 {

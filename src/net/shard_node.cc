@@ -189,16 +189,8 @@ ShardNode::respond(Request &r)
         resp.ed = r.req.ed;
         // The single-group engine's partial: its one group folded on
         // its own (scale 2^0), as ColumnEngine::inferPartial does.
-        core::StreamPartial &out = resp.partial;
         const core::PartialView view = ride.partial.view();
-        out.nq = ride.nq;
-        out.o.resize(ride.nq * dim);
-        out.expSum.resize(ride.nq);
-        out.runMax.resize(ride.nq);
-        for (size_t q = 0; q < ride.nq; ++q)
-            out.expSum[q] = core::foldPartials(&view, 1, q, dim,
-                                               out.o.data() + q * dim,
-                                               &out.runMax[q]);
+        core::foldStreamPartials(&view, 1, ride.nq, dim, resp.partial);
         const Frame frame = encodePartialResponse(resp);
         {
             // A failed send leaves the close to the handler, whose

@@ -1,18 +1,18 @@
 /**
  * @file
- * Serving-side observability: per-worker latency histograms and
- * monotonic counters, merged into a service-wide snapshot.
+ * Serving-side observability: latency histograms and monotonic
+ * counters, merged into a service-wide snapshot.
  *
- * Each engine worker owns one LatencyRecorder and updates it without
- * synchronization (a worker is the only writer of its recorder while
- * the server runs). Three latency axes are tracked per completed
- * request — queue wait (enqueue -> batch dispatch), service (the
- * engine call, shared by the batch), and end-to-end (enqueue ->
- * completion) — in identical-geometry stats::Histograms so snapshots
- * can merge them across workers with Histogram::merge and read
- * p50/p95/p99 off Histogram::quantile. Counters follow the
- * stats::Counter idiom: arrived / completed / rejected at admission,
- * batches and batched-question totals per worker.
+ * A LatencyRecorder is not synchronized: serve::LiveServer and
+ * net::ClusterFrontEnd each keep one recorder and guard it with a
+ * mutex that their writers and snapshot() share. Three latency axes
+ * are tracked per completed request — queue wait (enqueue -> batch
+ * dispatch), service (the engine call, shared by the batch), and
+ * end-to-end (enqueue -> completion) — in identical-geometry
+ * stats::Histograms so snapshots can merge recorders with
+ * Histogram::merge and read p50/p95/p99 off Histogram::quantile.
+ * Counters follow the stats::Counter idiom: arrived / completed /
+ * rejected at admission, batches and batched-question totals.
  *
  * LatencySnapshot is plain data plus a toJson() serializer, so benches
  * and examples export the same numbers the tests assert on.
@@ -137,9 +137,8 @@ struct LatencySnapshot
 };
 
 /**
- * One worker's latency record. Not thread-safe: a recorder has exactly
- * one writer (its worker); aggregation happens after the workers have
- * quiesced or via mergeInto on a caller-synchronized copy.
+ * One server's latency record. Not thread-safe: its owner serializes
+ * every write and every mergeInto (see the file comment).
  */
 class LatencyRecorder
 {
@@ -161,8 +160,8 @@ class LatencyRecorder
 
     /**
      * Mutable RPC counters of shard `s` (the vector grows on demand).
-     * Single-writer like the histograms: the owning dispatch loop
-     * updates, aggregation happens via mergeInto.
+     * Written under the owner's lock like the histograms;
+     * aggregation happens via mergeInto.
      */
     RpcShardCounters &rpcShard(size_t s);
 

@@ -11,10 +11,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -68,6 +71,27 @@ randomBatch(size_t nq, size_t ed, uint64_t seed, float scale = 0.5f)
     for (float &x : u)
         x = rng.uniformRange(-scale, scale);
     return u;
+}
+
+/** M_IN (or M_OUT) of kb through its typed accessor. */
+const void *
+typedRows(const KnowledgeBase &kb, bool in)
+{
+    switch (kb.precision()) {
+      case Precision::F32:
+        return in ? kb.minData() : kb.moutData();
+      case Precision::BF16:
+        return in ? kb.minData16() : kb.moutData16();
+      case Precision::I8:
+        return in ? kb.minData8() : kb.moutData8();
+    }
+    return nullptr;
+}
+
+uint32_t
+bitsOf(float x)
+{
+    return std::bit_cast<uint32_t>(x);
 }
 
 /** Reference: max-shifted softmax-weighted sum in double precision. */
@@ -769,6 +793,135 @@ TEST(KnowledgeBase, GrowsAndPreservesRows)
     EXPECT_FLOAT_EQ(kb.moutRow(50)[3], 8.f);
     kb.clear();
     EXPECT_EQ(kb.size(), 0u);
+
+    // Every precision: grown one row at a time without reserve, the
+    // KB holds the bytes (and, for int8, the codes) of a reserved
+    // twin, and its typed rows are 64-byte aligned after every growth
+    // (capacity 16, 32, 64 and 128 rows).
+    const size_t ns = 100, ed = 12, qchunk = 7;
+    for (Precision prec :
+         {Precision::F32, Precision::BF16, Precision::I8}) {
+        const char *pname = precisionName(prec);
+        const KnowledgeBase twin =
+            randomKb(ns, ed, 97, 0.5f, prec, qchunk);
+        KnowledgeBase grown(ed, prec, qchunk);
+        XorShiftRng rng(97); // randomKb's row sequence
+        std::vector<float> min_row(ed), mout_row(ed);
+        const void *base = nullptr;
+        size_t growths = 0;
+        for (size_t i = 0; i < ns; ++i) {
+            for (size_t e = 0; e < ed; ++e) {
+                min_row[e] = rng.uniformRange(-0.5f, 0.5f);
+                mout_row[e] = rng.uniformRange(-0.5f, 0.5f);
+            }
+            grown.addSentence(min_row.data(), mout_row.data());
+            if (typedRows(grown, true) == base)
+                continue;
+            base = typedRows(grown, true);
+            ++growths;
+            for (bool in : {true, false})
+                ASSERT_EQ(reinterpret_cast<uintptr_t>(
+                              typedRows(grown, in))
+                              % kCacheLineBytes,
+                          0u)
+                    << pname << " row " << i;
+        }
+        EXPECT_EQ(growths, 4u) << pname;
+        for (bool in : {true, false})
+            EXPECT_EQ(std::memcmp(typedRows(grown, in),
+                                  typedRows(twin, in),
+                                  ns * ed * grown.elemBytes()),
+                      0)
+                << pname << (in ? " M_IN" : " M_OUT");
+        if (prec != Precision::I8)
+            continue;
+        for (size_t i = 0; i < ns; ++i) {
+            ASSERT_EQ(bitsOf(grown.minScale(i)), bitsOf(twin.minScale(i)));
+            ASSERT_EQ(bitsOf(grown.minZero(i)), bitsOf(twin.minZero(i)));
+            ASSERT_EQ(bitsOf(grown.moutScale(i)),
+                      bitsOf(twin.moutScale(i)));
+            ASSERT_EQ(bitsOf(grown.moutZero(i)), bitsOf(twin.moutZero(i)));
+        }
+    }
+}
+
+TEST(KnowledgeBase, ViewOfViewResolvesToParentRows)
+{
+    // A view of a view windows its root's rows: root rows [5, 45),
+    // then that view's rows [4, 35), i.e. root rows [9, 40). Both
+    // offsets fall inside an 8-row int8 quantization chunk.
+    const size_t ed = 12, nq = 3, qchunk = 8, off = 9, n = 31;
+    const auto u = randomBatch(nq, ed, 157);
+    XorShiftRng rng(158);
+    std::vector<float> e(nq * n);
+    for (float &x : e)
+        x = rng.uniformRange(0.f, 1.f);
+
+    for (Precision prec :
+         {Precision::F32, Precision::BF16, Precision::I8}) {
+        const char *pname = precisionName(prec);
+        const KnowledgeBase kb =
+            randomKb(48, ed, 159, 0.5f, prec, qchunk);
+        const KnowledgeBase outer = kb.view(5, 45);
+        const KnowledgeBase inner = outer.view(4, 4 + n);
+        ASSERT_TRUE(inner.isView());
+        ASSERT_EQ(inner.size(), n);
+
+        // The same typed rows, not copies.
+        const size_t row_bytes = ed * kb.elemBytes();
+        for (bool in : {true, false}) {
+            const auto *root =
+                static_cast<const std::byte *>(typedRows(kb, in));
+            EXPECT_EQ(typedRows(inner, in), root + off * row_bytes)
+                << pname;
+            EXPECT_EQ(typedRows(outer, in), root + 5 * row_bytes)
+                << pname;
+        }
+
+        if (prec == Precision::I8) {
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(bitsOf(inner.minScale(i)),
+                          bitsOf(kb.minScale(off + i))) << i;
+                ASSERT_EQ(bitsOf(inner.minZero(i)),
+                          bitsOf(kb.minZero(off + i))) << i;
+                ASSERT_EQ(bitsOf(inner.moutScale(i)),
+                          bitsOf(kb.moutScale(off + i))) << i;
+                ASSERT_EQ(bitsOf(inner.moutZero(i)),
+                          bitsOf(kb.moutZero(off + i))) << i;
+                ASSERT_EQ(inner.i8GroupEnd(i),
+                          std::min(kb.i8GroupEnd(off + i), off + n)
+                              - off) << i;
+            }
+            // Root chunks end at rows 16, 24, 32 -> inner rows 7,
+            // 15, 23; the last group is clamped to the view.
+            EXPECT_EQ(inner.i8GroupEnd(0), 7u);
+            EXPECT_EQ(inner.i8GroupEnd(7), 15u);
+            EXPECT_EQ(inner.i8GroupEnd(23), n);
+        }
+
+        std::vector<float> dot(nq * n), dot_ref(nq * n);
+        inner.dotMin(u.data(), nq, 0, n, dot.data(), n);
+        kb.dotMin(u.data(), nq, off, off + n, dot_ref.data(), n);
+        for (size_t i = 0; i < dot.size(); ++i)
+            ASSERT_EQ(bitsOf(dot[i]), bitsOf(dot_ref[i]))
+                << pname << " i=" << i;
+
+        std::vector<float> acc(nq * ed, 0.f), acc_ref(nq * ed, 0.f);
+        std::vector<double> sums(nq, 0.0), sums_ref(nq, 0.0);
+        uint64_t kept = 0, skipped = 0, kept_ref = 0, skipped_ref = 0;
+        inner.weightedSumMout(e.data(), nq, n, 0, n, 0.1f, sums.data(),
+                              acc.data(), kept, skipped);
+        kb.weightedSumMout(e.data(), nq, n, off, off + n, 0.1f,
+                           sums_ref.data(), acc_ref.data(), kept_ref,
+                           skipped_ref);
+        EXPECT_EQ(kept, kept_ref) << pname;
+        EXPECT_EQ(skipped, skipped_ref) << pname;
+        for (size_t q = 0; q < nq; ++q)
+            ASSERT_EQ(sums[q], sums_ref[q]) << pname << " q=" << q;
+        for (size_t i = 0; i < acc.size(); ++i)
+            ASSERT_EQ(bitsOf(acc[i]), bitsOf(acc_ref[i]))
+                << pname << " i=" << i;
+    }
 }
 
 TEST(KnowledgeBase, RowOutOfRangePanics)

@@ -181,22 +181,6 @@ TEST(ChunkSummaryIndex, EnvelopeContainsEveryStoredRow)
     }
 }
 
-TEST(ChunkSummaryIndex, CentroidIsTheChunkMean)
-{
-    const size_t ns = 64, ed = 8, chunk = 16;
-    const KnowledgeBase kb = randomKb(ns, ed, 6);
-    const ChunkSummaryIndex idx(kb, chunk);
-    for (size_t c = 0; c < idx.chunks(); ++c) {
-        for (size_t e = 0; e < ed; ++e) {
-            double mean = 0.0;
-            for (size_t i = c * chunk; i < (c + 1) * chunk; ++i)
-                mean += kb.minRow(i)[e];
-            mean /= chunk;
-            EXPECT_NEAR(idx.centroid(c)[e], mean, 1e-5);
-        }
-    }
-}
-
 TEST(ChunkSummaryIndex, ViewIndexEqualsParentSlice)
 {
     // An index over a chunk-aligned view must equal the matching
