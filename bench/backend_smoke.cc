@@ -2,16 +2,18 @@
  * @file
  * Cross-process kernel-tier smoke: runs the fused knowledge-base
  * kernels of every storage precision — the phase-1 batched dot, the
- * phase-3 zero-skip weighted sum and the routing bound sweep — on
- * fixed inputs and prints every output's bits in hex. Run it once per
- * tier cap (MNNFAST_KERNELS=scalar, avx2, avx512) and diff the "score"
- * lines: every tier must agree bit for bit (blas/kernels.hh, canonical
- * accumulation order). tests/backend_smoke.sh does exactly that.
+ * phase-3 zero-skip weighted sum and the routing bound sweep — and
+ * the int8 ingest encoder on fixed inputs, and prints every output's
+ * bits in hex. Run it once per tier cap (MNNFAST_KERNELS=scalar, avx2,
+ * avx512) and diff the "score" lines: every tier must agree bit for
+ * bit (blas/kernels.hh, canonical accumulation order).
+ * tests/backend_smoke.sh does exactly that.
  *
  * Usage: backend_smoke
  * Output: "backend <name>", then one
  * "score <kernel> <precision> nq=<n> <index> <hex32>" line per output
- * element (and per zero-skip counter).
+ * element (and per zero-skip counter), and one
+ * "score quantize i8 <index> <hex8>" line per encoded element.
  */
 
 #include <cstdint>
@@ -155,5 +157,14 @@ main()
                               kRows);
         print("bound", "f32", nq, s);
     }
+
+    // The ingest encoder over the block's rows (kRows x kDim = 3700
+    // elements: every vector step and a 20-element tail), under a code
+    // that saturates both ends of the int8 range.
+    std::vector<int8_t> q(b.f32.size());
+    blas::quantizeI8(b.f32.data(), q.size(), 0.1f, 150.f, q.data());
+    for (size_t i = 0; i < q.size(); ++i)
+        std::printf("score quantize i8 %zu %02x\n", i,
+                    static_cast<unsigned>(static_cast<uint8_t>(q[i])));
     return 0;
 }

@@ -289,6 +289,32 @@ llcBytes()
     return bytes;
 }
 
+/**
+ * The host's transparent-huge-page mode: the bracketed word of
+ * /sys/kernel/mm/transparent_hugepage/enabled ("always", "madvise" or
+ * "never"), or "unknown" where the file is absent. Streaming numbers
+ * depend on it: AlignedBuffer advises its large buffers onto 2 MiB
+ * pages, which the host grants under "always" and "madvise" only.
+ */
+inline std::string
+thpMode()
+{
+    std::string mode = "unknown";
+    if (FILE *f = std::fopen("/sys/kernel/mm/transparent_hugepage/enabled",
+                             "r")) {
+        char line[128] = {};
+        if (std::fgets(line, sizeof line, f)) {
+            const std::string s = line;
+            const size_t open = s.find('['), close = s.find(']');
+            if (open != std::string::npos && close != std::string::npos &&
+                close > open)
+                mode = s.substr(open + 1, close - open - 1);
+        }
+        std::fclose(f);
+    }
+    return mode;
+}
+
 /** Above this steal share a bench record is marked non-comparable. */
 inline constexpr double kMaxStealFrac = 0.05;
 
@@ -430,9 +456,9 @@ class JsonWriter
 /**
  * Open the "provenance" object of a committed record and write what
  * ties the record to a build and a commit: the build type, the kernel
- * backend, the core count, the git revision, whether src/ or bench/
- * differ from it, and the source digest. The caller may add fields,
- * then closes it with endObject().
+ * backend, the core count, the host's THP mode, the git revision,
+ * whether src/ or bench/ differ from it, and the source digest. The
+ * caller may add fields, then closes it with endObject().
  */
 inline void
 beginProvenance(JsonWriter &js, const char *build_type)
@@ -442,6 +468,7 @@ beginProvenance(JsonWriter &js, const char *build_type)
     js.field("build_type", build_type);
     js.field("backend", blas::kernelBackendName());
     js.field("nproc", size_t{std::thread::hardware_concurrency()});
+    js.field("thp_enabled", thpMode().c_str());
     js.field("git_revision", gitRevision().c_str());
     js.field("worktree_dirty",
              !shell("git status --porcelain --untracked-files=no "

@@ -11,10 +11,12 @@
  * speedup per kernel. Kernel buffers are 64-byte aligned, as the
  * engines' are, so no vector load splits a cache line it would not
  * split in an engine. Results default to machine-readable JSON in
- * ./BENCH_kernels.json; pass --benchmark_out=... to override. The
- * record's context names the build type, the kernel backend, the git
- * revision, the source digest and the host's last-level cache
- * (bench_common.hh).
+ * ./BENCH_kernels.json, replaced only by a run that reported at least
+ * one benchmark (so --benchmark_list_tests or a filter that matches
+ * nothing leaves the record alone); pass --benchmark_out=... to
+ * override. The record's context names the build type, the kernel
+ * backend, the git revision, the source digest, the host's last-level
+ * cache and its transparent-huge-page mode (bench_common.hh).
  *
  * The BM_Phase1* cases are the phase-1 streaming diagnostic: one
  * thread sweeps an f32 ed=128 matrix of at least twice the LLC in the
@@ -23,14 +25,21 @@
  * dot with the row look-ahead off and at the plan table's distance —
  * at nq 1, 8 and 16. If streamed ~ read-only + cached, the stream and
  * the arithmetic do not overlap. Their names avoid "Multi", so a
- * --benchmark_filter=Multi smoke skips their large matrix.
+ * --benchmark_filter=Multi smoke skips their large matrix. The matrix
+ * is an AlignedBuffer, so it streams from 2 MiB pages where the host
+ * grants them (the record's thp_enabled).
+ *
+ * BM_KbIngest/{f32,bf16,i8} builds a knowledge base the way a server
+ * does: reserve 2^18 rows of ed 128, then add them one by one.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -473,6 +482,37 @@ BM_Softmax(benchmark::State &state)
 }
 BENCHMARK(BM_Softmax)->Arg(1000)->Arg(100000);
 
+void
+BM_KbIngest(benchmark::State &state, core::Precision prec)
+{
+    // Reserve plus one addSentence per row, from a pool of random rows
+    // (the int8 ingest requantizes a chunk when a row widens its range,
+    // so the rows must vary). Freeing the previous KB is not timed.
+    constexpr size_t kRows = size_t{1} << 18, kEd = 128, kPool = 4096;
+    const auto pool = randomVec(2 * kPool * kEd, 23);
+    std::optional<core::KnowledgeBase> kb;
+    for (auto _ : state) {
+        state.PauseTiming();
+        kb.reset();
+        state.ResumeTiming();
+        kb.emplace(kEd, prec);
+        kb->reserve(kRows);
+        for (size_t i = 0; i < kRows; ++i) {
+            const float *row = pool.data() + (i % kPool) * 2 * kEd;
+            kb->addSentence(row, row + kEd);
+        }
+        benchmark::DoNotOptimize(kb->size());
+    }
+    state.SetItemsProcessed(state.iterations() * kRows);
+    state.SetBytesProcessed(state.iterations() * kb->bytes());
+}
+BENCHMARK_CAPTURE(BM_KbIngest, f32, core::Precision::F32)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_KbIngest, bf16, core::Precision::BF16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_KbIngest, i8, core::Precision::I8)
+    ->Unit(benchmark::kMillisecond);
+
 core::KnowledgeBase &
 sharedKb()
 {
@@ -587,29 +627,43 @@ appendPlanTable(const std::string &path, double steal_frac)
     out << spliced;
 }
 
+/** The JSON file reporter, counting the benchmark runs it reports. */
+class CountingJsonReporter : public benchmark::JSONReporter
+{
+  public:
+    void
+    ReportRuns(const std::vector<Run> &runs) override
+    {
+        reported += runs.size();
+        JSONReporter::ReportRuns(runs);
+    }
+
+    size_t reported = 0;
+};
+
 } // namespace
 
 /**
- * Like BENCHMARK_MAIN(), but defaults --benchmark_out to
- * ./BENCH_kernels.json (JSON format) so every run leaves a
- * machine-readable record (with the kernel plan table and CPU steal
- * spliced in);
- * explicit --benchmark_out wins and is left untouched.
+ * Like BENCHMARK_MAIN(), but by default leaves a machine-readable
+ * record in ./BENCH_kernels.json (JSON, with the kernel plan table and
+ * CPU steal spliced in). The run writes a temporary file beside it and
+ * renames it over the record only if it reported at least one
+ * benchmark, so a listing or an empty filter never wipes the record.
+ * An explicit --benchmark_out wins and is left untouched.
  */
 int
 main(int argc, char **argv)
 {
+    constexpr const char *kRecord = "BENCH_kernels.json";
+    const std::string tmp = std::string(kRecord) + ".tmp";
     std::vector<char *> args(argv, argv + argc);
     bool has_out = false;
     for (int i = 1; i < argc; ++i)
         if (std::strncmp(argv[i], "--benchmark_out", 15) == 0)
             has_out = true;
-    std::string out_flag = "--benchmark_out=BENCH_kernels.json";
-    std::string fmt_flag = "--benchmark_out_format=json";
-    if (!has_out) {
+    std::string out_flag = "--benchmark_out=" + tmp;
+    if (!has_out)
         args.push_back(out_flag.data());
-        args.push_back(fmt_flag.data());
-    }
     int n = static_cast<int>(args.size());
     benchmark::Initialize(&n, args.data());
     // Provenance: kernel numbers count only from an optimized build
@@ -621,12 +675,26 @@ main(int argc, char **argv)
     benchmark::AddCustomContext("source_digest", bench::sourceDigest());
     benchmark::AddCustomContext("llc_bytes",
                                 std::to_string(bench::llcBytes()));
+    benchmark::AddCustomContext("thp_enabled", bench::thpMode());
     if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
     const bench::StealClock steal;
-    benchmark::RunSpecifiedBenchmarks();
+    if (has_out) {
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+        return 0;
+    }
+    CountingJsonReporter record;
+    benchmark::RunSpecifiedBenchmarks(nullptr, &record);
     benchmark::Shutdown();
-    if (!has_out)
-        appendPlanTable("BENCH_kernels.json", steal.frac());
+    if (record.reported == 0) {
+        std::remove(tmp.c_str());
+        return 0;
+    }
+    appendPlanTable(tmp, steal.frac());
+    if (std::rename(tmp.c_str(), kRecord) != 0) {
+        std::perror(kRecord);
+        return 1;
+    }
     return 0;
 }

@@ -47,6 +47,7 @@ scalarTable()
         NoLookahead<scalar::weightedSumSkipMultiI8>::run,
         scalar::chunkBoundBatch,
         scalar::gemm,    scalar::expInplace,   scalar::expShiftInplace,
+        scalar::quantizeI8,
     };
 }
 
@@ -229,6 +230,13 @@ weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                                     stride, scale, zero, threshold,
                                     running_sums, acc, accstride, kept,
                                     skipped, ahead);
+}
+
+void
+quantizeI8(const float *x, size_t n, float zero, float inv_scale,
+           int8_t *q)
+{
+    active().quantizeI8(x, n, zero, inv_scale, q);
 }
 
 void

@@ -219,6 +219,22 @@ void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                             RowLookahead ahead = kI8CallLookahead);
 
 /**
+ * Encode n floats under the int8 affine code the I8 kernels decode
+ * (core::KnowledgeBase's ingest):
+ *
+ *   q[e] = clamp(rne((x[e] - zero) * inv_scale), -128, 127)
+ *
+ * with rne the round-to-nearest-even of the default FP environment
+ * (lrintf's). A product that is NaN, infinite or outside the int32
+ * range encodes as -128: the x86 "integer indefinite" that both
+ * cvtps2dq and lrintf return for NaN and infinities, then clamped.
+ * One subtract and one multiply per element, no fma, so every tier
+ * writes the same bytes.
+ */
+void quantizeI8(const float *x, size_t n, float zero, float inv_scale,
+                int8_t *q);
+
+/**
  * Fused max-inner-product bound over chunk-summary envelopes (the
  * routed engine's coarse-selection kernel): for a tile of `nx` query
  * rows and `count` per-dimension [lo, hi] envelope pairs,
@@ -360,6 +376,8 @@ void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                             float threshold, double *running_sums,
                             float *acc, size_t accstride,
                             uint64_t &kept, uint64_t &skipped);
+void quantizeI8(const float *x, size_t n, float zero, float inv_scale,
+                int8_t *q);
 void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
                      const float *lo, const float *hi, size_t count,
                      size_t n, size_t stride, float *out,

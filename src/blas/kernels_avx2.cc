@@ -22,11 +22,13 @@
  *    ~2 ulp, with explicit inf/0 resolution outside [-87.34, 88.38]
  *    so overflow behaves like std::exp;
  *  - gemm: B packed into 16-wide column panels, 4x16 register-tiled
- *    FMA micro-kernel (8 accumulator registers), kc = 256.
+ *    FMA micro-kernel (8 accumulator registers), kc = 256;
+ *  - quantizeI8: 32 elements per step, rounding converts plus two
+ *    saturating packs.
  *
- * The reductions, exp, gemm and the routing bound also serve the
- * AVX-512 tier (kernels_avx512.cc), which replaces only the fused
- * kernels.
+ * The reductions, exp, gemm, the routing bound and quantizeI8 also
+ * serve the AVX-512 tier (kernels_avx512.cc), which replaces only the
+ * fused kernels.
  */
 
 #include "blas/kernels_detail.hh"
@@ -415,6 +417,35 @@ chunkBoundBatchAvx2(const float *x, size_t nx, size_t xstride,
     }
 }
 
+void
+quantizeI8Avx2(const float *x, size_t n, float zero, float inv_scale,
+               int8_t *q)
+{
+    // cvtps2dq rounds to nearest even (the default MXCSR) and returns
+    // INT_MIN for NaN, infinities and the out-of-range; the signed
+    // saturating packs clamp to [-128, 127]. The packs interleave the
+    // 128-bit lanes, so the last step puts the 32 bytes back in order.
+    const __m256 zv = _mm256_set1_ps(zero), iv = _mm256_set1_ps(inv_scale);
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    auto code = [&](const float *p) {
+        return _mm256_cvtps_epi32(
+            _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(p), zv), iv));
+    };
+    size_t e = 0;
+    for (; e + 32 <= n; e += 32) {
+        const __m256i ab = _mm256_packs_epi32(code(x + e), code(x + e + 8));
+        const __m256i cd =
+            _mm256_packs_epi32(code(x + e + 16), code(x + e + 24));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(q + e),
+            _mm256_permutevar8x32_epi32(_mm256_packs_epi16(ab, cd), order));
+    }
+    for (; e < n; ++e) {
+        const int r = _mm_cvtss_si32(_mm_set_ss((x[e] - zero) * inv_scale));
+        q[e] = static_cast<int8_t>(r < -128 ? -128 : r > 127 ? 127 : r);
+    }
+}
+
 constexpr KernelTable kAvx2Table = fusedTable<Ymm>(
     {
         "avx2",         dotAvx2,          axpyAvx2,
@@ -423,6 +454,7 @@ constexpr KernelTable kAvx2Table = fusedTable<Ymm>(
         nullptr,        nullptr,          nullptr,
         chunkBoundBatchAvx2,
         gemmAvx2,       expInplaceAvx2,   expShiftInplaceAvx2,
+        quantizeI8Avx2,
     },
     "avx2");
 

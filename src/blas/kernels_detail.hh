@@ -54,6 +54,7 @@ struct KernelTable
                  size_t, bool);
     void (*expInplace)(float *, size_t);
     void (*expShiftInplace)(float *, size_t, float);
+    void (*quantizeI8)(const float *, size_t, float, float, int8_t *);
 };
 
 /**

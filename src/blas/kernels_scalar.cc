@@ -331,6 +331,20 @@ chunkBoundOne(const float *x, const float *lo, const float *hi, size_t n)
 } // namespace
 
 void
+quantizeI8(const float *x, size_t n, float zero, float inv_scale,
+           int8_t *q)
+{
+    for (size_t e = 0; e < n; ++e) {
+        const float v = (x[e] - zero) * inv_scale;
+        // NaN fails both tests.
+        const long r = (v >= -2147483648.f && v < 2147483648.f)
+                           ? std::lrintf(v)
+                           : std::numeric_limits<int32_t>::min();
+        q[e] = static_cast<int8_t>(std::clamp<long>(r, -128, 127));
+    }
+}
+
+void
 chunkBoundBatch(const float *x, size_t nx, size_t xstride,
                 const float *lo, const float *hi, size_t count, size_t n,
                 size_t stride, float *out, size_t ostride)

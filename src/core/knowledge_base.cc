@@ -1,7 +1,6 @@
 #include "core/knowledge_base.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <type_traits>
 #include <utility>
@@ -13,25 +12,70 @@ namespace mnnfast::core {
 namespace {
 
 /**
- * Quantize n floats under the affine code x_hat = scale*q + zero.
- * Deterministic (round-to-nearest via lrintf under the default FP
- * environment, then clamped to the int8 range), and used for both the
- * single-row and the requantize-the-tail-chunk paths so their results
- * agree by construction.
+ * Quantize n floats under the affine code x_hat = scale*q + zero
+ * (blas::quantizeI8: round to nearest even, clamped to the int8
+ * range), for both the single-row and the requantize-the-tail-chunk
+ * paths so their results agree by construction. Elementwise, so the
+ * staged rows of a tail chunk, contiguous like their stored codes,
+ * take one call.
  */
 void
-quantizeRow(const float *src, int8_t *dst, size_t n, float scale,
+quantizeRows(const float *src, int8_t *dst, size_t n, float scale,
             float zero)
 {
     if (scale == 0.f) { // constant chunk: every element equals zero
         std::memset(dst, 0, n);
         return;
     }
-    const float inv = 1.f / scale;
-    for (size_t e = 0; e < n; ++e) {
-        const long q = std::lrintf((src[e] - zero) * inv);
-        dst[e] = static_cast<int8_t>(std::clamp<long>(q, -128, 127));
+    blas::quantizeI8(src, n, zero, 1.f / scale, dst);
+}
+
+/** Element range of one row, and whether every element is finite. */
+struct RowRange
+{
+    float lo, hi;
+    bool finite;
+};
+
+/**
+ * The range of n > 0 floats in eight independent chains of the
+ * compare-selects minps/maxps implement, which the compiler
+ * vectorizes (std::minmax_element's branchy scan cost more than the
+ * whole int8 encode). v * 0 is NaN exactly when v is NaN or infinite,
+ * so `finite` covers every element, not only the extremes. Which of
+ * two equal zeros is the extreme cannot change a stored bit: the code
+ * depends on hi - lo and lo + 128 * scale only.
+ */
+RowRange
+rowRange(const float *x, size_t n)
+{
+    constexpr size_t kChains = 8;
+    float lo[kChains], hi[kChains], probe[kChains] = {};
+    for (size_t j = 0; j < kChains; ++j)
+        lo[j] = hi[j] = x[0];
+    size_t e = 0;
+    for (; e + kChains <= n; e += kChains)
+        for (size_t j = 0; j < kChains; ++j) {
+            const float v = x[e + j];
+            lo[j] = v < lo[j] ? v : lo[j];
+            hi[j] = hi[j] < v ? v : hi[j];
+            probe[j] += v * 0.f;
+        }
+    for (; e < n; ++e) {
+        const float v = x[e];
+        lo[0] = v < lo[0] ? v : lo[0];
+        hi[0] = hi[0] < v ? v : hi[0];
+        probe[0] += v * 0.f;
     }
+    float p = probe[0];
+    RowRange r{lo[0], hi[0], true};
+    for (size_t j = 1; j < kChains; ++j) {
+        r.lo = lo[j] < r.lo ? lo[j] : r.lo;
+        r.hi = r.hi < hi[j] ? hi[j] : r.hi;
+        p += probe[j];
+    }
+    r.finite = p == 0.f;
+    return r;
 }
 
 /**
@@ -184,24 +228,22 @@ KnowledgeBase::RowStore::appendI8(const float *row, size_t i, size_t ed,
     // chunk's element range — recompute the code and requantize the
     // whole staged tail chunk so the stored bytes match a
     // from-scratch quantization.
+    const RowRange range = rowRange(row, ed);
+    if (!range.finite)
+        fatal("I8 knowledge bases require finite embeddings");
     float *slot = tail.data() + k * ed;
     std::memcpy(slot, row, ed * sizeof(float));
-    const auto [plo, phi] = std::minmax_element(row, row + ed);
-    if (!std::isfinite(*plo) || !std::isfinite(*phi))
-        fatal("I8 knowledge bases require finite embeddings");
     int8_t *base = reinterpret_cast<int8_t *>(store.data()) + (i - k) * ed;
-    if (k == 0 || *plo < lo || *phi > hi) {
-        lo = (k == 0) ? *plo : std::min(lo, *plo);
-        hi = (k == 0) ? *phi : std::max(hi, *phi);
+    if (k == 0 || range.lo < lo || range.hi > hi) {
+        lo = (k == 0) ? range.lo : std::min(lo, range.lo);
+        hi = (k == 0) ? range.hi : std::max(hi, range.hi);
         const float scale = (hi > lo) ? (hi - lo) / 255.f : 0.f;
         const float zero = lo + 128.f * scale;
         scaleV[c] = scale;
         zeroV[c] = zero;
-        for (size_t r = 0; r <= k; ++r)
-            quantizeRow(tail.data() + r * ed, base + r * ed, ed, scale,
-                        zero);
+        quantizeRows(tail.data(), base, (k + 1) * ed, scale, zero);
     } else {
-        quantizeRow(slot, base + k * ed, ed, scaleV[c], zeroV[c]);
+        quantizeRows(slot, base + k * ed, ed, scaleV[c], zeroV[c]);
     }
 }
 

@@ -73,8 +73,9 @@ inline constexpr size_t kI8ChunkRowsDefault = 1000;
  * mode, so a caller can never silently reinterpret one layout as
  * another.
  *
- * Each matrix is one row store: a 64-byte-aligned byte buffer of
- * capacity x ed elements of the storage precision, plus, in I8 mode,
+ * Each matrix is one row store: an AlignedBuffer of capacity x ed
+ * elements of the storage precision (64-byte aligned; from 2 MiB up
+ * on 2 MiB pages where the host grants them), plus, in I8 mode,
  * that matrix's per-chunk codes and tail-chunk staging. Every read
  * goes through one row base (and, in I8 mode, one pair of code
  * arrays), which a view points into its parent's storage, so owners
@@ -272,7 +273,7 @@ class KnowledgeBase
         const float *zeros = nullptr;    ///< I8 per-chunk zeros
 
         // Owner storage: capacity x ed elements of the KB's
-        // precision, 64-byte aligned and zero-filled; in I8 mode one
+        // precision, an AlignedBuffer, zero-filled; in I8 mode one
         // code per started chunk, the fp32 staging copy of the tail
         // chunk (allocated on first append) and its running element
         // range. Empty in a view.

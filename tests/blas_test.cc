@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blas/exact_fma.hh"
@@ -587,6 +589,36 @@ TEST_P(SimdVsScalar, ExpShiftInplace)
     }
 }
 
+TEST_P(SimdVsScalar, QuantizeI8)
+{
+    // Codes spanning the int8 range and past it, exact ties, NaN,
+    // infinities and products beyond the int32 range: the dispatched
+    // encoder writes the reference's bytes and nothing outside the
+    // span.
+    const size_t n = GetParam();
+    const float specials[] = {
+        0.5f, 1.5f, 2.5f, -0.5f, -2.5f, 126.5f, 127.5f, -127.5f,
+        -128.5f, 200.f, -300.f, 3e9f, -3e9f, 1e30f,
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity()};
+    for (size_t off = 0; off < kMaxOffset; ++off) {
+        auto x = nastyVec(n, 109);
+        for (size_t i = 0; i < x.size(); ++i)
+            x[i] = x[i] * 150.f;
+        for (size_t i = 0; i < n; i += 3)
+            x[off + i] = specials[(i / 3) % std::size(specials)] + 0.25f;
+        std::vector<int8_t> got(n + kMaxOffset, 7), ref(n + kMaxOffset, 7);
+        quantizeI8(x.data() + off, n, 0.25f, 1.f, got.data() + off);
+        scalar::quantizeI8(x.data() + off, n, 0.25f, 1.f, ref.data() + off);
+        ASSERT_EQ(got, ref) << "n=" << n << " off=" << off;
+        quantizeI8(x.data() + off, n, -0.3f, 41.7f, got.data() + off);
+        scalar::quantizeI8(x.data() + off, n, -0.3f, 41.7f,
+                           ref.data() + off);
+        ASSERT_EQ(got, ref) << "n=" << n << " off=" << off;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, SimdVsScalar,
                          ::testing::ValuesIn(kSweepSizes));
 
@@ -1017,6 +1049,28 @@ nastyVecI8(size_t n, uint64_t seed)
     for (size_t i = 0; i < n; ++i)
         v[i] = static_cast<int8_t>(static_cast<int>(rng.below(256)) - 128);
     return v;
+}
+
+TEST(QuantizeI8, RoundsToNearestEvenAndSaturates)
+{
+    // Each value sits at a different position of a 40-element call,
+    // so both the vector body and the tail encode it.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::pair<float, int> cases[] = {
+        {0.5f, 0},     {1.5f, 2},      {2.5f, 2},     {-0.5f, 0},
+        {-1.5f, -2},   {127.4f, 127},  {127.5f, 127}, {300.f, 127},
+        {-128.5f, -128}, {-129.f, -128}, {nan, -128},  {inf, -128},
+        {-inf, -128},  {3e9f, -128},   {-3e9f, -128}};
+    for (size_t at = 0; at < 40; ++at) {
+        for (const auto &[v, want] : cases) {
+            std::vector<float> x(40, 1.f);
+            x[at] = v;
+            std::vector<int8_t> q(40);
+            quantizeI8(x.data(), x.size(), 0.f, 1.f, q.data());
+            ASSERT_EQ(q[at], want) << "v=" << v << " at=" << at;
+        }
+    }
 }
 
 TEST(DotBatchMultiI8, BitIdenticalToScalarReference)

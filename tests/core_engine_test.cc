@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -796,53 +797,118 @@ TEST(KnowledgeBase, GrowsAndPreservesRows)
 
     // Every precision: grown one row at a time without reserve, the
     // KB holds the bytes (and, for int8, the codes) of a reserved
-    // twin, and its typed rows are 64-byte aligned after every growth
-    // (capacity 16, 32, 64 and 128 rows).
-    const size_t ns = 100, ed = 12, qchunk = 7;
-    for (Precision prec :
-         {Precision::F32, Precision::BF16, Precision::I8}) {
-        const char *pname = precisionName(prec);
-        const KnowledgeBase twin =
-            randomKb(ns, ed, 97, 0.5f, prec, qchunk);
-        KnowledgeBase grown(ed, prec, qchunk);
-        XorShiftRng rng(97); // randomKb's row sequence
-        std::vector<float> min_row(ed), mout_row(ed);
-        const void *base = nullptr;
-        size_t growths = 0;
-        for (size_t i = 0; i < ns; ++i) {
-            for (size_t e = 0; e < ed; ++e) {
-                min_row[e] = rng.uniformRange(-0.5f, 0.5f);
-                mout_row[e] = rng.uniformRange(-0.5f, 0.5f);
+    // twin, and its typed rows are 64-byte aligned after every growth.
+    // The small KB grows through capacities 16, 32, 64 and 128 rows.
+    // The large one doubles up to 65536 rows of ed 64: each precision's
+    // row store crosses AlignedBuffer's 2 MiB huge-page threshold
+    // (exactly 2 MiB at 8192 f32, 16384 bf16 and 32768 int8 rows).
+    struct Shape
+    {
+        size_t ns, ed, qchunk, growths;
+    };
+    for (const Shape &sh : {Shape{100, 12, 7, 4}, Shape{40000, 64, 1000, 13}})
+        for (Precision prec :
+             {Precision::F32, Precision::BF16, Precision::I8}) {
+            const size_t ns = sh.ns, ed = sh.ed;
+            const char *pname = precisionName(prec);
+            const KnowledgeBase twin =
+                randomKb(ns, ed, 97, 0.5f, prec, sh.qchunk);
+            KnowledgeBase grown(ed, prec, sh.qchunk);
+            XorShiftRng rng(97); // randomKb's row sequence
+            std::vector<float> min_row(ed), mout_row(ed);
+            const void *base = nullptr;
+            size_t growths = 0;
+            for (size_t i = 0; i < ns; ++i) {
+                for (size_t e = 0; e < ed; ++e) {
+                    min_row[e] = rng.uniformRange(-0.5f, 0.5f);
+                    mout_row[e] = rng.uniformRange(-0.5f, 0.5f);
+                }
+                grown.addSentence(min_row.data(), mout_row.data());
+                if (typedRows(grown, true) == base)
+                    continue;
+                base = typedRows(grown, true);
+                ++growths;
+                for (bool in : {true, false})
+                    ASSERT_EQ(reinterpret_cast<uintptr_t>(
+                                  typedRows(grown, in))
+                                  % kCacheLineBytes,
+                              0u)
+                        << pname << " row " << i;
             }
-            grown.addSentence(min_row.data(), mout_row.data());
-            if (typedRows(grown, true) == base)
-                continue;
-            base = typedRows(grown, true);
-            ++growths;
+            EXPECT_EQ(growths, sh.growths) << pname << " ns " << ns;
             for (bool in : {true, false})
-                ASSERT_EQ(reinterpret_cast<uintptr_t>(
-                              typedRows(grown, in))
-                              % kCacheLineBytes,
-                          0u)
-                    << pname << " row " << i;
+                EXPECT_EQ(std::memcmp(typedRows(grown, in),
+                                      typedRows(twin, in),
+                                      ns * ed * grown.elemBytes()),
+                          0)
+                    << pname << " ns " << ns << (in ? " M_IN" : " M_OUT");
+            if (prec != Precision::I8)
+                continue;
+            for (size_t i = 0; i < ns; ++i) {
+                ASSERT_EQ(bitsOf(grown.minScale(i)),
+                          bitsOf(twin.minScale(i)));
+                ASSERT_EQ(bitsOf(grown.minZero(i)), bitsOf(twin.minZero(i)));
+                ASSERT_EQ(bitsOf(grown.moutScale(i)),
+                          bitsOf(twin.moutScale(i)));
+                ASSERT_EQ(bitsOf(grown.moutZero(i)),
+                          bitsOf(twin.moutZero(i)));
+            }
         }
-        EXPECT_EQ(growths, 4u) << pname;
-        for (bool in : {true, false})
-            EXPECT_EQ(std::memcmp(typedRows(grown, in),
-                                  typedRows(twin, in),
-                                  ns * ed * grown.elemBytes()),
-                      0)
-                << pname << (in ? " M_IN" : " M_OUT");
-        if (prec != Precision::I8)
-            continue;
-        for (size_t i = 0; i < ns; ++i) {
-            ASSERT_EQ(bitsOf(grown.minScale(i)), bitsOf(twin.minScale(i)));
-            ASSERT_EQ(bitsOf(grown.minZero(i)), bitsOf(twin.minZero(i)));
-            ASSERT_EQ(bitsOf(grown.moutScale(i)),
-                      bitsOf(twin.moutScale(i)));
-            ASSERT_EQ(bitsOf(grown.moutZero(i)), bitsOf(twin.moutZero(i)));
+}
+
+/** FNV-1a 64 over the bytes of n objects at p, folded into h. */
+uint64_t
+fnv1a(uint64_t h, const void *p, size_t n)
+{
+    const auto *b = static_cast<const unsigned char *>(p);
+    for (size_t i = 0; i < n; ++i)
+        h = (h ^ b[i]) * 1099511628211ull;
+    return h;
+}
+
+/**
+ * Digest of an int8 KB built row by row without reserve: both
+ * matrices' codes, then every quantization chunk's M_IN and M_OUT
+ * scale and zero.
+ */
+uint64_t
+i8IngestDigest()
+{
+    const size_t ns = 5000, ed = 100, qchunk = 1000;
+    KnowledgeBase kb(ed, Precision::I8, qchunk);
+    XorShiftRng rng(2029);
+    std::vector<float> min_row(ed), mout_row(ed);
+    for (size_t i = 0; i < ns; ++i) {
+        // A range that widens along each chunk forces requantizations;
+        // every 7th row is constant, a constant chunk starts at 3000.
+        const float amp = 0.25f + 1e-4f * float(i % qchunk);
+        for (size_t e = 0; e < ed; ++e) {
+            min_row[e] = rng.uniformRange(-amp, amp);
+            mout_row[e] = i % 7 == 0 ? 0.125f : rng.uniformRange(-amp, 2 * amp);
+            if (i >= 3000 && i < 4000)
+                min_row[e] = -1.5f;
         }
+        kb.addSentence(min_row.data(), mout_row.data());
     }
+    uint64_t h = 14695981039346656037ull;
+    h = fnv1a(h, kb.minData8(), ns * ed);
+    h = fnv1a(h, kb.moutData8(), ns * ed);
+    for (size_t i = 0; i < ns; i += qchunk) {
+        const float codes[] = {kb.minScale(i), kb.minZero(i),
+                               kb.moutScale(i), kb.moutZero(i)};
+        h = fnv1a(h, codes, sizeof codes);
+    }
+    return h;
+}
+
+TEST(KnowledgeBase, I8IngestBytesAreUnchanged)
+{
+    // The stored codes, scales and zeros of a row-by-row int8 ingest
+    // (single-row quantization, tail-chunk requantization, a constant
+    // chunk, ed 100 so the vector kernels run a tail) equal those the
+    // scalar lrintf encoder wrote before ingest went through
+    // blas::quantizeI8, under every kernel tier.
+    EXPECT_EQ(i8IngestDigest(), 0xa6db5d69159bb605ull);
 }
 
 TEST(KnowledgeBase, ViewOfViewResolvesToParentRows)
@@ -1146,6 +1212,28 @@ TEST(KnowledgeBaseI8, WrongPrecisionAccessorPanics)
     EXPECT_DEATH(b16.minData8(), "non-I8");
     EXPECT_DEATH(b16.moutZero(0), "non-I8");
     EXPECT_DEATH(b16.i8GroupEnd(0), "non-I8");
+}
+
+TEST(KnowledgeBaseI8, NonFiniteElementIsFatal)
+{
+    // Anywhere in either row, not only as the row's extreme: a NaN
+    // between finite elements is neither its minimum nor its maximum.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (float bad : {nan, inf, -inf}) {
+        for (size_t at : {size_t(0), size_t(5), size_t(10)}) {
+            std::vector<float> good(11, 0.25f), row(11, 0.25f);
+            row[at] = bad;
+            KnowledgeBase kb(11, Precision::I8);
+            kb.addSentence(good.data(), good.data());
+            EXPECT_DEATH(kb.addSentence(row.data(), good.data()),
+                         "finite embeddings")
+                << bad << " at " << at;
+            EXPECT_DEATH(kb.addSentence(good.data(), row.data()),
+                         "finite embeddings")
+                << bad << " at " << at;
+        }
+    }
 }
 
 TEST(KnowledgeBaseI8, ViewsResolveParentScalesAndGroups)

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <iterator>
 #include <mutex>
@@ -278,35 +279,48 @@ TEST(ParallelForDynamic, RangesRespectGrainAndOrder)
     EXPECT_EQ(total, 100u);
 }
 
-TEST(ParallelForDynamic, BalancesSleepBoundWork)
+TEST(ParallelForDynamic, BlockedWorkerLeavesItsShareToOthers)
 {
-    // Load-balance property: with blocking (sleeping) bodies even a
-    // single-core host rotates workers, so every worker should claim
-    // a comparable share off the cursor. Compute-bound bodies would
-    // make this test meaningless on one core (the first running
-    // worker can drain the cursor within its scheduling quantum).
+    // Load balance without wall-clock shares: the body of the first
+    // claimed item blocks until every other item has finished. Only a
+    // loop whose other workers claim what the blocked one would have
+    // taken can get there; a static partition leaves the blocked
+    // worker's items undone and runs into the timeout. The blocked
+    // worker then finds the cursor exhausted, so it ran that one item.
     constexpr size_t kWorkers = 4;
     constexpr size_t kItems = 200;
-    for (int attempt = 0; attempt < 4; ++attempt) {
-        ThreadPool pool(kWorkers);
-        std::vector<std::atomic<size_t>> per_worker(kWorkers);
-        for (auto &c : per_worker)
-            c.store(0);
-        parallelForDynamic(pool, kItems, 1, [&](size_t w, Range r) {
-            per_worker[w].fetch_add(r.size());
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        });
-        size_t min_c = kItems, max_c = 0, total = 0;
-        for (const auto &c : per_worker) {
-            min_c = std::min(min_c, c.load());
-            max_c = std::max(max_c, c.load());
-            total += c.load();
+    ThreadPool pool(kWorkers);
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0; // items finished, the blocking one excluded
+    bool timed_out = false;
+    size_t blocked = kWorkers; // the worker that ran item 0
+    std::vector<std::atomic<size_t>> per_worker(kWorkers);
+    std::vector<std::atomic<int>> runs(kItems);
+    parallelForDynamic(pool, kItems, 1, [&](size_t w, Range r) {
+        per_worker[w].fetch_add(r.size());
+        runs[r.begin].fetch_add(1);
+        std::unique_lock<std::mutex> lock(mu);
+        if (r.begin == 0) {
+            blocked = w;
+            timed_out = !cv.wait_for(lock, std::chrono::seconds(60), [&] {
+                return done == kItems - 1;
+            });
+            return;
         }
-        ASSERT_EQ(total, kItems);
-        if (min_c > 0 && max_c <= min_c + (min_c + 3) / 4)
-            return; // within 25%: balanced
-    }
-    FAIL() << "dynamic scheduling never balanced sleep-bound work";
+        if (++done == kItems - 1)
+            cv.notify_all();
+    });
+    ASSERT_FALSE(timed_out)
+        << "the other workers never finished the blocked worker's items";
+    for (size_t i = 0; i < kItems; ++i)
+        ASSERT_EQ(runs[i].load(), 1) << i;
+    size_t total = 0;
+    for (const auto &c : per_worker)
+        total += c.load();
+    EXPECT_EQ(total, kItems);
+    ASSERT_LT(blocked, kWorkers);
+    EXPECT_EQ(per_worker[blocked].load(), 1u);
 }
 
 TEST(ThreadPool, SubmitFromWorkerDoesNotDeadlock)

@@ -205,6 +205,51 @@ TEST(AlignedBuffer, ReallocateDiscardsAndZeroes)
         ASSERT_EQ(v, 0.0f);
 }
 
+TEST(AlignedBuffer, HugePageThresholdAlignsAndZeroes)
+{
+    // 2 MiB - 1 element, exactly 2 MiB and 2 MiB + 1 element: from the
+    // threshold up the buffer is 2 MiB-aligned, below it 64-byte
+    // aligned, and every element is zero either way. Whether the host
+    // backs it with huge pages is the host's business, not asserted.
+    constexpr size_t kAt = kHugePageBytes / sizeof(float);
+    for (size_t n : {kAt - 1, kAt, kAt + 1}) {
+        AlignedBuffer<float> buf(n);
+        ASSERT_EQ(buf.size(), n);
+        const size_t align = n >= kAt ? kHugePageBytes : kCacheLineBytes;
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) % align, 0u)
+            << n;
+        for (float v : buf)
+            ASSERT_EQ(v, 0.0f) << n;
+    }
+}
+
+TEST(AlignedBuffer, ReallocateAndMoveAcrossHugePageThreshold)
+{
+    // allocate() into and out of the 2 MiB class, twice each way, and
+    // a move construction and assignment at every size: size() and the
+    // contents follow the buffer.
+    constexpr size_t kAt = kHugePageBytes / sizeof(float);
+    AlignedBuffer<float> buf;
+    for (size_t n : {kAt - 1, kAt + 1, kAt, kAt - 1, kAt + 1}) {
+        buf.allocate(n);
+        ASSERT_EQ(buf.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(buf[i], 0.0f) << n;
+            buf[i] = float(i % 1021);
+        }
+        AlignedBuffer<float> moved(std::move(buf));
+        EXPECT_EQ(buf.size(), 0u);
+        AlignedBuffer<float> small(16);
+        small = std::move(moved);
+        ASSERT_EQ(small.size(), n);
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(small[i], float(i % 1021)) << n;
+        buf = std::move(small);
+        ASSERT_EQ(buf.size(), n);
+        EXPECT_EQ(buf[n - 1], float((n - 1) % 1021));
+    }
+}
+
 TEST(Logging, LevelRoundTrips)
 {
     const LogLevel old = logLevel();
