@@ -131,10 +131,11 @@ ColumnEngine::recordRunStats(const ScanTotals &totals, size_t nq,
                                  - (t.inner + t.softmax + t.wsum) / denom);
 
     // The honest scratch footprint: every ring's retained step scratch
-    // plus every group's partial.
+    // and kept-logit pool plus every group's partial.
     size_t scratch_bytes = 0;
     for (const Group &g : groups)
-        scratch_bytes += g.ring.scratchBytes() + g.rider.retainedBytes();
+        scratch_bytes += g.ring.scratchBytes() + g.ring.keptBytes()
+                         + g.rider.retainedBytes();
     counterGroup["intermediate_bytes"].reset();
     counterGroup["intermediate_bytes"].add(scratch_bytes);
 

@@ -350,8 +350,7 @@ foldStreamPartials(const PartialView *parts, size_t nParts, size_t nq,
 size_t
 ScanRider::retainedBytes() const
 {
-    return partialBytes(partial) + capacityBytes(sel)
-           + logitCap * sizeof(float);
+    return partialBytes(partial) + capacityBytes(sel);
 }
 
 ScanRing::ScanRing(const KnowledgeBase &kb, const EngineConfig &cfg,
@@ -376,18 +375,7 @@ ScanRing::attach(ScanRider &r)
     r.joinedAt = cursor;
     r.left = nChunks;
     r.keptFloats = 0;
-    r.keptAt.clear();
-    // Only the logits actually kept are written: the buffer is left
-    // uninitialised, so untouched pages cost no memory. It only grows,
-    // so a rider that rides again allocates nothing; handing its pages
-    // back after each ride (madvise) cost a compute-bound shard node
-    // ~13 % of its throughput in page faults.
-    const size_t keep =
-        cursor > 0 ? r.nq * (kb.size() - cursor * cfg.chunkSize) : 0;
-    if (keep > r.logitCap) {
-        r.logits.reset(new float[keep]);
-        r.logitCap = keep;
-    }
+    r.kept.clear();
 
     StreamPartial &p = r.partial;
     p.nq = r.nq;
@@ -473,6 +461,8 @@ ScanRing::step(size_t worker, std::vector<ScanRider *> &done)
 
     // A chunk no rider selected is bypassed: never streamed.
     const ChunkSweep sweep(kb, cfg, std::max<size_t>(nb, 1));
+    ++totals.steps;
+    totals.questionsStreamed += nb;
     if (nb > 0) {
         tile.resize(nb * chunk);
         sweep.logits(u, nb, rows, tile.data(), chunk, totals.times);
@@ -494,11 +484,16 @@ ScanRing::step(size_t worker, std::vector<ScanRider *> &done)
                 sweep.accumulate(rows, t, chunk, n, qsel.data() + off,
                                  r.partial, sub, totals);
         } else {
-            r.keptAt.push_back(r.keptFloats);
-            for (size_t j = 0; j < n; ++j)
-                std::memcpy(r.logits.get() + r.keptFloats + j * len,
-                            t + j * chunk, len * sizeof(float));
+            ScanRider::KeptTile k{nullptr, 0};
+            if (n > 0) {
+                k = keep(n * len);
+                for (size_t j = 0; j < n; ++j)
+                    std::memcpy(k.logits + j * len, t + j * chunk,
+                                len * sizeof(float));
+            }
+            r.kept.push_back(k);
             r.keptFloats += n * len;
+            totals.keptChunks += n;
         }
         off += n;
     }
@@ -532,11 +527,62 @@ ScanRing::replay(ScanRider &r)
                                          reachesNext(c, &self, 1));
         const size_t n = select(r, c, qsel.data());
         if (n > 0)
-            sweep.accumulate(rows,
-                             r.logits.get() + r.keptAt[c - r.joinedAt],
+            sweep.accumulate(rows, r.kept[c - r.joinedAt].logits,
                              rows.end - rows.begin, n, qsel.data(),
                              r.partial, sub, totals);
     }
+    // The tiles go back to their pages; a page with no live tile left
+    // is free (the current one is bumped from its start again).
+    for (const ScanRider::KeptTile &k : r.kept) {
+        if (!k.logits)
+            continue;
+        KeptPage &p = pages[k.page];
+        if (--p.live > 0)
+            continue;
+        p.used = 0;
+        if (k.page != current)
+            freePages.push_back(k.page);
+    }
+    r.kept.clear();
+}
+
+ScanRider::KeptTile
+ScanRing::keep(size_t n)
+{
+    // Tiles start on cache lines.
+    constexpr size_t kLineFloats = kCacheLineBytes / sizeof(float);
+    n = (n + kLineFloats - 1) / kLineFloats * kLineFloats;
+    if (pages.empty()
+        || pages[current].floats.size() - pages[current].used < n) {
+        // The current page is full for this tile: it stays in use
+        // until its tiles are replayed, or is free if it has none.
+        if (!pages.empty() && pages[current].live == 0)
+            freePages.push_back(current);
+        size_t best = freePages.size();
+        for (size_t i = 0; i < freePages.size(); ++i) {
+            const size_t cap = pages[freePages[i]].floats.size();
+            if (cap >= n
+                && (best == freePages.size()
+                    || cap < pages[freePages[best]].floats.size()))
+                best = i;
+        }
+        if (best < freePages.size()) {
+            current = freePages[best];
+            freePages[best] = freePages.back();
+            freePages.pop_back();
+        } else {
+            constexpr size_t kPageFloats = kHugePageBytes / sizeof(float);
+            current = pages.size();
+            pages.emplace_back();
+            pages.back().floats.allocate(
+                (n + kPageFloats - 1) / kPageFloats * kPageFloats);
+        }
+    }
+    KeptPage &p = pages[current];
+    float *t = p.floats.data() + p.used;
+    p.used += n;
+    ++p.live;
+    return {t, current};
 }
 
 ScanTotals
@@ -553,6 +599,15 @@ ScanRing::scratchBytes() const
     return capacityBytes(uTile) + capacityBytes(tile) + capacityBytes(qsel)
            + capacityBytes(nbOf) + partialBytes(sub)
            + scratch.capacityBytes();
+}
+
+size_t
+ScanRing::keptBytes() const
+{
+    size_t bytes = 0;
+    for (const KeptPage &p : pages)
+        bytes += p.floats.size() * sizeof(float);
+    return bytes;
 }
 
 } // namespace mnnfast::core

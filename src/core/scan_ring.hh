@@ -32,8 +32,23 @@
  *    the engine's single group.
  *
  * An idle ring restarts at chunk 0, so a batch that finds it idle
- * keeps no logits and does exactly the engine's work. Kept logits take
- * at most kb.size() floats per question.
+ * keeps no logits and does exactly the engine's work.
+ *
+ * Kept logits live in one pool per ring, not in the riders: a list of
+ * 2 MiB pages (AlignedBuffer, kHugePageBytes; a page is larger only
+ * when one (rider, chunk) tile of nq x chunk floats needs it). Each
+ * step bump-allocates a keeping rider's tile in the current page, the
+ * rider records one tile per kept chunk, and each page counts its
+ * live tiles. A page goes back to the ring's free list when the last
+ * rider holding a tile in it finishes its replay; free pages are
+ * reused and never handed back to the OS, so a ring that serves the
+ * same load again takes no page faults. Rides end in attach order, so
+ * every tile handed out after the oldest keeping rider's first one is
+ * live: the pages in use hold the live tiles (and at most a tile's
+ * worth of unused tail each), plus the page that first tile began in.
+ * The pool's footprint (keptBytes) is the most pages that were ever
+ * in use at once: at worst about (riders at once) x (their questions)
+ * x kb.size() x 4 B, plus a page.
  *
  * Threading: none inside. One thread at a time may attach and step
  * (ColumnEngine hands each group's ring to one worker per pass,
@@ -52,6 +67,7 @@
 #include "core/config.hh"
 #include "core/knowledge_base.hh"
 #include "runtime/scratch_arena.hh"
+#include "util/aligned_buffer.hh"
 
 namespace mnnfast::core {
 
@@ -146,6 +162,11 @@ struct ScanTotals
     uint64_t routedRows = 0;
     /** Chunks bypassed because no question selected them. */
     uint64_t bypassed = 0;
+    uint64_t steps = 0; ///< chunks stepped, bypassed ones included
+    /** Questions in each step's phase-1 (dotMin) call, summed. */
+    uint64_t questionsStreamed = 0;
+    /** (question, chunk) logit tiles kept for a replay. */
+    uint64_t keptChunks = 0;
     PhaseSeconds times;
 
     ScanTotals &operator+=(const ScanTotals &t)
@@ -154,6 +175,9 @@ struct ScanTotals
         skipped += t.skipped;
         routedRows += t.routedRows;
         bypassed += t.bypassed;
+        steps += t.steps;
+        questionsStreamed += t.questionsStreamed;
+        keptChunks += t.keptChunks;
         times.inner += t.times.inner;
         times.softmax += t.times.softmax;
         times.wsum += t.times.wsum;
@@ -165,10 +189,9 @@ struct ScanTotals
  * One batch's ride on a ScanRing. The caller sets `u` and `nq` before
  * attach() and reads `partial` once step() reports the ride done; the
  * other fields are the ring's. A rider may ride again once done; its
- * buffers keep their capacity, the kept-logit buffer included, so a
- * rider that rides again with no more questions and joins no earlier
- * than before allocates nothing. That buffer keeps the pages its
- * largest ride touched (at most kb.size() floats per question).
+ * partial and mask keep their capacity, so a rider that rides again
+ * with no more questions allocates nothing. Its kept logits are tiles
+ * of the ring's pool (see the file header), returned when it replays.
  */
 struct ScanRider
 {
@@ -186,20 +209,23 @@ struct ScanRider
     /** Logit floats kept for the replay (0 iff joinedAt is 0). */
     size_t keptFloats = 0;
 
-    /** Bytes the rider retains between rides: partial, mask and the
-     *  kept-logit buffer. */
+    /** Bytes the rider retains between rides: partial and mask. */
     size_t retainedBytes() const;
-
-    /** The kept-logit buffer (null until a ride joins past chunk 0). */
-    const float *keptLogits() const { return logits.get(); }
 
   private:
     friend class ScanRing;
-    size_t left = 0;                 ///< steps left in the revolution
-    std::vector<uint8_t> sel;        ///< routing mask, nq x chunks
-    std::unique_ptr<float[]> logits; ///< kept logits of chunks >= joinedAt
-    size_t logitCap = 0;             ///< floats `logits` holds (grow-only)
-    std::vector<size_t> keptAt;      ///< their offsets, per chunk
+
+    /** One kept chunk's logits, a tile of page `page` of the ring's
+     *  pool (null when none of the rider's questions streamed it). */
+    struct KeptTile
+    {
+        float *logits;
+        size_t page;
+    };
+
+    size_t left = 0;            ///< steps left in the revolution
+    std::vector<uint8_t> sel;   ///< routing mask, nq x chunks
+    std::vector<KeptTile> kept; ///< per chunk from joinedAt
 };
 
 /** A cooperative circular scan over one knowledge base. See header. */
@@ -249,6 +275,9 @@ class ScanRing
     /** Bytes of step scratch the ring retains between steps. */
     size_t scratchBytes() const;
 
+    /** Bytes of the kept-logit pool: every page, in use or free. */
+    size_t keptBytes() const;
+
   private:
     /** True when the look-ahead of chunk c may reach into chunk c + 1:
      *  streaming, c + 1 in this revolution, and one of the n riders
@@ -258,8 +287,21 @@ class ScanRing
     /** r's questions that stream chunk c, into q; returns the count. */
     size_t select(const ScanRider &r, size_t c, uint32_t *q) const;
 
-    /** Phases 2-3 of r's kept chunks, in order, after the wrap. */
+    /** Phases 2-3 of r's kept chunks, in order, after the wrap; then
+     *  its tiles go back to their pages. */
     void replay(ScanRider &r);
+
+    /** A pool tile of n floats: in the current page, else in the
+     *  smallest free page that holds it, else in a new page. */
+    ScanRider::KeptTile keep(size_t n);
+
+    /** One page of the kept-logit pool. */
+    struct KeptPage
+    {
+        AlignedBuffer<float> floats;
+        size_t used = 0; ///< floats handed out since it was last empty
+        size_t live = 0; ///< tiles handed out and not yet replayed
+    };
 
     const KnowledgeBase &kb;
     EngineConfig cfg;
@@ -277,6 +319,11 @@ class ScanRing
     std::vector<size_t> nbOf;   ///< how many per rider
     StreamPartial sub;          ///< compacted sub-batch state
     runtime::ScratchArena scratch; ///< selection temporaries
+
+    // The kept-logit pool (see header).
+    std::vector<KeptPage> pages;
+    std::vector<size_t> freePages; ///< pages with no live tile
+    size_t current = 0;            ///< the page keep() bumps in
 };
 
 } // namespace mnnfast::core

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <thread>
 #include <utility>
 
@@ -19,28 +20,62 @@ constexpr size_t kScanWorkers = 1;
 
 } // namespace
 
-/** One accepted connection, shared by its handler and its rides. */
+/** One accepted connection, shared by its handler, its sender and its
+ *  rides. */
 struct ShardNode::Connection
 {
     explicit Connection(std::unique_ptr<Channel> ch) : channel(std::move(ch))
     {}
 
     std::unique_ptr<Channel> channel;
-    /** Guards closed, and orders the worker's sends with the handler's
-     *  close: a send never overlaps a close. */
+    /** Orders the sender's sends with close: a send never overlaps a
+     *  close. Taken before `mutex` when both are held. */
     std::mutex sendMutex;
-    bool closed = false;
 
-    /** Guards rides; rideCv wakes the handler when one ends. */
-    std::mutex rideMutex;
+    /** Guards the fields below; sendCv wakes the sender when a
+     *  response is queued or the connection closes, rideCv the
+     *  handler when a response left. */
+    std::mutex mutex;
+    std::condition_variable sendCv;
     std::condition_variable rideCv;
-    size_t rides = 0; ///< this connection's requests on the ring
+    std::deque<Frame> outbox; ///< encoded responses, in ride-end order
+    /** This connection's requests not yet answered while it is open:
+     *  riding the ring or queued in the outbox. */
+    size_t rides = 0;
+    bool closed = false; ///< responses are dropped from here on
+
+    /** Queue an encoded response for the sender, or drop it when the
+     *  connection closed. Never blocks on the channel. */
+    void
+    post(Frame frame)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (closed)
+            return;
+        outbox.push_back(std::move(frame));
+        sendCv.notify_one();
+    }
+
+    /** Mark the connection closed and drop its queued responses;
+     *  rides that end later drop theirs in post(). Call with `mutex`
+     *  held. */
+    void
+    closeLocked()
+    {
+        closed = true;
+        outbox.clear();
+        sendCv.notify_one();
+        rideCv.notify_one();
+    }
 
     void
     close()
     {
-        std::lock_guard<std::mutex> lock(sendMutex);
-        closed = true;
+        std::lock_guard<std::mutex> send(sendMutex);
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            closeLocked();
+        }
         channel->close();
     }
 };
@@ -112,14 +147,17 @@ ShardNode::serve(Listener &listener)
 void
 ShardNode::serveChannel(const std::shared_ptr<Connection> &conn)
 {
+    std::thread sender([this, &conn] { sendResponses(*conn); });
     const auto slice = std::chrono::duration<double>(kPollSliceSeconds);
     Frame frame;
     while (!stopFlag.load()) {
         {
-            // At the cap, read nothing until a ride ends (see header).
-            std::unique_lock<std::mutex> lock(conn->rideMutex);
+            // At the cap, read nothing until a response left (see
+            // header); a closed connection's recv below reports it.
+            std::unique_lock<std::mutex> lock(conn->mutex);
             if (!conn->rideCv.wait_for(lock, slice, [&] {
-                    return conn->rides < kMaxRidesPerConnection;
+                    return conn->rides < kMaxRidesPerConnection
+                           || conn->closed;
                 }))
                 continue;
         }
@@ -146,14 +184,55 @@ ShardNode::serveChannel(const std::shared_ptr<Connection> &conn)
         r->ride(0).u = r->req.u.data();
         r->ride(0).nq = r->req.nq;
         {
-            std::lock_guard<std::mutex> lock(conn->rideMutex);
+            std::lock_guard<std::mutex> lock(conn->mutex);
             ++conn->rides;
         }
         scan.submit(*r);
     }
     // Rides still on the ring find the connection closed and drop
-    // their responses.
+    // their responses; so does the sender with the queued ones.
     conn->close();
+    sender.join();
+}
+
+void
+ShardNode::sendResponses(Connection &conn)
+{
+    Frame frame;
+    for (;;) {
+        {
+            std::unique_lock<std::mutex> lock(conn.mutex);
+            conn.sendCv.wait(lock, [&] {
+                return conn.closed || !conn.outbox.empty();
+            });
+            if (conn.closed)
+                return;
+            frame = std::move(conn.outbox.front());
+            conn.outbox.pop_front();
+        }
+        bool sent = false;
+        {
+            std::lock_guard<std::mutex> send(conn.sendMutex);
+            bool open;
+            {
+                std::lock_guard<std::mutex> lock(conn.mutex);
+                open = !conn.closed;
+            }
+            if (open) {
+                served.fetch_add(1);
+                sent = conn.channel->send(frame);
+            }
+        }
+        std::lock_guard<std::mutex> lock(conn.mutex);
+        --conn.rides;
+        conn.rideCv.notify_one();
+        // A failed send drops the rest and leaves the close to the
+        // handler, whose recv sees the broken connection.
+        if (!sent) {
+            conn.closeLocked();
+            return;
+        }
+    }
 }
 
 ShardNode::Request *
@@ -180,6 +259,7 @@ void
 ShardNode::respond(Request &r)
 {
     const std::shared_ptr<Connection> conn = std::move(r.conn);
+    Frame frame;
     if (conn) {
         const core::ScanRider &ride = r.ride(0);
         PartialResponse &resp = r.resp;
@@ -191,16 +271,7 @@ ShardNode::respond(Request &r)
         // its own (scale 2^0), as ColumnEngine::inferPartial does.
         const core::PartialView view = ride.partial.view();
         core::foldStreamPartials(&view, 1, ride.nq, dim, resp.partial);
-        const Frame frame = encodePartialResponse(resp);
-        {
-            // A failed send leaves the close to the handler, whose
-            // recv sees the broken connection.
-            std::lock_guard<std::mutex> lock(conn->sendMutex);
-            if (!conn->closed) {
-                served.fetch_add(1);
-                conn->closed = !conn->channel->send(frame);
-            }
-        }
+        frame = encodePartialResponse(resp);
     }
     {
         std::lock_guard<std::mutex> lock(slotMutex);
@@ -208,13 +279,8 @@ ShardNode::respond(Request &r)
     }
     // The slot is free before the handler may read again, so a
     // connection never holds more than the cap.
-    if (conn) {
-        {
-            std::lock_guard<std::mutex> lock(conn->rideMutex);
-            --conn->rides;
-        }
-        conn->rideCv.notify_one();
-    }
+    if (conn)
+        conn->post(std::move(frame));
 }
 
 } // namespace mnnfast::net

@@ -23,23 +23,29 @@
  * hedges onto a fresh connection is never blocked behind a stale one;
  * finished handlers are joined as new connections arrive. A handler
  * only receives: it decodes each request, attaches it, and goes back
- * to its channel. The scan's worker sends each response on the
- * request's channel when its ride ends, so one thread may send on a
- * channel while another receives (transport.hh). Rides on the ring
- * end in attach order, so one channel's responses leave in its
+ * to its channel. When a ride ends, the scan's worker folds and
+ * encodes the response and queues it for the connection's sender
+ * thread, which sends while the handler receives (one thread may send
+ * on a channel while another receives, transport.hh). The worker
+ * never touches a socket, so a peer that stops reading blocks only
+ * its own sender, never the ring every connection rides. Rides on the
+ * ring end in attach order, so one channel's responses leave in its
  * request order; the front end matches them by requestId anyway.
  * Requests are idempotent pure compute, so a node re-executes
  * duplicates (hedges, post-failover resends) without coordination —
  * deduplication is the front end's job, keyed on requestId.
  *
- * Memory: each in-flight request holds a slot (its questions, its
- * ride and the ride's kept logits, at most the shard's rows x 4 B per
- * question); slots are reused, their buffers only grow, and there are
- * as many as requests were ever in flight at once. A handler reads no
- * further request while its connection holds kMaxRidesPerConnection
- * rides, so a client that pipelines without reading meets the
- * transport's backpressure (a full TCP socket) instead of growing the
- * node: a node's slots stay within that cap times its connections.
+ * Memory: each riding request holds a slot (its questions, its ride
+ * and its partial); slots are reused, their buffers keep their
+ * capacity, and there are as many as requests were ever riding at
+ * once. Kept logits are not a slot's: they live in the ring's pool
+ * (scan_ring.hh), sized by the live rides. A connection holds a
+ * request until its response left, riding or queued for the sender;
+ * its handler reads no further request while it holds
+ * kMaxRidesPerConnection, so a client that pipelines without reading
+ * meets the transport's backpressure (a full TCP socket) instead of
+ * growing the node: a node's slots and queued responses stay within
+ * that cap times its connections.
  *
  * A request whose shard index or embedding dimension does not match
  * this node closes the connection instead of answering: a miswired
@@ -47,7 +53,10 @@
  * partial. A Shutdown frame stops the whole node (serve() returns and
  * every connection closes, also with rides mid-revolution);
  * requestStop() does the same from another thread. A ride whose
- * connection closed is dropped when it ends.
+ * connection closed is dropped when it ends, and so are the responses
+ * still queued for its sender. A close waits for a send in progress,
+ * so a connection whose peer neither reads nor closes holds up its
+ * own handler's exit (and a stopping node's serve()), not the ring.
  */
 
 #ifndef MNNFAST_NET_SHARD_NODE_HH
@@ -123,8 +132,14 @@ class ShardNode
     /** A free request slot (a new one when none is free). */
     Request *acquire();
 
-    /** Send r's response unless its connection closed; free r. */
+    /** Encode r's response and hand it to its connection's sender
+     *  (dropped if the connection closed); free r. Runs on the scan's
+     *  worker and never blocks on a channel. */
     void respond(Request &r);
+
+    /** A connection's sender: send its queued responses in order
+     *  until it closes. */
+    void sendResponses(Connection &conn);
 
     const uint32_t shard;
     const size_t dim;

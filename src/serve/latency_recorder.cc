@@ -169,14 +169,19 @@ LatencySnapshot::toJson(int indent) const
     out += quantilesJson("queue_wait_seconds", queueWait, in) + ",\n";
     out += quantilesJson("service_seconds", service, in) + ",\n";
     out += quantilesJson("end_to_end_seconds", endToEnd, in) + ",\n";
-    char scanBuf[256];
+    char scanBuf[384];
     std::snprintf(scanBuf, sizeof(scanBuf),
                   "%s\"scan\": {\"rows_kept\": %llu, \"rows_skipped\": %llu, "
-                  "\"rows_routed\": %llu, \"chunks_bypassed\": %llu}",
+                  "\"rows_routed\": %llu, \"chunks_bypassed\": %llu, "
+                  "\"steps\": %llu, \"questions_streamed\": %llu, "
+                  "\"kept_chunks\": %llu}",
                   in.c_str(), static_cast<unsigned long long>(scan.rowsKept),
                   static_cast<unsigned long long>(scan.rowsSkipped),
                   static_cast<unsigned long long>(scan.rowsRouted),
-                  static_cast<unsigned long long>(scan.chunksBypassed));
+                  static_cast<unsigned long long>(scan.chunksBypassed),
+                  static_cast<unsigned long long>(scan.steps),
+                  static_cast<unsigned long long>(scan.questionsStreamed),
+                  static_cast<unsigned long long>(scan.keptChunks));
     out += scanBuf;
     // The rpc block only exists for cluster serving; in-process
     // snapshots keep their exact pre-cluster shape.

@@ -55,9 +55,11 @@ struct RpcShardCounters
 
 /**
  * What a cooperative scan's rings did (core::ScanTotals; LiveServer's
- * sharded mode writes these; zero for the other backends). Monotone,
- * merged by addition. Under zero-skip rowsKept + rowsSkipped is the
- * (question, row) pairs the weighted sum tested.
+ * sharded mode writes these; the replicated mode writes the four row
+ * and chunk counts of its engines, which step no shared ring; zero for
+ * the other backends). Monotone, merged by addition. Under zero-skip
+ * rowsKept + rowsSkipped is the (question, row) pairs the weighted sum
+ * tested; questionsStreamed / steps is the questions per ring step.
  */
 struct ScanCounters
 {
@@ -65,6 +67,9 @@ struct ScanCounters
     uint64_t rowsSkipped = 0;    ///< ... and zero-skipped
     uint64_t rowsRouted = 0;     ///< pairs streamed in phase 1 (routing)
     uint64_t chunksBypassed = 0; ///< chunks no question selected
+    uint64_t steps = 0;          ///< ring steps (chunks stepped)
+    uint64_t questionsStreamed = 0; ///< questions per step's dotMin, summed
+    uint64_t keptChunks = 0; ///< (question, chunk) tiles kept for replay
 
     void
     addFrom(const ScanCounters &o)
@@ -73,6 +78,9 @@ struct ScanCounters
         rowsSkipped += o.rowsSkipped;
         rowsRouted += o.rowsRouted;
         chunksBypassed += o.chunksBypassed;
+        steps += o.steps;
+        questionsStreamed += o.questionsStreamed;
+        keptChunks += o.keptChunks;
     }
 };
 

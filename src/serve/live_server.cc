@@ -192,7 +192,8 @@ class ShardedScan final : public BatchBackend
     countersInto(LatencyRecorder &acc) const override
     {
         const core::ScanTotals t = scan.totals();
-        acc.recordScan({t.kept, t.skipped, t.routedRows, t.bypassed});
+        acc.recordScan({t.kept, t.skipped, t.routedRows, t.bypassed,
+                        t.steps, t.questionsStreamed, t.keptChunks});
     }
 
   private:

@@ -22,13 +22,13 @@
  *
  * Completion: rides on one ring finish in attach order, since each
  * rides exactly one revolution, so single-ring jobs settle in submit
- * order. settled() runs on the worker, outside the backend's lock, and
- * may block (a node sends its response from there), but the ring it
- * came from waits meanwhile.
+ * order. settled() runs on the worker, outside the backend's lock; the
+ * ring it came from waits meanwhile, so it should not block (a node
+ * hands its response to a per-connection sender).
  *
  * Counters: every step's core::ScanTotals (rows kept, skipped and
- * routed, chunks bypassed) add into totals(), which a serving layer
- * reads for its snapshot.
+ * routed, chunks bypassed, steps, questions streamed, chunks kept)
+ * add into totals(), which a serving layer reads for its snapshot.
  *
  * Teardown: the destructor stops the workers after their current
  * step; jobs still riding then never settle, so an owner that needs

@@ -936,6 +936,84 @@ TEST(ShardNode, PipeliningWithoutReadingHoldsAtTheRideCap)
 }
 
 /**
+ * A client that keeps sending and never reads stalls only its own
+ * connection. Over TCP its responses fill the socket buffers until the
+ * connection's sender blocks, the connection holds the ride cap and
+ * the node stops reading it, so the flood's sends stall too; the
+ * node's ring keeps stepping, so a second connection's requests still
+ * complete within the deadline, with the single-group engine's bits.
+ */
+TEST(ShardNode, AReaderThatStopsStallsOnlyItsOwnConnection)
+{
+    const size_t ns = 64, ed = 512, nq = 32; // 2 chunks, 64 KiB frames
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    core::EngineConfig cfg;
+    cfg.chunkSize = 32;
+    const std::vector<float> u = makeQuestions(nq, ed);
+    core::StreamPartial ref;
+    {
+        core::EngineConfig single = cfg;
+        single.scheduleGroups = 1;
+        core::ColumnEngine(kb, single).inferPartial(u.data(), nq, ref);
+    }
+
+    net::TcpTransport t;
+    auto listener = t.listen("127.0.0.1:0");
+    ASSERT_TRUE(listener);
+    const std::string ep =
+        "127.0.0.1:"
+        + std::to_string(
+            static_cast<net::TcpListener *>(listener.get())->boundPort());
+    ShardNode node(kb, cfg, /*shard=*/0);
+    std::thread serving([&] { node.serve(*listener); });
+    auto flood = t.connect(ep, net::deadlineIn(2.0));
+    auto other = t.connect(ep, net::deadlineIn(2.0));
+    if (!flood || !other) {
+        ADD_FAILURE() << "connect to " << ep;
+        node.requestStop();
+        serving.join();
+        return;
+    }
+
+    std::atomic<size_t> sent{0};
+    std::atomic<bool> stop{false}, flooding{true};
+    std::thread flooder([&] {
+        const Frame f = requestFrame(0, u, nq, ed);
+        while (!stop.load() && flood->send(f))
+            sent.fetch_add(1);
+        flooding.store(false);
+    });
+    // The flood stalls once the node stops reading it.
+    bool stalled = false;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    for (size_t last = 0;
+         !stalled && std::chrono::steady_clock::now() < until;) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        const size_t now = sent.load();
+        stalled = now > ShardNode::kMaxRidesPerConnection && now == last;
+        last = now;
+    }
+    EXPECT_TRUE(stalled) << sent.load() << " requests sent";
+
+    for (uint64_t id = 1; stalled && id <= 3; ++id) {
+        EXPECT_TRUE(other->send(requestFrame(id, u, nq, ed)));
+        expectResponse(*other, id, ref);
+    }
+
+    // Reading the flood's responses lets its last send finish.
+    stop.store(true);
+    Frame f;
+    while (flooding.load())
+        flood->recv(f, net::deadlineIn(0.05));
+    flooder.join();
+    flood->close();
+    other->close();
+    node.requestStop();
+    serving.join();
+}
+
+/**
  * A Shutdown frame that arrives while the node's ring holds rides of
  * two connections mid-revolution closes every connection at once and
  * stops the node, without waiting for the rides.

@@ -460,7 +460,8 @@ TEST(LatencyRecorder, SnapshotJsonHasEveryField)
           "\"queue_wait_seconds\"", "\"service_seconds\"",
           "\"end_to_end_seconds\"", "\"p50\"", "\"p95\"", "\"p99\"",
           "\"scan\"", "\"rows_kept\"", "\"rows_skipped\"",
-          "\"rows_routed\"", "\"chunks_bypassed\""})
+          "\"rows_routed\"", "\"chunks_bypassed\"", "\"steps\"",
+          "\"questions_streamed\"", "\"kept_chunks\""})
         EXPECT_NE(j.find(key), std::string::npos) << key;
 }
 

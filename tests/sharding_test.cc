@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <condition_variable>
 #include <future>
 #include <mutex>
@@ -711,8 +714,25 @@ TEST(LiveServer, ShardedSnapshotCarriesScanCounters)
     EXPECT_GT(s.scan.rowsSkipped, 0u);
     EXPECT_EQ(s.scan.rowsRouted, 0u); // routing is off
     EXPECT_EQ(s.scan.chunksBypassed, 0u);
+    // Every question streams each of the partition's 8 chunks once,
+    // in some ring step; no step streams more than a window of
+    // batches, and a question keeps at most the chunks it streamed.
+    const size_t chunks = (ns + 63) / 64;
+    EXPECT_EQ(s.scan.questionsStreamed, n * chunks);
+    EXPECT_GE(s.scan.steps * server.engineSlots() * cfg.maxBatch,
+              s.scan.questionsStreamed);
+    EXPECT_LE(s.scan.steps, s.scan.questionsStreamed);
+    EXPECT_LT(s.scan.keptChunks, s.scan.questionsStreamed);
     const std::string j = s.toJson();
     EXPECT_NE(j.find("\"rows_kept\": " + std::to_string(s.scan.rowsKept)),
+              std::string::npos);
+    EXPECT_NE(j.find("\"steps\": " + std::to_string(s.scan.steps)),
+              std::string::npos);
+    EXPECT_NE(j.find("\"questions_streamed\": "
+                     + std::to_string(s.scan.questionsStreamed)),
+              std::string::npos);
+    EXPECT_NE(j.find("\"kept_chunks\": "
+                     + std::to_string(s.scan.keptChunks)),
               std::string::npos);
 }
 
@@ -764,66 +784,6 @@ TEST(LiveServer, ReplicatedSnapshotCarriesScanCounters)
     EXPECT_GT(r.scan.rowsRouted, 0u);
     EXPECT_LT(r.scan.rowsRouted, n * ns);
     EXPECT_GT(r.scan.chunksBypassed, 0u);
-}
-
-/**
- * A rider's buffers only grow: riding again, joining at the same
- * chunk, reuses its kept-logit buffer (same address and capacity, no
- * allocation) and gives the same bits, for every join chunk.
- */
-TEST(LiveServer, ScanRiderRidesAgainWithoutReallocating)
-{
-    const size_t ns = 300, ed = 16, chunk = 64, nq = 3; // 5 chunks
-    const core::KnowledgeBase kb = makeKb(ns, ed);
-    const std::vector<float> ua = makeQuestions(nq, ed, 51);
-    const std::vector<float> ub = makeQuestions(nq, ed, 52);
-
-    core::EngineConfig cfg;
-    cfg.chunkSize = chunk;
-    cfg.streaming = true;
-    cfg.skipThreshold = 0.05f;
-    core::ScanRing ring(kb, cfg);
-    core::ScanRider a, b;
-    a.u = ua.data();
-    a.nq = nq;
-    b.u = ub.data();
-    b.nq = nq;
-    // Ride b at chunk j behind a; returns b's partial.
-    std::vector<core::ScanRider *> done;
-    const auto rideAt = [&](size_t j) {
-        ring.attach(a);
-        for (size_t s = 0; s < j; ++s)
-            ring.step(0, done);
-        ring.attach(b);
-        while (!ring.idle())
-            ring.step(0, done);
-        done.clear();
-        EXPECT_EQ(b.joinedAt, j);
-        return b.partial;
-    };
-
-    for (size_t j = 1; j < ring.chunkCount(); ++j) {
-        SCOPED_TRACE(::testing::Message() << "j=" << j);
-        const core::StreamPartial first = rideAt(j);
-        const float *buffer = b.keptLogits();
-        const size_t bytes = b.retainedBytes();
-        ASSERT_NE(buffer, nullptr);
-        const core::StreamPartial second = rideAt(j);
-        EXPECT_EQ(b.keptLogits(), buffer);
-        EXPECT_EQ(b.retainedBytes(), bytes);
-        ASSERT_EQ(second.o.size(), first.o.size());
-        for (size_t i = 0; i < first.o.size(); ++i)
-            ASSERT_EQ(second.o[i], first.o[i]) << "elem " << i;
-        for (size_t q = 0; q < nq; ++q) {
-            EXPECT_EQ(second.expSum[q], first.expSum[q]);
-            EXPECT_EQ(second.runMax[q], first.runMax[q]);
-        }
-    }
-    // Joining later keeps fewer logits: the buffer stays put.
-    const float *buffer = b.keptLogits();
-    rideAt(1);
-    rideAt(ring.chunkCount() - 1);
-    EXPECT_EQ(b.keptLogits(), buffer);
 }
 
 /**
@@ -891,6 +851,250 @@ TEST(LiveServer, IdleScanRingKeepsNoLogits)
         EXPECT_EQ(b.keptFloats, j == 0 ? 0 : nq * (ns - j * chunk));
         expectPartial(a.partial, ref_a, j);
         expectPartial(b.partial, ref_b, j);
+    }
+}
+
+// ---------------------------------------------------------------
+// ScanRing: step counters and the kept-logit pool
+// ---------------------------------------------------------------
+
+/** p and ref hold the same bits. */
+void
+expectSameBits(const core::StreamPartial &p, const core::StreamPartial &ref)
+{
+    ASSERT_EQ(p.nq, ref.nq);
+    ASSERT_EQ(p.o.size(), ref.o.size());
+    EXPECT_EQ(std::memcmp(p.expSum.data(), ref.expSum.data(),
+                          ref.nq * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(p.runMax.data(), ref.runMax.data(),
+                          ref.nq * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(p.o.data(), ref.o.data(),
+                          ref.o.size() * sizeof(float)),
+              0);
+}
+
+/**
+ * A ring's step counters, stepped by hand: rider a (3 questions) finds
+ * the ring idle, rider b (2) joins at chunk 2 of 5. The ring steps
+ * chunks 0-1 for a, 2-4 for both, 0-1 for b: 7 steps streaming
+ * 2 x 3 + 3 x 5 + 2 x 2 = 25 questions, and b keeps its 3 chunks
+ * before the wrap, 6 (question, chunk) tiles.
+ */
+TEST(ScanRing, StepCountersCountRidesExactly)
+{
+    const size_t ns = 300, ed = 16, chunk = 64; // 5 chunks
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> ua = makeQuestions(3, ed, 61);
+    const std::vector<float> ub = makeQuestions(2, ed, 62);
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    core::ScanRing ring(kb, cfg);
+    core::ScanRider a, b;
+    a.u = ua.data();
+    a.nq = 3;
+    b.u = ub.data();
+    b.nq = 2;
+
+    std::vector<core::ScanRider *> done;
+    ring.attach(a);
+    ring.step(0, done);
+    ring.step(0, done);
+    ring.attach(b);
+    ASSERT_EQ(b.joinedAt, 2u);
+    while (!ring.idle())
+        ring.step(0, done);
+    const core::ScanTotals t = ring.takeTotals();
+    EXPECT_EQ(t.steps, 7u);
+    EXPECT_EQ(t.questionsStreamed, 25u);
+    EXPECT_EQ(t.keptChunks, 6u);
+    EXPECT_EQ(t.bypassed, 0u);
+    EXPECT_EQ(b.keptFloats, 2 * (ns - 2 * chunk));
+    EXPECT_EQ(t.kept + t.skipped, (3 + 2) * ns);
+
+    // A lone rider on the idle ring keeps nothing and streams each
+    // chunk once; takeTotals started the counts over.
+    ring.attach(a);
+    while (!ring.idle())
+        ring.step(0, done);
+    const core::ScanTotals lone = ring.takeTotals();
+    EXPECT_EQ(lone.steps, 5u);
+    EXPECT_EQ(lone.questionsStreamed, 3u * 5);
+    EXPECT_EQ(lone.keptChunks, 0u);
+}
+
+/**
+ * Riding again draws the kept logits from the pool's free pages: the
+ * pool does not grow, and the second ride gives the same bits, for
+ * every join chunk.
+ */
+TEST(ScanRing, RidesAgainWithoutGrowingThePool)
+{
+    const size_t ns = 300, ed = 16, chunk = 64, nq = 3; // 5 chunks
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    const std::vector<float> ua = makeQuestions(nq, ed, 51);
+    const std::vector<float> ub = makeQuestions(nq, ed, 52);
+
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+    cfg.streaming = true;
+    cfg.skipThreshold = 0.05f;
+    core::ScanRing ring(kb, cfg);
+    EXPECT_EQ(ring.keptBytes(), 0u);
+    core::ScanRider a, b;
+    a.u = ua.data();
+    a.nq = nq;
+    b.u = ub.data();
+    b.nq = nq;
+    // Ride b at chunk j behind a; returns b's partial.
+    std::vector<core::ScanRider *> done;
+    const auto rideAt = [&](size_t j) {
+        ring.attach(a);
+        for (size_t s = 0; s < j; ++s)
+            ring.step(0, done);
+        ring.attach(b);
+        while (!ring.idle())
+            ring.step(0, done);
+        done.clear();
+        EXPECT_EQ(b.joinedAt, j);
+        return b.partial;
+    };
+
+    for (size_t j = 1; j < ring.chunkCount(); ++j) {
+        SCOPED_TRACE(::testing::Message() << "j=" << j);
+        const core::StreamPartial first = rideAt(j);
+        const size_t bytes = ring.keptBytes();
+        EXPECT_EQ(bytes, kHugePageBytes); // one page holds b's tiles
+        const core::StreamPartial second = rideAt(j);
+        EXPECT_EQ(ring.keptBytes(), bytes);
+        expectSameBits(second, first);
+    }
+}
+
+/**
+ * Seeded schedules on one ring, stepped by hand: riders of 1, 3, 8 and
+ * 16 questions attach at steps drawn from the printed seed, over f32,
+ * bf16 and int8 knowledge bases, lossless, with zero-skip and routed
+ * (top-3 of 8 chunks). Every rider's partial is the idle ring's (the
+ * single-group engine's) bit for bit, whatever chunk it joined at.
+ *
+ * The pool: rides end in attach order, so every tile handed out after
+ * the oldest live rider's first one is live, and a page is retired
+ * only when a tile does not fit in its tail. So the pages in use never
+ * exceed the live tiles rounded up to pages of (page - largest tile)
+ * floats, plus the page that first tile began in; the pool, the most
+ * pages ever in use, stays within that bound at the schedule's peak.
+ * The schedule ridden again leaves the pool as it was: steady serving
+ * allocates nothing.
+ */
+TEST(ScanRing, SeededJoinsMatchTheIdleRingWithinThePoolBound)
+{
+    const uint64_t seed = 20261019;
+    std::printf("ScanRing seed %llu\n",
+                static_cast<unsigned long long>(seed));
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const size_t ns = 32768, ed = 16, chunk = 4096; // 8 chunks
+    const size_t kSizes[] = {1, 3, 8, 16};
+    const size_t kRiders = 20, kSpan = 24; // attach steps in [0, kSpan)
+    const size_t pageFloats = kHugePageBytes / sizeof(float);
+    const size_t roomFloats = pageFloats - 16 * chunk; // less a tile
+
+    XorShiftRng rng(seed);
+    struct Ride
+    {
+        size_t at;
+        std::vector<float> u;
+        size_t nq;
+    };
+    std::vector<Ride> rides(kRiders);
+    for (size_t i = 0; i < kRiders; ++i) {
+        rides[i].at = rng.below(kSpan);
+        rides[i].nq = kSizes[rng.below(4)];
+        rides[i].u = makeQuestions(rides[i].nq, ed, seed + i);
+    }
+    std::stable_sort(rides.begin(), rides.end(),
+                     [](const Ride &x, const Ride &y) { return x.at < y.at; });
+
+    enum class Mode { Lossless, ZeroSkip, Routed };
+    for (core::Precision prec :
+         {core::Precision::F32, core::Precision::BF16,
+          core::Precision::I8}) {
+        const core::KnowledgeBase kb = makeKb(ns, ed, prec);
+        for (Mode mode : {Mode::Lossless, Mode::ZeroSkip, Mode::Routed}) {
+            SCOPED_TRACE(::testing::Message()
+                         << core::precisionName(prec) << " mode "
+                         << static_cast<int>(mode));
+            core::EngineConfig cfg;
+            cfg.chunkSize = chunk;
+            cfg.streaming = true;
+            if (mode == Mode::ZeroSkip)
+                cfg.skipThreshold = 0.05f;
+            if (mode == Mode::Routed) {
+                cfg.routePolicy = core::RoutePolicy::TopK;
+                cfg.routeTopK = 3;
+            }
+            core::EngineConfig single = cfg;
+            single.scheduleGroups = 1;
+            core::ColumnEngine engine(kb, single);
+            std::vector<core::StreamPartial> ref(kRiders);
+            for (size_t i = 0; i < kRiders; ++i)
+                engine.inferPartial(rides[i].u.data(), rides[i].nq,
+                                    ref[i]);
+
+            core::ScanRing ring(kb, cfg);
+            ASSERT_EQ(ring.chunkCount(), 8u);
+            std::vector<core::ScanRider> riders(kRiders);
+            // The bound on the pool, over every step ridden so far.
+            size_t bound = 0;
+            const auto ride = [&] {
+                std::vector<core::ScanRider *> riding, done;
+                size_t next = 0, kept = 0;
+                for (size_t s = 0; next < kRiders || !ring.idle(); ++s) {
+                    for (; next < kRiders && rides[next].at <= s; ++next) {
+                        core::ScanRider &r = riders[next];
+                        r.u = rides[next].u.data();
+                        r.nq = rides[next].nq;
+                        ring.attach(r);
+                        riding.push_back(&r);
+                    }
+                    if (ring.idle())
+                        continue;
+                    ring.step(0, done);
+                    // Tiles live at this step's peak: the riders that
+                    // rode it, before the done ones replayed.
+                    size_t live = 0;
+                    for (const core::ScanRider *r : riding)
+                        live += r->keptFloats;
+                    const size_t pages =
+                        (live + roomFloats - 1) / roomFloats + 1;
+                    bound = std::max(bound, pages * kHugePageBytes);
+                    EXPECT_LE(ring.keptBytes(), bound) << "step " << s;
+                    for (const core::ScanRider *r : done)
+                        riding.erase(std::find(riding.begin(),
+                                               riding.end(), r));
+                    kept += done.size();
+                    done.clear();
+                }
+                EXPECT_EQ(kept, kRiders);
+                for (size_t i = 0; i < kRiders; ++i) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "rider " << i << " nq " << rides[i].nq
+                                 << " joined at " << riders[i].joinedAt);
+                    expectSameBits(riders[i].partial, ref[i]);
+                }
+            };
+
+            ride();
+            const size_t bytes = ring.keptBytes();
+            EXPECT_GT(bytes, 0u);
+            EXPECT_LE(bytes, bound);
+            std::printf("  %s mode %d: pool %zu B, bound %zu B\n",
+                        core::precisionName(prec),
+                        static_cast<int>(mode), bytes, bound);
+            ride();
+            EXPECT_EQ(ring.keptBytes(), bytes);
+        }
     }
 }
 
