@@ -2,15 +2,16 @@
  * @file
  * Sharded vs replicated serving ablation (DESIGN.md §9).
  *
- * What sharding changes is *where a batch's pass runs*. Replicated
- * mode serves W concurrent batches on W full-KB engines, each
- * streaming the whole knowledge base — under load the passes
- * timeslice the cores, so every batch takes ~W passes of wall-clock.
- * Sharded mode runs a cooperative scan: one ring per shard, all W
- * workers stepping the rings, and every batch in flight joins them at
- * the next chunk, so a batch takes ~one pass and concurrent batches
- * share it — the paper's §6 scalability argument made measurable on
- * the serving path.
+ * Both in-process modes serve through one cooperative scan: one ring
+ * per part of a chunk-aligned partition of the KB, the W workers
+ * stepping the rings, and every batch in flight joining them at the
+ * next chunk, so concurrent batches share each chunk's stream. What
+ * sharding changes is the partition, hence *how many cores a batch's
+ * pass runs on*. Replicated, the partition is the chunk groups of the
+ * engine config (one ring at threads = 0), so a pass runs on one core
+ * and workers beyond the first sit idle; sharded, S rings let up to
+ * min(S, W) workers stream one pass — the paper's §6 scalability
+ * argument made measurable on the serving path.
  *
  * For each mode (replicated at fixed workers; sharded at S = 2, 4, 8
  * with the same workers) this harness measures:
@@ -30,7 +31,8 @@
  * the scan mid-revolution, so this checks those joins end to end. Any
  * mismatch makes the harness exit 1.
  *
- * Emits BENCH_sharding.json (path overridable via MNNFAST_BENCH_JSON).
+ * Emits BENCH_sharding.json (path overridable via MNNFAST_BENCH_JSON),
+ * with the build, backend, revision and CPU steal it was taken under.
  *
  * Flags:
  *   --smoke      tiny KB, short rounds (CI leak check)
@@ -225,8 +227,8 @@ main(int argc, char **argv)
     args.finish();
 
     bench::banner("Sharded vs replicated serving",
-                  "Scatter/gather over a sharded KB against "
-                  "per-worker full-KB replication at fixed cores.");
+                  "Scatter/gather over a sharded KB against the "
+                  "engine's own partition at fixed cores.");
 
     const size_t ns = smoke ? 1024 : 8192;
     const size_t ed = smoke ? 32 : 64;
@@ -234,6 +236,7 @@ main(int argc, char **argv)
     const double window = smoke ? 0.2 : 1.0;
     const size_t max_batch = 8;
 
+    const bench::StealClock steal;
     const core::KnowledgeBase kb = buildKb(ns, ed);
     const std::vector<std::vector<float>> questions =
         makeQuestions(64, ed, 7);
@@ -285,7 +288,6 @@ main(int argc, char **argv)
     for (ModeResult &m : modes) {
         serve::LiveServerConfig lcfg;
         lcfg.maxBatch = max_batch;
-        lcfg.batchTimeout = 0.5e-3;
         lcfg.workers = workers;
         lcfg.shards = m.shards;
         lcfg.queueCapacity = 4096;
@@ -355,6 +357,9 @@ main(int argc, char **argv)
     bench::JsonWriter json(
         bench::benchJsonPath("BENCH_sharding.json"));
     json.beginObject();
+    bench::beginProvenance(json, MNNFAST_BUILD_TYPE);
+    json.field("cpu_steal_frac", steal.frac());
+    json.endObject();
     json.key("kb");
     json.beginObject();
     json.field("ns", ns);
@@ -399,13 +404,14 @@ main(int argc, char **argv)
 
     std::printf("\nwrote %s (%zu modes)\n", json.path().c_str(),
                 modes.size());
-    std::printf("reading: replicated workers timeslice concurrent "
-                "full-KB passes; the sharded scan runs each batch's "
-                "pass across all workers and lets concurrent batches "
-                "share it, which is the per-question latency win. "
-                "max|diff| is 0 by the chunk-aligned merge-exactness "
-                "guarantee, and served != ref counts served answers "
-                "that are not the reference engine's bits.\n");
+    std::printf("reading: every mode shares one scan among the "
+                "batches in flight; the replicated partition (one "
+                "ring) streams a pass on one core, the sharded one "
+                "across up to min(S, workers) cores, which is the "
+                "per-question latency win. max|diff| is 0 by the "
+                "chunk-aligned merge-exactness guarantee, and served "
+                "!= ref counts served answers that are not the "
+                "reference engine's bits.\n");
     for (const ModeResult &m : modes) {
         if (m.mismatches > 0) {
             std::fprintf(stderr,

@@ -4,16 +4,19 @@
  *
  * The QA-server simulator predicts throughput/latency from the affine
  * service model t(n) = base + n * slope; the live runtime serves real
- * requests through real ColumnEngines. This harness closes the loop:
+ * requests through a real scan. This harness closes the loop:
  *
  *  1. build a knowledge base and calibrate the affine model on the
- *     exact engine configuration the live workers use
+ *     engine whose chunk groups the replicated server's scan rides
  *     (serve::calibrateServiceTimes);
- *  2. for each arrival rate x batching policy, drive the live server
+ *  2. for each arrival rate x batch cap, drive the live server
  *     with a deterministic open-loop Poisson workload (seeded
  *     exponential gaps, submissions never wait for completions);
- *  3. replay the same (rate, policy, workers, window) through the
- *     discrete-event simulator with the calibrated coefficients;
+ *  3. replay the same (rate, cap, window) through the discrete-event
+ *     simulator with the calibrated coefficients, under the rule the
+ *     server runs: a batch joins the scan at its next chunk
+ *     (JoinAtNextChunk), leaves on arrival (a zero timeout), and up
+ *     to engineSlots() batches ride at once;
  *  4. report live and simulated throughput/latency side by side with
  *     the live/sim throughput ratio — the headline artifact.
  *
@@ -23,7 +26,7 @@
  * Flags:
  *   --smoke        tiny KB, short window, 2 points (CI leak check)
  *   --duration S   arrival window per point (default 1.0)
- *   --workers N    live + simulated worker count (default 1)
+ *   --workers N    threads stepping the live scan (default 1)
  */
 
 #include <chrono>
@@ -51,7 +54,6 @@ struct Policy
 {
     const char *label;
     size_t maxBatch;
-    double batchTimeout; ///< seconds
 };
 
 struct PointResult
@@ -179,11 +181,11 @@ main(int argc, char **argv)
 
     core::EngineConfig ecfg;
     ecfg.chunkSize = std::min<size_t>(512, ns);
-    ecfg.threads = 0; // workers are the parallelism axis
+    ecfg.threads = 0; // one chunk group: the server scans one ring
     ecfg.streaming = true;
 
-    // Calibrate the affine service model on the exact engine the live
-    // workers will run.
+    // Calibrate the affine service model on the engine whose chunk
+    // groups the live scan rides: a pass is one ring revolution.
     core::ColumnEngine calib_engine(kb, ecfg);
     const serve::ServiceTimeFit fit = serve::calibrateServiceTimes(
         calib_engine, ed, /*smallBatch=*/1, /*largeBatch=*/16,
@@ -214,8 +216,8 @@ main(int argc, char **argv)
     }
 
     const Policy policies[] = {
-        {"serial", 1, 0.0},
-        {"batch16", 16, 1.0e-3},
+        {"serial", 1},
+        {"batch16", 16},
     };
 
     const std::vector<std::vector<float>> questions =
@@ -226,7 +228,6 @@ main(int argc, char **argv)
         for (double rate : rates) {
             serve::LiveServerConfig lcfg;
             lcfg.maxBatch = pol.maxBatch;
-            lcfg.batchTimeout = pol.batchTimeout;
             lcfg.workers = workers;
             lcfg.queueCapacity = 4096;
             lcfg.engine = ecfg;
@@ -258,14 +259,13 @@ main(int argc, char **argv)
                 return 1;
             }
 
+            // The rule the server runs (live_server.hh).
             serve::ServerConfig scfg;
             scfg.arrivalRate = rate;
             scfg.maxBatch = pol.maxBatch;
-            // The event-driven simulator dispatches on the timeout
-            // *event*; a zero timeout models the live runtime's
-            // immediate dispatch.
-            scfg.batchTimeout = pol.batchTimeout;
-            scfg.workers = workers;
+            scfg.dispatch = serve::DispatchPolicy::JoinAtNextChunk;
+            scfg.batchTimeout = 0.0;
+            scfg.workers = server.engineSlots();
             scfg.simSeconds = duration;
             scfg.seed = 1234;
             fit.apply(scfg);
@@ -322,7 +322,6 @@ main(int argc, char **argv)
         json.beginObject();
         json.field("policy", p.policy.label);
         json.field("max_batch", p.policy.maxBatch);
-        json.field("batch_timeout_seconds", p.policy.batchTimeout);
         json.field("arrival_rate", p.arrivalRate);
         json.key("live");
         json.beginObject();

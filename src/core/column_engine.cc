@@ -8,13 +8,6 @@
 
 namespace mnnfast::core {
 
-namespace {
-
-/** Oversubscription factor for the automatic group count. */
-constexpr size_t kAutoGroupsPerWorker = 4;
-
-} // namespace
-
 ColumnEngine::ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg)
     : kb(kb), cfg(cfg), pool(cfg.threads)
 {
@@ -50,12 +43,7 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     // views alias and the summaries routing scores.
     if (!partition || builtFor != kb.generation()) {
         groups.clear();
-        const size_t workers = std::max<size_t>(1, pool.threadCount());
-        const size_t want =
-            cfg.scheduleGroups > 0
-                ? cfg.scheduleGroups
-                : (workers > 1 ? workers * kAutoGroupsPerWorker : 1);
-        partition.emplace(kb, cfg.chunkSize, want);
+        partition.emplace(kb, cfg.chunkSize, chunkGroupCount(cfg));
         for (size_t g = 0; g < partition->shardCount(); ++g)
             groups.emplace_back(partition->shard(g), cfg,
                                 partition->rows(g).begin

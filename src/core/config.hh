@@ -143,6 +143,16 @@ struct EngineConfig
  */
 size_t effectiveChunkSize(const EngineConfig &cfg, size_t rows);
 
+/**
+ * The chunk groups a ColumnEngine over `cfg` partitions its KB into
+ * (a ShardedKnowledgeBase clamps the count to the chunk count):
+ * cfg.scheduleGroups, or when that is 0, 4x cfg.threads with two or
+ * more threads and 1 otherwise. LiveServer's replicated mode
+ * partitions its scan by the same count, so its answers are the
+ * engine's bits.
+ */
+size_t chunkGroupCount(const EngineConfig &cfg);
+
 } // namespace mnnfast::core
 
 #endif // MNNFAST_CORE_CONFIG_HH

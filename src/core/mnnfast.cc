@@ -55,6 +55,16 @@ effectiveChunkSize(const EngineConfig &cfg, size_t rows)
     return rows > 0 ? std::min(cfg.chunkSize, rows) : cfg.chunkSize;
 }
 
+size_t
+chunkGroupCount(const EngineConfig &cfg)
+{
+    // Oversubscribed 4x, so dynamic scheduling has slack to rebalance.
+    constexpr size_t kAutoGroupsPerThread = 4;
+    if (cfg.scheduleGroups > 0)
+        return cfg.scheduleGroups;
+    return cfg.threads > 1 ? cfg.threads * kAutoGroupsPerThread : 1;
+}
+
 namespace {
 
 std::unique_ptr<InferenceEngine>

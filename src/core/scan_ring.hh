@@ -52,7 +52,7 @@
  *
  * Threading: none inside. One thread at a time may attach and step
  * (ColumnEngine hands each group's ring to one worker per pass,
- * serve::ScanBackend — LiveServer's sharded mode, a cluster node — to
+ * serve::ScanBackend — LiveServer's in-process scan, a cluster node — to
  * one worker per step).
  */
 
@@ -118,7 +118,7 @@ struct StreamPartial
  * with the algebra above, stores the merged shift in `*runMax`, and
  * returns the merged exp sum. A partial whose exp sum is 0 saw no row
  * for q and is skipped. ColumnEngine merges its chunk groups with it
- * (a ShardedEngine's groups are its shards), LiveServer's sharded scan
+ * (a ShardedEngine's groups are its shards), LiveServer's scan
  * its rings' partials and net::ClusterFrontEnd its shard nodes'
  * partials, so every layer replays the same operation sequence.
  */

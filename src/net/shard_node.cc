@@ -71,6 +71,9 @@ struct ShardNode::Connection
     void
     close()
     {
+        // A send blocked on a peer that neither reads nor closes would
+        // hold sendMutex for good: break the channel first to end it.
+        channel->shutdown();
         std::lock_guard<std::mutex> send(sendMutex);
         {
             std::lock_guard<std::mutex> lock(mutex);

@@ -54,9 +54,9 @@
  * every connection closes, also with rides mid-revolution);
  * requestStop() does the same from another thread. A ride whose
  * connection closed is dropped when it ends, and so are the responses
- * still queued for its sender. A close waits for a send in progress,
- * so a connection whose peer neither reads nor closes holds up its
- * own handler's exit (and a stopping node's serve()), not the ring.
+ * still queued for its sender. A close first shuts the channel down,
+ * which ends a send in progress, so a peer that neither reads nor
+ * closes holds up neither the ring nor a stopping node's serve().
  */
 
 #ifndef MNNFAST_NET_SHARD_NODE_HH

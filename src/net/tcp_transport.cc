@@ -89,6 +89,15 @@ TcpChannel::close()
     }
 }
 
+void
+TcpChannel::shutdown()
+{
+    // The fd stays open, so a send polling it cannot meet a reused one.
+    const int f = fd.load();
+    if (f >= 0)
+        ::shutdown(f, SHUT_RDWR);
+}
+
 bool
 TcpChannel::send(const Frame &frame)
 {

@@ -50,6 +50,7 @@ class TcpChannel : public Channel
     bool send(const Frame &frame) override;
     RecvStatus recv(Frame &out, NetClock::time_point deadline) override;
     void close() override;
+    void shutdown() override;
 
   private:
     /** Read once into the reassembly buffers; false on EOF/error. */

@@ -35,8 +35,9 @@
  *    handler receives), but two sends, two recvs, or a close beside a
  *    send or recv must not overlap (the cluster code gives each shard
  *    fetch its own channels, and a node orders its sends and its
- *    close with a mutex). Listener::accept and Transport::connect are
- *    thread-safe.
+ *    close with a mutex, after a shutdown() that ends a blocked
+ *    send). shutdown() may overlap a send or recv, not a close.
+ *    Listener::accept and Transport::connect are thread-safe.
  */
 
 #ifndef MNNFAST_NET_TRANSPORT_HH
@@ -74,6 +75,12 @@ class Channel
 
     /** Break the connection (idempotent). */
     virtual void close() = 0;
+
+    /** Break the connection but keep its resources, so that a send or
+     *  recv in progress on another thread returns (false, Closed);
+     *  close() still follows. The default does nothing, for a
+     *  transport whose sends never block. */
+    virtual void shutdown() {}
 };
 
 /** Accept side of an endpoint. */

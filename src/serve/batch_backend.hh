@@ -17,25 +17,24 @@
  *   order (the window is a FIFO: completion order is delivery order,
  *   whatever order the shards answered in).
  *
- * Implementations: LiveServer's two private in-process backends —
- * replicated, W ColumnEngines over the whole KB (window W), and
- * sharded, a serve::ScanBackend with one core::ScanRing per shard
- * view that each batch joins at its next chunk (window 4) — and
- * net::ClusterFrontEnd, whose lossless path is bit-identical to the
- * scan over the same partition.
+ * Implementations: LiveServer's private in-process backend, a
+ * serve::ScanBackend with one core::ScanRing per part of a chunk-
+ * aligned partition of the KB (its S shards, or the replicated mode's
+ * engine chunk groups) that each batch joins at its next chunk
+ * (window 4), and net::ClusterFrontEnd, whose lossless path is
+ * bit-identical to the scan over the same partition.
  * LiveServer's dispatch/retire loops are written against this
  * interface only.
  *
  * Joining the work in flight. A backend whose submitted batch joins
  * the work already in flight — shares one stream of the knowledge base
  * with every batch riding it, whenever it arrives — says so with
- * joinsInFlight(). The sharded scan does (its rings), and so does
+ * joinsInFlight(). The in-process scan does (its rings), and so does
  * net::ClusterFrontEnd (each shard node rides every request on one
  * ring). For such a backend, holding a batch back to collect riders
  * buys no sharing, only waiting, so LiveServer dispatches whatever is
- * queued as soon as it holds a window credit; the replicated backend,
- * whose engines each stream the KB per batch, keeps the batch timeout
- * (live_server.hh).
+ * queued as soon as it holds a window credit; a caller's backend that
+ * streams the KB per batch keeps the batch timeout (live_server.hh).
  *
  * Threading contract: one thread submits, one thread waits — the two
  * may be (and in LiveServer are) different threads, overlapping the

@@ -55,9 +55,8 @@ struct RpcShardCounters
 
 /**
  * What a cooperative scan's rings did (core::ScanTotals; LiveServer's
- * sharded mode writes these; the replicated mode writes the four row
- * and chunk counts of its engines, which step no shared ring; zero for
- * the other backends). Monotone, merged by addition. Under zero-skip
+ * in-process modes write these; zero for the other backends).
+ * Monotone, merged by addition. Under zero-skip
  * rowsKept + rowsSkipped is the (question, row) pairs the weighted sum
  * tested; questionsStreamed / steps is the questions per ring step.
  */

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <utility>
 
 #include "core/sharded_knowledge_base.hh"
 #include "serve/scan_backend.hh"
-#include "stats/counter.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::serve {
@@ -32,120 +30,56 @@ secondsBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-/**
- * The replicated in-process backend: W = cfg.workers ColumnEngines
- * over the whole KB, each run by one thread of a W-thread pool; ticket
- * t runs on engine t % W. That engine is free: LiveServer's credit
- * rule keeps at most W tickets outstanding, and they are waited in
- * order, so ticket t - W was waited before t is submitted.
- * submitBatch therefore never blocks. Each engine streams the whole KB
- * per batch, so a batch does not join the work in flight and the
- * server waits out batchTimeout for riders.
- */
-class EngineBackend final : public BatchBackend
-{
-  public:
-    EngineBackend(const core::KnowledgeBase &kb,
-                  const LiveServerConfig &cfg)
-        : done(cfg.workers), pool(cfg.workers)
-    {
-        for (size_t i = 0; i < cfg.workers; ++i)
-            engines.push_back(
-                std::make_unique<core::ColumnEngine>(kb, cfg.engine));
-    }
-
-    uint64_t
-    submitBatch(const float *u, size_t nq, size_t, float *o) override
-    {
-        const uint64_t t = next++;
-        const size_t e = t % engines.size();
-        auto task = std::make_shared<std::packaged_task<void()>>(
-            [this, e, u, nq, o] { engines[e]->inferBatch(u, nq, o); });
-        done[e] = task->get_future();
-        pool.submit([task] { (*task)(); });
-        return t;
-    }
-
-    BatchResult
-    waitBatch(uint64_t ticket) override
-    {
-        const size_t e = ticket % engines.size();
-        done[e].get();
-        // The credit rule leaves engine e idle until ticket + W is
-        // submitted, after this returns: fold its pass's counters into
-        // the backend's and start them over.
-        stats::CounterGroup &c = engines[e]->counters();
-        const auto take = [&c](const char *name) {
-            const uint64_t v = c.value(name);
-            c[name].reset();
-            return v;
-        };
-        ScanCounters pass;
-        pass.rowsKept = take("rows_kept");
-        pass.rowsSkipped = take("rows_skipped");
-        pass.rowsRouted = take("rows_routed");
-        pass.chunksBypassed = take("chunks_bypassed");
-        {
-            std::lock_guard<std::mutex> lock(countersMutex);
-            totals.addFrom(pass);
-        }
-        BatchResult r;
-        r.complete = true;
-        r.shardsAnswered = 1;
-        r.shardMask = 0b1;
-        return r;
-    }
-
-    size_t pipelineDepth() const override { return engines.size(); }
-
-    void
-    countersInto(LatencyRecorder &acc) const override
-    {
-        std::lock_guard<std::mutex> lock(countersMutex);
-        acc.recordScan(totals);
-    }
-
-  private:
-    std::vector<std::unique_ptr<core::ColumnEngine>> engines;
-    uint64_t next = 0; ///< next ticket (submitting thread only)
-    std::vector<std::future<void>> done; ///< per engine: its batch
-    mutable std::mutex countersMutex; ///< guards totals
-    ScanCounters totals; ///< every waited batch's engine counters
-    // Declared last: its threads touch every member above.
-    runtime::ThreadPool pool;
-};
-
-/** Batches riding the scan rings at once (the sharded window). */
+/** Batches riding the scan rings at once (the in-process window). */
 constexpr size_t kScanDepth = 4;
 
 /**
- * The sharded in-process backend: a ScanBackend with one ring per
- * shard view skb.shard(s), advanced by cfg.workers threads. A
- * submitted batch rides every ring from its next chunk boundary (it
- * joins the work in flight, so the server dispatches it on arrival);
- * waitBatch merges its S partials in shard order with
- * core::mergeStreamPartials. A ring's partial is its shard's single-
+ * The parts of the in-process partition: cfg.shards when sharded, else
+ * the chunk groups ColumnEngine(kb, cfg.engine) runs. Checks cfg.
+ */
+size_t
+partsOf(const core::KnowledgeBase &kb, const LiveServerConfig &cfg)
+{
+    if (cfg.workers == 0)
+        fatal("live server needs a nonzero worker count");
+    if (kb.size() == 0)
+        fatal("live server needs a non-empty knowledge base");
+    return cfg.shards >= 2 ? cfg.shards : core::chunkGroupCount(cfg.engine);
+}
+
+/**
+ * The in-process backend of both modes: a ScanBackend with one ring per
+ * view of a chunk-aligned partition of the KB (partsOf), advanced by
+ * cfg.workers threads. A submitted batch rides every ring from its next
+ * chunk boundary (it joins the work in flight, so the server dispatches
+ * it on arrival); waitBatch merges its partials in partition order with
+ * core::mergeStreamPartials. A ring's partial is its view's single-
  * group pass (scan_ring.hh), so the answer is bit for bit the one a
- * ColumnEngine with the shards as its chunk groups gives — and a
- * cluster of shard nodes over the same partition.
+ * ColumnEngine with the parts as its chunk groups gives: replicated,
+ * ColumnEngine(kb, cfg.engine) itself; sharded, also a cluster of shard
+ * nodes over the same partition.
  */
 class ShardedScan final : public BatchBackend
 {
   public:
     ShardedScan(const core::KnowledgeBase &kb, const LiveServerConfig &cfg)
-        : ed(kb.dim()), skb(kb, cfg.engine.chunkSize, cfg.shards),
+        : ed(kb.dim()), skb(kb, cfg.engine.chunkSize, partsOf(kb, cfg)),
           scan(skb, cfg.engine, cfg.workers)
     {
-        const size_t shards = skb.shardCount();
-        if (shards > 32)
+        const size_t parts = skb.shardCount();
+        const bool sharded = cfg.shards >= 2;
+        if (sharded && parts > 32)
             fatal("live server supports at most 32 shards (got %zu)",
-                  shards);
+                  parts);
         for (size_t b = 0; b < kScanDepth; ++b)
-            batches.push_back(std::make_unique<Batch>(*this, shards));
+            batches.push_back(std::make_unique<Batch>(*this, parts));
+        // Replicated, the parts are one engine's chunk groups: one
+        // whole-KB shard answered (Answer::shardMask).
         result.complete = true;
-        result.shardsAnswered = static_cast<uint32_t>(shards);
+        result.shardsAnswered = sharded ? static_cast<uint32_t>(parts) : 1;
         result.shardMask =
-            static_cast<uint32_t>((uint64_t{1} << shards) - 1);
+            sharded ? static_cast<uint32_t>((uint64_t{1} << parts) - 1)
+                    : 0b1;
     }
 
     uint64_t
@@ -200,8 +134,8 @@ class ShardedScan final : public BatchBackend
     /** A ticket's slot: ticket t lives in batches[t % kScanDepth]. */
     struct Batch final : ScanJob
     {
-        Batch(ShardedScan &owner, size_t shards)
-            : ScanJob(shards), owner(owner), views(shards)
+        Batch(ShardedScan &owner, size_t parts)
+            : ScanJob(parts), owner(owner), views(parts)
         {}
 
         void
@@ -224,7 +158,7 @@ class ShardedScan final : public BatchBackend
     size_t ed;
     core::ShardedKnowledgeBase skb;
     std::vector<std::unique_ptr<Batch>> batches;
-    BatchResult result; ///< every batch: all shards answered
+    BatchResult result; ///< every batch: every part answered
     uint64_t next = 0;  ///< next ticket (submitting thread only)
     std::mutex mutex;   ///< guards Batch::done
     std::condition_variable doneCv; ///< waitBatch: a batch settled
@@ -232,24 +166,12 @@ class ShardedScan final : public BatchBackend
     ScanBackend scan;
 };
 
-/** The in-process backend cfg.shards selects. */
-std::unique_ptr<BatchBackend>
-inProcessBackend(const core::KnowledgeBase &kb, const LiveServerConfig &cfg)
-{
-    if (cfg.workers == 0)
-        fatal("live server needs a nonzero worker count");
-    if (kb.size() == 0)
-        fatal("live server needs a non-empty knowledge base");
-    if (cfg.shards >= 2)
-        return std::make_unique<ShardedScan>(kb, cfg);
-    return std::make_unique<EngineBackend>(kb, cfg);
-}
-
 } // namespace
 
 LiveServer::LiveServer(const core::KnowledgeBase &kb,
                        const LiveServerConfig &cfg)
-    : LiveServer(inProcessBackend(kb, cfg), nullptr, kb.dim(), cfg)
+    : LiveServer(std::make_unique<ShardedScan>(kb, cfg), nullptr, kb.dim(),
+                 cfg)
 {}
 
 LiveServer::LiveServer(BatchBackend &backend, size_t embedding_dim,

@@ -27,19 +27,19 @@
  * shares one streaming pass over the knowledge base
  * (t(n) = base + n * slope), and the rule depends on who shares it:
  *
- *  - a backend that streams the KB once per batch (the replicated
- *    mode) releases a batch at `maxBatch` pending or when the oldest
- *    pending request has waited `batchTimeout`: the wait buys the
- *    stream riders (the simulator's BatchAtATime);
  *  - a backend whose batches join the work in flight
- *    (BatchBackend::joinsInFlight: the sharded mode, a cluster front
- *    end) shares its stream with every batch riding, whenever it
- *    arrives, so waiting buys nothing: the dispatch loop pops whatever
- *    is queued (up to `maxBatch`) as soon as it holds a window credit,
- *    and `batchTimeout` does not apply (the simulator's
- *    JoinAtNextChunk with a zero timeout). While the
+ *    (BatchBackend::joinsInFlight: both in-process modes, a cluster
+ *    front end) shares its stream with every batch riding, whenever
+ *    it arrives, so waiting buys nothing: the dispatch loop pops
+ *    whatever is queued (up to `maxBatch`) as soon as it holds a
+ *    window credit, and `batchTimeout` does not apply (the
+ *    simulator's JoinAtNextChunk with a zero timeout). While the
  *    window is full, arrivals still queue and leave together when a
- *    credit returns, so under load batches fill as before.
+ *    credit returns, so under load batches fill as before;
+ *  - a caller's backend that streams the KB once per batch releases
+ *    a batch at `maxBatch` pending or when the oldest pending request
+ *    has waited `batchTimeout`: the wait buys the stream riders (the
+ *    simulator's BatchAtATime).
  *
  * One serving loop. Every mode runs the same two threads over a
  * BatchBackend: a *dispatch* loop that pops a batch, flattens it and
@@ -47,19 +47,23 @@
  * order, fulfills the promises and records the completions. The mode
  * only picks the backend:
  *
- *  - Replicated (shards <= 1): an in-process backend over `workers`
- *    ColumnEngines, each over the whole (read-only) KB; batch t runs
- *    on engine t % workers, so up to `workers` batches proceed at
- *    once — but W engines stream the KB W times, paying redundant
- *    bandwidth (the paper's §6 scalability critique).
- *  - Sharded (shards >= 2): an in-process cooperative scan over the
- *    KB's S chunk-aligned shards — one core::ScanRing per shard view,
- *    stepped a chunk at a time by `workers` threads. A dispatched
- *    batch joins every ring at its next chunk boundary instead of
- *    waiting for the batch in flight, rides one revolution, and its S
- *    partials merge in shard order; riders share each chunk's
- *    stream, so each KB byte is read once per revolution however many
- *    batches ride (see scan_ring.hh). Up to 4 batches ride at once.
+ *  - In process (the KnowledgeBase constructor): a cooperative scan
+ *    over a chunk-aligned partition of the (read-only) KB — one
+ *    core::ScanRing per part, stepped a chunk at a time by `workers`
+ *    threads. A dispatched batch joins every ring at its next chunk
+ *    boundary instead of waiting for the batch in flight, rides one
+ *    revolution, and its partials merge in partition order; riders
+ *    share each chunk's stream, so each KB byte is read once per
+ *    revolution however many batches ride (see scan_ring.hh). Up to 4
+ *    batches ride at once. The two in-process modes differ only in
+ *    their partition:
+ *     - replicated (shards <= 1): the chunk groups
+ *       ColumnEngine(kb, engine) runs (core::chunkGroupCount: one
+ *       ring at engine.threads 0 or 1, 4 x threads rings beyond), so
+ *       every answer is that engine's bit for bit;
+ *     - sharded (shards >= 2): the KB's S shards, so every answer is
+ *       the merge of the shard views' partials, a cluster's over the
+ *       same partition.
  *  - Cluster (the BatchBackend constructor): a caller-owned backend,
  *    canonically a net::ClusterFrontEnd over shard node processes.
  *    With a window W >= 2, batch k+1 scatters while batch k gathers;
@@ -105,7 +109,7 @@
 #include <mutex>
 #include <vector>
 
-#include "core/column_engine.hh"
+#include "core/config.hh"
 #include "core/knowledge_base.hh"
 #include "runtime/thread_pool.hh"
 #include "serve/batch_backend.hh"
@@ -155,34 +159,34 @@ struct LiveServerConfig
     size_t maxBatch = 32;
     /** Dispatch a partial batch once its oldest question waited this
      *  long (seconds). Zero means dispatch immediately when nonempty.
-     *  Applies only to a backend that streams the KB per batch (the
-     *  replicated mode): the sharded and cluster modes' batches join
-     *  the work in flight and are dispatched on arrival, whatever this
+     *  Read only for a caller's BatchBackend that does not join the
+     *  work in flight: the in-process modes' and a cluster front end's
+     *  batches join it and are dispatched on arrival, whatever this
      *  says (file header). */
     double batchTimeout = 2.0e-3;
-    /** Engine workers. Replicated mode: the number of full-KB
-     *  ColumnEngines, hence of batches in flight at once. Sharded
-     *  mode: the threads stepping the shards' scan rings (a ring is
-     *  stepped by one thread at a time, so more than `shards` idle).
-     *  Ignored in cluster mode. */
+    /** The threads stepping the in-process scan's rings. A ring is
+     *  stepped by one thread at a time, so workers beyond the ring
+     *  count sit idle: in-process parallelism comes from the
+     *  partition. Ignored in cluster mode. */
     size_t workers = 1;
     /** Knowledge-base shards for scatter/gather dispatch. 0 or 1
-     *  keeps the replicated mode; >= 2 partitions the KB (boundaries
-     *  aligned to engine.chunkSize) into shard views, one scan ring
-     *  each; at most 32 effective shards (the Answer::shardMask
-     *  width). See the file header. */
+     *  keeps the replicated mode, whose partition is the engine's
+     *  chunk groups; >= 2 partitions the KB (boundaries aligned to
+     *  engine.chunkSize) into shard views, at most 32 effective shards
+     *  (the Answer::shardMask width). One scan ring per part either
+     *  way. See the file header. */
     size_t shards = 0;
     /** Bounded-queue capacity; submissions beyond it are rejected. */
     size_t queueCapacity = 1024;
-    /** Per-worker engine tunables (threads=0 keeps engines inline —
-     *  parallelism comes from serving concurrent batches or, in
-     *  sharded mode, from the `workers` ring threads; threads and
-     *  scheduleGroups do not apply to the rings). Coarse routing flows
-     *  through here too: set engine.routePolicy / routeTopK /
-     *  routeBoundThreshold and every engine routes — replicated
-     *  workers select per their own chunk groups, the sharded scan
-     *  per shard, exactly as a cluster's shard nodes do (see
-     *  sharded_engine.hh). A chunkObserver sees each scan step's
+    /** The scan rings' engine tunables. threads and scheduleGroups
+     *  start no thread: they only pick the replicated partition, the
+     *  chunk groups ColumnEngine(kb, engine) runs, so threads = 0
+     *  serves one ring and replicated answers are that engine's.
+     *  Coarse routing flows through here too: set engine.routePolicy
+     *  / routeTopK / routeBoundThreshold and every ring routes per its
+     *  part — the replicated mode per the engine's chunk groups, the
+     *  sharded mode per shard, exactly as a cluster's shard nodes do
+     *  (see sharded_engine.hh). A chunkObserver sees each scan step's
      *  chunk, numbered in the whole KB, once per step however many
      *  batches ride it. */
     core::EngineConfig engine;
@@ -198,7 +202,7 @@ class LiveServer
   public:
     /**
      * In-process mode (replicated or sharded, per cfg.shards): serve
-     * from engines over `kb`. The knowledge base must be non-empty,
+     * from a scan over `kb`. The knowledge base must be non-empty,
      * must not be mutated while the server runs, and must outlive it.
      */
     LiveServer(const core::KnowledgeBase &kb,
@@ -246,8 +250,8 @@ class LiveServer
      * rejected or queued. Every admitted request lives in the bounded
      * queue or a popped batch until its completion is recorded, and
      * the credit rule (file header) caps popped-but-unrecorded
-     * batches at engineSlots() — W replicated engines, the 4 batches
-     * riding the sharded scan, a cluster's window W — so the apparent
+     * batches at engineSlots() — the 4 batches riding the in-process
+     * scan, a cluster's window W — so the apparent
      * backlog `arrived - rejected - completed` never exceeds
      * queueCapacity + engineSlots() * maxBatch — a snapshot can show a
      * just-completed request as completed-but-not-yet-arrived
@@ -274,8 +278,8 @@ class LiveServer
     bool remote() const { return !ownedBackend; }
 
     /** Batches in flight at most: the backend's pipelineDepth() —
-     *  cfg.workers replicated, the scan depth 4 sharded (batches
-     *  riding the rings at once), the cluster's window W. */
+     *  the scan depth 4 in process (batches riding the rings at once),
+     *  the cluster's window W. */
     size_t engineSlots() const { return window.size(); }
 
     const LiveServerConfig &config() const { return cfg; }

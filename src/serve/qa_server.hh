@@ -46,7 +46,7 @@ enum class DispatchPolicy {
      */
     BatchAtATime,
     /**
-     * Cooperative scan (LiveServer's sharded and cluster modes): a
+     * Cooperative scan (LiveServer's in-process and cluster modes): a
      * dispatched batch starts at once, joining the stream in flight at
      * its next chunk, and completes one revolution later. A revolution
      * costs batchBaseSeconds + riders * perQuestionSeconds, riders

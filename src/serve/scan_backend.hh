@@ -10,8 +10,8 @@
  * settled() with the rings' *undivided* partials in the rides — each
  * ride's partial is the single-group pass over its view, bit for bit,
  * whatever chunk it joined at (scan_ring.hh). What a job does with its
- * partials is its owner's business: LiveServer's sharded mode merges
- * a batch's shard partials into answers, and a net::ShardNode sends
+ * partials is its owner's business: LiveServer's in-process scan
+ * merges a batch's partials into answers, and a net::ShardNode sends
  * its one ring's partial back over the wire.
  *
  * Rings: one per shard view of a core::ShardedKnowledgeBase (chunk

@@ -19,6 +19,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -936,6 +937,118 @@ TEST(ShardNode, PipeliningWithoutReadingHoldsAtTheRideCap)
 }
 
 /**
+ * A TCP client that pipelines one request frame from its own thread
+ * and never reads, until a send fails or stop is set.
+ */
+class Flood
+{
+  public:
+    Flood(net::Channel &ch, const Frame &f)
+        : sender([this, &ch, f] {
+              while (!stop.load() && ch.send(f))
+                  sent.fetch_add(1);
+              running.store(false);
+          })
+    {}
+
+    ~Flood()
+    {
+        stop.store(true);
+        sender.join();
+    }
+
+    Flood(const Flood &) = delete;
+    Flood &operator=(const Flood &) = delete;
+
+    /** Wait until the node stops reading: sends stall above the ride
+     *  cap for half a second (false after a minute without). */
+    bool
+    stalled()
+    {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        for (size_t last = 0; std::chrono::steady_clock::now() < until;) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(500));
+            const size_t now = sent.load();
+            if (now > ShardNode::kMaxRidesPerConnection && now == last)
+                return true;
+            last = now;
+        }
+        return false;
+    }
+
+    /** Read `ch`'s responses until the sending thread ended: the
+     *  node's answers unblock it, or the node closes. */
+    void
+    drain(net::Channel &ch)
+    {
+        stop.store(true);
+        Frame f;
+        while (running.load())
+            ch.recv(f, net::deadlineIn(0.05));
+    }
+
+    std::atomic<size_t> sent{0};
+    std::atomic<bool> stop{false}, running{true};
+
+  private:
+    std::thread sender; ///< last: starts after the members above
+};
+
+/** A node over TCP on a free port, served from its own thread; the
+ *  single-group partial of `u` as the reference. */
+struct TcpShardNode
+{
+    static constexpr size_t ns = 64, ed = 512, nq = 32; // 64 KiB frames
+
+    TcpShardNode()
+        : kb(makeKb(ns, ed)), u(makeQuestions(nq, ed)),
+          listener(t.listen("127.0.0.1:0")), node(kb, config(), 0)
+    {
+        core::EngineConfig single = config();
+        single.scheduleGroups = 1;
+        core::ColumnEngine(kb, single).inferPartial(u.data(), nq, ref);
+        if (!listener)
+            return;
+        ep = "127.0.0.1:"
+           + std::to_string(static_cast<net::TcpListener *>(listener.get())
+                                ->boundPort());
+        serving = std::thread([this] {
+            node.serve(*listener);
+            returned.set_value();
+        });
+    }
+
+    ~TcpShardNode()
+    {
+        node.requestStop();
+        if (serving.joinable())
+            serving.join();
+    }
+
+    TcpShardNode(const TcpShardNode &) = delete;
+    TcpShardNode &operator=(const TcpShardNode &) = delete;
+
+    static core::EngineConfig
+    config()
+    {
+        core::EngineConfig cfg;
+        cfg.chunkSize = 32; // 2 chunks
+        return cfg;
+    }
+
+    const core::KnowledgeBase kb;
+    const std::vector<float> u;
+    core::StreamPartial ref;
+    net::TcpTransport t;
+    std::unique_ptr<net::Listener> listener;
+    std::string ep;
+    ShardNode node;
+    std::promise<void> returned; ///< set when serve() returned
+    std::thread serving;
+};
+
+/**
  * A client that keeps sending and never reads stalls only its own
  * connection. Over TCP its responses fill the socket buffers until the
  * connection's sender blocks, the connection holds the ride cap and
@@ -945,72 +1058,49 @@ TEST(ShardNode, PipeliningWithoutReadingHoldsAtTheRideCap)
  */
 TEST(ShardNode, AReaderThatStopsStallsOnlyItsOwnConnection)
 {
-    const size_t ns = 64, ed = 512, nq = 32; // 2 chunks, 64 KiB frames
-    const core::KnowledgeBase kb = makeKb(ns, ed);
-    core::EngineConfig cfg;
-    cfg.chunkSize = 32;
-    const std::vector<float> u = makeQuestions(nq, ed);
-    core::StreamPartial ref;
-    {
-        core::EngineConfig single = cfg;
-        single.scheduleGroups = 1;
-        core::ColumnEngine(kb, single).inferPartial(u.data(), nq, ref);
-    }
-
-    net::TcpTransport t;
-    auto listener = t.listen("127.0.0.1:0");
-    ASSERT_TRUE(listener);
-    const std::string ep =
-        "127.0.0.1:"
-        + std::to_string(
-            static_cast<net::TcpListener *>(listener.get())->boundPort());
-    ShardNode node(kb, cfg, /*shard=*/0);
-    std::thread serving([&] { node.serve(*listener); });
-    auto flood = t.connect(ep, net::deadlineIn(2.0));
-    auto other = t.connect(ep, net::deadlineIn(2.0));
-    if (!flood || !other) {
-        ADD_FAILURE() << "connect to " << ep;
-        node.requestStop();
-        serving.join();
-        return;
-    }
-
-    std::atomic<size_t> sent{0};
-    std::atomic<bool> stop{false}, flooding{true};
-    std::thread flooder([&] {
-        const Frame f = requestFrame(0, u, nq, ed);
-        while (!stop.load() && flood->send(f))
-            sent.fetch_add(1);
-        flooding.store(false);
-    });
-    // The flood stalls once the node stops reading it.
-    bool stalled = false;
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    for (size_t last = 0;
-         !stalled && std::chrono::steady_clock::now() < until;) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(500));
-        const size_t now = sent.load();
-        stalled = now > ShardNode::kMaxRidesPerConnection && now == last;
-        last = now;
-    }
-    EXPECT_TRUE(stalled) << sent.load() << " requests sent";
-
+    TcpShardNode n;
+    ASSERT_TRUE(n.listener);
+    auto flood = n.t.connect(n.ep, net::deadlineIn(2.0));
+    auto other = n.t.connect(n.ep, net::deadlineIn(2.0));
+    ASSERT_TRUE(flood && other) << "connect to " << n.ep;
+    Flood flooder(*flood, requestFrame(0, n.u, n.nq, n.ed));
+    const bool stalled = flooder.stalled();
+    EXPECT_TRUE(stalled) << flooder.sent.load() << " requests sent";
     for (uint64_t id = 1; stalled && id <= 3; ++id) {
-        EXPECT_TRUE(other->send(requestFrame(id, u, nq, ed)));
-        expectResponse(*other, id, ref);
+        EXPECT_TRUE(other->send(requestFrame(id, n.u, n.nq, n.ed)));
+        expectResponse(*other, id, n.ref);
+    }
+    // Reading the flood's responses lets its last send finish.
+    flooder.drain(*flood);
+}
+
+/**
+ * A client that pipelines past the ride cap and then neither reads nor
+ * closes leaves its connection's sender blocked in a send. A stopping
+ * node shuts that channel down before its close waits for the send, so
+ * serve() returns within 2 s; a second connection's answers kept their
+ * bits until then.
+ */
+TEST(ShardNode, StopDoesNotWaitOnAPeerThatNeverReads)
+{
+    TcpShardNode n;
+    ASSERT_TRUE(n.listener);
+    auto flood = n.t.connect(n.ep, net::deadlineIn(2.0));
+    auto other = n.t.connect(n.ep, net::deadlineIn(2.0));
+    ASSERT_TRUE(flood && other) << "connect to " << n.ep;
+    Flood flooder(*flood, requestFrame(0, n.u, n.nq, n.ed));
+    EXPECT_TRUE(flooder.stalled()) << flooder.sent.load() << " sent";
+    for (uint64_t id = 1; id <= 3; ++id) {
+        EXPECT_TRUE(other->send(requestFrame(id, n.u, n.nq, n.ed)));
+        expectResponse(*other, id, n.ref);
     }
 
-    // Reading the flood's responses lets its last send finish.
-    stop.store(true);
-    Frame f;
-    while (flooding.load())
-        flood->recv(f, net::deadlineIn(0.05));
-    flooder.join();
-    flood->close();
-    other->close();
-    node.requestStop();
-    serving.join();
+    n.node.requestStop();
+    EXPECT_EQ(n.returned.get_future().wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    // The node closed the flood's connection; had it not returned,
+    // reading the flood would let it.
+    flooder.drain(*flood);
 }
 
 /**

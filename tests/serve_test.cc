@@ -470,9 +470,10 @@ TEST(LatencyRecorder, SnapshotJsonHasEveryField)
 // ---------------------------------------------------------------
 
 core::KnowledgeBase
-makeKb(size_t ns, size_t ed, uint64_t seed = 5)
+makeKb(size_t ns, size_t ed, uint64_t seed = 5,
+       core::Precision prec = core::Precision::F32)
 {
-    core::KnowledgeBase kb(ed);
+    core::KnowledgeBase kb(ed, prec);
     kb.reserve(ns);
     XorShiftRng rng(seed);
     std::vector<float> a(ed), b(ed);
@@ -498,43 +499,196 @@ liveConfig()
     return cfg;
 }
 
+/**
+ * A backend that tests LiveServer's window rule on its own:
+ * submitBatch never blocks, and a completer thread answers (echoes
+ * u into o) only once the window is full or every question has
+ * arrived — then newest first, so completions run in reverse
+ * submission order. It records the most batches ever submitted but
+ * not yet waited. Its batches do not join the work in flight, so
+ * LiveServer keeps batchTimeout for it.
+ */
+class ReversingBackend final : public BatchBackend
+{
+  public:
+    ReversingBackend(size_t depth, size_t questions)
+        : depth(depth), questions(questions), completer([this] { run(); })
+    {}
+
+    ~ReversingBackend() override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            stop = true;
+        }
+        cv.notify_all();
+        completer.join();
+    }
+
+    uint64_t
+    submitBatch(const float *u, size_t nq, size_t ed, float *o) override
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        batches.push_back({u, nq * ed, o, false});
+        received += nq;
+        maxOutstanding = std::max(maxOutstanding, batches.size() - waited);
+        cv.notify_all();
+        return batches.size() - 1;
+    }
+
+    BatchResult
+    waitBatch(uint64_t ticket) override
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        EXPECT_EQ(ticket, waited) << "tickets waited out of order";
+        cv.wait(lock, [&] { return batches[ticket].done; });
+        ++waited;
+        BatchResult r;
+        r.complete = true;
+        r.shardsAnswered = 1;
+        r.shardMask = 0b1;
+        return r;
+    }
+
+    size_t pipelineDepth() const override { return depth; }
+
+    void countersInto(LatencyRecorder &) const override {}
+
+    size_t
+    peakOutstanding()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return maxOutstanding;
+    }
+
+  private:
+    struct Batch
+    {
+        const float *u;
+        size_t floats;
+        float *o;
+        bool done;
+    };
+
+    void
+    run()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        size_t answered = 0; // batches [0, answered) are done
+        for (;;) {
+            cv.wait(lock, [&] {
+                const size_t pending = batches.size() - answered;
+                return stop || pending >= depth
+                    || (pending > 0 && received == questions);
+            });
+            if (stop)
+                return;
+            // Give a dispatcher that ignores the window time to
+            // overshoot it before anything completes.
+            lock.unlock();
+            std::this_thread::sleep_for(2ms);
+            lock.lock();
+            const size_t end = batches.size();
+            for (size_t j = end; j-- > answered;) {
+                Batch &b = batches[j];
+                std::copy(b.u, b.u + b.floats, b.o);
+                b.done = true;
+                cv.notify_all();
+                lock.unlock();
+                std::this_thread::sleep_for(1ms);
+                lock.lock();
+            }
+            answered = end;
+        }
+    }
+
+    const size_t depth;
+    const size_t questions;
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::vector<Batch> batches; ///< by ticket
+    size_t received = 0;        ///< questions submitted so far
+    size_t waited = 0;          ///< tickets [0, waited) were waited
+    size_t maxOutstanding = 0;
+    bool stop = false;
+    std::thread completer; ///< last: starts after every member above
+};
+
 TEST(LiveServer, AnswersAreBitIdenticalToAReferenceEngine)
 {
-    // The query-blocked dataflow is bit-identical across batch
-    // compositions (property-tested elsewhere), so whatever batches
-    // the dispatcher forms, each answer must equal a lone infer()
-    // on an identically-configured engine.
-    const size_t ns = 300, ed = 16, n_requests = 40;
-    const core::KnowledgeBase kb = makeKb(ns, ed);
-    LiveServerConfig cfg = liveConfig();
-    core::ColumnEngine reference(kb, cfg.engine);
-
-    LiveServer server(kb, cfg);
+    // The replicated mode's scan rides the chunk groups of
+    // ColumnEngine(kb, cfg.engine): one ring at engine.threads 0, eight
+    // at 2. A ring's partial does not depend on the chunk a batch
+    // joined at (scan_ring.hh) nor the query-blocked dataflow on the
+    // batch's other questions, so whatever batches the dispatcher
+    // forms and wherever they join, each answer must equal a lone
+    // infer() on that engine. A chunk hold stops the first batch at
+    // its second chunk while three more leave one question each, so
+    // they join a ring mid-revolution.
+    const size_t ns = 2560, ed = 16, n_requests = 40; // 40 chunks
     XorShiftRng rng(17);
-    std::vector<std::vector<float>> questions(n_requests);
-    std::vector<std::future<Answer>> futures;
-    for (auto &q : questions) {
-        q.resize(ed);
-        for (float &x : q)
-            x = rng.uniformRange(-1.f, 1.f);
-        Ticket t = server.submit(q.data());
-        ASSERT_TRUE(t.accepted());
-        futures.push_back(std::move(t.answer));
-    }
-    server.shutdown();
+    std::vector<float> u(n_requests * ed);
+    for (float &x : u)
+        x = rng.uniformRange(-1.f, 1.f);
+    for (core::Precision prec :
+         {core::Precision::F32, core::Precision::BF16,
+          core::Precision::I8}) {
+        const core::KnowledgeBase kb = makeKb(ns, ed, 5, prec);
+        for (size_t threads : {0u, 2u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << core::precisionName(prec)
+                         << " threads=" << threads);
+            LiveServerConfig cfg = liveConfig();
+            cfg.workers = 3;
+            cfg.engine.threads = threads;
+            core::ColumnEngine reference(kb, cfg.engine);
+            std::vector<float> expected(n_requests * ed);
+            for (size_t i = 0; i < n_requests; ++i)
+                reference.infer(u.data() + i * ed,
+                                expected.data() + i * ed);
 
-    std::vector<float> expected(ed);
-    for (size_t i = 0; i < n_requests; ++i) {
-        Answer a = futures[i].get();
-        ASSERT_EQ(a.o.size(), ed);
-        EXPECT_GE(a.batchSize, 1u);
-        EXPECT_LE(a.batchSize, cfg.maxBatch);
-        EXPECT_FALSE(a.failed);
-        EXPECT_EQ(a.shardMask, 0b1u); // one whole-KB shard
-        reference.infer(questions[i].data(), expected.data());
-        for (size_t e = 0; e < ed; ++e)
-            EXPECT_EQ(a.o[e], expected[e]) << "request " << i
-                                           << " element " << e;
+            ChunkHold hold;
+            hold.arm(2);
+            cfg.engine.chunkObserver = [&](size_t, size_t) {
+                hold.chunk();
+            };
+            LiveServer server(kb, cfg);
+            std::vector<std::future<Answer>> futures;
+            const auto submit = [&](size_t i) {
+                Ticket t = server.submit(u.data() + i * ed);
+                EXPECT_TRUE(t.accepted());
+                futures.push_back(std::move(t.answer));
+            };
+            submit(0);
+            ASSERT_TRUE(hold.waitHeld([&] {
+                return futures[0].wait_for(0s) == std::future_status::ready;
+            }));
+            for (size_t i = 1; i < 4; ++i) {
+                submit(i);
+                while (server.queued() != 0)
+                    std::this_thread::sleep_for(100us);
+            }
+            for (size_t i = 4; i < n_requests; ++i)
+                submit(i);
+            // The held batch keeps its credit: the window is full.
+            EXPECT_EQ(server.queued(), n_requests - 4);
+            hold.release();
+
+            for (size_t i = 0; i < n_requests; ++i) {
+                const Answer a = futures[i].get();
+                ASSERT_EQ(a.o.size(), ed);
+                EXPECT_GE(a.batchSize, 1u);
+                EXPECT_LE(a.batchSize, cfg.maxBatch);
+                EXPECT_FALSE(a.failed);
+                EXPECT_EQ(a.shardMask, 0b1u); // one whole-KB shard
+                for (size_t e = 0; e < ed; ++e)
+                    ASSERT_EQ(a.o[e], expected[i * ed + e])
+                        << "request " << i << " element " << e;
+            }
+            // Batches 2-3 were submitted while the hold stopped a ring
+            // mid-revolution, so they kept logits for a replay.
+            EXPECT_GT(server.snapshot().scan.keptChunks, 0u);
+        }
     }
 }
 
@@ -584,15 +738,18 @@ TEST(LiveServer, ShutdownDrainsInFlightWithoutLosingFutures)
 
 TEST(LiveServer, FullQueueRejectsWithBackpressureStatus)
 {
-    const core::KnowledgeBase kb = makeKb(100, 8);
+    // A caller's backend that does not join the work in flight keeps
+    // batchTimeout, so nothing leaves before the (never reached) 10 s
+    // timeout: the queue fills and refuses the overflow.
+    const size_t ed = 8;
+    ReversingBackend backend(/*depth=*/1, /*questions=*/4);
     LiveServerConfig cfg = liveConfig();
-    cfg.workers = 1;
-    cfg.maxBatch = 64;       // > capacity: the worker cannot dispatch
-    cfg.batchTimeout = 10.0; // until this (never reached) timeout
+    cfg.maxBatch = 64;       // > capacity: nothing is dispatched
+    cfg.batchTimeout = 10.0; // until this timeout
     cfg.queueCapacity = 4;
-    LiveServer server(kb, cfg);
+    LiveServer server(backend, ed, cfg);
 
-    std::vector<float> q(8, 0.5f);
+    std::vector<float> q(ed, 0.5f);
     std::vector<std::future<Answer>> futures;
     size_t rejected = 0;
     for (int i = 0; i < 10; ++i) {
@@ -604,14 +761,15 @@ TEST(LiveServer, FullQueueRejectsWithBackpressureStatus)
             ++rejected;
         }
     }
-    // The worker holds for a full batch or the 10 s timeout, so the
-    // queue held exactly its capacity and the overflow was rejected.
+    // The dispatch loop holds for a full batch or the 10 s timeout, so
+    // the queue held exactly its capacity and the overflow was
+    // rejected.
     EXPECT_EQ(futures.size(), 4u);
     EXPECT_EQ(rejected, 6u);
 
     server.shutdown(); // close() flushes the partial batch
     for (auto &f : futures)
-        EXPECT_EQ(f.get().o.size(), 8u);
+        EXPECT_EQ(f.get().o, q);
 
     // After shutdown, submissions report the terminal status.
     Ticket late = server.submit(q.data());
@@ -626,17 +784,17 @@ TEST(LiveServer, FullQueueRejectsWithBackpressureStatus)
     EXPECT_EQ(s.arrived, 11u);
 }
 
-TEST(LiveServer, ReplicatedHoldsALoneRequestForItsBatchTimeout)
+TEST(LiveServer, ANonJoiningBackendHoldsALoneRequestForItsBatchTimeout)
 {
-    // A replicated engine streams the whole KB per batch, so the
-    // server still waits out batchTimeout for riders before it sends
-    // a lone request.
+    // A caller's backend that streams the KB per batch does not join
+    // the work in flight, so the server still waits out batchTimeout
+    // for riders before it sends a lone request.
     const size_t ed = 8;
-    const core::KnowledgeBase kb = makeKb(100, ed);
+    ReversingBackend backend(/*depth=*/1, /*questions=*/1);
+    ASSERT_FALSE(backend.joinsInFlight());
     LiveServerConfig cfg = liveConfig();
     cfg.batchTimeout = 0.3;
-    LiveServer server(kb, cfg);
-    core::ColumnEngine reference(kb, cfg.engine);
+    LiveServer server(backend, ed, cfg);
 
     const std::vector<float> q(ed, 0.5f);
     Ticket t = server.submit(q.data());
@@ -645,11 +803,7 @@ TEST(LiveServer, ReplicatedHoldsALoneRequestForItsBatchTimeout)
     const Answer a = t.answer.get();
     EXPECT_EQ(a.batchSize, 1u);
     EXPECT_GE(a.queueWaitSeconds, cfg.batchTimeout);
-    std::vector<float> expected(ed);
-    reference.infer(q.data(), expected.data());
-    ASSERT_EQ(a.o.size(), ed);
-    for (size_t e = 0; e < ed; ++e)
-        EXPECT_EQ(a.o[e], expected[e]) << "element " << e;
+    EXPECT_EQ(a.o, q);
 }
 
 TEST(LiveServer, NonFiniteQuestionsAreRefusedAtAdmission)
@@ -872,120 +1026,6 @@ TEST(LiveServer, ConcurrentSnapshotsNeverShowPhantomBacklog)
         floodAndCheckBacklog(server);
     }
 }
-
-/**
- * A backend that tests LiveServer's window rule on its own:
- * submitBatch never blocks, and a completer thread answers (echoes
- * u into o) only once the window is full or every question has
- * arrived — then newest first, so completions run in reverse
- * submission order. It records the most batches ever submitted but
- * not yet waited.
- */
-class ReversingBackend final : public BatchBackend
-{
-  public:
-    ReversingBackend(size_t depth, size_t questions)
-        : depth(depth), questions(questions), completer([this] { run(); })
-    {}
-
-    ~ReversingBackend() override
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            stop = true;
-        }
-        cv.notify_all();
-        completer.join();
-    }
-
-    uint64_t
-    submitBatch(const float *u, size_t nq, size_t ed, float *o) override
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        batches.push_back({u, nq * ed, o, false});
-        received += nq;
-        maxOutstanding = std::max(maxOutstanding, batches.size() - waited);
-        cv.notify_all();
-        return batches.size() - 1;
-    }
-
-    BatchResult
-    waitBatch(uint64_t ticket) override
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        EXPECT_EQ(ticket, waited) << "tickets waited out of order";
-        cv.wait(lock, [&] { return batches[ticket].done; });
-        ++waited;
-        BatchResult r;
-        r.complete = true;
-        r.shardsAnswered = 1;
-        r.shardMask = 0b1;
-        return r;
-    }
-
-    size_t pipelineDepth() const override { return depth; }
-
-    void countersInto(LatencyRecorder &) const override {}
-
-    size_t
-    peakOutstanding()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return maxOutstanding;
-    }
-
-  private:
-    struct Batch
-    {
-        const float *u;
-        size_t floats;
-        float *o;
-        bool done;
-    };
-
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        size_t answered = 0; // batches [0, answered) are done
-        for (;;) {
-            cv.wait(lock, [&] {
-                const size_t pending = batches.size() - answered;
-                return stop || pending >= depth
-                    || (pending > 0 && received == questions);
-            });
-            if (stop)
-                return;
-            // Give a dispatcher that ignores the window time to
-            // overshoot it before anything completes.
-            lock.unlock();
-            std::this_thread::sleep_for(2ms);
-            lock.lock();
-            const size_t end = batches.size();
-            for (size_t j = end; j-- > answered;) {
-                Batch &b = batches[j];
-                std::copy(b.u, b.u + b.floats, b.o);
-                b.done = true;
-                cv.notify_all();
-                lock.unlock();
-                std::this_thread::sleep_for(1ms);
-                lock.lock();
-            }
-            answered = end;
-        }
-    }
-
-    const size_t depth;
-    const size_t questions;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::vector<Batch> batches; ///< by ticket
-    size_t received = 0;        ///< questions submitted so far
-    size_t waited = 0;          ///< tickets [0, waited) were waited
-    size_t maxOutstanding = 0;
-    bool stop = false;
-    std::thread completer; ///< last: starts after every member above
-};
 
 TEST(LiveServer, WindowRuleHoldsOverAReorderingBackend)
 {

@@ -737,9 +737,8 @@ TEST(LiveServer, ShardedSnapshotCarriesScanCounters)
 }
 
 /**
- * The replicated mode's snapshot carries its engines' counters too:
- * each waited batch folds what its engine's pass kept, skipped,
- * routed and bypassed.
+ * The replicated mode's snapshot carries its scan's counters too: what
+ * its ring kept, skipped, routed and bypassed, and its steps.
  */
 TEST(LiveServer, ReplicatedSnapshotCarriesScanCounters)
 {
@@ -770,6 +769,8 @@ TEST(LiveServer, ReplicatedSnapshotCarriesScanCounters)
     EXPECT_GT(s.scan.rowsSkipped, 0u);
     EXPECT_EQ(s.scan.rowsRouted, 0u); // routing is off
     EXPECT_EQ(s.scan.chunksBypassed, 0u);
+    EXPECT_GT(s.scan.steps, 0u);
+    EXPECT_GT(s.scan.questionsStreamed, 0u);
 
     // With routing on, the routed rows and bypassed chunks arrive too.
     cfg.engine.routePolicy = core::RoutePolicy::TopK;
