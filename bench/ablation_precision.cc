@@ -16,7 +16,8 @@
  * which DESIGN.md §7 (bf16) and §10 (int8) bound analytically.
  *
  * Emits BENCH_precision.json (path overridable via the
- * MNNFAST_BENCH_JSON environment variable) for tracking.
+ * MNNFAST_BENCH_JSON environment variable) for tracking, with the
+ * run's provenance (bench::beginProvenance) and CPU steal share.
  */
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "bench_util.hh"
 #include "core/column_engine.hh"
 #include "stats/table.hh"
@@ -128,17 +130,13 @@ main()
         {"mnnfast", true, 1e-4f},
     };
 
-    const char *json_path = std::getenv("MNNFAST_BENCH_JSON");
-    if (!json_path)
-        json_path = "BENCH_precision.json";
-    FILE *json = std::fopen(json_path, "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-        return 1;
-    }
-    std::fprintf(json, "{\n  \"nq\": %zu,\n  \"threads\": 0,\n"
-                       "  \"configs\": [",
-                 nq);
+    const bench::StealClock steal;
+    bench::JsonWriter json(bench::benchJsonPath("BENCH_precision.json"));
+    json.beginObject();
+    json.field("nq", nq);
+    json.field("threads", size_t{0});
+    json.key("configs");
+    json.beginArray();
 
     stats::Table table({"ns", "ed", "engine", "f32 ms", "bf16 ms",
                         "i8 ms", "bf16 x", "i8 x", "i8/bf16",
@@ -157,7 +155,6 @@ main()
     double bf16_speedup_large = 0.0;
     double max_dev_bf16 = 0.0;
     double max_dev_i8 = 0.0;
-    bool first_cfg = true;
     for (const Geometry &g : geoms) {
         const size_t chunk = std::min<size_t>(512, g.ns);
         constexpr size_t kNSpecs = 3;
@@ -201,18 +198,15 @@ main()
             }
         }
 
-        std::fprintf(json,
-                     "%s\n    {\n      \"ns\": %zu,\n      \"ed\": %zu,"
-                     "\n      \"chunk\": %zu,\n"
-                     "      \"kb_bytes_f32\": %zu,\n"
-                     "      \"kb_bytes_bf16\": %zu,\n"
-                     "      \"kb_bytes_i8\": %zu,\n"
-                     "      \"engines\": [",
-                     first_cfg ? "" : ",", g.ns, g.ed, chunk,
-                     kb_bytes[0], kb_bytes[1], kb_bytes[2]);
-        first_cfg = false;
-
-        bool first_engine = true;
+        json.beginObject();
+        json.field("ns", g.ns);
+        json.field("ed", g.ed);
+        json.field("chunk", chunk);
+        json.field("kb_bytes_f32", kb_bytes[0]);
+        json.field("kb_bytes_bf16", kb_bytes[1]);
+        json.field("kb_bytes_i8", kb_bytes[2]);
+        json.key("engines");
+        json.beginArray();
         for (size_t si = 0; si < kNSpecs; ++si) {
             const EngineSpec &spec = specs[si];
             const double t32 = secs[si][0];
@@ -260,25 +254,25 @@ main()
                                std::to_string(speedup8),
                                std::to_string(dev16),
                                std::to_string(dev8)});
-            std::fprintf(json,
-                         "%s\n        {\"name\": \"%s\", "
-                         "\"f32_seconds\": %.9f, "
-                         "\"bf16_seconds\": %.9f, "
-                         "\"i8_seconds\": %.9f, "
-                         "\"f32_gbps\": %.4f, \"bf16_gbps\": %.4f, "
-                         "\"i8_gbps\": %.4f, "
-                         "\"speedup_bf16\": %.4f, "
-                         "\"speedup_i8\": %.4f, "
-                         "\"i8_over_bf16\": %.4f, "
-                         "\"max_abs_deviation_bf16\": %.9f, "
-                         "\"max_abs_deviation_i8\": %.9f}",
-                         first_engine ? "" : ",", spec.label, t32, t16,
-                         t8, gbps32, gbps16, gbps8, speedup16, speedup8,
-                         i8_over_bf16, dev16, dev8);
-            first_engine = false;
+            json.beginObject();
+            json.field("name", spec.label);
+            json.field("f32_seconds", t32);
+            json.field("bf16_seconds", t16);
+            json.field("i8_seconds", t8);
+            json.field("f32_gbps", gbps32);
+            json.field("bf16_gbps", gbps16);
+            json.field("i8_gbps", gbps8);
+            json.field("speedup_bf16", speedup16);
+            json.field("speedup_i8", speedup8);
+            json.field("i8_over_bf16", i8_over_bf16);
+            json.field("max_abs_deviation_bf16", dev16);
+            json.field("max_abs_deviation_i8", dev8);
+            json.endObject();
         }
-        std::fprintf(json, "\n      ]\n    }");
+        json.endArray();
+        json.endObject();
     }
+    json.endArray();
 
     // Analytic deviation bounds for the measured geometry family
     // (DESIGN.md §7 and §10). bf16 rounding is <= 2^-8 relative per
@@ -294,24 +288,23 @@ main()
         max_ed * double(kScale) * double(kScale) * 0x1p-8;
     const double dev_bound =
         0.1 * double(kScale) + 2.0 * dot_shift + 1e-3;
-    std::fprintf(json,
-                 "\n  ],\n  \"max_deviation_bf16\": %.9f,\n"
-                 "  \"max_deviation_i8\": %.9f,\n"
-                 "  \"deviation_bound\": %.9f,\n"
-                 "  \"speedup_large_kb\": %.4f,\n"
-                 "  \"mnnfast_i8_vs_f32_large\": %.4f,\n"
-                 "  \"mnnfast_i8_vs_bf16_large\": %.4f\n}\n",
-                 max_dev_bf16, max_dev_i8, dev_bound,
-                 bf16_speedup_large, mnnfast_i8_vs_f32_large,
-                 mnnfast_i8_vs_bf16_large);
-    std::fclose(json);
+    json.field("max_deviation_bf16", max_dev_bf16);
+    json.field("max_deviation_i8", max_dev_i8);
+    json.field("deviation_bound", dev_bound);
+    json.field("speedup_large_kb", bf16_speedup_large);
+    json.field("mnnfast_i8_vs_f32_large", mnnfast_i8_vs_f32_large);
+    json.field("mnnfast_i8_vs_bf16_large", mnnfast_i8_vs_bf16_large);
+    bench::beginProvenance(json, MNNFAST_BUILD_TYPE);
+    json.field("cpu_steal_frac", steal.frac());
+    json.endObject();
+    json.endObject();
 
     table.print();
     std::printf("\nwrote %s; at the large geometry the mnnfast engine "
                 "ran int8 %.2fx over fp32 and %.2fx over bf16 "
                 "(bf16 %.2fx over fp32); max answer-score deviation "
                 "bf16 %.2e, i8 %.2e (bound %.2e)\n",
-                json_path, mnnfast_i8_vs_f32_large,
+                json.path().c_str(), mnnfast_i8_vs_f32_large,
                 mnnfast_i8_vs_bf16_large, bf16_speedup_large,
                 max_dev_bf16, max_dev_i8, dev_bound);
     return (max_dev_bf16 <= dev_bound && max_dev_i8 <= dev_bound) ? 0

@@ -23,11 +23,13 @@
  * engine's 1024-row chunk calls — a read-only sweep (the same loads,
  * no fmas), the dot over one cache-resident chunk, and the streamed
  * dot with the row look-ahead off and at the plan table's distance —
- * at nq 1, 8 and 16. If streamed ~ read-only + cached, the stream and
- * the arithmetic do not overlap. Their names avoid "Multi", so a
- * --benchmark_filter=Multi smoke skips their large matrix. The matrix
+ * at nq 1, 8, 16 and 24 (a served ring step's width). If streamed ~
+ * read-only + cached, the stream and the arithmetic do not overlap.
+ * Their names avoid "Multi", so a --benchmark_filter=Multi smoke
+ * skips their large matrix. The matrix
  * is an AlignedBuffer, so it streams from 2 MiB pages where the host
- * grants them (the record's thp_enabled).
+ * grants them (the record's thp_enabled). BM_Phase2ShiftedExp is the
+ * served step's phase 2: max and shifted exp over a 24 x 1024 tile.
  *
  * BM_KbIngest/{f32,bf16,i8} builds a knowledge base the way a server
  * does: reserve 2^18 rows of ed 128, then add them one by one.
@@ -339,6 +341,7 @@ BENCHMARK(BM_Phase1CachedDot)
     ->Arg(1)
     ->Arg(8)
     ->Arg(16)
+    ->Arg(24)
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -373,7 +376,31 @@ BENCHMARK(BM_Phase1StreamedDot)
     ->Args({8, 1})
     ->Args({16, 0})
     ->Args({16, 1})
+    ->Args({24, 0})
+    ->Args({24, 1})
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_Phase2ShiftedExp(benchmark::State &state)
+{
+    // A ring step's phase 2 at the served width: per question of a
+    // 24 x 1024 logit tile, the row's max, its shift and the shifted
+    // exp in place. Repeated in place the values stay in the exp's
+    // normal range, and the kernels' cost does not depend on them.
+    constexpr size_t kNq = 24;
+    auto t = randomVec(kNq * kDiagChunk, 23);
+    for (auto _ : state) {
+        for (size_t q = 0; q < kNq; ++q) {
+            float *tq = t.data() + q * kDiagChunk;
+            blas::expShiftInplace(
+                tq, kDiagChunk,
+                blas::expShiftFor(blas::maxElement(tq, kDiagChunk)));
+        }
+        benchmark::DoNotOptimize(t.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kNq * kDiagChunk);
+}
+BENCHMARK(BM_Phase2ShiftedExp)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ExpInplace(benchmark::State &state)

@@ -98,9 +98,13 @@ float maxElement(const float *x, size_t n);
 /**
  * Software row look-ahead of a fused row sweep: a hint that never
  * changes results. Each row tile of the sweep prefetches into L1 the
- * rows `rows` ahead of its own, so the stream's line fills are spread
- * among the tile's fmas instead of issued in one burst; a batch of
- * several query tiles issues it from the first only (the rows are
+ * rows `rows` ahead of its own, one cache line at a time: at each
+ * 64-byte step of its k-loop the tile prefetches that line of each of
+ * its rows' look-ahead rows, and the lines past its last whole body
+ * line after the loop. The stream's line fills are thus paced by the
+ * arithmetic that consumes lines; a burst of every line before the
+ * fmas fills the line-fill buffers and stalls them. A batch of several
+ * query tiles issues it from the first only (the rows are
  * cache-resident for the others). It never touches a row at or past
  * count + `beyond`: `beyond` is how many rows past the call's last
  * row the caller owns and will sweep next — an engine's rest of the
@@ -137,7 +141,11 @@ inline constexpr RowLookahead kI8CallLookahead{8, 0};
  * tiles 4 such pairs x 8 rows. Each 8-wide row load feeds every query
  * in the tile, so the per-query M_IN load traffic drops accordingly.
  * The AVX-512 tier interleaves the queries into a thread-local packed
- * buffer (grown, never shrunk) once per call. The engine-level
+ * buffer (grown, never shrunk) once per call. With `ahead` on, the
+ * first query tile streams the rows in, its row look-ahead issued
+ * line by line through each row tile's k-loop (RowLookahead); a
+ * 24-question ring step is three such query tiles on AVX-512 (12
+ * pairs), so the others read the rows from cache. The engine-level
  * strip blocking on top keeps a row strip cache-resident across the
  * whole batch, which is what amortizes the KB stream over concurrent
  * queries. Requires stride >= n and xstride >= n; out rows must not

@@ -1,7 +1,8 @@
 /**
  * @file
  * AVX-512 kernel tier: the fused kernels of kernels_simd.hh over the
- * 512-bit width trait below; every other entry comes from the AVX2
+ * 512-bit width trait below, and phase 2 at 16 lanes (maxElement,
+ * expShiftInplace, expInplace); every other entry comes from the AVX2
  * tier.
  *
  * Compiled with -mavx512f -mavx512vl -mavx512bw -mavx512dq -mfma on
@@ -23,6 +24,14 @@
  * host's memory (DESIGN.md §5). The weighted sum
  * accumulates 16 lanes at a time and, for tiles of more than four
  * questions, scans the skip tests of eight questions per __m512d.
+ *
+ * Phase 2 equals the AVX2 tier bit for bit. The shifted exp runs
+ * exp8's operations lane for lane on 16 lanes, with a masked tail in
+ * place of AVX2's buffer copy. maxElement runs four 16-lane chains: a
+ * nonzero maximum has one bit pattern whatever the order, so only a
+ * zero maximum, whose sign the order picks, is left to the AVX2 tier's
+ * maxElement. On a 24 x 1024 logit tile (a served ring step) the two
+ * take about half the 8-lane time (EXPERIMENTS.md).
  */
 
 #include "blas/kernels_detail.hh"
@@ -217,6 +226,113 @@ struct Zmm
     }
 };
 
+// --- Phase 2 at 16 lanes ------------------------------------------------
+
+/**
+ * maxElement over 16 lanes in four independent chains. Every element
+ * equal to a nonzero maximum has the maximum's bits, so the order of
+ * the maxima cannot change a nonzero result; a NaN anywhere gives the
+ * quiet NaN, as on every tier. Only a zero maximum, whose sign is that
+ * of the zero the order picks last, is left to the AVX2 tier's
+ * maxElement, so the result equals the AVX2 tier's bit for bit.
+ */
+float
+maxElementAvx512(const float *x, size_t n)
+{
+    const __m512 x0 = _mm512_set1_ps(x[0]);
+    __m512 acc[4] = {x0, x0, x0, x0};
+    __mmask16 nan = 0;
+    size_t i = 0;
+    for (; i + 64 <= n; i += 64) {
+#pragma GCC unroll 4
+        for (size_t c = 0; c < 4; ++c) {
+            const __m512 v = _mm512_loadu_ps(x + i + 16 * c);
+            acc[c] = _mm512_max_ps(acc[c], v);
+            nan |= _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
+        }
+    }
+    for (; i < n; i += 16) {
+        // Lanes past the end repeat x[0], which is already in every
+        // lane's maximum.
+        const __mmask16 live =
+            n - i >= 16 ? __mmask16(0xffff) : __mmask16((1u << (n - i)) - 1);
+        const __m512 v = _mm512_mask_loadu_ps(x0, live, x + i);
+        acc[0] = _mm512_max_ps(acc[0], v);
+        nan |= _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
+    }
+    if (nan != 0)
+        return __builtin_nanf("");
+    const float m = _mm512_reduce_max_ps(_mm512_max_ps(
+        _mm512_max_ps(acc[0], acc[1]), _mm512_max_ps(acc[2], acc[3])));
+    return m != 0.f ? m : avx2Kernels()->maxElement(x, n);
+}
+
+/**
+ * exp8 (kernels_avx2.cc) at 16 lanes: its operations lane for lane —
+ * roundscale toward -inf for its floor, mask blends for its blendv — so
+ * every lane's result has exp8's bits.
+ */
+inline __m512
+exp16(__m512 x, __m512 k)
+{
+    // n = round(x / ln2), computed as floor(x * log2e + 0.5).
+    const __m512 fx = _mm512_roundscale_ps(
+        _mm512_fmadd_ps(x, _mm512_set1_ps(1.44269504088896341f),
+                        _mm512_set1_ps(0.5f)),
+        _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+
+    // r = x - n*ln2, with ln2 split for extra precision.
+    __m512 r = _mm512_fnmadd_ps(fx, _mm512_set1_ps(0.693359375f), x);
+    r = _mm512_fnmadd_ps(fx, _mm512_set1_ps(-2.12194440e-4f), r);
+
+    __m512 y = _mm512_set1_ps(1.9875691500e-4f);
+    y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(1.3981999507e-3f));
+    y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(8.3334519073e-3f));
+    y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(4.1665795894e-2f));
+    y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(1.6666665459e-1f));
+    y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(5.0000001201e-1f));
+    y = _mm512_fmadd_ps(y, _mm512_mul_ps(r, r), r);
+    y = _mm512_add_ps(y, _mm512_set1_ps(1.0f));
+
+    // y *= 2^(n - k) via the exponent field.
+    const __m512 lo = _mm512_set1_ps(-126.f), hi = _mm512_set1_ps(127.f);
+    const __m512 e = _mm512_sub_ps(fx, k);
+    const __mmask16 over = _mm512_cmp_ps_mask(e, hi, _CMP_GT_OQ);
+    const __mmask16 under = _mm512_cmp_ps_mask(e, lo, _CMP_NGE_UQ);
+    __m512i bits =
+        _mm512_cvttps_epi32(_mm512_min_ps(_mm512_max_ps(e, lo), hi));
+    bits = _mm512_add_epi32(bits, _mm512_set1_epi32(127));
+    bits = _mm512_slli_epi32(bits, 23);
+    y = _mm512_mul_ps(y, _mm512_castsi512_ps(bits));
+
+    y = _mm512_mask_blend_ps(over, y, _mm512_set1_ps(__builtin_inff()));
+    y = _mm512_mask_blend_ps(under, y, _mm512_setzero_ps());
+    return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q), y,
+                                x);
+}
+
+void
+expShiftInplaceAvx512(float *x, size_t n, float k)
+{
+    const __m512 kv = _mm512_set1_ps(k);
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16)
+        _mm512_storeu_ps(x + i, exp16(_mm512_loadu_ps(x + i), kv));
+    if (i < n) {
+        // The tail through the same lanes, masked: results do not
+        // depend on where a 16-lane boundary falls.
+        const __mmask16 live = __mmask16((1u << (n - i)) - 1);
+        _mm512_mask_storeu_ps(
+            x + i, live, exp16(_mm512_maskz_loadu_ps(live, x + i), kv));
+    }
+}
+
+void
+expInplaceAvx512(float *x, size_t n)
+{
+    expShiftInplaceAvx512(x, n, 0.f);
+}
+
 } // namespace
 
 const KernelTable *
@@ -230,7 +346,13 @@ avx512Kernels()
     const KernelTable *avx2 = avx2Kernels();
     if (!avx2)
         return nullptr;
-    static const KernelTable table = fusedTable<Zmm>(*avx2, "avx512");
+    static const KernelTable table = [&] {
+        KernelTable t = fusedTable<Zmm>(*avx2, "avx512");
+        t.maxElement = maxElementAvx512;
+        t.expInplace = expInplaceAvx512;
+        t.expShiftInplace = expShiftInplaceAvx512;
+        return t;
+    }();
     return &table;
 }
 

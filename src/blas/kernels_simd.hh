@@ -374,10 +374,16 @@ struct Ymm
  * tiles reduce each chain with hsum8: a half-empty tree made the lone
  * AVX2 f32 query's sweep slower.
  *
- * Row look-ahead: before its fmas, for each of its rows r + k the tile
- * prefetches row r + k + ahead if that lies below `limit`
- * (lookaheadLimit), so a sweep keeps about `ahead` rows of line fills
- * in flight, issued one tile's rows at a time among the fmas.
+ * Row look-ahead: row r + k looks ahead to row r + k + ahead if that
+ * lies below `limit` (lookaheadLimit). The hints are paced by the
+ * arithmetic: at each 64-byte step of the row body the tile prefetches
+ * that line of each looking row, and the lines past the body after the
+ * loop, so a sweep keeps about `ahead` rows of line fills in flight
+ * and issues them at the rate it consumes lines. (A burst of every
+ * line of the tile's rows before its fmas fills the line-fill buffers
+ * and stalls the arithmetic behind it.) A row that may not look ahead
+ * prefetches its own line, which its loads are about to touch; a tile
+ * in which no row looks ahead issues no hint at all.
  */
 template <class V, size_t NG, size_t NR, class P>
 inline void
@@ -386,13 +392,20 @@ dotTile(const P &p, const float *const *xg, const float *const *xq,
         size_t n, float *const *oq, size_t r, size_t ahead, size_t limit)
 {
     using Vec = typename V::Vec;
+    using Elem = typename P::Elem;
     constexpr size_t kQ = V::kQ, NQ = NG * kQ;
-    const typename P::Elem *row[NR];
+    // Elements per cache line: 16 (f32), 32 (bf16) or 64 (int8), so
+    // every line step is whole 8-element body steps.
+    constexpr size_t kLine = 64 / sizeof(Elem);
+    const size_t looking =
+        limit > r + ahead ? minSize(NR, limit - r - ahead) : 0;
+    const Elem *row[NR];
+    const char *next[NR]; // the line stream each row prefetches
 #pragma GCC unroll 8
     for (size_t k = 0; k < NR; ++k) {
         row[k] = rows + (r + k) * stride;
-        if (r + k + ahead < limit)
-            prefetchRow<P>(row[k] + ahead * stride, n);
+        next[k] = reinterpret_cast<const char *>(
+            k < looking ? row[k] + ahead * stride : row[k]);
     }
     Vec acc[NG][NR];
 #pragma GCC unroll 4
@@ -400,8 +413,7 @@ dotTile(const P &p, const float *const *xg, const float *const *xq,
 #pragma GCC unroll 8
         for (size_t k = 0; k < NR; ++k)
             acc[g][k] = V::zero();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    const auto step = [&](size_t i) {
         Vec xv[NG];
 #pragma GCC unroll 4
         for (size_t g = 0; g < NG; ++g)
@@ -413,7 +425,28 @@ dotTile(const P &p, const float *const *xg, const float *const *xq,
             for (size_t g = 0; g < NG; ++g)
                 acc[g][k] = V::fma(xv[g], rv, acc[g][k]);
         }
+    };
+    const auto prefetchLine = [&](size_t i) {
+#pragma GCC unroll 8
+        for (size_t k = 0; k < NR; ++k)
+            _mm_prefetch(next[k] + i * sizeof(Elem), _MM_HINT_T0);
+    };
+    const size_t n8 = n / 8 * 8;
+    size_t i = 0;
+    if (looking != 0) {
+        for (; i + kLine <= n8; i += kLine) {
+            prefetchLine(i);
+#pragma GCC unroll 8
+            for (size_t j = 0; j < kLine; j += 8)
+                step(i + j);
+        }
+        // Lines that start past the last whole body line: a partial
+        // body line, the tail, or both.
+        for (size_t b = i; b < n; b += kLine)
+            prefetchLine(b);
     }
+    for (; i < n8; i += 8)
+        step(i);
     if constexpr (NR % 4 != 0 || NG * NR * kQ < 8) {
         float s[NQ][NR];
 #pragma GCC unroll 8

@@ -169,19 +169,23 @@ LatencySnapshot::toJson(int indent) const
     out += quantilesJson("queue_wait_seconds", queueWait, in) + ",\n";
     out += quantilesJson("service_seconds", service, in) + ",\n";
     out += quantilesJson("end_to_end_seconds", endToEnd, in) + ",\n";
-    char scanBuf[384];
+    char scanBuf[512];
     std::snprintf(scanBuf, sizeof(scanBuf),
                   "%s\"scan\": {\"rows_kept\": %llu, \"rows_skipped\": %llu, "
                   "\"rows_routed\": %llu, \"chunks_bypassed\": %llu, "
                   "\"steps\": %llu, \"questions_streamed\": %llu, "
-                  "\"kept_chunks\": %llu}",
+                  "\"kept_chunks\": %llu, \"inner_s\": %.9f, "
+                  "\"softmax_s\": %.9f, \"wsum_s\": %.9f, "
+                  "\"busy_s\": %.9f}",
                   in.c_str(), static_cast<unsigned long long>(scan.rowsKept),
                   static_cast<unsigned long long>(scan.rowsSkipped),
                   static_cast<unsigned long long>(scan.rowsRouted),
                   static_cast<unsigned long long>(scan.chunksBypassed),
                   static_cast<unsigned long long>(scan.steps),
                   static_cast<unsigned long long>(scan.questionsStreamed),
-                  static_cast<unsigned long long>(scan.keptChunks));
+                  static_cast<unsigned long long>(scan.keptChunks),
+                  scan.innerSeconds, scan.softmaxSeconds, scan.wsumSeconds,
+                  scan.busySeconds);
     out += scanBuf;
     // The rpc block only exists for cluster serving; in-process
     // snapshots keep their exact pre-cluster shape.

@@ -59,6 +59,9 @@ struct RpcShardCounters
  * Monotone, merged by addition. Under zero-skip
  * rowsKept + rowsSkipped is the (question, row) pairs the weighted sum
  * tested; questionsStreamed / steps is the questions per ring step.
+ * The seconds are summed over the scan's workers: each ring phase's,
+ * and the busy time that holds them (attaching riders and stepping),
+ * so innerSeconds + softmaxSeconds + wsumSeconds <= busySeconds.
  */
 struct ScanCounters
 {
@@ -69,6 +72,10 @@ struct ScanCounters
     uint64_t steps = 0;          ///< ring steps (chunks stepped)
     uint64_t questionsStreamed = 0; ///< questions per step's dotMin, summed
     uint64_t keptChunks = 0; ///< (question, chunk) tiles kept for replay
+    double innerSeconds = 0.0;   ///< phase 1: inner products
+    double softmaxSeconds = 0.0; ///< phase 2: max and shifted exp
+    double wsumSeconds = 0.0;    ///< phase 3: weighted sum
+    double busySeconds = 0.0;    ///< workers attaching and stepping
 
     void
     addFrom(const ScanCounters &o)
@@ -80,6 +87,10 @@ struct ScanCounters
         steps += o.steps;
         questionsStreamed += o.questionsStreamed;
         keptChunks += o.keptChunks;
+        innerSeconds += o.innerSeconds;
+        softmaxSeconds += o.softmaxSeconds;
+        wsumSeconds += o.wsumSeconds;
+        busySeconds += o.busySeconds;
     }
 };
 

@@ -125,9 +125,12 @@ class ShardedScan final : public BatchBackend
     void
     countersInto(LatencyRecorder &acc) const override
     {
-        const core::ScanTotals t = scan.totals();
-        acc.recordScan({t.kept, t.skipped, t.routedRows, t.bypassed,
-                        t.steps, t.questionsStreamed, t.keptChunks});
+        const ScanBackend::Totals t = scan.totals();
+        const core::ScanTotals &r = t.rings;
+        acc.recordScan({r.kept, r.skipped, r.routedRows, r.bypassed,
+                        r.steps, r.questionsStreamed, r.keptChunks,
+                        r.times.inner, r.times.softmax, r.times.wsum,
+                        t.busy});
     }
 
   private:

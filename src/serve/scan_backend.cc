@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/logging.hh"
+#include "util/timer.hh"
 
 namespace mnnfast::serve {
 
@@ -66,7 +67,7 @@ ScanBackend::submit(ScanJob &job)
     workCv.notify_all();
 }
 
-core::ScanTotals
+ScanBackend::Totals
 ScanBackend::totals() const
 {
     std::lock_guard<std::mutex> lock(mutex);
@@ -103,16 +104,19 @@ ScanBackend::work(size_t worker)
         joining.swap(lane->joining);
         lock.unlock();
 
+        const Timer timer;
         for (core::ScanRider *r : joining)
             lane->ring->attach(*r);
         joining.clear();
         lane->ring->step(worker, done);
         const core::ScanTotals step = lane->ring->takeTotals();
+        const double busySeconds = timer.seconds();
 
         lock.lock();
         lane->busy = false;
         lane->riding = !lane->ring->idle();
-        sums += step;
+        sums.rings += step;
+        sums.busy += busySeconds;
         for (core::ScanRider *r : done) {
             ScanJob *job = static_cast<ScanJob::Ride *>(r)->job;
             if (--job->pending == 0)

@@ -27,8 +27,10 @@
  * hands its response to a per-connection sender).
  *
  * Counters: every step's core::ScanTotals (rows kept, skipped and
- * routed, chunks bypassed, steps, questions streamed, chunks kept)
- * add into totals(), which a serving layer reads for its snapshot.
+ * routed, chunks bypassed, steps, questions streamed, chunks kept,
+ * phase seconds) add into totals(), which a serving layer reads for
+ * its snapshot, with the workers' busy seconds: the wall time spent
+ * attaching riders and stepping rings, timed once per step.
  *
  * Teardown: the destructor stops the workers after their current
  * step; jobs still riding then never settle, so an owner that needs
@@ -114,8 +116,15 @@ class ScanBackend
      */
     void submit(ScanJob &job);
 
-    /** What the rings' steps did since construction (thread-safe). */
-    core::ScanTotals totals() const;
+    /** Every step's ring totals, and the workers' busy seconds. */
+    struct Totals
+    {
+        core::ScanTotals rings; ///< every step's ring totals
+        double busy = 0.0; ///< seconds attaching riders and stepping
+    };
+
+    /** What the workers did since construction (thread-safe). */
+    Totals totals() const;
 
   private:
     /** One ring and its hand-off state (guarded by mutex). */
@@ -138,7 +147,7 @@ class ScanBackend
      *  stopping. */
     mutable std::mutex mutex;
     std::vector<Lane> lanes;
-    core::ScanTotals sums; ///< every step's totals
+    Totals sums; ///< every step's totals and busy seconds
     std::condition_variable workCv; ///< workers: a ring has work
     bool stopping = false;
     // Declared last: its threads touch every member above.

@@ -18,6 +18,7 @@
 
 #include "blas/exact_fma.hh"
 #include "blas/kernels.hh"
+#include "blas/kernels_detail.hh" // the tier tables, for tier-vs-tier tests
 #include "util/bf16.hh"
 #include "util/rng.hh"
 
@@ -585,6 +586,83 @@ TEST_P(SimdVsScalar, ExpShiftInplace)
             }
             ASSERT_NEAR(x1[i], x2[i], 2e-6f * x2[i] + 1e-37f)
                 << "n=" << n << " off=" << off << " i=" << i;
+        }
+    }
+}
+
+/**
+ * The AVX-512 table's phase-2 kernels (16-lane maxElement,
+ * expShiftInplace, expInplace) against the AVX2 table's, bit for bit:
+ * lengths 1-67 (every 16-lane tail and the four-chain body) at base
+ * offsets 0-3, with NaN, infinities, signed zeros and denormals, and
+ * shifts that push results past both ends of the exponent range. The
+ * tables are called directly, whatever MNNFAST_KERNELS caps dispatch
+ * at.
+ */
+TEST(Avx512Phase2, EqualsAvx2BitForBit)
+{
+    const detail::KernelTable *wide = detail::avx512Kernels();
+    const detail::KernelTable *narrow = detail::avx2Kernels();
+    if (!wide || !narrow)
+        GTEST_SKIP() << "no AVX-512 on this host";
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto same = [](const std::vector<float> &a,
+                         const std::vector<float> &b) {
+        return std::memcmp(a.data(), b.data(), a.size() * sizeof(float))
+            == 0;
+    };
+    const auto bits = [](float v) {
+        uint32_t u;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    for (size_t n = 1; n <= 67; ++n) {
+        for (size_t off = 0; off < kMaxOffset; ++off) {
+            const auto base = nastyVec(n, 110 + n);
+            // Non-positive values with zeros of both signs: a zero
+            // maximum, whose sign depends on the reduction order.
+            auto nonpos = base;
+            for (size_t i = 0; i < nonpos.size(); ++i)
+                nonpos[i] = i % 3 == 0 ? (i % 2 ? -0.f : 0.f)
+                                       : -std::abs(nonpos[i]);
+            auto special = base;
+            special[off] = -inf;
+            special[off + n - 1] = inf;
+            std::vector<std::vector<float>> inputs = {base, nonpos, special};
+            for (size_t p : nanPositions(n)) {
+                inputs.push_back(base);
+                inputs.back()[off + p] = nan;
+            }
+            for (const auto &v : inputs)
+                EXPECT_EQ(bits(wide->maxElement(v.data() + off, n)),
+                          bits(narrow->maxElement(v.data() + off, n)))
+                    << "maxElement n " << n << " off " << off;
+
+            // Logits over [-150, 150] with the specials mixed in.
+            auto logits = base;
+            for (size_t i = 0; i < logits.size(); ++i)
+                logits[i] *= i % 3 == 0 ? 150.f : 20.f;
+            logits[off] = -inf;
+            logits[off + n / 2] = -0.f;
+            logits[off + n - 1] = nan;
+            if (n > 2)
+                logits[off + n - 2] = inf;
+            // k = -80 drives n - k past 127 (inf), k = 150 past -126
+            // (zero), at both ends of the logits.
+            for (float k : {0.f, 7.f, -80.f, 150.f}) {
+                auto a = logits, b = logits;
+                wide->expShiftInplace(a.data() + off, n, k);
+                narrow->expShiftInplace(b.data() + off, n, k);
+                EXPECT_TRUE(same(a, b))
+                    << "expShiftInplace n " << n << " off " << off
+                    << " k " << k;
+            }
+            auto a = logits, b = logits;
+            wide->expInplace(a.data() + off, n);
+            narrow->expInplace(b.data() + off, n);
+            EXPECT_TRUE(same(a, b))
+                << "expInplace n " << n << " off " << off;
         }
     }
 }
@@ -1395,7 +1473,9 @@ void
 expectReachWithinOwnedRows(const std::vector<E> &buf, size_t count,
                            size_t beyond, size_t d)
 {
-    for (size_t nq : {size_t{1}, size_t{5}, size_t{16}})
+    // 24 questions: three AVX-512 query tiles, of which only the first
+    // looks ahead.
+    for (size_t nq : {size_t{1}, size_t{5}, size_t{16}, size_t{24}})
         for (float th : {0.f, 0.05f}) // dense rows, or a skip scan
             for (size_t first : {size_t{0}, beyond}) {
                 const auto want = sweepRows(buf, first, count, d, nq, th, {});
@@ -1413,16 +1493,19 @@ expectReachWithinOwnedRows(const std::vector<E> &buf, size_t count,
 
 TEST(RowLookahead, ReachesOnlyTheRowsTheCallerOwns)
 {
-    const size_t d = 40;
-    for (size_t count : {size_t{37}, size_t{101}}) {
-        for (size_t beyond : {size_t{0}, size_t{7}, size_t{40}}) {
-            const size_t total = count + beyond;
-            expectReachWithinOwnedRows(nastyVec(total * d, 701, 0), count,
-                                       beyond, d);
-            expectReachWithinOwnedRows(nastyVecBf16(total * d, 702), count,
-                                       beyond, d);
-            expectReachWithinOwnedRows(nastyVecI8(total * d, 703), count,
-                                       beyond, d);
+    // d = 40 ends every row in a partial line and a tail; d = 128 is
+    // whole lines of every precision, as the engines' rows are.
+    for (size_t d : {size_t{40}, size_t{128}}) {
+        for (size_t count : {size_t{37}, size_t{101}}) {
+            for (size_t beyond : {size_t{0}, size_t{7}, size_t{40}}) {
+                const size_t total = count + beyond;
+                expectReachWithinOwnedRows(nastyVec(total * d, 701, 0),
+                                           count, beyond, d);
+                expectReachWithinOwnedRows(nastyVecBf16(total * d, 702),
+                                           count, beyond, d);
+                expectReachWithinOwnedRows(nastyVecI8(total * d, 703),
+                                           count, beyond, d);
+            }
         }
     }
 }

@@ -461,7 +461,8 @@ TEST(LatencyRecorder, SnapshotJsonHasEveryField)
           "\"end_to_end_seconds\"", "\"p50\"", "\"p95\"", "\"p99\"",
           "\"scan\"", "\"rows_kept\"", "\"rows_skipped\"",
           "\"rows_routed\"", "\"chunks_bypassed\"", "\"steps\"",
-          "\"questions_streamed\"", "\"kept_chunks\""})
+          "\"questions_streamed\"", "\"kept_chunks\"", "\"inner_s\"",
+          "\"softmax_s\"", "\"wsum_s\"", "\"busy_s\""})
         EXPECT_NE(j.find(key), std::string::npos) << key;
 }
 

@@ -723,6 +723,14 @@ TEST(LiveServer, ShardedSnapshotCarriesScanCounters)
               s.scan.questionsStreamed);
     EXPECT_LE(s.scan.steps, s.scan.questionsStreamed);
     EXPECT_LT(s.scan.keptChunks, s.scan.questionsStreamed);
+    // Every phase ran, and each step's phases lie inside the busy time
+    // its worker spent attaching and stepping.
+    EXPECT_GT(s.scan.innerSeconds, 0.0);
+    EXPECT_GT(s.scan.softmaxSeconds, 0.0);
+    EXPECT_GT(s.scan.wsumSeconds, 0.0);
+    EXPECT_LE(s.scan.innerSeconds + s.scan.softmaxSeconds
+                  + s.scan.wsumSeconds,
+              s.scan.busySeconds);
     const std::string j = s.toJson();
     EXPECT_NE(j.find("\"rows_kept\": " + std::to_string(s.scan.rowsKept)),
               std::string::npos);
@@ -734,6 +742,9 @@ TEST(LiveServer, ShardedSnapshotCarriesScanCounters)
     EXPECT_NE(j.find("\"kept_chunks\": "
                      + std::to_string(s.scan.keptChunks)),
               std::string::npos);
+    for (const char *key :
+         {"\"inner_s\": ", "\"softmax_s\": ", "\"wsum_s\": ", "\"busy_s\": "})
+        EXPECT_NE(j.find(key), std::string::npos) << key;
 }
 
 /**
